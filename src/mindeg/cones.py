@@ -202,12 +202,12 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
     done = 0
     while True:
         x_aff = Pmat @ x + x_part
-        wmin = float(np.linalg.eigvalsh(kernels.smat(x_aff, nvars))[0])
+        Xa = kernels.smat(x_aff, nvars)
+        wmin = float(np.linalg.eigvalsh(Xa)[0])
         if wmin * scale >= -psd_tol:
             return affine_result("Certificate", done, x_aff, wmin * scale)
         # separation attempt: gap direction from the affine point to the
         # cone, pushed into the image of the adjoint
-        Xa = kernels.smat(x_aff, nvars)
         Pp, _ = kernels.project_psd(Xa)
         gap = kernels.svec(Pp - Xa)
         gnorm = float(np.linalg.norm(gap))
@@ -231,12 +231,8 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
         if done >= budget:
             return affine_result("Undetermined", done, x_aff, wmin * scale)
         step = min(chunk, budget - done)
-        x, p, _, ok = kernels.dykstra_chunk(Pmat, x_part, x, p, step, nvars)
+        x, p, _ = kernels.dykstra_chunk(Pmat, x_part, x, p, step, nvars)
         done += step
-        if not ok:
-            x_aff = Pmat @ x + x_part
-            wmin = float(np.linalg.eigvalsh(kernels.smat(x_aff, nvars))[0])
-            return affine_result("Undetermined", done, x_aff, wmin * scale)
 
 
 def moment_psd(functional: DualFunctional,

@@ -1,257 +1,98 @@
-"""Floating-point kernels: cyclic Jacobi eigensolver, PSD projection, and the
+"""Floating-point kernels: symmetric eigensolver, PSD projection, and the
 Dykstra alternating-projection inner loop.
 
-Two backends provide the same contracts:
-
-* ``numba``: @njit-compiled kernels (the default when numba imports).
-* ``numpy``: pure-numpy fallback; the eigensolver delegates to
-  ``numpy.linalg.eigh``.
-
-Selection is via the ``MINDEG_BACKEND`` environment variable: ``auto``
-(default), ``numba``, or ``numpy``. The variable is read once at import time.
-``benchmarks/bench_kernels.py`` compares the two paths.
+One numpy backend. Matrices are svec-coded through cached index arrays
+(upper triangle, row-major) and weight vectors, so no kernel loops in
+Python over matrix entries; the eigensolver is LAPACK's ``eigh``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 
 import numpy as np
 
 from .errors import NonConvergence
 
-_requested = os.environ.get("MINDEG_BACKEND", "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError("MINDEG_BACKEND must be one of auto/numba/numpy, got %r" % _requested)
-
-if _requested in ("auto", "numba"):
-    try:
-        import numba
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-DEFAULT_EIG_TOL = 1e-12
-MAX_JACOBI_SWEEPS = 64
+BACKEND = "numpy"
 
 
-def _jacobi_eigh_py(a, tol, max_sweeps):
-    # Reference implementation of the cyclic Jacobi sweep; the numba kernel
-    # below is this function compiled. Kept in sync by the test suite.
-    n = a.shape[0]
-    A = a.copy()
-    V = np.eye(n)
-    norm0 = np.sqrt(np.sum(A * A))
-    thresh = tol * max(1.0, norm0)
-    for _sweep in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += A[i, j] * A[i, j]
-        if math.sqrt(2.0 * off) <= thresh:
-            return np.diag(A).copy(), V, True
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                app = A[p, p]
-                aqq = A[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp = A[k, p]
-                    akq = A[k, q]
-                    A[k, p] = c * akp - s * akq
-                    A[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = A[p, k]
-                    aqk = A[q, k]
-                    A[p, k] = c * apk - s * aqk
-                    A[q, k] = s * apk + c * aqk
-                for k in range(n):
-                    vkp = V[k, p]
-                    vkq = V[k, q]
-                    V[k, p] = c * vkp - s * vkq
-                    V[k, q] = s * vkp + c * vkq
-    off = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            off += A[i, j] * A[i, j]
-    ok = math.sqrt(2.0 * off) <= thresh
-    return np.diag(A).copy(), V, ok
+@functools.lru_cache(maxsize=64)
+def _svec_index(n: int):
+    """(rows, cols, svec weights, smat weights) of the n x n upper triangle
+    in svec order: 1 on the diagonal, sqrt(2) and 1/sqrt(2) off it. The
+    arrays are shared by every caller, so they are read-only."""
+    iu, ju = np.triu_indices(n)
+    off = iu != ju
+    to_vec = np.where(off, math.sqrt(2.0), 1.0)
+    to_mat = np.where(off, 1.0 / math.sqrt(2.0), 1.0)
+    for a in (iu, ju, to_vec, to_mat):
+        a.flags.writeable = False
+    return iu, ju, to_vec, to_mat
 
 
-def _svec_py(M, out):
-    n = M.shape[0]
-    sqrt2 = math.sqrt(2.0)
-    k = 0
-    for i in range(n):
-        out[k] = M[i, i]
-        k += 1
-        for j in range(i + 1, n):
-            out[k] = sqrt2 * M[i, j]
-            k += 1
-    return out
+def _clip(w, V):
+    """V diag(max(w, 0)) V^T, before symmetrization."""
+    return (V * np.where(w > 0.0, w, 0.0)) @ V.T
 
 
-def _smat_py(v, out):
-    n = out.shape[0]
-    inv2 = 1.0 / math.sqrt(2.0)
-    k = 0
-    for i in range(n):
-        out[i, i] = v[k]
-        k += 1
-        for j in range(i + 1, n):
-            out[i, j] = inv2 * v[k]
-            out[j, i] = out[i, j]
-            k += 1
-    return out
-
-
-if HAS_NUMBA:
-    _jacobi_eigh_nb = numba.njit(cache=True)(_jacobi_eigh_py)
-    _svec_nb = numba.njit(cache=True)(_svec_py)
-    _smat_nb = numba.njit(cache=True)(_smat_py)
-
-    @numba.njit(cache=True)
-    def _psd_clip_nb(w, V):
-        n = w.shape[0]
-        P = np.zeros((n, n))
-        for k in range(n):
-            if w[k] > 0.0:
-                wk = w[k]
-                for i in range(n):
-                    vik = V[i, k]
-                    for j in range(i, n):
-                        P[i, j] += wk * vik * V[j, k]
-        for i in range(n):
-            for j in range(i + 1, n):
-                P[j, i] = P[i, j]
-        return P
-
-    @numba.njit(cache=True)
-    def _dykstra_chunk_nb(Pmat, x_part, x, p, iters, matdim, eig_tol, max_sweeps):
-        # One iteration: project onto the affine slice, add the cone
-        # correction, project onto the PSD cone, update the correction.
-        W = np.zeros((matdim, matdim))
-        wmin_last = 0.0
-        ok_all = True
-        for _ in range(iters):
-            xl = Pmat @ x + x_part
-            w = xl + p
-            _smat_nb(w, W)
-            evals, evecs, ok = _jacobi_eigh_nb(W, eig_tol, max_sweeps)
-            if not ok:
-                ok_all = False
-            Y = _psd_clip_nb(evals, evecs)
-            wmin = evals[0]
-            for k in range(1, matdim):
-                if evals[k] < wmin:
-                    wmin = evals[k]
-            wmin_last = wmin
-            y = np.zeros(x.shape[0])
-            _svec_nb(Y, y)
-            for k in range(x.shape[0]):
-                p[k] = w[k] - y[k]
-                x[k] = y[k]
-        return x, p, wmin_last, ok_all
-
-
-def _psd_clip_np(w, V):
-    wp = np.where(w > 0.0, w, 0.0)
-    P = (V * wp) @ V.T
-    return 0.5 * (P + P.T)
-
-
-def _dykstra_chunk_np(Pmat, x_part, x, p, iters, matdim, eig_tol, max_sweeps):
-    W = np.zeros((matdim, matdim))
-    wmin_last = 0.0
-    for _ in range(iters):
-        xl = Pmat @ x + x_part
-        w = xl + p
-        _smat_py(w, W)
-        evals, evecs = np.linalg.eigh(W)
-        Y = _psd_clip_np(evals, evecs)
-        wmin_last = float(evals[0])
-        y = np.empty_like(x)
-        _svec_py(Y, y)
-        p = w - y
-        x = y.copy()
-    return x, p, wmin_last, True
-
-
-def symmetric_eigen(a: np.ndarray, tol: float = DEFAULT_EIG_TOL):
+def symmetric_eigen(a: np.ndarray):
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
-    Returns (eigenvalues, eigenvector columns). Raises NonConvergence if the
-    Jacobi sweep budget is exhausted (numba backend) or LAPACK fails (numpy
-    backend).
+    Returns (eigenvalues, eigenvector columns). Raises NonConvergence if
+    LAPACK fails.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         raise ValueError("expected a nonempty matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    if BACKEND == "numba":
-        # sweep threshold tightened so the reconstruction error stays within
-        # the caller-visible tolerance after rotation roundoff
-        w, V, ok = _jacobi_eigh_nb(a, 0.25 * tol, MAX_JACOBI_SWEEPS)
-        if not ok:
-            raise NonConvergence("Jacobi sweep budget exhausted")
-        order = np.argsort(w, kind="stable")
-        return w[order], V[:, order]
     try:
-        w, V = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
-    return w, V
 
 
-def project_psd(a: np.ndarray, tol: float = DEFAULT_EIG_TOL):
+def project_psd(a: np.ndarray):
     """Frobenius-nearest PSD matrix, plus the smallest eigenvalue seen."""
-    w, V = symmetric_eigen(a, tol)
-    if BACKEND == "numba":
-        P = _psd_clip_nb(w, V)
-    else:
-        P = _psd_clip_np(w, V)
-    return P, float(w[0])
+    w, V = symmetric_eigen(a)
+    P = _clip(w, V)
+    return 0.5 * (P + P.T), float(w[0])
 
 
-def dykstra_chunk(Pmat, x_part, x, p, iters, matdim, eig_tol=DEFAULT_EIG_TOL):
+def dykstra_chunk(Pmat, x_part, x, p, iters, matdim):
     """Run `iters` Dykstra iterations between the affine slice and the PSD
     cone. State (x, p) is svec-coded; x enters and leaves as the PSD-side
-    iterate. Returns (x, p, last min eigenvalue, eigensolver_ok)."""
-    if BACKEND == "numba":
-        return _dykstra_chunk_nb(Pmat, x_part, x, p, iters, matdim, eig_tol, MAX_JACOBI_SWEEPS)
-    return _dykstra_chunk_np(Pmat, x_part, x, p, iters, matdim, eig_tol, MAX_JACOBI_SWEEPS)
+    iterate. Returns (x, p, last min eigenvalue)."""
+    iu, ju, to_vec, to_mat = _svec_index(matdim)
+    W = np.empty((matdim, matdim))
+    wmin_last = 0.0
+    for _ in range(iters):
+        # project onto the affine slice, add the cone correction, project
+        # onto the PSD cone, update the correction
+        w = Pmat @ x + x_part + p
+        W[iu, ju] = W[ju, iu] = to_mat * w
+        evals, evecs = np.linalg.eigh(W)
+        wmin_last = float(evals[0])
+        P = _clip(evals, evecs)
+        x = 0.5 * (P[iu, ju] + P[ju, iu]) * to_vec
+        p = w - x
+    return x, p, wmin_last
 
 
 def svec(M: np.ndarray) -> np.ndarray:
     """Symmetric vectorization with sqrt(2) off-diagonal weights, so that
     the Frobenius inner product becomes the dot product."""
-    n = M.shape[0]
-    out = np.empty(n * (n + 1) // 2)
-    return _svec_py(np.asarray(M, dtype=np.float64), out)
+    iu, ju, to_vec, _ = _svec_index(M.shape[0])
+    return np.asarray(M, dtype=np.float64)[iu, ju] * to_vec
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of svec."""
-    out = np.zeros((n, n))
-    return _smat_py(np.asarray(v, dtype=np.float64), out)
+    iu, ju, _, to_mat = _svec_index(n)
+    out = np.empty((n, n))
+    out[iu, ju] = out[ju, iu] = to_mat * np.asarray(v, dtype=np.float64)
+    return out

@@ -1,9 +1,10 @@
-"""Exact rational linear algebra plus the small symmetric float kernel.
+"""Exact rational linear algebra.
 
 All exact computation in the package funnels through this module: ranks,
 nullspaces, and integer lattice normal forms use arbitrary-precision
-rationals (``fractions.Fraction``) with no floating shortcut. The float side
-(``SymMatrix`` / ``sym_eigen`` / ``psd_project``) wraps the backend kernels.
+rationals (``fractions.Fraction``) with no floating shortcut. The only float
+code here converts between rationals and floats; the float kernels live in
+``kernels``.
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-
-from . import kernels
-from .errors import NonConvergence
 
 # Exact scalars must stay reduced with positive denominator at arbitrary
 # precision; fractions.Fraction guarantees all three by construction.
@@ -326,67 +324,7 @@ def _invert_unimodular(W):
 
 
 # ---------------------------------------------------------------------------
-# Float symmetric kernel.
-
-
-class SymMatrix:
-    """Symmetric double matrix; only the upper triangle is stored, so symmetry
-    is exact by construction."""
-
-    __slots__ = ("dim", "upper")
-
-    def __init__(self, dim: int, upper: np.ndarray):
-        if dim <= 0:
-            raise ValueError("dimension must be positive")
-        upper = np.asarray(upper, dtype=np.float64)
-        if upper.shape != (dim * (dim + 1) // 2,):
-            raise ValueError("packed upper triangle has wrong length")
-        self.dim = dim
-        self.upper = upper
-
-    @classmethod
-    def from_full(cls, a) -> "SymMatrix":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("expected a square array")
-        n = a.shape[0]
-        sym = 0.5 * (a + a.T)
-        iu = np.triu_indices(n)
-        return cls(n, sym[iu])
-
-    def full(self) -> np.ndarray:
-        n = self.dim
-        out = np.zeros((n, n))
-        iu = np.triu_indices(n)
-        out[iu] = self.upper
-        out = out + np.triu(out, 1).T
-        return out
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.full()))
-
-    def __repr__(self):
-        return "SymMatrix(dim=%d)" % self.dim
-
-
-def sym_eigen(S: SymMatrix, tol: float = kernels.DEFAULT_EIG_TOL):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of S.
-
-    Postcondition checked: ||S - V diag(w) V^T||_F <= tol * max(1, ||S||_F).
-    """
-    a = S.full()
-    w, V = kernels.symmetric_eigen(a, tol)
-    recon = (V * w) @ V.T
-    err = float(np.linalg.norm(a - recon))
-    if err > tol * max(1.0, float(np.linalg.norm(a))) * 4.0:
-        raise NonConvergence("reconstruction error %.3e exceeds tolerance" % err)
-    return w, V
-
-
-def psd_project(S: SymMatrix) -> SymMatrix:
-    """Frobenius-nearest positive semidefinite matrix."""
-    P, _ = kernels.project_psd(S.full())
-    return SymMatrix.from_full(P)
+# Float / rational bridge.
 
 
 def to_float(rows) -> np.ndarray:

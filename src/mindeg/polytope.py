@@ -671,13 +671,14 @@ def _affine_equivalence(target: LatticePolytope, Q: LatticePolytope):
         A = _solve_matrix(t_diff, q_diff)
         if A is None:
             continue
+        # integrality first: _int_det takes integer matrices only
+        if any(x.denominator != 1 for row in A for x in row):
+            continue
         det = _int_det([[A[i][j] for j in range(m)] for i in range(m)])
         if abs(det) != 1:
             continue
         t0 = [q_pts[0][i] - sum(A[i][j] * t_pts[0][j] for j in range(m))
               for i in range(m)]
-        if any(x.denominator != 1 for row in A for x in row):
-            continue
         if any(x.denominator != 1 for x in t0):
             continue
         Ai = [[int(x) for x in row] for row in A]

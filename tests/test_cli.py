@@ -3,7 +3,8 @@
 import json
 
 from mindeg.cli import main
-from mindeg.polytope import LatticePolytope, SparsePolynomial
+from mindeg.polytope import (LatticePolytope, SparsePolynomial,
+                             cayley_polytope_of_segments)
 from mindeg.variety import veronese_model
 from mindeg.witness import witness_report_from_json
 
@@ -192,3 +193,18 @@ def test_witness_command(capsys):
 def test_witness_rejects_small_degree(capsys):
     code, _, err = run(capsys, ["witness", "--d", "2"])
     assert code == 2 and "--d" in err
+
+
+def test_classify_cayley_segments_exit_0(capsys):
+    # the affine-equivalence search used to feed fractional candidate maps
+    # to the integer determinant and crash on these
+    polys = [cayley_polytope_of_segments(d).to_json()
+             for d in [(3, 3), (0, 2, 2), (0, 2, 3), (0, 3, 3), (2, 3, 3),
+                       (3, 3, 3)]]
+    polys.append({"ambient_rank": 2,
+                  "vertices": [[3, 0], [3, 3], [4, 2], [4, 4]]})
+    for poly in polys:
+        code, out, err = run(capsys, ["classify", "--input", json.dumps(poly)])
+        assert code == 0, err
+        rep = json.loads(out)["classification"]
+        assert rep["family"] == "CayleySegments"

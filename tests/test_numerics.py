@@ -5,21 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mindeg.numerics import (RationalMatrix, SymMatrix, exact_rank,
-                             fraction_from_float, in_row_span,
-                             integer_diagonalize, lattice_index, mat_vec,
-                             nullspace, psd_project, rank_and_nullspace, rref,
-                             solve_exact, sym_eigen, to_float)
+from mindeg.kernels import project_psd, symmetric_eigen
+from mindeg.numerics import (RationalMatrix, exact_rank, fraction_from_float,
+                             in_row_span, integer_diagonalize, lattice_index,
+                             mat_vec, nullspace, rank_and_nullspace, rref,
+                             solve_exact, to_float)
 
 F = Fraction
 
 
 def _mat(rows):
     return [[F(x) for x in r] for r in rows]
-
-
-def _sym(rows):
-    return SymMatrix.from_full(np.asarray(rows, dtype=float))
 
 
 def test_rank_identity():
@@ -114,12 +110,12 @@ def test_integer_diagonalize_rank_deficient():
 
 
 def test_sym_eigen_diagonal():
-    vals, _ = sym_eigen(_sym([[1, 0, 0], [0, 2, 0], [0, 0, 3]]))
+    vals, _ = symmetric_eigen(np.diag([1.0, 2.0, 3.0]))
     assert np.allclose(sorted(vals), [1.0, 2.0, 3.0], atol=1e-12)
 
 
 def test_sym_eigen_swap():
-    vals, _ = sym_eigen(_sym([[0, 1], [1, 0]]))
+    vals, _ = symmetric_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(sorted(vals), [-1.0, 1.0], atol=1e-12)
 
 
@@ -127,7 +123,7 @@ def test_sym_eigen_gram_psd():
     rng = np.random.Generator(np.random.Philox(7))
     B = rng.integers(-3, 4, size=(8, 8))
     G = (B.T @ B).astype(float)
-    vals, _ = sym_eigen(SymMatrix.from_full(G))
+    vals, _ = symmetric_eigen(G)
     assert min(vals) >= -1e-9
 
 
@@ -136,32 +132,32 @@ def test_sym_eigen_rotation_invariance():
     c, s = 0.6, 0.8
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     D = np.diag([1.0, 2.0, 3.0])
-    vals, _ = sym_eigen(SymMatrix.from_full(R @ D @ R.T))
+    vals, _ = symmetric_eigen(R @ D @ R.T)
     assert np.allclose(sorted(vals), [1.0, 2.0, 3.0], atol=1e-9)
 
 
 def test_psd_project_fixed_point():
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
-    P = psd_project(SymMatrix.from_full(A))
-    assert np.allclose(P.full(), A, atol=1e-10)
+    P, _ = project_psd(A)
+    assert np.allclose(P, A, atol=1e-10)
 
 
 def test_psd_project_clips_negative():
-    P = psd_project(_sym([[1, 0], [0, -1]]))
-    assert np.allclose(P.full(), np.diag([1.0, 0.0]), atol=1e-10)
+    P, _ = project_psd(np.diag([1.0, -1.0]))
+    assert np.allclose(P, np.diag([1.0, 0.0]), atol=1e-10)
 
 
 def test_psd_project_off_diagonal():
-    P = psd_project(_sym([[0, 1], [1, 0]]))
-    assert np.allclose(P.full(), np.full((2, 2), 0.5), atol=1e-10)
+    P, _ = project_psd(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(P, np.full((2, 2), 0.5), atol=1e-10)
 
 
 def test_psd_project_idempotent():
     rng = np.random.Generator(np.random.Philox(11))
     A = rng.normal(size=(6, 6))
-    P = psd_project(SymMatrix.from_full((A + A.T) / 2))
-    P2 = psd_project(P)
-    assert np.abs(P2.full() - P.full()).max() <= 2e-8
+    P, _ = project_psd((A + A.T) / 2)
+    P2, _ = project_psd(P)
+    assert np.abs(P2 - P).max() <= 2e-8
 
 
 def test_float_rational_bridge():
