@@ -5,6 +5,7 @@ out. Exit codes: 0 success, 2 invalid input or flags, 3 computation error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,6 +39,7 @@ class UsageError(Exception):
     """Invalid request shape; maps to exit code 2."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mindeg",

@@ -9,14 +9,9 @@ code here converts between rationals and floats; the float kernels live in
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
-
-# Exact scalars must stay reduced with positive denominator at arbitrary
-# precision; fractions.Fraction guarantees all three by construction.
-Rational = Fraction
 
 
 def _frac(x) -> Fraction:
@@ -27,53 +22,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError("rational entries must be Fraction, int, or string, got %r" % type(x))
-
-
-class RationalMatrix:
-    """Dense exact matrix. Degenerate (0-row or 0-column) shapes are rejected."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        if rows <= 0 or cols <= 0:
-            raise ValueError("matrix must have at least one row and one column")
-        entries = [_frac(e) for e in entries]
-        if len(entries) != rows * cols:
-            raise ValueError("expected %d entries, got %d" % (rows * cols, len(entries)))
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows) -> "RationalMatrix":
-        rows = [list(r) for r in rows]
-        if not rows:
-            raise ValueError("matrix must have at least one row")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        flat = [e for r in rows for e in r]
-        return cls(len(rows), ncols, flat)
-
-    def row_list(self):
-        c = self.cols
-        return [self.entries[i * c:(i + 1) * c] for i in range(self.rows)]
-
-    def transpose(self) -> "RationalMatrix":
-        rows = self.row_list()
-        return RationalMatrix.from_rows([[rows[i][j] for i in range(self.rows)]
-                                         for j in range(self.cols)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __repr__(self):
-        return "RationalMatrix(%d x %d)" % (self.rows, self.cols)
 
 
 def rref(rows):
@@ -141,14 +89,6 @@ def nullspace(rows, ncols=None):
     return basis
 
 
-def rank_and_nullspace(A: RationalMatrix):
-    """Exact rank and nullspace basis; rank + len(basis) == cols."""
-    rows = A.row_list()
-    red, pivots = rref(rows)
-    basis = nullspace(rows, A.cols)
-    return len(red), basis
-
-
 def solve_exact(rows, rhs):
     """One exact solution x of A x = b, or None if inconsistent."""
     rows = [list(r) + [b] for r, b in zip(rows, rhs)]
@@ -169,10 +109,6 @@ def in_row_span(rows, v) -> bool:
         return all(_frac(e) == 0 for e in v)
     base = exact_rank(rows)
     return exact_rank(rows + [list(v)]) == base
-
-
-def mat_vec(rows, v):
-    return [sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +266,3 @@ def _invert_unimodular(W):
 def to_float(rows) -> np.ndarray:
     return np.array([[float(e) for e in r] for r in rows], dtype=np.float64)
 
-
-def fraction_from_float(x: float, bits: int = 48) -> Fraction:
-    """Dyadic rational snap of a float (used where a rational value is needed
-    from a float estimate; exact binary representation would be overkill)."""
-    if not math.isfinite(x):
-        raise ValueError("cannot convert non-finite float")
-    scaled = int(math.floor(x * (1 << bits)))
-    return Fraction(scaled, 1 << bits)

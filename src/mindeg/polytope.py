@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, NotFullDimensional
-from .numerics import (Rational, exact_rank, integer_diagonalize,
-                       lattice_index, nullspace, rref, solve_exact)
+from .numerics import (exact_rank, integer_diagonalize, lattice_index,
+                       nullspace, solve_exact)
 
 DENSE = "Dense"
 NOT_DENSE = "NotDense"
@@ -64,10 +64,10 @@ class LatticePolytope:
             self._W = [[1 if i == j else 0 for j in range(ambient_rank)]
                        for i in range(ambient_rank)]
             self._sat_basis = []
+        self._facets = [] if self.dim == 0 else None
         # trusted callers (e.g. products of vertex sets) pass points already
-        # known extreme, skipping the exact supporting-hyperplane reduction
+        # known extreme, skipping the hull of the whole point set
         self.vertices = tuple(pts) if _vertices_trusted else self._extreme_points(pts)
-        self._facets = None
         self._point_cache = {}
         self._simplices = None
 
@@ -98,24 +98,18 @@ class LatticePolytope:
         if self.dim == 0:
             return tuple(pts[:1])
         proj = [self._proj(p) for p in pts]
-        planes = _supporting_hyperplanes(proj, self.dim)
-        out = []
-        for p, x in zip(pts, proj):
-            active = [a for a, b in planes
-                      if sum(ai * xi for ai, xi in zip(a, x)) == b]
-            if active and exact_rank(active) == self.dim:
-                out.append(p)
-        return tuple(sorted(out))
+        self._facets = _supporting_hyperplanes(proj, self.dim)
+        active = [{k for k, (a, b) in enumerate(self._facets) if _dot(a, x) == b}
+                  for x in proj]
+        # p is a vertex iff no other point lies on every facet through p
+        return tuple(p for p, z in zip(pts, active)
+                     if sum(z <= y for y in active) == 1)
 
     def facets(self):
-        """Supporting integer inequalities a.x <= b in chart coordinates.
-        Includes every facet; may include redundant supporting hyperplanes,
-        which is harmless for membership and strict-interior tests."""
+        """The facets as primitive integer inequalities a.x <= b in chart
+        coordinates, sorted; exactly one per facet."""
         if self._facets is None:
-            if self.dim == 0:
-                self._facets = []
-            else:
-                self._facets = _supporting_hyperplanes(self.proj_vertices, self.dim)
+            self._facets = _supporting_hyperplanes(self.proj_vertices, self.dim)
         return self._facets
 
     def __eq__(self, other):
@@ -142,39 +136,65 @@ class LatticePolytope:
 
 
 def _supporting_hyperplanes(proj_points, m):
-    """All hyperplanes spanned by m-subsets of the points that support the
-    hull, as primitive integer (normal, rhs) pairs with a.x <= b."""
-    planes = set()
+    """The facets of the hull of points that affinely span R^m, as sorted
+    primitive integer (normal, rhs) pairs with a.x <= b.
+
+    Exact double description (Motzkin et al. 1953; Fukuda & Prodon 1996):
+    start from the facets of a simplex on m+1 of the points, then add one
+    point p at a time. Each facet keeps the bitmask of the points added so
+    far that lie on it. Facets with p strictly outside are dropped, and each
+    adjacent pair (outside, inside) is combined into a facet through p;
+    adjacency is the combinatorial test: the two incidence sets share at
+    least m-1 points and no third facet contains their intersection."""
     pts = list(proj_points)
-    for subset in itertools.combinations(range(len(pts)), m):
-        base = pts[subset[0]]
-        diffs = [[pts[i][j] - base[j] for j in range(m)] for i in subset[1:]]
-        ker = nullspace(diffs, m)
-        if len(ker) != 1:
-            continue
-        denom = 1
-        for e in ker[0]:
-            denom = denom * e.denominator // math.gcd(denom, e.denominator)
-        a = [int(e * denom) for e in ker[0]]
-        g = 0
-        for e in a:
-            g = math.gcd(g, abs(e))
+    base = pts[0]
+    chosen, diffs = [0], []
+    for i in range(1, len(pts)):
+        d = [c - b for c, b in zip(pts[i], base)]
+        if exact_rank(diffs + [d]) > len(diffs):
+            chosen.append(i)
+            diffs.append(d)
+            if len(diffs) == m:
+                break
+    facets = []  # (normal, rhs, incidence bitmask)
+    for k in chosen:
+        on = [pts[i] for i in chosen if i != k]
+        ker = nullspace([[c - b for c, b in zip(p, on[0])] for p in on[1:]], m)
+        lcm = math.lcm(*(e.denominator for e in ker[0]))
+        a = [int(e * lcm) for e in ker[0]]
+        g = math.gcd(*a)
         a = [e // g for e in a]
-        b = sum(ai * xi for ai, xi in zip(a, base))
-        lo = hi = False
-        for p in pts:
-            s = sum(ai * xi for ai, xi in zip(a, p))
-            if s > b:
-                hi = True
-            elif s < b:
-                lo = True
-        if hi and lo:
+        b = _dot(a, on[0])
+        if _dot(a, pts[k]) > b:
+            a, b = [-e for e in a], -b
+        facets.append((a, b, sum(1 << i for i in chosen if i != k)))
+    taken = set(chosen)
+    for i, p in enumerate(pts):
+        if i in taken:
             continue
-        if hi:
-            a = [-e for e in a]
-            b = -b
-        planes.add((tuple(a), b))
-    return sorted(planes)
+        s = [_dot(a, p) - b for a, b, _ in facets]
+        out = [k for k, sk in enumerate(s) if sk > 0]
+        inside = [k for k, sk in enumerate(s) if sk < 0]
+        new = []
+        for ko in out:
+            ao, _, zo = facets[ko]
+            for ki in inside:
+                ai, _, zi = facets[ki]
+                z = zo & zi
+                if z.bit_count() < m - 1 or any(
+                        zk & z == z for k, (_, _, zk) in enumerate(facets)
+                        if k != ko and k != ki):
+                    continue
+                a = [s[ko] * x - s[ki] * y for x, y in zip(ai, ao)]
+                g = math.gcd(*a)
+                new.append(([e // g for e in a], _dot(a, p) // g, z | 1 << i))
+        facets = [(a, b, z | 1 << i if sk == 0 else z)
+                  for (a, b, z), sk in zip(facets, s) if sk <= 0] + new
+    return sorted((tuple(a), b) for a, b, _ in facets)
+
+
+def _dot(a, x):
+    return sum(ai * xi for ai, xi in zip(a, x))
 
 
 def _box_candidates(lo, hi):

@@ -45,6 +45,9 @@ from .errors import (
 from .numerics import exact_rank, in_row_span, nullspace, rref
 from .variety import QuadraticForm, veronese_model
 
+# sphere samples per block of power tables in _sphere_values
+_SAMPLE_BLOCK = 1 << 14
+
 
 def _monomials(d):
     """Exponent pairs (a, b), a + b <= d, in the model's sorted order; the
@@ -345,11 +348,13 @@ def _double_zero_at(vec, exps2, deg, point):
     return val == 0 and all(g == 0 for g in grad)
 
 
-def _eval_many(poly_items, X, Y, Z):
-    """Float values of a sparse ternary polynomial at sample arrays."""
-    total = np.zeros_like(X)
+def _eval_many(poly_items, powers):
+    """Float values of a sparse ternary polynomial at sample arrays, given
+    their power tables: powers[i][k] is coordinate i to the k-th power."""
+    PX, PY, PZ = powers
+    total = np.zeros_like(PX[0])
     for (a, b, e), c in poly_items:
-        total += float(c) * X ** a * Y ** b * Z ** e
+        total += float(c) * PX[a] * PY[b] * PZ[e]
     return total
 
 
@@ -363,13 +368,20 @@ def _sphere_values(f_vec, h_polys, samples, seed):
     rng = _rng(seed)
     pts = rng.normal(size=(int(samples), 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    X, Y, Z = pts[:, 0], pts[:, 1], pts[:, 2]
     f_items = [((a, b, 2 * d - a - b), c)
                for (a, b), c in zip(exps2, f_vec) if c != 0]
-    f_vals = _eval_many(f_items, X, Y, Z)
-    h_sq = np.zeros_like(X)
-    for hp in h_polys:
-        h_sq += _eval_many(list(hp.items()), X, Y, Z) ** 2
+    h_items = [list(hp.items()) for hp in h_polys]
+    f_vals = np.empty(len(pts))
+    h_sq = np.zeros(len(pts))
+    # every value is elementwise, so blocks of samples keep the power
+    # tables small without changing a bit of the result
+    for s in range(0, len(pts), _SAMPLE_BLOCK):
+        block = slice(s, s + _SAMPLE_BLOCK)
+        powers = [[pts[block, i] ** k for k in range(2 * d + 1)]
+                  for i in range(3)]
+        f_vals[block] = _eval_many(f_items, powers)
+        for items in h_items:
+            h_sq[block] += _eval_many(items, powers) ** 2
     return pts, f_vals, h_sq
 
 

@@ -208,3 +208,16 @@ def test_classify_cayley_segments_exit_0(capsys):
         assert code == 0, err
         rep = json.loads(out)["classification"]
         assert rep["family"] == "CayleySegments"
+
+
+def test_parser_reused_across_calls(capsys):
+    # the argparse tree is built once per process: a rejected argv must not
+    # leave state behind for the next call
+    valid = ["normal", "--input", SQUARE]
+    code1, out1, _ = run(capsys, valid)
+    code2, out2, err2 = run(capsys, ["normal", "--k", "3", "--input"])
+    code3, out3, _ = run(capsys, valid)
+    assert (code1, code2, code3) == (0, 2, 0)
+    assert out2 == "" and "--input" in err2
+    assert out3.encode() == out1.encode()
+    assert json.loads(out1)["k"] == 2

@@ -1,12 +1,17 @@
 """Polytope invariants against hand-checked values and brute-force oracles."""
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mindeg.errors import DimensionMismatch
+from mindeg.numerics import exact_rank, nullspace
 from mindeg.polytope import (CAYLEY, DENSE, IMAGE_OF_MODEL, NOT_DENSE,
                              NOT_MINIMAL, PYRAMID, HStar, LatticePolytope,
                              SparsePolynomial, amgm_witness,
@@ -17,6 +22,7 @@ from mindeg.polytope import (CAYLEY, DENSE, IMAGE_OF_MODEL, NOT_DENSE,
                              lattice_point_count_oracle, lattice_points,
                              normalized_volume, polytope_degree,
                              polytope_to_json_str, product_polytope,
+                             _supporting_hyperplanes,
                              pyramid_over_twice_simplex, real_density,
                              reeve_simplex, segment, simplex, sublattice_index)
 
@@ -343,3 +349,90 @@ def test_vertex_reduction_and_equality():
     assert Q.vertices == ((0, 0), (0, 2), (2, 0))
     assert Q == simplex(2, 2)
     assert hash(Q) == hash(simplex(2, 2))
+
+
+# -- exact hull against the subset scan it replaced ---------------------------
+
+
+def _subset_scan_reference(proj_points, m):
+    """All hyperplanes spanned by m-subsets of the points that support the
+    hull, as primitive integer (normal, rhs) pairs with a.x <= b."""
+    planes = set()
+    pts = list(proj_points)
+    for subset in itertools.combinations(range(len(pts)), m):
+        base = pts[subset[0]]
+        diffs = [[pts[i][j] - base[j] for j in range(m)] for i in subset[1:]]
+        ker = nullspace(diffs, m)
+        if len(ker) != 1:
+            continue
+        denom = 1
+        for e in ker[0]:
+            denom = denom * e.denominator // math.gcd(denom, e.denominator)
+        a = [int(e * denom) for e in ker[0]]
+        g = 0
+        for e in a:
+            g = math.gcd(g, abs(e))
+        a = [e // g for e in a]
+        b = sum(ai * xi for ai, xi in zip(a, base))
+        lo = hi = False
+        for p in pts:
+            s = sum(ai * xi for ai, xi in zip(a, p))
+            if s > b:
+                hi = True
+            elif s < b:
+                lo = True
+        if hi and lo:
+            continue
+        if hi:
+            a = [-e for e in a]
+            b = -b
+        planes.add((tuple(a), b))
+    return sorted(planes)
+
+
+def _on(plane, x):
+    a, b = plane
+    return sum(ai * xi for ai, xi in zip(a, x)) == b
+
+
+def _check_hull_against_reference(Q, points):
+    """Facets and vertices of Q, built from `points`, agree with the subset
+    scan: the facets are its planes whose incident points have affine rank
+    m - 1, and the vertices are the points whose incident planes have rank m."""
+    m = Q.dim
+    proj = [Q._proj(p) for p in sorted(set(points))]
+    ref = _subset_scan_reference(proj, m)
+    facets = []
+    for plane in ref:
+        on = [x for x in proj if _on(plane, x)]
+        if exact_rank([[c - b for c, b in zip(x, on[0])] for x in on[1:]]) == m - 1:
+            facets.append(plane)
+    assert _supporting_hyperplanes(proj, m) == facets
+    assert Q.facets() == facets
+    vertices = [p for p, x in zip(sorted(set(points)), proj)
+                if exact_rank([list(a) for a, b in ref if _on((a, b), x)]) == m]
+    assert Q.vertices == tuple(vertices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.lists(
+    st.tuples(*[st.integers(0, 4)] * r), min_size=1, max_size=10)))
+def test_hull_matches_subset_scan_on_random_points(points):
+    Q = LatticePolytope(len(points[0]), points)
+    if Q.dim == 0:
+        assert Q.facets() == [] and Q.vertices == (min(points),)
+        return
+    _check_hull_against_reference(Q, points)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2),
+       st.integers(1, 2))
+@example(3, 1, 3, 1)
+def test_hull_matches_subset_scan_on_simplex_products(a, d, b, e):
+    P = product_polytope(simplex(a, d), simplex(b, e))
+    points = list(P.vertices)
+    Q = LatticePolytope(P.ambient_rank, points)
+    assert Q.vertices == P.vertices
+    assert P.facets() == Q.facets()
+    _check_hull_against_reference(Q, points)

@@ -4,6 +4,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from mindeg.errors import (
@@ -13,12 +14,15 @@ from mindeg.errors import (
 )
 from mindeg.variety import QuadraticForm, veronese_model
 from mindeg.witness import (
+    _SAMPLE_BLOCK,
     ProductForm,
     _default_selection,
     _line_product,
     _monomials,
     _poly_mul,
     _poly_to_vector,
+    _rng,
+    _sphere_values,
     _vector_to_poly,
     build_f,
     certify_not_sos,
@@ -163,6 +167,45 @@ def test_delta_search_hopeless_f_raises():
     with pytest.raises(NoDeltaFound):
         delta_search(hopeless, polys, [pts[i] for i in selected],
                      samples=2000, seed=3)
+
+
+def _sphere_values_reference(f_vec, h_polys, samples, seed):
+    """The per-monomial loop that recomputed every coordinate power."""
+    d = max(a + b + e for (a, b, e) in h_polys[0])
+    rng = _rng(seed)
+    pts = rng.normal(size=(int(samples), 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    X, Y, Z = pts[:, 0], pts[:, 1], pts[:, 2]
+
+    def eval_many(poly_items):
+        total = np.zeros_like(X)
+        for (a, b, e), c in poly_items:
+            total += float(c) * X ** a * Y ** b * Z ** e
+        return total
+
+    f_items = [((a, b, 2 * d - a - b), c)
+               for (a, b), c in zip(_monomials(2 * d), f_vec) if c != 0]
+    f_vals = eval_many(f_items)
+    h_sq = np.zeros_like(X)
+    for hp in h_polys:
+        h_sq += eval_many(list(hp.items())) ** 2
+    return pts, f_vals, h_sq
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_sphere_values_bit_identical_to_loop_reference(d):
+    rng = np.random.Generator(np.random.Philox(d))
+    f_vec = [F(int(n), int(q)) for n, q in zip(
+        rng.integers(-50, 51, len(_monomials(2 * d))),
+        rng.integers(1, 9, len(_monomials(2 * d))))]
+    h_polys = [_vector_to_poly([F(int(c)) for c in
+                                rng.integers(-9, 10, len(_monomials(d)))],
+                               _monomials(d), d) for _ in range(3)]
+    samples = 2 * _SAMPLE_BLOCK + 77
+    got = _sphere_values(f_vec, h_polys, samples, seed=5)
+    want = _sphere_values_reference(f_vec, h_polys, samples, seed=5)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_pipeline_frozen_seed(report):
