@@ -3,11 +3,10 @@ embedded real projective varieties and for sparse polynomials with prescribed
 Newton polytope, with machine-checkable certificates on both sides.
 """
 
-from .cones import (DualFunctional, GramSlice, SosResult, evaluate_form,
-                    extremality_check, interpolant_through_points,
-                    kernel_dimension, moment_psd, pair_with_square,
-                    separating_functional_complex, separating_functional_real,
-                    sos_check)
+from .cones import (DualFunctional, GramSlice, SosResult, extremality_check,
+                    interpolant_through_points, kernel_dimension, moment_psd,
+                    pair_with_square, separating_functional_complex,
+                    separating_functional_real, sos_check)
 from .errors import (DegeneratePosition, DegenerateSpan, DimensionMismatch,
                      EmptyComplement, InconsistentModel, MindegError,
                      NoDeltaFound, NonConvergence, NotFullDimensional,
@@ -39,8 +38,8 @@ __all__ = [
     "RankAmbiguity", "RetryExhausted", "SosResult", "SparsePolynomial",
     "VarietyModel", "WitnessReport", "amgm_witness", "build_f",
     "cayley_polytope_of_segments", "certify_not_sos", "choose_hyperplanes",
-    "classify", "delta_search", "epsilon", "evaluate_form",
-    "extremality_check", "fit_h0", "h_star", "higashitani_simplex",
+    "classify", "delta_search", "epsilon", "extremality_check", "fit_h0",
+    "h_star", "higashitani_simplex",
     "hilbert_witness", "interpolant_through_points", "is_k_normal",
     "is_minimal_degree", "kernel_dimension", "lattice_points", "moment_psd",
     "normalized_volume", "pair_with_square", "polytope_degree",

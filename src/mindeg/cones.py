@@ -32,20 +32,22 @@ class GramSlice:
         self.model = model
         nvars = model.n + 1
         self.pairs, self.pair_index = _pair_index_map(nvars)
+        columns = [model.pair_vector(i, j) for i, j in self.pairs]
         rows = [[Fraction(0)] * len(self.pairs) for _ in range(model.dim_r2)]
-        for c, (i, j) in enumerate(self.pairs):
-            for s, coeff in model.pair_vector(i, j).items():
+        for c, col in enumerate(columns):
+            for s, coeff in col.items():
                 rows[s][c] = coeff
         self.sigma = rows
         if exact_rank([r[:] for r in rows]) != model.dim_r2:
             raise InconsistentModel("Gram map is not surjective onto R_2")
-        for rel in model.i2_rows():
-            for s in range(model.dim_r2):
-                v = sum((rows[s][c] * rel[c] for c in range(len(self.pairs))
-                         if rel[c] != 0), Fraction(0))
-                if v != 0:
-                    raise InconsistentModel(
-                        "quadric relation does not lie in the Gram kernel")
+        for terms in model.relation_terms():
+            image = {}
+            for pair, c in terms:
+                for s, coeff in columns[self.pair_index[pair]].items():
+                    image[s] = image.get(s, 0) + coeff * c
+            if any(v != 0 for v in image.values()):
+                raise InconsistentModel(
+                    "quadric relation does not lie in the Gram kernel")
         self._a_float = None
 
     @property
@@ -254,25 +256,15 @@ def _sup_normalize(point):
 
 
 def _check_on_variety(model, point):
-    for rel in model.i2_rows():
-        total = Fraction(0)
-        _, pair_idx = _pair_index_map(model.n + 1)
-        for (i, j), c in pair_idx.items():
-            if rel[c] != 0:
-                total += rel[c] * point[i] * point[j]
-        if total != 0:
+    for terms in model.relation_terms():
+        if sum(c * point[i] * point[j] for (i, j), c in terms) != 0:
             raise InconsistentModel("point does not satisfy the quadric relations")
 
 
 def _check_on_variety_complex(model, a, b):
-    _, pair_idx = _pair_index_map(model.n + 1)
-    for rel in model.i2_rows():
-        re = Fraction(0)
-        im = Fraction(0)
-        for (i, j), c in pair_idx.items():
-            if rel[c] != 0:
-                re += rel[c] * (a[i] * a[j] - b[i] * b[j])
-                im += rel[c] * (a[i] * b[j] + a[j] * b[i])
+    for terms in model.relation_terms():
+        re = sum(c * (a[i] * a[j] - b[i] * b[j]) for (i, j), c in terms)
+        im = sum(c * (a[i] * b[j] + a[j] * b[i]) for (i, j), c in terms)
         if re != 0 or im != 0:
             raise InconsistentModel(
                 "complex point does not satisfy the quadric relations")
@@ -321,10 +313,14 @@ def separating_functional_real(model: VarietyModel, points, kappas=None):
     e = model.e
     if len(points) != e + 2:
         raise DegeneratePosition("need exactly e+2 = %d points" % (e + 2))
-    pts = [_sup_normalize(p) for p in points]
-    for p in pts:
+    raw = [[c if isinstance(c, int) else Fraction(c) for c in p]
+           for p in points]
+    pts = [_sup_normalize(p) for p in raw]
+    for p in raw:
         if len(p) != model.n + 1:
             raise DegeneratePosition("point length must be n+1")
+        # the relations are homogeneous: the raw point (integer when the
+        # input is) satisfies them iff its normalization does
         _check_on_variety(model, p)
     lam = _unique_dependency(pts, e + 2)
     if kappas is None:
@@ -416,21 +412,6 @@ def separating_functional_complex(model: VarietyModel, real_points, a_point,
     info = {"lambdas": lam, "kappas": kappas + [k1, k2],
             "points": pts, "a": a_rot, "b": b_rot}
     return fn, info
-
-
-def evaluate_form(form: QuadraticForm, point):
-    """Value of the form at an ambient point lying on the cone, using one
-    representative monomial pair per basis element. Exact for rational
-    input, float otherwise. Off-cone points give representative-dependent
-    garbage; callers feed parameterized points."""
-    reps = _basis_rep_pairs(form.model)
-    if any(isinstance(c, float) for c in point):
-        pt = [float(c) for c in point]
-        return float(sum(float(cf) * pt[i] * pt[j]
-                         for cf, (i, j) in zip(form.coefficients, reps)))
-    pt = [Fraction(c) for c in point]
-    return sum((cf * pt[i] * pt[j]
-                for cf, (i, j) in zip(form.coefficients, reps)), Fraction(0))
 
 
 def interpolant_through_points(model: VarietyModel, points, targets):

@@ -1,14 +1,16 @@
-"""Exact rational linear algebra.
+"""Integer-first exact linear algebra.
 
 All exact computation in the package funnels through this module: ranks,
-nullspaces, and integer lattice normal forms use arbitrary-precision
-rationals (``fractions.Fraction``) with no floating shortcut. The only float
+nullspaces, and integer lattice normal forms are exact, with no floating
+shortcut. Rational input is cleared of denominators and eliminated over
+Python ints; results come back as ``fractions.Fraction``. The only float
 code here converts between rationals and floats; the float kernels live in
 ``kernels``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,13 +26,31 @@ def _frac(x) -> Fraction:
     raise TypeError("rational entries must be Fraction, int, or string, got %r" % type(x))
 
 
+def _primitive(row):
+    """The integer row divided by the gcd of its entries (a zero row stays)."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
 def rref(rows):
     """Reduced row echelon form over the rationals.
 
-    Takes a list of rows (lists of Fraction/int); returns (nonzero reduced
-    rows, pivot column indices). Input is not mutated.
+    Takes a list of rows (lists of Fraction/int/str); returns (nonzero
+    reduced rows of Fractions, pivot column indices). Input is not mutated.
+
+    Integer row elimination: each row is cleared of denominators and kept
+    primitive, the pivot is the entry of smallest absolute value in its
+    column, and only the final division by the pivots makes Fractions. The
+    reduced row echelon form is unique, so the result equals the one
+    computed over Fractions.
     """
-    mat = [[_frac(e) for e in r] for r in rows]
+    mat = []
+    for r in rows:
+        vals = [e if type(e) is int else _frac(e) for e in r]
+        den = math.lcm(*[v.denominator for v in vals])
+        row = _primitive([v.numerator * (den // v.denominator) for v in vals])
+        if any(row):
+            mat.append(row)
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -39,24 +59,27 @@ def rref(rows):
     for c in range(ncols):
         pivot_row = None
         for i in range(r, len(mat)):
-            if mat[i][c] != 0:
+            a = mat[i][c]
+            if a and (pivot_row is None or abs(a) < abs(mat[pivot_row][c])):
                 pivot_row = i
-                break
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pv = mat[r][c]
-        if pv != 1:
-            mat[r] = [e / pv for e in mat[r]]
+        prow = mat[r]
+        p = prow[c]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            a = mat[i][c]
+            if i != r and a:
+                g = math.gcd(p, a)
+                pg, ag = p // g, a // g
+                mat[i] = _primitive([pg * x - ag * y
+                                     for x, y in zip(mat[i], prow)])
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    return [[Fraction(x, row[c]) for x in row]
+            for row, c in zip(mat, pivots)], pivots
 
 
 def exact_rank(rows) -> int:
@@ -242,7 +265,7 @@ def integer_diagonalize(rows_in):
 
 def _invert_unimodular(W):
     n = len(W)
-    aug = [list(map(Fraction, W[i])) + [Fraction(1 if j == i else 0) for j in range(n)]
+    aug = [list(W[i]) + [1 if j == i else 0 for j in range(n)]
            for i in range(n)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):

@@ -11,7 +11,6 @@ exact coordinates on the saturated difference lattice of the affine span.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -816,10 +815,6 @@ def simplex(m: int, scale: int = 1) -> LatticePolytope:
     return LatticePolytope(m, verts)
 
 
-def segment(a: int, b: int) -> LatticePolytope:
-    return LatticePolytope(1, [(a,), (b,)])
-
-
 def reeve_simplex(q: int) -> LatticePolytope:
     return LatticePolytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, q)])
 
@@ -848,7 +843,3 @@ def product_polytope(P: LatticePolytope, R: LatticePolytope) -> LatticePolytope:
     verts = [p + r for p in P.vertices for r in R.vertices]
     return LatticePolytope(P.ambient_rank + R.ambient_rank, verts,
                            _vertices_trusted=True)
-
-
-def polytope_to_json_str(Q: LatticePolytope) -> str:
-    return json.dumps(Q.to_json(), sort_keys=True, separators=(",", ":"))

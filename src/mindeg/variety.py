@@ -44,6 +44,7 @@ class VarietyModel:
         self._degree = degree
         self._source_polytope = source_polytope
         self._i2_pairs = None
+        self._relation_terms = None
         npairs = math.comb(self.n + 2, 2)
         if self.is_toric:
             self.r2_basis = toric_sums
@@ -143,6 +144,20 @@ class VarietyModel:
                 rows.append(row)
             return rows
         return [r[:] for r in self._i2_rows]
+
+    def relation_terms(self):
+        """Each quadric relation as its nonzero ((i, j), coeff) terms over
+        the monomial pairs i <= j; computed once per model."""
+        if self._relation_terms is None:
+            if self.is_toric:
+                self._relation_terms = [((a, 1), (b, -1))
+                                        for a, b in self.i2_pairs()]
+            else:
+                pairs, _ = _pair_index_map(self.n + 1)
+                self._relation_terms = [
+                    tuple((pairs[s], c) for s, c in enumerate(row) if c != 0)
+                    for row in self._i2_rows]
+        return self._relation_terms
 
     @property
     def degree(self):

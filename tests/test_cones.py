@@ -22,6 +22,7 @@ from mindeg.polytope import LatticePolytope
 from mindeg.variety import (
     QuadraticForm,
     epsilon,
+    scroll_model,
     toric_model,
     toric_model_from_points,
     veronese_model,
@@ -61,6 +62,20 @@ def test_gram_slice_quartic(quartic_gap):
     assert epsilon(model) == 1
     assert (len(gs.sigma), len(gs.pairs)) == (8, 10)
     assert gs.kernel_dimension == 2
+
+
+@pytest.mark.parametrize("build", [lambda: veronese_model(2, 2),
+                                   lambda: scroll_model([1, 2])],
+                         ids=["toric", "determinantal"])
+def test_gram_slice_rejects_relation_outside_kernel(build):
+    model = build()
+    GramSlice(model)
+    terms = model.relation_terms()
+    (p, a), (q, b) = terms[0][:2]
+    for bad in [(((0, 0), 1),), ((p, a), (q, -b))]:
+        model._relation_terms = terms + [bad]
+        with pytest.raises(InconsistentModel):
+            GramSlice(model)
 
 
 def test_apply_to_gram_matches_float_route(veronese_surface):

@@ -1,9 +1,12 @@
 """Exact linear algebra and the symmetric eigensolver."""
 
+import copy
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindeg.kernels import project_psd, symmetric_eigen
 from mindeg.numerics import (exact_rank, in_row_span, integer_diagonalize,
@@ -50,6 +53,87 @@ def test_rref_pivots():
     assert pivots == [0, 1]
     assert reduced[0][0] == 1 and reduced[1][1] == 1
     assert reduced[0][1] == 0
+
+
+def _rref_fraction_reference(rows):
+    """Gauss-Jordan elimination over Fractions: the rref this package used
+    before integer elimination, kept verbatim as the reference."""
+    mat = [[F(e) for e in r] for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        pv = mat[r][c]
+        if pv != 1:
+            mat[r] = [e / pv for e in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+_ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.sampled_from([2 ** 200, -2 ** 200, 2 ** 200 + 1, 3 - 2 ** 200]),
+    st.fractions(min_value=-2 ** 64, max_value=2 ** 64,
+                 max_denominator=2 ** 120),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).map(str),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """0-8 rows by 1-8 columns; some rows are zero and some are rational
+    combinations of earlier rows, so rank deficiency is common."""
+    ncols = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["entries", "entries", "zero", "combo"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "combo" and rows:
+            coeffs = draw(st.lists(st.fractions(-5, 5, max_denominator=7),
+                                   min_size=len(rows), max_size=len(rows)))
+            rows.append([sum((c * F(r[j]) for c, r in zip(coeffs, rows)),
+                             F(0)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(_ENTRIES, min_size=ncols,
+                                      max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matrices())
+def test_rref_matches_fraction_reference(rows):
+    before = copy.deepcopy(rows)
+    reduced, pivots = rref(rows)
+    assert rows == before
+    assert all(type(a) is type(b) for r, s in zip(rows, before)
+               for a, b in zip(r, s))
+    ref_reduced, ref_pivots = _rref_fraction_reference(before)
+    assert pivots == ref_pivots
+    assert reduced == ref_reduced
+    assert all(type(e) is Fraction for r in reduced for e in r)
+
+
+def test_rref_rejects_float():
+    with pytest.raises(TypeError):
+        rref([[1, 0.5]])
 
 
 def test_solve_exact():

@@ -21,10 +21,10 @@ from mindeg.polytope import (CAYLEY, DENSE, IMAGE_OF_MODEL, NOT_DENSE,
                              is_k_normal, k_normal_oracle,
                              lattice_point_count_oracle, lattice_points,
                              normalized_volume, polytope_degree,
-                             polytope_to_json_str, product_polytope,
+                             product_polytope,
                              _supporting_hyperplanes,
                              pyramid_over_twice_simplex, real_density,
-                             reeve_simplex, segment, simplex, sublattice_index)
+                             reeve_simplex, simplex, sublattice_index)
 
 F = Fraction
 
@@ -34,11 +34,12 @@ def _corpus():
         simplex(2, 2),
         simplex(2, 3),
         simplex(3, 1),
-        segment(0, 3),
+        LatticePolytope(1, [(0,), (3,)]),
         reeve_simplex(5),
         cayley_polytope_of_segments([1, 2]),
         cayley_polytope_of_segments([2, 2]),
-        product_polytope(segment(0, 1), segment(0, 1)),
+        product_polytope(LatticePolytope(1, [(0,), (1,)]),
+                         LatticePolytope(1, [(0,), (1,)])),
         pyramid_over_twice_simplex(3),
         LatticePolytope(2, [(0, 0), (2, 1), (1, 2), (1, 1)]),
     ]
@@ -71,7 +72,7 @@ def test_unit_simplices():
 
 
 def test_segment():
-    Q = segment(0, 3)
+    Q = LatticePolytope(1, [(0,), (3,)])
     assert h_star(Q).coefficients == (1, 2)
     assert polytope_degree(Q) == 1
     assert normalized_volume(Q) == 3
@@ -115,7 +116,8 @@ def test_higashitani_family():
 
 
 def test_unit_square():
-    Q = product_polytope(segment(0, 1), segment(0, 1))
+    Q = product_polytope(LatticePolytope(1, [(0,), (1,)]),
+                         LatticePolytope(1, [(0,), (1,)]))
     assert h_star(Q).coefficients == (1, 1, 0)
     assert normalized_volume(Q) == 2
     assert polytope_degree(Q) == 1
@@ -242,7 +244,8 @@ def test_k_normal_matches_oracle():
 
 
 def test_counts_match_oracle():
-    for Q in [simplex(2, 2), reeve_simplex(5), segment(0, 3),
+    for Q in [simplex(2, 2), reeve_simplex(5),
+              LatticePolytope(1, [(0,), (3,)]),
               LatticePolytope(3, [(0, 0, 1), (2, 0, 1), (0, 2, 1)])]:
         for k in (1, 2, 3):
             assert len(lattice_points(Q, k)) == lattice_point_count_oracle(Q, k)
@@ -257,7 +260,9 @@ def test_contains_point_oracle():
 
 def test_amgm_none_when_two_normal():
     assert amgm_witness(simplex(2, 2)) is None
-    assert amgm_witness(product_polytope(segment(0, 1), segment(0, 1))) is None
+    square = product_polytope(LatticePolytope(1, [(0,), (1,)]),
+                              LatticePolytope(1, [(0,), (1,)]))
+    assert amgm_witness(square) is None
 
 
 def test_amgm_reeve_exact():
@@ -289,7 +294,7 @@ def test_classification_families():
     assert classify(pyramid_over_twice_simplex(4)).family == PYRAMID
     assert classify(cayley_polytope_of_segments([1, 2])).family == CAYLEY
     assert classify(cayley_polytope_of_segments([2, 2])).family == CAYLEY
-    assert classify(segment(0, 3)).family == CAYLEY
+    assert classify(LatticePolytope(1, [(0,), (3,)])).family == CAYLEY
     assert classify(simplex(2, 1)).family == CAYLEY
 
 
@@ -322,10 +327,10 @@ def test_classification_report_json():
 
 def test_polytope_json_roundtrip():
     Q = reeve_simplex(5)
-    s = polytope_to_json_str(Q)
+    s = json.dumps(Q.to_json(), sort_keys=True, separators=(",", ":"))
     Q2 = LatticePolytope.from_json(json.loads(s))
     assert Q2 == Q
-    assert polytope_to_json_str(Q2) == s
+    assert json.dumps(Q2.to_json(), sort_keys=True, separators=(",", ":")) == s
 
 
 def test_sparse_polynomial_json_roundtrip():
