@@ -10,7 +10,7 @@ from .cones import (DualFunctional, GramSlice, SosResult, extremality_check,
 from .errors import (DegeneratePosition, DegenerateSpan, DimensionMismatch,
                      EmptyComplement, InconsistentModel, MindegError,
                      NoDeltaFound, NonConvergence, NotFullDimensional,
-                     RankAmbiguity, RetryExhausted)
+                     RetryExhausted)
 from .polytope import (ClassificationReport, HStar, LatticePolytope,
                        SparsePolynomial, amgm_witness,
                        cayley_polytope_of_segments, classify, h_star,
@@ -35,7 +35,7 @@ __all__ = [
     "DimensionMismatch", "DualFunctional", "EmptyComplement", "GramSlice",
     "HStar", "InconsistentModel", "LatticePolytope", "MindegError",
     "NoDeltaFound", "NonConvergence", "NotFullDimensional", "QuadraticForm",
-    "RankAmbiguity", "RetryExhausted", "SosResult", "SparsePolynomial",
+    "RetryExhausted", "SosResult", "SparsePolynomial",
     "VarietyModel", "WitnessReport", "amgm_witness", "build_f",
     "cayley_polytope_of_segments", "certify_not_sos", "choose_hyperplanes",
     "classify", "delta_search", "epsilon", "extremality_check", "fit_h0",

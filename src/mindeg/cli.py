@@ -1,6 +1,6 @@
 """Batch command-line front end: one analysis per invocation, JSON in and
 out. Exit codes: 0 success, 2 invalid input or flags, 3 computation error
-(ambiguous ranks, exhausted retries, inconsistent inputs)."""
+(exhausted retries, inconsistent inputs)."""
 
 from __future__ import annotations
 

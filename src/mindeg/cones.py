@@ -11,6 +11,7 @@ point configurations on the variety.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,9 +19,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .errors import (DegeneratePosition, InconsistentModel, RankAmbiguity)
-from .numerics import exact_rank, nullspace, solve_exact, to_float
+from .errors import DegeneratePosition, InconsistentModel
+from .numerics import (exact_rank, is_positive_definite, nullspace,
+                       solve_exact, to_float)
 from .variety import QuadraticForm, VarietyModel, _pair_index_map
+
+# added to the shifted moment matrix's smallest eigenvalue, well above the
+# float error of a unit-norm eigenvalue
+_SHIFT_FLOOR = 1e-12
 
 
 class GramSlice:
@@ -48,6 +54,7 @@ class GramSlice:
             if any(v != 0 for v in image.values()):
                 raise InconsistentModel(
                     "quadric relation does not lie in the Gram kernel")
+        self._columns = columns
         self._a_float = None
 
     @property
@@ -66,6 +73,40 @@ class GramSlice:
             self._a_float = A
         return self._a_float
 
+    @functools.cached_property
+    def solver_maps(self):
+        """(A, (A A^T)^-1, projector onto ker A) in svec coordinates, the
+        fixed matrices of every sos_check on this slice."""
+        A = self.a_float()
+        AAt_inv = np.linalg.inv(A @ A.T)
+        return A, AAt_inv, np.eye(A.shape[1]) - A.T @ (AAt_inv @ A)
+
+    @functools.cached_property
+    def interior_functional(self):
+        """(l0, lambda_min of its moment matrix) for a float functional l0
+        whose moment matrix is positive definite, also exactly on its dyadic
+        values; None when none is found.
+
+        l0 is the projection of the identity onto range sigma*; where that
+        is not positive definite, ten Dykstra iterations between range
+        sigma* and {M >= 0.1 I} push it inside."""
+        A, AAt_inv, Pmat = self.solver_maps
+        nvars = self.model.n + 1
+        ident = kernels.svec(np.eye(nvars))
+        Q = np.eye(len(ident)) - Pmat
+        v = Q @ ident
+        if np.linalg.eigvalsh(kernels.smat(v, nvars))[0] <= 0:
+            x, _, _ = kernels.dykstra_chunk(Q, -0.1 * (Pmat @ ident),
+                                            0.9 * ident,
+                                            np.zeros_like(ident), 10, nvars)
+            v = Q @ (x + 0.1 * ident)
+        ell0 = AAt_inv @ (A @ v)
+        lam0 = float(np.linalg.eigvalsh(kernels.smat(A.T @ ell0, nvars))[0])
+        if lam0 > 0 and is_positive_definite(
+                self.moment_matrix([Fraction(t) for t in ell0.tolist()])):
+            return ell0, lam0
+        return None
+
     def apply_to_gram(self, G):
         """Exact coefficient vector of sigma(G) for a symmetric rational G."""
         out = [Fraction(0)] * self.model.dim_r2
@@ -79,59 +120,44 @@ class GramSlice:
         return out
 
     def moment_matrix(self, values):
-        """sigma-transpose image of a functional: M[i][j] = l(x_i x_j)."""
+        """Exact sigma-transpose image of a rational functional:
+        M[i][j] = l(x_i x_j)."""
         nvars = self.model.n + 1
-        exact = not any(isinstance(v, float) for v in values)
-        if exact:
-            M = [[Fraction(0)] * nvars for _ in range(nvars)]
-        else:
-            M = np.zeros((nvars, nvars))
-        for c, (i, j) in enumerate(self.pairs):
-            v = sum(values[s] * self.sigma[s][c]
-                    for s in range(self.model.dim_r2) if self.sigma[s][c] != 0)
-            if exact:
-                M[i][j] = M[j][i] = v
-            else:
-                M[i][j] = M[j][i] = float(v)
+        M = [[Fraction(0)] * nvars for _ in range(nvars)]
+        for (i, j), col in zip(self.pairs, self._columns):
+            M[i][j] = M[j][i] = sum(
+                (values[s] * coeff for s, coeff in col.items()), Fraction(0))
         return M
 
 
 @dataclass
 class DualFunctional:
-    """Linear functional on R_2 by its values on the canonical basis.
-    Exact functionals carry Fractions; float ones are flagged."""
+    """Linear functional on R_2 by its exact rational values on the
+    canonical basis."""
 
     model: VarietyModel
     values: list
-    exact: bool = True
+
+    # every functional is exact; the flag is part of the JSON form
+    exact = True
 
     def __post_init__(self):
         if len(self.values) != self.model.dim_r2:
             raise InconsistentModel("value count must equal dim R_2")
-        if self.exact:
-            self.values = [v if isinstance(v, Fraction) else Fraction(v)
-                           for v in self.values]
-        else:
-            self.values = [float(v) for v in self.values]
+        self.values = [Fraction(v) for v in self.values]
 
-    def apply(self, form: QuadraticForm):
-        if self.exact:
-            return sum((v * c for v, c in zip(self.values, form.coefficients)),
-                       Fraction(0))
-        return float(sum(v * float(c)
-                         for v, c in zip(self.values, form.coefficients)))
+    def apply(self, form: QuadraticForm) -> Fraction:
+        return sum((v * c for v, c in zip(self.values, form.coefficients)),
+                   Fraction(0))
 
     def moment_matrix(self, gram_slice: GramSlice | None = None):
         gs = gram_slice if gram_slice is not None else GramSlice(self.model)
         return gs.moment_matrix(self.values)
 
     def to_json(self):
-        if self.exact:
-            vals = [{"num": str(v.numerator), "den": str(v.denominator)}
-                    for v in self.values]
-        else:
-            vals = list(self.values)
-        return {"model": self.model.name, "exact": self.exact, "values": vals}
+        vals = [{"num": str(v.numerator), "den": str(v.denominator)}
+                for v in self.values]
+        return {"model": self.model.name, "exact": True, "values": vals}
 
 
 @dataclass
@@ -168,30 +194,27 @@ def _as_slice(model_or_slice) -> GramSlice:
 
 
 def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
-              budget: int = 100000, chunk: int = 500, feas_tol: float = 1e-7,
-              psd_tol: float = 1e-8, sep_tol: float = 1e-7) -> SosResult:
+              budget: int = 100000, chunk: int = 500, psd_tol: float = 1e-8,
+              sep_tol: float = 1e-7) -> SosResult:
     """Decide whether the form is a sum of squares on the model.
 
     Alternating projections (Dykstra) between the PSD cone and the affine
     slice {G : sigma(G) = f} in svec coordinates. The affine-side iterate is
-    always feasible for sigma, so a near-PSD affine iterate is returned as a
-    Certificate. When the slice misses the cone, the gap direction projected
-    back through the slice yields a dual functional; it is returned as
-    Infeasible only if its verification passes (moment matrix PSD within
-    psd_tol and strictly negative value on f within sep_tol, both on the
-    original scale). Otherwise the budget runs out: Undetermined.
+    always feasible for sigma, so a near-PSD affine iterate (within psd_tol
+    on the original scale) is returned as a Certificate. When the slice
+    misses the cone, the gap direction projected back through the slice
+    yields a dual functional; shifted into the interior of the dual cone,
+    it is returned as Infeasible only after an exact proof (see
+    _separation). Otherwise the budget runs out: Undetermined.
     """
     gs = _as_slice(gram_slice if gram_slice is not None else form.model)
     if gs.model is not form.model and gs.model.r2_basis != form.model.r2_basis:
         raise InconsistentModel("form and Gram slice use different models")
     nvars = gs.model.n + 1
-    A = gs.a_float()
+    A, AAt_inv, Pmat = gs.solver_maps
     b = np.array([float(c) for c in form.coefficients])
     scale = max(1.0, float(np.abs(b).max()))
     bs = b / scale
-    AAt = A @ A.T
-    AAt_inv = np.linalg.inv(AAt)
-    Pmat = np.eye(A.shape[1]) - A.T @ (AAt_inv @ A)
     x_part = A.T @ (AAt_inv @ bs)
 
     def affine_result(status, iterations, x_aff, wmin_orig):
@@ -217,19 +240,11 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
             # gap points from the affine iterate into the cone; at the
             # proximal pair smat(gap) is PSD and <gap, b-slice> < 0
             ell = AAt_inv @ (A @ gap)
-            Mvec = A.T @ ell
-            mnorm = float(np.linalg.norm(Mvec))
+            mnorm = float(np.linalg.norm(A.T @ ell))
             if mnorm > 0:
-                ell /= mnorm
-                M = kernels.smat(A.T @ ell, nvars)
-                m_min = float(np.linalg.eigvalsh(M)[0])
-                val = float(ell @ b)
-                if m_min >= -psd_tol and val <= -sep_tol:
-                    fn = DualFunctional(gs.model, [float(v) for v in ell],
-                                        exact=False)
-                    return SosResult("Infeasible", done, m_min,
-                                     max(0.0, -m_min),
-                                     functional=fn, separation=val)
+                res = _separation(gs, form, b, ell / mnorm, sep_tol, done)
+                if res is not None:
+                    return res
         if done >= budget:
             return affine_result("Undetermined", done, x_aff, wmin * scale)
         step = min(chunk, budget - done)
@@ -237,12 +252,46 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
         done += step
 
 
+def _separation(gs, form, b, ell, sep_tol, iterations):
+    """Infeasible with an exactly verified functional near the unit gap
+    functional ell, or None.
+
+    The gap functional tends to a point evaluation, whose rank-one moment
+    matrix lies on the boundary of the PSD cone. So ell is shifted by
+    eps * l0 (l0 the slice's interior functional), with eps =
+    (2 max(0, -lambda_min M(ell)) + _SHIFT_FLOOR) / lambda_min M(l0). A
+    float value on f above -sep_tol rejects it cheaply; the verdict is
+    exact: the shifted values, read as dyadic Fractions, must give a
+    positive definite moment matrix and a negative value on f.
+    """
+    A = gs.a_float()
+    nvars = gs.model.n + 1
+
+    def lam_min(v):
+        return float(np.linalg.eigvalsh(kernels.smat(A.T @ v, nvars))[0])
+
+    interior = gs.interior_functional
+    if interior is not None:
+        ell0, lam0 = interior
+        eps = (2.0 * max(0.0, -lam_min(ell)) + _SHIFT_FLOOR) / lam0
+        ell = ell + eps * ell0
+    if float(ell @ b) > -sep_tol:
+        return None
+    m_min = lam_min(ell)
+    if m_min <= 0:
+        return None
+    fn = DualFunctional(gs.model, ell.tolist())
+    val = fn.apply(form)
+    if val >= 0 or not is_positive_definite(fn.moment_matrix(gs)):
+        return None
+    return SosResult("Infeasible", iterations, m_min, 0.0, functional=fn,
+                     separation=float(val))
+
+
 def moment_psd(functional: DualFunctional,
                gram_slice: GramSlice | None = None) -> float:
-    """Smallest eigenvalue of the moment matrix (float route)."""
-    M = functional.moment_matrix(gram_slice)
-    if not isinstance(M, np.ndarray):
-        M = to_float(M)
+    """Smallest eigenvalue of the exact moment matrix, in floats."""
+    M = to_float(functional.moment_matrix(gram_slice))
     w, _ = kernels.symmetric_eigen(M)
     return float(w[0])
 
@@ -336,7 +385,7 @@ def separating_functional_real(model: VarietyModel, points, kappas=None):
         v = sum(kappas[t] * pts[t][i] * pts[t][j] for t in range(e + 1))
         v -= kappa_last * pts[e + 1][i] * pts[e + 1][j]
         values.append(v)
-    fn = DualFunctional(model, values, exact=True)
+    fn = DualFunctional(model, values)
     info = {"lambdas": lam[:e + 1], "kappas": kappas + [kappa_last],
             "points": pts}
     return fn, info
@@ -408,7 +457,7 @@ def separating_functional_complex(model: VarietyModel, real_points, a_point,
         v -= k1 * (a_rot[i] * a_rot[j] - b_rot[i] * b_rot[j])
         v += k2 * (a_rot[i] * b_rot[j] + a_rot[j] * b_rot[i])
         values.append(v)
-    fn = DualFunctional(model, values, exact=True)
+    fn = DualFunctional(model, values)
     info = {"lambdas": lam, "kappas": kappas + [k1, k2],
             "points": pts, "a": a_rot, "b": b_rot}
     return fn, info
@@ -428,8 +477,6 @@ def interpolant_through_points(model: VarietyModel, points, targets):
 def pair_with_square(functional: DualFunctional, g,
                      gram_slice: GramSlice | None = None):
     """Exact value l(g^2) via the moment matrix quadratic form."""
-    if not functional.exact:
-        raise ValueError("exact pairing requires an exact functional")
     M = functional.moment_matrix(gram_slice)
     g = [Fraction(c) for c in g]
     total = Fraction(0)
@@ -443,25 +490,9 @@ def pair_with_square(functional: DualFunctional, g,
 
 
 def kernel_dimension(functional: DualFunctional,
-                     gram_slice: GramSlice | None = None,
-                     eig_tol: float = 1e-7) -> int:
-    """dim Ker of the moment matrix: exact nullspace for exact functionals,
-    eigenvalue thresholding for float ones. Float eigenvalues within a
-    factor 10 of the cut are refused as ambiguous."""
-    M = functional.moment_matrix(gram_slice)
-    if functional.exact:
-        return len(nullspace([row[:] for row in M]))
-    w = np.linalg.eigvalsh(np.asarray(M))
-    lam_max = float(np.abs(w).max())
-    if lam_max == 0.0:
-        return len(w)
-    thr = eig_tol * lam_max
-    aw = np.abs(w)
-    band = (aw >= 0.1 * thr) & (aw < 10.0 * thr)
-    if band.any():
-        raise RankAmbiguity(
-            "eigenvalues within a factor 10 of the rank threshold")
-    return int((aw < thr).sum())
+                     gram_slice: GramSlice | None = None) -> int:
+    """dim Ker of the moment matrix, by an exact nullspace."""
+    return len(nullspace(functional.moment_matrix(gram_slice)))
 
 
 def extremality_check(functional: DualFunctional,
@@ -469,8 +500,6 @@ def extremality_check(functional: DualFunctional,
     """Whether the functional spans an extremal ray of the dual cone of
     sums of squares: the space of functionals whose moment matrix kills
     Ker(M) must be one-dimensional. Exact arithmetic only."""
-    if not functional.exact:
-        raise ValueError("extremality check requires an exact functional")
     gs = gram_slice if gram_slice is not None else GramSlice(functional.model)
     M = functional.moment_matrix(gs)
     kern = nullspace([row[:] for row in M])

@@ -30,10 +30,6 @@ class DegeneratePosition(MindegError):
     """Points are not in linearly general position for the construction."""
 
 
-class RankAmbiguity(MindegError):
-    """Eigenvalues cluster at the kernel threshold; rank cannot be trusted."""
-
-
 class RetryExhausted(MindegError):
     """A randomized draw failed validation too many times."""
 

@@ -1,11 +1,11 @@
 """Integer-first exact linear algebra.
 
 All exact computation in the package funnels through this module: ranks,
-nullspaces, and integer lattice normal forms are exact, with no floating
-shortcut. Rational input is cleared of denominators and eliminated over
-Python ints; results come back as ``fractions.Fraction``. The only float
-code here converts between rationals and floats; the float kernels live in
-``kernels``.
+nullspaces, positive definiteness and integer lattice normal forms are
+exact, with no floating shortcut. Rational input is cleared of denominators
+and eliminated over Python ints; results come back as
+``fractions.Fraction``. The only float code here converts between rationals
+and floats; the float kernels live in ``kernels``.
 """
 
 from __future__ import annotations
@@ -123,6 +123,27 @@ def solve_exact(rows, rhs):
     for r, pc in zip(red, pivots):
         x[pc] = r[-1]
     return x
+
+
+def is_positive_definite(rows) -> bool:
+    """Exact positive definiteness of a symmetric rational matrix (symmetry
+    is assumed). Fraction-free LDL^T (Bareiss) on the matrix cleared of
+    denominators: the k-th pivot is the k-th leading principal minor, so a
+    zero or negative pivot means not positive definite (Sylvester)."""
+    vals = [[_frac(e) for e in r] for r in rows]
+    den = math.lcm(*[v.denominator for r in vals for v in r])
+    a = [[v.numerator * (den // v.denominator) for v in r] for r in vals]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (p * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = p
+    return True
 
 
 def in_row_span(rows, v) -> bool:

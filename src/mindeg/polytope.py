@@ -131,7 +131,14 @@ class LatticePolytope:
     def from_json(cls, obj) -> "LatticePolytope":
         if not isinstance(obj, dict) or "ambient_rank" not in obj or "vertices" not in obj:
             raise ValueError("polytope JSON needs ambient_rank and vertices")
-        return cls(int(obj["ambient_rank"]), obj["vertices"])
+        rank, verts = obj["ambient_rank"], obj["vertices"]
+        # JSON integers only: no floats (1.5, 2.0, 1e300) and no booleans
+        if type(rank) is not int or not isinstance(verts, list) or not all(
+                isinstance(v, list) and all(type(c) is int for c in v)
+                for v in verts):
+            raise ValueError("ambient_rank and vertex coordinates must be "
+                             "JSON integers")
+        return cls(rank, verts)
 
 
 def _supporting_hyperplanes(proj_points, m):
@@ -792,9 +799,9 @@ def _recognize_family(Q: LatticePolytope, hs: HStar):
 def _partitions(total, parts):
     """Nondecreasing tuples of `parts` nonnegative ints summing to total."""
     def rec(remaining, k, minimum):
-        if k == 1:
-            if remaining >= minimum:
-                yield (remaining,)
+        if k == 0:
+            if remaining == 0:
+                yield ()
             return
         for first in range(minimum, remaining // k + 1):
             for rest in rec(remaining - first, k - 1, first):

@@ -104,12 +104,6 @@ def _poly_mul(p, q):
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _poly_eval(p, point):
-    x, y, z = (Fraction(c) for c in point)
-    return sum((c * x ** a * y ** b * z ** e for (a, b, e), c in p.items()),
-               Fraction(0))
-
-
 def _poly_to_vector(p, exps, deg):
     vec = [Fraction(0)] * len(exps)
     index = {e: i for i, e in enumerate(exps)}
@@ -523,7 +517,7 @@ def witness_report_from_json(blob):
     fn = None
     if blob["functional"] is not None:
         vals = [_frac_from_json(v) for v in blob["functional"]["values"]]
-        fn = DualFunctional(model, vals, exact=True)
+        fn = DualFunctional(model, vals)
     info = None
     if blob["functional_info"] is not None:
         info = {

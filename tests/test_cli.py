@@ -1,6 +1,12 @@
 """End-to-end runs of the command-line entry point via main(argv)."""
 
+import contextlib
+import io
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindeg.cli import main
 from mindeg.polytope import (LatticePolytope, SparsePolynomial,
@@ -221,3 +227,64 @@ def test_parser_reused_across_calls(capsys):
     assert out2 == "" and "--input" in err2
     assert out3.encode() == out1.encode()
     assert json.loads(out1)["k"] == 2
+
+
+@pytest.mark.parametrize("blob", [
+    {"ambient_rank": 1, "vertices": [[3], [1.5]]},
+    {"ambient_rank": 1, "vertices": [[3], [2.0]]},
+    {"ambient_rank": 1, "vertices": [[3], [1e300]]},
+    {"ambient_rank": 1, "vertices": [[3], [True]]},
+    {"ambient_rank": 2.0, "vertices": [[0, 0], [1, 0], [0, 1]]},
+    {"ambient_rank": True, "vertices": [[0], [1]]},
+    {"ambient_rank": 1, "vertices": [[0], "1"]},
+], ids=["half", "integral-float", "1e300", "bool-coord", "float-rank",
+        "bool-rank", "string-vertex"])
+@pytest.mark.parametrize("command", ["hstar", "classify", "epsilon"])
+def test_polytope_json_rejects_non_integers(capsys, command, blob):
+    # a float must not be truncated ([[3], [1.5]] is not [[3], [1]]) or
+    # overflow (1e300), and 2.0 is not an integer rank
+    code, out, err = run(capsys, [command, "--input", json.dumps(blob)])
+    assert code == 2 and out == ""
+    assert "integer" in err and "Traceback" not in err
+
+
+def test_classify_single_point_exit_0(capsys):
+    # a zero-dimensional polytope has no Cayley partition to search
+    point = json.dumps({"ambient_rank": 2, "vertices": [[3, 1]]})
+    code, out, err = run(capsys, ["classify", "--input", point])
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["polytope"]["vertices"] == [[3, 1]]
+    assert rep["classification"]["h2_zero"] is True
+
+
+_COORD = st.one_of(st.integers(-3, 3), st.integers(-3, 3),
+                   st.integers(-3, 3), st.floats(allow_nan=False),
+                   st.booleans(), st.none(), st.text(max_size=2))
+_POLYTOPE_BLOB = st.one_of(
+    st.fixed_dictionaries({
+        "ambient_rank": st.one_of(st.integers(-1, 3), st.integers(1, 3),
+                                  st.floats(0, 4), st.booleans()),
+        "vertices": st.lists(st.lists(_COORD, max_size=3), max_size=5),
+    }),
+    st.fixed_dictionaries({
+        "ambient_rank": st.integers(1, 3),
+        "vertices": st.lists(st.lists(st.integers(-3, 3), min_size=1,
+                                      max_size=3), min_size=1, max_size=5),
+    }),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.fixed_dictionaries({"vertices": st.just([[0], [1]])}),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["hstar", "normal", "classify", "density",
+                                "amgm", "epsilon"]),
+       blob=_POLYTOPE_BLOB)
+def test_polytope_commands_never_crash(command, blob):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--input", json.dumps(blob)])
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (out.getvalue() != "") == (code == 0)

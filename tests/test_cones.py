@@ -8,6 +8,7 @@ import pytest
 from mindeg.cones import (
     DualFunctional,
     GramSlice,
+    _basis_rep_pairs,
     extremality_check,
     interpolant_through_points,
     kernel_dimension,
@@ -17,10 +18,11 @@ from mindeg.cones import (
     separating_functional_real,
     sos_check,
 )
-from mindeg.errors import DegeneratePosition, InconsistentModel, RankAmbiguity
-from mindeg.polytope import LatticePolytope
+from mindeg.errors import DegeneratePosition, InconsistentModel
+from mindeg.polytope import LatticePolytope, simplex
 from mindeg.variety import (
     QuadraticForm,
+    _pair_index_map,
     epsilon,
     scroll_model,
     toric_model,
@@ -109,8 +111,11 @@ def test_sos_check_motzkin_infeasible():
     assert res.status == "Infeasible"
     assert res.separation <= -1e-7
     assert res.min_eig >= -1e-8
-    assert res.functional is not None and not res.functional.exact
-    assert res.functional.apply(f) < 0
+    assert res.functional is not None and res.functional.exact
+    val = res.functional.apply(f)
+    assert isinstance(val, F) and val < 0
+    assert _exactly_positive_definite(_moment_from_sigma(
+        GramSlice(f.model), res.functional.values))
 
 
 def test_sos_check_motzkin_scaled():
@@ -170,6 +175,125 @@ def test_sos_result_json(quartic_gap):
     assert set(blob) == {"status", "iterations", "min_eig", "residual",
                          "gram", "functional", "separation"}
     assert blob["status"] == "Certificate"
+
+
+# -- soundness of the exact verdicts, re-checked with Fractions only -------
+
+def _moment_from_sigma(gs, values):
+    """M[i][j] = l(x_i x_j) from the dense exact sigma rows."""
+    nvars = gs.model.n + 1
+    _, index = _pair_index_map(nvars)
+    return [[sum((v * gs.sigma[s][index[min(i, j), max(i, j)]]
+                  for s, v in enumerate(values)), F(0))
+             for j in range(nvars)] for i in range(nvars)]
+
+
+def _exactly_positive_definite(M):
+    """Fraction LDL^T: every pivot strictly positive."""
+    A = [[F(x) for x in row] for row in M]
+    n = len(A)
+    for k in range(n):
+        if A[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            t = A[i][k] / A[k][k]
+            for j in range(k + 1, n):
+                A[i][j] -= t * A[k][j]
+    return True
+
+
+# (model, exponents parameterizing the affine cone, or None for the toric
+# exponent basis): the six models of the sos-stream benchmark
+SOS_MODELS = [
+    ("doubled-triangle", lambda: toric_model(simplex(2, 2)), None),
+    ("scroll(1,2)", lambda: scroll_model([1, 2]),
+     [(1, 0, 0), (1, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]),
+    ("scroll(2,2)", lambda: scroll_model([2, 2]),
+     [(1, 0, 0), (1, 0, 1), (1, 0, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2)]),
+    ("twisted-cubic", lambda: veronese_model(1, 3), None),
+    ("veronese(2,3)", lambda: veronese_model(2, 3), None),
+    ("veronese(2,4)", lambda: veronese_model(2, 4), None),
+]
+
+
+def _cone_points(model, param_exps, count, rng):
+    """Unit-norm points of the affine cone, from Cauchy parameters."""
+    if param_exps is None:
+        param_exps = [tuple(e) for e in model.r1_basis]
+    params = rng.standard_cauchy(size=(count, len(param_exps[0])))
+    X = np.stack([np.prod(params ** np.array(e), axis=1)
+                  for e in param_exps], axis=1)
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def _dyadic_gram(C):
+    n = C.shape[0]
+    return [[F(float((C[i, j] + C[j, i]) / 2.0)) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "build", [m[1] for m in SOS_MODELS] + [lambda: veronese_model(2, 5)],
+    ids=[m[0] for m in SOS_MODELS] + ["veronese(2,5)"])
+def test_interior_functional_is_exactly_positive_definite(build):
+    gs = GramSlice(build())
+    found = gs.interior_functional
+    assert found is not None
+    ell0, lam0 = found
+    assert lam0 > 0
+    M = _moment_from_sigma(gs, [F(v) for v in ell0.tolist()])
+    assert _exactly_positive_definite(M)
+
+
+@pytest.mark.parametrize("label,build,param_exps", SOS_MODELS,
+                         ids=[m[0] for m in SOS_MODELS])
+def test_negative_forms_are_exactly_infeasible(label, build, param_exps):
+    model = build()
+    gs = GramSlice(model)
+    nvars = model.n + 1
+    rng = np.random.Generator(np.random.Philox(606))
+    X = _cone_points(model, param_exps, 2000, rng)
+    pairs = _basis_rep_pairs(model)
+    R = np.stack([X[:, i] * X[:, j] for i, j in pairs], axis=1)
+    sum_sq = gs.apply_to_gram([[F(int(i == j)) for j in range(nvars)]
+                               for i in range(nvars)])
+    for _ in range(2):
+        g = rng.normal(size=model.dim_r2)
+        vals = R @ g
+        shift = F(float(vals.min()) + 0.1 * float(np.abs(vals).max()))
+        f = QuadraticForm(model, [F(float(gc)) - shift * ec
+                                  for gc, ec in zip(g, sum_sq)])
+        assert (R @ np.array([float(c) for c in f.coefficients])).min() < 0
+        res = sos_check(f, gs, budget=40000)
+        assert res.status == "Infeasible", label
+        # re-verify from the returned functional alone
+        values = res.functional.values
+        assert all(isinstance(v, F) for v in values)
+        assert sum((v * c for v, c in zip(values, f.coefficients)), F(0)) < 0
+        assert _exactly_positive_definite(_moment_from_sigma(gs, values))
+        blob = res.to_json()["functional"]
+        assert blob["exact"] is True
+        assert [F(int(v["num"]), int(v["den"])) for v in blob["values"]] \
+            == values
+
+
+@pytest.mark.parametrize("label,build,param_exps", SOS_MODELS,
+                         ids=[m[0] for m in SOS_MODELS])
+def test_gram_sos_forms_are_never_infeasible(label, build, param_exps):
+    model = build()
+    gs = GramSlice(model)
+    nvars = model.n + 1
+    rng = np.random.Generator(np.random.Philox(607))
+    X = _cone_points(model, param_exps, 200, rng)
+    for k in range(4):
+        B = rng.normal(size=(nvars, nvars))
+        if k % 2:
+            # B x0 = 0 at a cone point: SOS near the boundary
+            x0 = X[int(rng.integers(0, len(X)))]
+            B -= np.outer(B @ x0, x0)
+        f = QuadraticForm(model, gs.apply_to_gram(_dyadic_gram(B.T @ B)))
+        res = sos_check(f, gs, budget=3000)
+        assert res.status != "Infeasible", label
 
 
 QUARTIC_POINTS = [(1, 1, 1, 1), (1, 1, -1, 1), (1, 4, 8, 16), (1, 4, -8, 16)]
@@ -300,18 +424,6 @@ def test_interpolant_inconsistent_conditions():
         interpolant_through_points(model, [(1, 0), (2, 0)], [F(1), F(5)])
 
 
-def test_kernel_dimension_float_route():
-    model = veronese_model(1, 1)
-    gs = GramSlice(model)
-    assert kernel_dimension(
-        DualFunctional(model, [1.0, 0.0, 1e-3], exact=False), gs) == 0
-    assert kernel_dimension(
-        DualFunctional(model, [1.0, 0.0, 1e-9], exact=False), gs) == 1
-    with pytest.raises(RankAmbiguity):
-        kernel_dimension(
-            DualFunctional(model, [1.0, 0.0, 3e-8], exact=False), gs)
-
-
 def test_extremality_baselines():
     model = veronese_model(1, 1)
     gs = GramSlice(model)
@@ -327,8 +439,6 @@ def test_dual_functional_json(quartic_gap):
     blob = fn.to_json()
     assert blob["exact"] is True
     assert blob["values"][0] == {"num": "1537", "den": "768"}
-    flo = DualFunctional(model, [0.5] * model.dim_r2, exact=False)
-    assert flo.to_json()["values"][0] == 0.5
 
 
 def test_dual_functional_validation(quartic_gap):

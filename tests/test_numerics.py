@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindeg.kernels import project_psd, symmetric_eigen
 from mindeg.numerics import (exact_rank, in_row_span, integer_diagonalize,
-                             lattice_index, nullspace, rref, solve_exact,
-                             to_float)
+                             is_positive_definite, lattice_index, nullspace,
+                             rref, solve_exact, to_float)
 
 F = Fraction
 
@@ -134,6 +134,63 @@ def test_rref_matches_fraction_reference(rows):
 def test_rref_rejects_float():
     with pytest.raises(TypeError):
         rref([[1, 0.5]])
+
+
+def _det_laplace(M):
+    """Determinant by cofactor expansion along the first row."""
+    if not M:
+        return F(1)
+    return sum(((-1) ** j * M[0][j]
+                * _det_laplace([r[:j] + r[j + 1:] for r in M[1:]])
+                for j in range(len(M)) if M[0][j] != 0), F(0))
+
+
+_PD_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda k, e: F(k, 2 ** e), st.integers(-40, 40),
+              st.integers(0, 60)),
+)
+
+
+@st.composite
+def _symmetric(draw):
+    """1-5 square symmetric rationals (small ints and dyadics): B^T B with
+    k rows (singular PSD when k < n), B^T B + c I, or free entries."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["gram", "shifted", "free"]))
+    if kind == "free":
+        M = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                M[i][j] = M[j][i] = F(draw(_PD_ENTRIES))
+        return M
+    k = draw(st.integers(0, n + 1))
+    B = [[F(draw(_PD_ENTRIES)) for _ in range(n)] for _ in range(k)]
+    c = F(draw(st.sampled_from([0, 0, 1, -1])), draw(st.sampled_from([1, 4])))
+    c = c if kind == "shifted" else F(0)
+    return [[sum((r[i] * r[j] for r in B), F(0)) + (c if i == j else 0)
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric())
+@example([[F(1), F(0)], [F(0), F(0)]])
+@example([[F(0), F(0)], [F(0), F(1)]])
+@example([[F(1), F(2)], [F(2), F(1)]])
+@example([[F(2), F(-1)], [F(-1), F(2)]])
+@example([[F(1, 2 ** 60), F(0)], [F(0), F(3, 2 ** 7)]])
+def test_is_positive_definite_matches_leading_minors(M):
+    n = len(M)
+    minors = [_det_laplace([r[:k] for r in M[:k]]) for k in range(1, n + 1)]
+    expected = all(d > 0 for d in minors)
+    assert is_positive_definite(M) == expected
+    if exact_rank(M) < n:
+        assert not expected
+
+
+def test_is_positive_definite_rejects_float():
+    with pytest.raises(TypeError):
+        is_positive_definite([[1.0]])
 
 
 def test_solve_exact():
