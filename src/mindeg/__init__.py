@@ -23,7 +23,7 @@ from .variety import (QuadraticForm, VarietyModel, epsilon,
                       toric_model, toric_model_from_points,
                       veronese_cone_model, veronese_model,
                       veronese_reembedding)
-from .witness import (WitnessReport, build_f, certify_not_sos,
+from .witness import (WitnessReport, build_f, certify_dual, certify_not_sos,
                       choose_hyperplanes, delta_search, fit_h0,
                       hilbert_witness, sample_nonnegativity,
                       witness_report_from_json)
@@ -37,7 +37,8 @@ __all__ = [
     "NoDeltaFound", "NonConvergence", "NotFullDimensional", "QuadraticForm",
     "RetryExhausted", "SosResult", "SparsePolynomial",
     "VarietyModel", "WitnessReport", "amgm_witness", "build_f",
-    "cayley_polytope_of_segments", "certify_not_sos", "choose_hyperplanes",
+    "cayley_polytope_of_segments", "certify_dual", "certify_not_sos",
+    "choose_hyperplanes",
     "classify", "delta_search", "epsilon", "extremality_check", "fit_h0",
     "h_star", "higashitani_simplex",
     "hilbert_witness", "interpolant_through_points", "is_k_normal",

@@ -362,6 +362,13 @@ def separating_functional_real(model: VarietyModel, points, kappas=None):
     e = model.e
     if len(points) != e + 2:
         raise DegeneratePosition("need exactly e+2 = %d points" % (e + 2))
+    pts = _normalized_on_variety(model, points)
+    return _functional_from_points(model, pts, kappas)
+
+
+def _normalized_on_variety(model, points):
+    """Sup-norm normalized copies of points checked to lie on the affine
+    cone of the model."""
     raw = [[c if isinstance(c, int) else Fraction(c) for c in p]
            for p in points]
     pts = [_sup_normalize(p) for p in raw]
@@ -371,6 +378,13 @@ def separating_functional_real(model: VarietyModel, points, kappas=None):
         # the relations are homogeneous: the raw point (integer when the
         # input is) satisfies them iff its normalization does
         _check_on_variety(model, p)
+    return pts
+
+
+def _functional_from_points(model, pts, kappas=None):
+    """separating_functional_real on e+2 points already normalized and
+    checked by _normalized_on_variety."""
+    e = model.e
     lam = _unique_dependency(pts, e + 2)
     if kappas is None:
         kappas = [Fraction(1)] * (e + 1)

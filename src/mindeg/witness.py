@@ -11,8 +11,11 @@ pairwise products h_i h_j, and scale a rational delta > 0 so that
 is nonnegative on sampled real points while provably not a sum of squares:
 any SOS decomposition would force each square into span{h0,h1,h2}^2, and f
 sits outside that span by an exact rank computation. The non-SOS half is
-therefore an exact certificate; nonnegativity is sampling evidence backed
-by the order-two vanishing at the selected points.
+therefore exact twice over: the rank certificate (certify_not_sos) and a
+dual functional with an exactly positive definite moment matrix and a
+negative value on w (certify_dual), built from the same facts by one step
+of facial reduction. Nonnegativity is sampling evidence backed by the
+order-two vanishing at the selected points.
 """
 
 from __future__ import annotations
@@ -25,24 +28,27 @@ from fractions import Fraction
 import numpy as np
 
 from .cones import (
+    DualFunctional,
     GramSlice,
+    _functional_from_points,
+    _normalized_on_variety,
     extremality_check,
     interpolant_through_points,
     kernel_dimension,
     moment_psd,
     pair_with_square,
-    separating_functional_real,
-    sos_check,
 )
 from .errors import (
     DegeneratePosition,
     DegenerateSpan,
     EmptyComplement,
     InconsistentModel,
+    MindegError,
     NoDeltaFound,
     RetryExhausted,
 )
-from .numerics import exact_rank, in_row_span, nullspace, rref
+from .numerics import (exact_rank, in_row_span, is_positive_definite,
+                       nullspace, rref, solve_exact)
 from .variety import QuadraticForm, veronese_model
 
 # sphere samples per block of power tables in _sphere_values
@@ -126,6 +132,14 @@ def _line_product(lines):
                                 (0, 1, 0): Fraction(b),
                                 (0, 0, 1): Fraction(c)})
     return prod
+
+
+def _square_products(h_polys, d):
+    """Coefficient vectors of the products h_i h_j, i <= j, over the sorted
+    degree-2d monomials."""
+    exps2 = _monomials(2 * d)
+    return [_poly_to_vector(_poly_mul(h_polys[i], h_polys[j]), exps2, 2 * d)
+            for i in range(3) for j in range(i, 3)]
 
 
 @dataclass
@@ -279,11 +293,7 @@ def build_f(points, selected, h_polys):
     exps2 = _monomials(2 * d)
     rows = _double_vanishing_rows(points, selected, d, exps2)
     ns = nullspace(rows, ncols=len(exps2))
-    prods = []
-    for i in range(3):
-        for j in range(i, 3):
-            prods.append(_poly_to_vector(
-                _poly_mul(h_polys[i], h_polys[j]), exps2, 2 * d))
+    prods = _square_products(h_polys, d)
     rp = exact_rank(prods)
     if exact_rank(prods + ns) != len(ns):
         raise InconsistentModel(
@@ -510,8 +520,6 @@ def _frac_from_json(blob):
 def witness_report_from_json(blob):
     """Rebuild a WitnessReport (and its model-backed forms) from to_json
     output."""
-    from .cones import DualFunctional
-
     d = int(blob["d"])
     model = veronese_model(2, d)
     fn = None
@@ -576,12 +584,8 @@ def certify_not_sos(report: WitnessReport) -> bool:
                 return False
         if exact_rank(list(hs)) != 3:
             return False
-        polys = [_vector_to_poly(h, exps, d) for h in hs]
-        prods = []
-        for i in range(3):
-            for j in range(i, 3):
-                prods.append(_poly_to_vector(
-                    _poly_mul(polys[i], polys[j]), exps2, 2 * d))
+        prods = _square_products([_vector_to_poly(h, exps, d) for h in hs],
+                                 d)
         f = list(report.f.coefficients)
         if all(c == 0 for c in f):
             return False
@@ -599,21 +603,107 @@ def certify_not_sos(report: WitnessReport) -> bool:
         return False
 
 
+def _dual_parts(report, gs):
+    """(l2, l1, K): values on the degree-2d monomials of two functionals
+    and a power of two K such that l = l2 + K l1 certifies that the witness
+    is not a sum of squares (one step of facial reduction).
+
+    l1 sums the evaluations at the selected points: integer valued, zero on
+    f and on every h_i h_j, with a PSD moment matrix whose kernel is
+    span{h0, h1, h2}. l2 solves l2(h_i h_j) = alpha [i = j], l2(f) = -1
+    with alpha = delta / 4, so l(witness) = -delta / 4 for every K. In the
+    basis (h0, h1, h2, unit vectors u) the moment matrix of l is
+    [[alpha I, B], [B^T, C + K P]] with P > 0, positive definite once
+    K > bound = tr(P^-1 B^T B) / alpha + |C|_inf tr(P^-1). The bound is
+    computed in Fractions and K = 2^(b + 1), b the least integer with
+    2^b >= bound."""
+    d = report.d
+    exps = _monomials(d)
+    hs = report.h_vectors
+    alpha = report.delta / 4
+    prods = _square_products([_vector_to_poly(h, exps, d) for h in hs], d)
+    targets = [alpha if i == j else 0 for i in range(3) for j in range(i, 3)]
+    l2 = solve_exact(prods + [report.f.coefficients], targets + [-1])
+    if l2 is None:
+        raise InconsistentModel("f lies in the span of the h_i h_j")
+    sel = [report.points[i] for i in report.selected]
+    l1 = [sum(x ** a * y ** b * z ** (2 * d - a - b) for x, y, z in sel)
+          for (a, b) in _monomials(2 * d)]
+    M2 = gs.moment_matrix(l2)
+    M1 = gs.moment_matrix(l1)
+    pivots = set(rref(hs)[1])
+    free = [k for k in range(len(exps)) if k not in pivots]
+    B = [[sum(M2[k][i] * h[i] for i in range(len(exps))) for k in free]
+         for h in hs]
+    n = len(free)
+    aug = [[M1[k][l] for l in free] + [int(r == c) for c in range(n)]
+           for r, k in enumerate(free)]
+    red, pivs = rref(aug)
+    if pivs != list(range(n)):
+        raise InconsistentModel("point moments are singular off the h_i")
+    P_inv = [row[n:] for row in red]
+    c_norm = max(sum(abs(M2[k][l]) for l in free) for k in free)
+    bound = (sum(row[r] * P_inv[r][c] * row[c]
+                 for row in B for r in range(n) for c in range(n)) / alpha
+             + c_norm * sum(P_inv[r][r] for r in range(n)))
+    # the least b with 2^b >= bound is top or top + 1
+    top = bound.numerator.bit_length() - bound.denominator.bit_length()
+    if Fraction(2) ** top < bound:
+        top += 1
+    return l2, l1, Fraction(2) ** (top + 1)
+
+
+def _attach_dual(model, gs, report):
+    """report.sos: the exact Infeasible verdict with its functional. No
+    fallback: a functional that fails the exact check is a model error."""
+    l2, l1, K = _dual_parts(report, gs)
+    fn = DualFunctional(model, [a + K * b for a, b in zip(l2, l1)])
+    value = fn.apply(report.witness)
+    if value >= 0 or not is_positive_definite(fn.moment_matrix(gs)):
+        raise InconsistentModel("dual certificate failed the exact check")
+    report.sos = {"status": "Infeasible", "separation": _frac_json(value),
+                  "functional": fn.to_json()}
+
+
+def certify_dual(report: WitnessReport) -> bool:
+    """Exact re-verification of report.sos from the JSON fields alone: the
+    functional, rebuilt on veronese_model(2, d), has a positive definite
+    moment matrix and a negative value on the witness, so the witness is
+    not a sum of squares. Returns False instead of raising on a malformed
+    or tampered report."""
+    try:
+        model = veronese_model(2, report.d)
+        blob = report.sos["functional"]
+        if blob["model"] != model.name:
+            return False
+        fn = DualFunctional(model, [_frac_from_json(v)
+                                    for v in blob["values"]])
+        witness = QuadraticForm(model, list(report.witness.coefficients))
+        return (fn.apply(witness) < 0
+                and is_positive_definite(fn.moment_matrix()))
+    except (MindegError, ValueError, IndexError, KeyError, TypeError,
+            ZeroDivisionError):
+        return False
+
+
 def _attach_functional(model, gs, report, max_subsets=60):
     """Separating functional from e+2 of the intersection points, plus the
     exact pairing and kernel checks. Point subsets are scanned in index
-    order until one admits the unique all-nonzero relation."""
+    order until one admits the unique all-nonzero relation; each point's
+    image is computed, checked on the variety and normalized once."""
     d = report.d
     e = model.e
     exps = _monomials(d)
+    images = _normalized_on_variety(
+        model, [_veronese_image(p, d, exps) for p in report.points])
     last = None
     for count, idx in enumerate(
             itertools.combinations(range(len(report.points)), e + 2)):
         if count >= max_subsets:
             break
         try:
-            pts = [_veronese_image(report.points[i], d, exps) for i in idx]
-            fn, info = separating_functional_real(model, pts)
+            fn, info = _functional_from_points(model,
+                                               [images[i] for i in idx])
         except DegeneratePosition as ex:
             last = ex
             continue
@@ -658,13 +748,13 @@ def _default_selection(d, e):
     return [i for i in range(d * d) if i not in cells]
 
 
-def hilbert_witness(d=3, seed=0, samples=100000, sos_budget=20000,
+def hilbert_witness(d=3, seed=0, samples=100000,
                     max_retries=8) -> WitnessReport:
     """Full pipeline on the degree-d Veronese surface model. Steps that
     depend on the random draw retry with derived seeds; the final report
     carries the exact non-SOS certificate, sampling evidence for
     nonnegativity, the separating functional with its exact pairing, and
-    the float SOS feasibility verdict (never a certificate)."""
+    the exact Infeasible verdict with its dual functional (certify_dual)."""
     if d < 3:
         raise ValueError("need degree at least 3")
     model = veronese_model(2, d)
@@ -728,12 +818,5 @@ def hilbert_witness(d=3, seed=0, samples=100000, sos_budget=20000,
     if not cert_valid:
         raise InconsistentModel("exact certificate failed to re-verify")
     _attach_functional(model, gs, report)
-    res = sos_check(QuadraticForm(model, witness_coeffs), gram_slice=gs,
-                    budget=sos_budget, psd_tol=1e-11, sep_tol=1e-9)
-    if res.status == "Certificate":
-        raise InconsistentModel(
-            "float solver certified a form with an exact non-SOS certificate")
-    report.sos = {"status": res.status, "iterations": res.iterations,
-                  "min_eig": res.min_eig,
-                  "separation": res.separation}
+    _attach_dual(model, gs, report)
     return report

@@ -124,7 +124,7 @@ def test_criterion_6_witness_pipeline():
             fresh = sample_nonnegativity(rep, samples=100000,
                                          seed=seed + 1000)
             assert fresh["margin"] >= -1e-9
-            assert rep.sos["status"] in ("Infeasible", "Undetermined")
+            assert rep.sos["status"] == "Infeasible"
             assert rep.stats["quotient_dim"] == 1
             successes += 1
         assert successes >= 9, "only %d of 10 seeds succeeded" % successes

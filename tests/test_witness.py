@@ -7,16 +7,18 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from mindeg.cones import DualFunctional, GramSlice
 from mindeg.errors import (
     DegenerateSpan,
     InconsistentModel,
     NoDeltaFound,
 )
-from mindeg.variety import QuadraticForm, veronese_model
+from mindeg.variety import QuadraticForm, _pair_index_map, veronese_model
 from mindeg.witness import (
     _SAMPLE_BLOCK,
     ProductForm,
     _default_selection,
+    _dual_parts,
     _line_product,
     _monomials,
     _poly_mul,
@@ -25,6 +27,7 @@ from mindeg.witness import (
     _sphere_values,
     _vector_to_poly,
     build_f,
+    certify_dual,
     certify_not_sos,
     choose_hyperplanes,
     delta_search,
@@ -237,7 +240,7 @@ def test_pipeline_functional_checks(report):
 
 
 def test_pipeline_solver_never_certifies(report):
-    assert report.sos["status"] in ("Infeasible", "Undetermined")
+    assert report.sos["status"] == "Infeasible"
 
 
 def test_pipeline_deterministic(report):
@@ -286,7 +289,7 @@ def test_pipeline_degree_four():
     assert len(rep.selected) == 12
     assert rep.stats["quotient_dim"] == 3
     assert rep.certificate["valid"] is True
-    assert rep.sos["status"] in ("Infeasible", "Undetermined")
+    assert rep.sos["status"] == "Infeasible"
     assert certify_not_sos(rep) is True
 
 
@@ -297,3 +300,79 @@ def test_line_product_expansion():
                     (0, 1, 1): F(-1), (0, 0, 2): F(1)}
     pf = ProductForm([(1, 0, -1)], _line_product([(1, 0, -1)]))
     assert pf.coeffs == {(1, 0, 0): F(1), (0, 0, 1): F(-1)}
+
+
+# -- the exact dual certificate, re-checked from the JSON with Fractions ----
+
+def _moment_from_sigma(gs, values):
+    """M[i][j] = l(x_i x_j) from the dense exact sigma rows."""
+    nvars = gs.model.n + 1
+    _, index = _pair_index_map(nvars)
+    return [[sum((v * gs.sigma[s][index[min(i, j), max(i, j)]]
+                  for s, v in enumerate(values)), F(0))
+             for j in range(nvars)] for i in range(nvars)]
+
+
+def _ldl_positive_definite(M):
+    """Fraction LDL^T: every pivot strictly positive."""
+    A = [[F(x) for x in row] for row in M]
+    for k in range(len(A)):
+        if A[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(A)):
+            t = A[i][k] / A[k][k]
+            for j in range(k + 1, len(A)):
+                A[i][j] -= t * A[k][j]
+    return True
+
+
+@pytest.mark.parametrize("d,seed", [(3, s) for s in range(12)]
+                         + [(4, 1), (4, 5)])
+def test_dual_certificate_exact(d, seed):
+    blob = json.loads(json.dumps(
+        hilbert_witness(d, seed=seed, samples=SAMPLES).to_json()))
+    sos = blob["sos"]
+    assert set(sos) == {"status", "separation", "functional"}
+    assert sos["status"] == "Infeasible"
+    assert sos["functional"]["model"] == "veronese(%d,%d)" % (2, d)
+    gs = GramSlice(veronese_model(2, d))
+    values = [F(int(v["num"]), int(v["den"]))
+              for v in sos["functional"]["values"]]
+    w = [F(c) for c in blob["witness"]["coefficients"]]
+    assert len(values) == len(w) == gs.model.dim_r2
+    value = sum((v * c for v, c in zip(values, w)), F(0))
+    assert value < 0
+    assert value == F(int(sos["separation"]["num"]),
+                      int(sos["separation"]["den"]))
+    # l(w) = -delta / 4 by construction
+    assert value == -F(int(blob["delta"]["num"]),
+                       int(blob["delta"]["den"])) / 4
+    assert _ldl_positive_definite(_moment_from_sigma(gs, values))
+    assert certify_dual(witness_report_from_json(blob)) is True
+
+
+def test_certify_dual_rejects_tampered_reports(report):
+    model = veronese_model(2, 3)
+    assert certify_dual(report) is True
+    good = report.sos["functional"]
+
+    def with_values(values):
+        fn = dict(good, values=values)
+        return replace(report, sos=dict(report.sos, functional=fn))
+
+    # l(z^6) is a diagonal moment entry: negated, the matrix is not PD
+    vals = list(good["values"])
+    assert F(int(vals[0]["num"]), int(vals[0]["den"])) > 0
+    vals[0] = dict(vals[0], num=str(-int(vals[0]["num"])))
+    assert certify_dual(with_values(vals)) is False
+    l2, _, K = _dual_parts(report, GramSlice(model))
+    assert K > 0
+    assert certify_dual(with_values(
+        DualFunctional(model, l2).to_json()["values"])) is False
+    exps = _monomials(3)
+    h0 = _vector_to_poly(report.h_vectors[0], exps, 3)
+    h0_sq = QuadraticForm(model, _poly_to_vector(_poly_mul(h0, h0),
+                                                 _monomials(6), 6))
+    assert certify_dual(replace(report, witness=h0_sq)) is False
+    assert certify_dual(with_values(good["values"][:-1])) is False
+    assert certify_dual(replace(report, sos=None)) is False
