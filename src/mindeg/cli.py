@@ -35,6 +35,11 @@ from .variety import (
 from .witness import hilbert_witness
 
 
+# largest --samples that witness accepts: the sample search holds about
+# 100 bytes per sample, so the ceiling keeps a run near 1 GB
+MAX_SAMPLES = 10 ** 7
+
+
 class UsageError(Exception):
     """Invalid request shape; maps to exit code 2."""
 
@@ -77,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                                     "(default 3)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100000,
-                   help="sphere samples for the nonnegativity evidence")
+                   help="sphere samples for the nonnegativity evidence "
+                        "(1 to %d, default 100000)" % MAX_SAMPLES)
     return parser
 
 
@@ -198,8 +204,8 @@ def _cmd_sos_check(args):
 def _cmd_witness(args):
     if args.d < 3:
         raise UsageError("--d must be at least 3")
-    if args.samples < 1:
-        raise UsageError("--samples must be positive")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise UsageError("--samples must be between 1 and %d" % MAX_SAMPLES)
     rep = hilbert_witness(args.d, seed=args.seed, samples=args.samples)
     return rep.to_json()
 

@@ -520,17 +520,17 @@ def extremality_check(functional: DualFunctional,
     if not kern:
         return False, 0
     nvars = functional.model.n + 1
+    dim_r2 = functional.model.dim_r2
     rows = []
     for k in kern:
+        support = [(j, kj) for j, kj in enumerate(k) if kj != 0]
         for i in range(nvars):
-            row = []
-            for s in range(functional.model.dim_r2):
-                c = Fraction(0)
-                for j in range(nvars):
-                    if k[j] != 0:
-                        a, bb = (i, j) if i <= j else (j, i)
-                        c += gs.sigma[s][gs.pair_index[(a, bb)]] * k[j]
-                row.append(c)
+            # (M(l) k)_i = sum_j k_j l(x_i x_j), linear in l's values
+            row = [Fraction(0)] * dim_r2
+            for j, kj in support:
+                col = gs._columns[gs.pair_index[(i, j) if i <= j else (j, i)]]
+                for s, coeff in col.items():
+                    row[s] += coeff * kj
             rows.append(row)
-    dim = len(nullspace(rows, functional.model.dim_r2))
+    dim = len(nullspace(rows, dim_r2))
     return dim == 1, dim

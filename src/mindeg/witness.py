@@ -16,6 +16,11 @@ dual functional with an exactly positive definite moment matrix and a
 negative value on w (certify_dual), built from the same facts by one step
 of facial reduction. Nonnegativity is sampling evidence backed by the
 order-two vanishing at the selected points.
+
+The sampling is a filter and refine: every sample gets a cheap float value
+with a proven error bound, and only the few samples that can decide a min
+or max are evaluated the defining way, so the reported numbers are bit for
+bit those of evaluating every sample the defining way.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .numerics import (exact_rank, in_row_span, is_positive_definite,
                        nullspace, rref, solve_exact)
 from .variety import QuadraticForm, veronese_model
 
-# sphere samples per block of power tables in _sphere_values
+# sphere samples per block of power tables in _SphereSamples
 _SAMPLE_BLOCK = 1 << 14
 
 
@@ -358,35 +363,151 @@ def _eval_many(poly_items, powers):
     PX, PY, PZ = powers
     total = np.zeros_like(PX[0])
     for (a, b, e), c in poly_items:
-        total += float(c) * PX[a] * PY[b] * PZ[e]
+        total += c * PX[a] * PY[b] * PZ[e]
     return total
 
 
-def _sphere_values(f_vec, h_polys, samples, seed):
-    """Unit-sphere sample points with the float values of f and of
-    sum h_i^2 at them."""
-    d = max(a + b + e for (a, b, e) in h_polys[0]) if h_polys[0] else 0
-    exps2 = _monomials(2 * d)
-    if len(exps2) != len(f_vec):
-        raise InconsistentModel("f length does not match degree 2d")
-    rng = _rng(seed)
-    pts = rng.normal(size=(int(samples), 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    f_items = [((a, b, 2 * d - a - b), c)
-               for (a, b), c in zip(exps2, f_vec) if c != 0]
-    h_items = [list(hp.items()) for hp in h_polys]
-    f_vals = np.empty(len(pts))
-    h_sq = np.zeros(len(pts))
-    # every value is elementwise, so blocks of samples keep the power
-    # tables small without changing a bit of the result
-    for s in range(0, len(pts), _SAMPLE_BLOCK):
-        block = slice(s, s + _SAMPLE_BLOCK)
-        powers = [[pts[block, i] ** k for k in range(2 * d + 1)]
-                  for i in range(3)]
-        f_vals[block] = _eval_many(f_items, powers)
-        for items in h_items:
-            h_sq[block] += _eval_many(items, powers) ** 2
-    return pts, f_vals, h_sq
+def _pow_table(x, top):
+    return [x ** k for k in range(top + 1)]
+
+
+def _product_table(x, top):
+    table = [np.ones_like(x), x]
+    while len(table) <= top:
+        table.append(table[-1] * x)
+    return table[:top + 1]
+
+
+def _error_rate(terms, degree):
+    """Bound, relative to the coefficient l1 norm C, on the distance between
+    the two float evaluations of a polynomial with the given term count and
+    degree at a unit vector, where every monomial is at most 1.
+
+    With u = 2^-53: the defining value takes three pow calls per term, at
+    most 4 ulp = 8u each (numpy's vectorized pow measures under 0.7 ulp on
+    the sphere), plus the coefficient's rounding and three products: 28u.
+    The cheap value builds powers by repeated multiplication, at most
+    degree - 1 roundings per term, plus the coefficient and three products:
+    (degree + 3)u. Summing the terms in order costs (terms - 1)u C on each
+    side. So the two values lie within (2 terms + degree + 29)u C. Another
+    8u C pays for rounding the compared expression mult f + h and its
+    cutoff. The factor 2^10 is slack over the whole derivation, which drops
+    second-order terms. Underflow costs at most 2^-1074 per operation, far
+    below the 2^-1000 that the callers add.
+    """
+    return 2.0 ** 10 * (2 * terms + degree + 37) * 2.0 ** -53
+
+
+class _SphereSamples:
+    """Seeded unit-sphere samples with the values of f and of
+    h = sum h_i^2, evaluated in two ways.
+
+    The defining values are those of the per-monomial loop: coordinate
+    powers by x ** k, then sum c X^a Y^b Z^e term by term. Every operation
+    is elementwise, so a sample's value does not depend on the samples
+    that share its block. They are computed only where a min or max can
+    hinge on them, and cached by index. Every sample instead gets a cheap
+    value, with powers by repeated multiplication, and err_f, err_h bound
+    its distance from the defining value (_error_rate). The pass runs in
+    blocks of _SAMPLE_BLOCK samples, so the power tables stay small."""
+
+    def __init__(self, f_vec, h_polys, samples, seed):
+        d = max(a + b + e for (a, b, e) in h_polys[0]) if h_polys[0] else 0
+        exps2 = _monomials(2 * d)
+        if len(exps2) != len(f_vec):
+            raise InconsistentModel("f length does not match degree 2d")
+        rng = _rng(seed)
+        pts = rng.normal(size=(int(samples), 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        self.pts = pts
+        self._top = 2 * d
+        self._f_items = [((a, b, 2 * d - a - b), float(c))
+                         for (a, b), c in zip(exps2, f_vec) if c != 0]
+        self._h_items = [[(e, float(c)) for e, c in hp.items()]
+                         for hp in h_polys]
+        self.err_f = _error_rate(len(self._f_items), 2 * d) * sum(
+            abs(c) for _, c in self._f_items) + 2.0 ** -1000
+        # h = sum v_i^2 over the three h_i = v_i, |v_i| <= C_i: the cheap
+        # and defining h differ by at most sum |v~_i - v_i| (|v~_i| + |v_i|)
+        # <= sum 2 rate_i C_i^2, whose 16u C_i^2 beyond the first-order
+        # terms pay for the squares, their sum and the comparison
+        self.err_h = sum(2 * _error_rate(len(items), d)
+                         * sum(abs(c) for _, c in items) ** 2
+                         for items in self._h_items) + 2.0 ** -1000
+        n = len(pts)
+        self.f = np.empty(n)
+        self.h = np.empty(n)
+        for s in range(0, n, _SAMPLE_BLOCK):
+            block = slice(s, s + _SAMPLE_BLOCK)
+            self.f[block], self.h[block] = self._values(pts[block],
+                                                        _product_table)
+        self._exact_f = np.empty(n)
+        self._exact_h = np.empty(n)
+        self._known = np.zeros(n, dtype=bool)
+
+    def _values(self, rows, table):
+        powers = [table(rows[:, i], self._top) for i in range(3)]
+        f = _eval_many(self._f_items, powers)
+        h = np.zeros(len(rows))
+        for items in self._h_items:
+            h += _eval_many(items, powers) ** 2
+        return f, h
+
+    def exact(self, idx):
+        """Defining values (f, h) at the sample indices idx."""
+        todo = idx[~self._known[idx]]
+        for s in range(0, len(todo), _SAMPLE_BLOCK):
+            part = todo[s:s + _SAMPLE_BLOCK]
+            self._exact_f[part], self._exact_h[part] = self._values(
+                self.pts[part], _pow_table)
+            self._known[part] = True
+        return self._exact_f[idx], self._exact_h[idx]
+
+    def extremum(self, op, bound, idx=None, largest=False):
+        """Min (max if largest) of the elementwise op(f, h) over the
+        samples idx (all if None), on the defining values.
+
+        op on the cheap values lies within bound of op on the defining
+        values, sample by sample, so the sample that holds the extremum
+        has a cheap value within 2 bound of the cheap extremum. Only the
+        samples within that distance are evaluated the defining way; a
+        NaN comparison keeps its sample."""
+        if idx is None:
+            cheap = op(self.f, self.h)
+        else:
+            cheap = op(self.f[idx], self.h[idx])
+        if largest:
+            near = ~(cheap < cheap.max() - 2 * bound)
+        else:
+            near = ~(cheap > cheap.min() + 2 * bound)
+        near = np.flatnonzero(near)
+        vals = op(*self.exact(near if idx is None else idx[near]))
+        return float(vals.max() if largest else vals.min())
+
+    def margin(self, mult):
+        """(min of mult f + h, max of |mult f| + h) over all samples."""
+        bound = abs(mult) * self.err_f + self.err_h
+        wmin = self.extremum(lambda f, h: mult * f + h, bound)
+        scale = self.extremum(lambda f, h: np.abs(mult * f) + h, bound,
+                              largest=True)
+        return wmin, scale
+
+
+def _outside(pts, centers, radius):
+    """Mask of the samples farther than radius from every +-center. For
+    unit p, q the nearer of p -+ q lies at distance sqrt(2 - 2 |p.q|), so
+    only rows with |p.q| > 1 - radius^2 (less 1e-9 for rounding) can fall
+    within radius; the distance formula runs on those rows alone."""
+    keep = np.ones(len(pts), dtype=bool)
+    for p in centers:
+        q = np.array([float(c) for c in p])
+        q /= np.linalg.norm(q)
+        near = np.flatnonzero(np.abs(pts @ q) > 1.0 - radius ** 2 - 1e-9)
+        rows = pts[near]
+        dist = np.minimum(np.linalg.norm(rows - q, axis=1),
+                          np.linalg.norm(rows + q, axis=1))
+        keep[near] &= dist > radius
+    return keep
 
 
 def delta_search(f_vec, h_polys, selected_points, samples=100000, seed=0,
@@ -400,28 +521,26 @@ def delta_search(f_vec, h_polys, selected_points, samples=100000, seed=0,
     make the negative part of delta f locally dominated. Power-of-two
     values convert exactly between float and Fraction, so the accepted
     delta is the tested delta.
+
+    Every reported number is a min or max of per-sample floats. A cheap
+    evaluation with a proven error bound (_SphereSamples) rules out almost
+    every sample, and only the rest are evaluated the defining way, so the
+    result is bit for bit that of evaluating every sample.
     """
-    pts, f_vals, h_sq = _sphere_values(f_vec, h_polys, samples, seed)
-    keep = np.ones(len(pts), dtype=bool)
-    for p in selected_points:
-        q = np.array([float(c) for c in p])
-        q /= np.linalg.norm(q)
-        dist = np.minimum(np.linalg.norm(pts - q, axis=1),
-                          np.linalg.norm(pts + q, axis=1))
-        keep &= dist > exclusion_radius
+    sphere = _SphereSamples(f_vec, h_polys, samples, seed)
+    keep = _outside(sphere.pts, selected_points, exclusion_radius)
     if not keep.any():
-        keep = np.ones(len(pts), dtype=bool)
-    sup_f = float(np.abs(f_vals[keep]).max())
+        keep[:] = True
+    idx = np.flatnonzero(keep)
+    sup_f = sphere.extremum(lambda f, h: np.abs(f), sphere.err_f, idx,
+                            largest=True)
     if sup_f == 0.0:
         estimate = 1.0
     else:
-        estimate = float(h_sq[keep].min()) / sup_f
+        estimate = sphere.extremum(lambda f, h: h, sphere.err_h, idx) / sup_f
     k0 = 10 if estimate <= 0 else min(10, math.floor(math.log2(estimate)))
     for k in range(k0, -61, -1):
-        df = math.ldexp(1.0, k) * f_vals
-        w = df + h_sq
-        scale = float((np.abs(df) + h_sq).max())
-        wmin = float(w.min())
+        wmin, scale = sphere.margin(math.ldexp(1.0, k))
         if scale == 0.0 or wmin >= -1e-9 * scale:
             evidence = {"samples": int(samples),
                         "excluded": int((~keep).sum()),
@@ -437,18 +556,16 @@ def sample_nonnegativity(report: "WitnessReport", samples=100000, seed=0,
                          delta=None):
     """Independent sampling re-check of the witness: relative margin of
     delta f + sum h_i^2 over fresh sphere samples. delta defaults to the
-    report's accepted value. Returns {"min_value", "scale", "margin"}."""
+    report's accepted value. Returns {"min_value", "scale", "margin"},
+    computed like delta_search's: cheap bounds, exact refine."""
     d = report.d
     exps = _monomials(d)
     h_polys = [_vector_to_poly(v, exps, d) for v in report.h_vectors]
     f_vec = list(report.f.coefficients)
     if delta is None:
         delta = report.delta
-    _, f_vals, h_sq = _sphere_values(f_vec, h_polys, samples, seed)
-    df = float(delta) * f_vals
-    w = df + h_sq
-    scale = float((np.abs(df) + h_sq).max())
-    wmin = float(w.min())
+    wmin, scale = _SphereSamples(f_vec, h_polys, samples,
+                                 seed).margin(float(delta))
     return {"min_value": wmin, "scale": scale,
             "margin": 0.0 if scale == 0.0 else wmin / scale}
 

@@ -3,12 +3,14 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindeg.cli import main
+from mindeg import cli
+from mindeg.cli import MAX_SAMPLES, main
 from mindeg.polytope import (LatticePolytope, SparsePolynomial,
                              cayley_polytope_of_segments)
 from mindeg.variety import veronese_model
@@ -199,6 +201,32 @@ def test_witness_command(capsys):
 def test_witness_rejects_small_degree(capsys):
     code, _, err = run(capsys, ["witness", "--d", "2"])
     assert code == 2 and "--d" in err
+
+
+def test_witness_sample_ceiling(capsys, monkeypatch):
+    asked = []
+
+    class Stub:
+        def to_json(self):
+            return {}
+
+    def pipeline(d, seed, samples):
+        asked.append(samples)
+        return Stub()
+
+    # the stub stands in for the pipeline: a count past the check would
+    # otherwise try to allocate it
+    monkeypatch.setattr(cli, "hilbert_witness", pipeline)
+    for count in (10 ** 12, MAX_SAMPLES + 1, 0):
+        tracemalloc.start()
+        code, out, err = run(capsys, ["witness", "--samples", str(count)])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 2 and out == "" and "--samples" in err
+        assert peak < 1 << 20
+    assert asked == []
+    code, _, _ = run(capsys, ["witness", "--samples", str(MAX_SAMPLES)])
+    assert code == 0 and asked == [MAX_SAMPLES]
 
 
 def test_classify_cayley_segments_exit_0(capsys):

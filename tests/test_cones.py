@@ -19,6 +19,7 @@ from mindeg.cones import (
     sos_check,
 )
 from mindeg.errors import DegeneratePosition, InconsistentModel
+from mindeg.numerics import nullspace
 from mindeg.polytope import LatticePolytope, simplex
 from mindeg.variety import (
     QuadraticForm,
@@ -431,6 +432,53 @@ def test_extremality_baselines():
     assert extremality_check(ident, gs) == (False, 0)
     point_eval = DualFunctional(model, [F(1), F(0), F(0)])
     assert extremality_check(point_eval, gs) == (True, 1)
+
+
+def _extremality_dense_reference(functional, gs):
+    """extremality_check as it was: every entry of the dense sigma rows."""
+    M = functional.moment_matrix(gs)
+    kern = nullspace([row[:] for row in M])
+    if not kern:
+        return False, 0
+    nvars = functional.model.n + 1
+    rows = []
+    for k in kern:
+        for i in range(nvars):
+            row = []
+            for s in range(functional.model.dim_r2):
+                c = F(0)
+                for j in range(nvars):
+                    if k[j] != 0:
+                        a, bb = (i, j) if i <= j else (j, i)
+                        c += gs.sigma[s][gs.pair_index[(a, bb)]] * k[j]
+                row.append(c)
+            rows.append(row)
+    dim = len(nullspace(rows, functional.model.dim_r2))
+    return dim == 1, dim
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_extremality_check_matches_dense_reference(d, quartic_gap):
+    # sums of point evaluations on the plane Veronese: kernels of every
+    # dimension from n down to 0
+    model = veronese_model(2, d)
+    gs = GramSlice(model)
+    rng = np.random.Generator(np.random.Philox(d))
+    pts = rng.integers(-3, 4, size=(model.n + 2, 3))
+    for count in range(1, len(pts) + 1, 2):
+        values = [sum(F(int(x)) ** a * F(int(y)) ** b
+                      * F(int(z)) ** (2 * d - a - b)
+                      for x, y, z in pts[:count])
+                  for (a, b) in model.r2_basis]
+        fn = DualFunctional(model, values)
+        assert extremality_check(fn, gs) == \
+            _extremality_dense_reference(fn, gs)
+    model, gs = quartic_gap
+    for fn in (separating_functional_real(model, QUARTIC_POINTS)[0],
+               separating_functional_complex(model, COMPLEX_REAL_PTS,
+                                             COMPLEX_A, COMPLEX_B)[0]):
+        assert extremality_check(fn, gs) == \
+            _extremality_dense_reference(fn, gs)
 
 
 def test_dual_functional_json(quartic_gap):

@@ -1,12 +1,14 @@
 """End-to-end witness pipeline on plane Veronese models."""
 
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import mindeg.witness
 from mindeg.cones import DualFunctional, GramSlice
 from mindeg.errors import (
     DegenerateSpan,
@@ -24,7 +26,7 @@ from mindeg.witness import (
     _poly_mul,
     _poly_to_vector,
     _rng,
-    _sphere_values,
+    _SphereSamples,
     _vector_to_poly,
     build_f,
     certify_dual,
@@ -205,10 +207,170 @@ def test_sphere_values_bit_identical_to_loop_reference(d):
                                 rng.integers(-9, 10, len(_monomials(d)))],
                                _monomials(d), d) for _ in range(3)]
     samples = 2 * _SAMPLE_BLOCK + 77
-    got = _sphere_values(f_vec, h_polys, samples, seed=5)
     want = _sphere_values_reference(f_vec, h_polys, samples, seed=5)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    got = _SphereSamples(f_vec, h_polys, samples, seed=5)
+    assert np.array_equal(got.pts, want[0])
+    # a scattered subset first, so later blocks mix cached and new rows
+    some = np.sort(rng.choice(samples, 999, replace=False))
+    for idx in (some, np.arange(samples)):
+        f, h = got.exact(idx)
+        assert np.array_equal(f, want[1][idx])
+        assert np.array_equal(h, want[2][idx])
+    # the cheap values keep well inside their bounds (2^10 is the slack)
+    assert np.abs(got.f - want[1]).max() <= got.err_f / 2 ** 8
+    assert np.abs(got.h - want[2]).max() <= got.err_h / 2 ** 8
+
+
+def _delta_search_reference(f_vec, h_polys, selected_points, samples=100000,
+                            seed=0, exclusion_radius=0.1):
+    """delta_search as it was, evaluating every sample the defining way."""
+    pts, f_vals, h_sq = _sphere_values_reference(f_vec, h_polys, samples,
+                                                 seed)
+    keep = np.ones(len(pts), dtype=bool)
+    for p in selected_points:
+        q = np.array([float(c) for c in p])
+        q /= np.linalg.norm(q)
+        dist = np.minimum(np.linalg.norm(pts - q, axis=1),
+                          np.linalg.norm(pts + q, axis=1))
+        keep &= dist > exclusion_radius
+    if not keep.any():
+        keep = np.ones(len(pts), dtype=bool)
+    sup_f = float(np.abs(f_vals[keep]).max())
+    if sup_f == 0.0:
+        estimate = 1.0
+    else:
+        estimate = float(h_sq[keep].min()) / sup_f
+    k0 = 10 if estimate <= 0 else min(10, math.floor(math.log2(estimate)))
+    for k in range(k0, -61, -1):
+        df = math.ldexp(1.0, k) * f_vals
+        w = df + h_sq
+        scale = float((np.abs(df) + h_sq).max())
+        wmin = float(w.min())
+        if scale == 0.0 or wmin >= -1e-9 * scale:
+            evidence = {"samples": int(samples),
+                        "excluded": int((~keep).sum()),
+                        "delta_estimate": estimate,
+                        "min_value": wmin,
+                        "scale": scale,
+                        "margin": 0.0 if scale == 0.0 else wmin / scale}
+            return F(2) ** k, evidence
+    raise NoDeltaFound("halving reached 2^-60 without a nonnegative sample")
+
+
+def _sample_nonnegativity_reference(report, samples=100000, seed=0,
+                                    delta=None):
+    """sample_nonnegativity as it was, on every sample."""
+    d = report.d
+    exps = _monomials(d)
+    h_polys = [_vector_to_poly(v, exps, d) for v in report.h_vectors]
+    f_vec = list(report.f.coefficients)
+    if delta is None:
+        delta = report.delta
+    _, f_vals, h_sq = _sphere_values_reference(f_vec, h_polys, samples, seed)
+    df = float(delta) * f_vals
+    w = df + h_sq
+    scale = float((np.abs(df) + h_sq).max())
+    wmin = float(w.min())
+    return {"min_value": wmin, "scale": scale,
+            "margin": 0.0 if scale == 0.0 else wmin / scale}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _pipeline_delta_input(d, seed):
+    """The (f_vec, h_polys, selected points, seed) that hilbert_witness
+    hands to delta_search; the pipeline stops there."""
+    def capture(f_vec, h_polys, selected_points, samples, seed):
+        raise _Captured(f_vec, h_polys, selected_points, seed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mindeg.witness, "delta_search", capture)
+        with pytest.raises(_Captured) as caught:
+            hilbert_witness(d, seed=seed)
+    return caught.value.args
+
+
+def _toy_inputs(kind):
+    h1, h2, pts = choose_hyperplanes(3, seed=11)
+    selected = _default_selection(3, 7)
+    h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
+    polys = [_vector_to_poly(h0, _monomials(3), 3), h1.coeffs, h2.coeffs]
+    exps2 = _monomials(6)
+    sphere = {(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1)}
+    cube = _poly_mul(_poly_mul(sphere, sphere), sphere)
+    f = {"zero": {},
+         "planted": {k: -64 * v for k, v in
+                     _poly_mul(polys[0], polys[0]).items()},
+         "hopeless": {k: -(2 ** 80) * v for k, v in cube.items()}}[kind]
+    return (_poly_to_vector(f, exps2, 6), polys,
+            [pts[i] for i in selected], 3)
+
+
+def _near_tie_inputs():
+    """f = -(x^2+y^2+z^2)^3 and h_i = x_i (x^2+y^2+z^2): on the sphere
+    f = -1 and sum h_i^2 = 1 up to rounding, so every sample is close to
+    every extremum and the cheap and defining argmins differ."""
+    sphere = {(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1)}
+    cube = _poly_mul(_poly_mul(sphere, sphere), sphere)
+    f_vec = _poly_to_vector({k: -v for k, v in cube.items()},
+                            _monomials(6), 6)
+    h_polys = [_poly_mul({unit: F(1)}, sphere)
+               for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    return f_vec, h_polys, [(1, 2, 3)]
+
+
+def _same_delta_search(f_vec, h_polys, selected, samples, seed):
+    try:
+        want = _delta_search_reference(f_vec, h_polys, selected,
+                                       samples=samples, seed=seed)
+    except NoDeltaFound:
+        with pytest.raises(NoDeltaFound):
+            delta_search(f_vec, h_polys, selected, samples=samples,
+                         seed=seed)
+        return
+    delta, evidence = delta_search(f_vec, h_polys, selected,
+                                   samples=samples, seed=seed)
+    assert delta == want[0]
+    # dict equality compares every float with ==
+    assert evidence == want[1]
+
+
+@pytest.mark.parametrize("samples", [1, 77, 2 * _SAMPLE_BLOCK + 77])
+@pytest.mark.parametrize("source", ["3-1", "3-7", "3-11", "4-1", "zero",
+                                    "planted", "hopeless"])
+def test_delta_search_matches_reference(source, samples):
+    if "-" in source:
+        d, seed = (int(t) for t in source.split("-"))
+        f_vec, h_polys, selected, s_delta = _pipeline_delta_input(d, seed)
+    else:
+        f_vec, h_polys, selected, s_delta = _toy_inputs(source)
+    _same_delta_search(f_vec, h_polys, selected, samples, s_delta)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_delta_search_matches_reference_near_tie(seed):
+    f_vec, h_polys, selected = _near_tie_inputs()
+    _same_delta_search(f_vec, h_polys, selected, 40000, seed)
+
+
+@pytest.mark.parametrize("samples", [1, 77, 2 * _SAMPLE_BLOCK + 77])
+def test_sample_nonnegativity_matches_reference(report, samples):
+    for delta in (None, report.delta / 2, report.delta * F(3, 7), F(1)):
+        got = sample_nonnegativity(report, samples=samples, seed=123,
+                                   delta=delta)
+        assert got == _sample_nonnegativity_reference(
+            report, samples=samples, seed=123, delta=delta)
+    f_vec, h_polys, _ = _near_tie_inputs()
+    tie = replace(report, h_vectors=[_poly_to_vector(hp, _monomials(3), 3)
+                                     for hp in h_polys],
+                  f=QuadraticForm(veronese_model(2, 3), f_vec))
+    for seed in range(3):
+        got = sample_nonnegativity(tie, samples=samples, seed=seed,
+                                   delta=F(1))
+        assert got == _sample_nonnegativity_reference(
+            tie, samples=samples, seed=seed, delta=F(1))
 
 
 def test_pipeline_frozen_seed(report):
