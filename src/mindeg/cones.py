@@ -30,21 +30,21 @@ _SHIFT_FLOOR = 1e-12
 
 
 class GramSlice:
-    """Exact matrix of sigma: rows indexed by the canonical R_2 basis,
-    columns by monomial pairs (i <= j, i-major). Surjectivity and the
-    vanishing of the quadric relations are verified at construction."""
+    """Exact map sigma, stored by its sparse columns: column c is the
+    {R_2 basis index: coefficient} of monomial pair c (i <= j, i-major).
+    Surjectivity and the vanishing of the quadric relations are verified
+    at construction."""
 
     def __init__(self, model: VarietyModel):
         self.model = model
         nvars = model.n + 1
         self.pairs, self.pair_index = _pair_index_map(nvars)
         columns = [model.pair_vector(i, j) for i, j in self.pairs]
-        rows = [[Fraction(0)] * len(self.pairs) for _ in range(model.dim_r2)]
+        rows = [[0] * len(self.pairs) for _ in range(model.dim_r2)]
         for c, col in enumerate(columns):
             for s, coeff in col.items():
                 rows[s][c] = coeff
-        self.sigma = rows
-        if exact_rank([r[:] for r in rows]) != model.dim_r2:
+        if exact_rank(rows) != model.dim_r2:
             raise InconsistentModel("Gram map is not surjective onto R_2")
         for terms in model.relation_terms():
             image = {}
@@ -66,10 +66,11 @@ class GramSlice:
         vector of sigma(G), because off-diagonal svec entries carry the
         sqrt(2) weight twice."""
         if self._a_float is None:
-            A = to_float(self.sigma)
-            for c, (i, j) in enumerate(self.pairs):
-                if i != j:
-                    A[:, c] *= math.sqrt(2.0)
+            A = np.zeros((self.model.dim_r2, len(self.pairs)))
+            for c, ((i, j), col) in enumerate(zip(self.pairs, self._columns)):
+                w = 1.0 if i == j else math.sqrt(2.0)
+                for s, coeff in col.items():
+                    A[s, c] = float(coeff) * w
             self._a_float = A
         return self._a_float
 
@@ -110,13 +111,12 @@ class GramSlice:
     def apply_to_gram(self, G):
         """Exact coefficient vector of sigma(G) for a symmetric rational G."""
         out = [Fraction(0)] * self.model.dim_r2
-        for c, (i, j) in enumerate(self.pairs):
+        for (i, j), col in zip(self.pairs, self._columns):
             g = G[i][j] if i == j else 2 * G[i][j]
             if g == 0:
                 continue
-            for s in range(self.model.dim_r2):
-                if self.sigma[s][c] != 0:
-                    out[s] += self.sigma[s][c] * g
+            for s, coeff in col.items():
+                out[s] += coeff * g
         return out
 
     def moment_matrix(self, values):
@@ -422,11 +422,7 @@ def separating_functional_complex(model: VarietyModel, real_points, a_point,
     e = model.e
     if len(real_points) != e:
         raise DegeneratePosition("need exactly e = %d real points" % e)
-    pts = [_sup_normalize(p) for p in real_points]
-    for p in pts:
-        if len(p) != model.n + 1:
-            raise DegeneratePosition("point length must be n+1")
-        _check_on_variety(model, p)
+    pts = _normalized_on_variety(model, real_points)
     a = [Fraction(c) for c in a_point]
     b = [Fraction(c) for c in b_point]
     mx = max(max(abs(v) for v in a), max(abs(v) for v in b))

@@ -516,34 +516,8 @@ def normalized_volume(Q: LatticePolytope) -> int:
         proj = [Q._proj(v) for v in simplex]
         base = proj[0]
         rows = [[c - b for c, b in zip(p, base)] for p in proj[1:]]
-        total += abs(_int_det(rows))
+        total += lattice_index(rows)
     return total
-
-
-def _int_det(rows):
-    # Bareiss would be overkill at these sizes; fraction elimination is exact.
-    n = len(rows)
-    mat = [[Fraction(e) for e in r] for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if mat[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for i in range(c + 1, n):
-            f = mat[i][c] * inv
-            if f:
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    assert det.denominator == 1
-    return int(det)
 
 
 def contains_point_oracle(Q: LatticePolytope, p, k: int = 1) -> bool:
@@ -697,11 +671,13 @@ def _affine_equivalence(target: LatticePolytope, Q: LatticePolytope):
         A = _solve_matrix(t_diff, q_diff)
         if A is None:
             continue
-        # integrality first: _int_det takes integer matrices only
+        # integrality first: lattice_index takes integer matrices only
         if any(x.denominator != 1 for row in A for x in row):
             continue
-        det = _int_det([[A[i][j] for j in range(m)] for i in range(m)])
-        if abs(det) != 1:
+        try:
+            if lattice_index(A) != 1:
+                continue
+        except ValueError:  # singular A
             continue
         t0 = [q_pts[0][i] - sum(A[i][j] * t_pts[0][j] for j in range(m))
               for i in range(m)]

@@ -102,8 +102,33 @@ def _cross(u, v):
 
 
 def _veronese_image(point, d, exps):
-    x, y, z = (Fraction(c) for c in point)
-    return [x ** a * y ** b * z ** (d - a - b) for (a, b) in exps]
+    """Values of the degree-d monomials (a, b, d - a - b) of exps at point:
+    ints at an integer point. One power table per coordinate, built by
+    repeated multiplication."""
+    tables = []
+    for c in point:
+        powers = [1]
+        for _ in range(d):
+            powers.append(powers[-1] * c)
+        tables.append(powers)
+    px, py, pz = tables
+    return [px[a] * py[b] * pz[d - a - b] for (a, b) in exps]
+
+
+def _value_and_partials(point, D, exps):
+    """Four rows over the degree-D monomials of exps: their values at point
+    and their partial derivatives along x, y and z there. The partials
+    d/dx_k x^e = e_k x^(e - u_k) are read from the degree-(D - 1) image."""
+    low_exps = _monomials(D - 1)
+    low = dict(zip(low_exps, _veronese_image(point, D - 1, low_exps)))
+    rows = [_veronese_image(point, D, exps)]
+    for k, (da, db) in enumerate(((1, 0), (0, 1), (0, 0))):
+        row = []
+        for (a, b) in exps:
+            ek = (a, b, D - a - b)[k]
+            row.append(ek * low[(a - da, b - db)] if ek else 0)
+        rows.append(row)
+    return rows
 
 
 def _poly_mul(p, q):
@@ -221,7 +246,8 @@ def fit_h0(points, selected, seed, h_forms=None, max_draws=64):
     if len(vanishing) != 3:
         raise DegenerateSpan(
             "vanishing space has dimension %d, expected 3" % len(vanishing))
-    unselected = [i for i in range(len(points)) if i not in set(selected)]
+    unselected_images = [_veronese_image(points[i], d, exps)
+                         for i in range(len(points)) if i not in set(selected)]
     rng = _rng(seed)
     h0 = None
     for _ in range(max_draws):
@@ -232,9 +258,8 @@ def fit_h0(points, selected, seed, h_forms=None, max_draws=64):
                 for j in range(len(exps))]
         if all(v == 0 for v in cand):
             continue
-        vals = [sum(a * b for a, b in
-                    zip(cand, _veronese_image(points[i], d, exps)))
-                for i in unselected]
+        vals = [sum(a * b for a, b in zip(cand, img))
+                for img in unselected_images]
         if all(v != 0 for v in vals):
             h0 = [Fraction(v) for v in _primitive(cand)]
             break
@@ -255,37 +280,16 @@ def fit_h0(points, selected, seed, h_forms=None, max_draws=64):
 
 
 def _double_vanishing_rows(points, selected, d, exps2):
-    """Value plus two partial derivatives per selected point: the partial
-    along the largest coordinate is dropped (it follows from the other
-    conditions by homogeneity)."""
-    D = 2 * d
-    rows = []
-    for i in selected:
-        p = [Fraction(c) for c in points[i]]
-        pivot = max(range(3), key=lambda k: abs(p[k]))
-        val = []
-        grads = {0: [], 1: [], 2: []}
-        for (a, b) in exps2:
-            ee = (a, b, D - a - b)
-            val.append(p[0] ** a * p[1] ** b * p[2] ** ee[2])
-            for k in range(3):
-                if ee[k] == 0:
-                    grads[k].append(Fraction(0))
-                    continue
-                shifted = list(ee)
-                shifted[k] -= 1
-                grads[k].append(ee[k] * p[0] ** shifted[0]
-                                * p[1] ** shifted[1] * p[2] ** shifted[2])
-        rows.append(val)
-        for k in range(3):
-            if k != pivot:
-                rows.append(grads[k])
-    return rows
+    """Value and the three partial derivatives at each selected point: the
+    degree-2d forms with a double zero there are their nullspace."""
+    return [row for i in selected
+            for row in _value_and_partials(points[i], 2 * d, exps2)]
 
 
-def build_f(points, selected, h_polys):
+def build_f(points, selected, prods):
     """Degree-2d form with double zeros at the selected points, outside
-    the span of the pairwise products h_i h_j.
+    the span of the pairwise products h_i h_j, given as their coefficient
+    vectors over the sorted degree-2d monomials (_square_products).
 
     Returns (coefficient vector over the sorted degree-2d monomials,
     stats dict with nullspace/product-span/quotient dimensions). The
@@ -298,7 +302,6 @@ def build_f(points, selected, h_polys):
     exps2 = _monomials(2 * d)
     rows = _double_vanishing_rows(points, selected, d, exps2)
     ns = nullspace(rows, ncols=len(exps2))
-    prods = _square_products(h_polys, d)
     rp = exact_rank(prods)
     if exact_rank(prods + ns) != len(ns):
         raise InconsistentModel(
@@ -325,9 +328,8 @@ def build_f(points, selected, h_polys):
             break
     if f is None:
         raise EmptyComplement("nullspace basis reduced to zero")
-    for i in selected:
-        if not _double_zero_at(f, exps2, 2 * d, points[i]):
-            raise InconsistentModel("f fails to doubly vanish at a point")
+    if any(sum(c * v for c, v in zip(f, row)) != 0 for row in rows):
+        raise InconsistentModel("f fails to doubly vanish at a point")
     return f, {"nullspace_dim": len(ns), "products_rank": rp,
                "quotient_dim": quotient}
 
@@ -336,25 +338,6 @@ def _quadratic_deficiency(d):
     n = (d + 2) * (d + 1) // 2 - 1
     dim_r2 = (2 * d + 2) * (2 * d + 1) // 2
     return dim_r2 - 3 * (n + 1) + 3
-
-
-def _double_zero_at(vec, exps2, deg, point):
-    p = [Fraction(c) for c in point]
-    val = Fraction(0)
-    grad = [Fraction(0)] * 3
-    for (a, b), c in zip(exps2, vec):
-        if c == 0:
-            continue
-        ee = (a, b, deg - a - b)
-        val += c * p[0] ** a * p[1] ** b * p[2] ** ee[2]
-        for k in range(3):
-            if ee[k] == 0:
-                continue
-            sh = list(ee)
-            sh[k] -= 1
-            grad[k] += c * ee[k] * p[0] ** sh[0] * p[1] ** sh[1] \
-                * p[2] ** sh[2]
-    return val == 0 and all(g == 0 for g in grad)
 
 
 def _eval_many(poly_items, powers):
@@ -710,23 +693,22 @@ def certify_not_sos(report: WitnessReport) -> bool:
         if exact_rank(prods + [f]) != rp + 1:
             return False
         for i in report.selected:
-            p = report.points[i]
-            img2 = [Fraction(p[0]) ** a * Fraction(p[1]) ** b
-                    * Fraction(p[2]) ** (2 * d - a - b) for (a, b) in exps2]
-            if sum((c * v for c, v in zip(f, img2)), Fraction(0)) != 0:
+            img2 = _veronese_image(report.points[i], 2 * d, exps2)
+            if sum(c * v for c, v in zip(f, img2)) != 0:
                 return False
         return True
     except (ValueError, IndexError, KeyError, TypeError):
         return False
 
 
-def _dual_parts(report, gs):
+def _dual_parts(report, gs, prods):
     """(l2, l1, K): values on the degree-2d monomials of two functionals
     and a power of two K such that l = l2 + K l1 certifies that the witness
     is not a sum of squares (one step of facial reduction).
 
-    l1 sums the evaluations at the selected points: integer valued, zero on
-    f and on every h_i h_j, with a PSD moment matrix whose kernel is
+    prods are the h_i h_j as _square_products gives them. l1 sums the
+    evaluations at the selected points: integer valued, zero on f and on
+    every h_i h_j, with a PSD moment matrix whose kernel is
     span{h0, h1, h2}. l2 solves l2(h_i h_j) = alpha [i = j], l2(f) = -1
     with alpha = delta / 4, so l(witness) = -delta / 4 for every K. In the
     basis (h0, h1, h2, unit vectors u) the moment matrix of l is
@@ -738,14 +720,14 @@ def _dual_parts(report, gs):
     exps = _monomials(d)
     hs = report.h_vectors
     alpha = report.delta / 4
-    prods = _square_products([_vector_to_poly(h, exps, d) for h in hs], d)
     targets = [alpha if i == j else 0 for i in range(3) for j in range(i, 3)]
     l2 = solve_exact(prods + [report.f.coefficients], targets + [-1])
     if l2 is None:
         raise InconsistentModel("f lies in the span of the h_i h_j")
-    sel = [report.points[i] for i in report.selected]
-    l1 = [sum(x ** a * y ** b * z ** (2 * d - a - b) for x, y, z in sel)
-          for (a, b) in _monomials(2 * d)]
+    exps2 = _monomials(2 * d)
+    images = [_veronese_image(report.points[i], 2 * d, exps2)
+              for i in report.selected]
+    l1 = [sum(col) for col in zip(*images)]
     M2 = gs.moment_matrix(l2)
     M1 = gs.moment_matrix(l1)
     pivots = set(rref(hs)[1])
@@ -770,10 +752,10 @@ def _dual_parts(report, gs):
     return l2, l1, Fraction(2) ** (top + 1)
 
 
-def _attach_dual(model, gs, report):
+def _attach_dual(model, gs, report, prods):
     """report.sos: the exact Infeasible verdict with its functional. No
     fallback: a functional that fails the exact check is a model error."""
-    l2, l1, K = _dual_parts(report, gs)
+    l2, l1, K = _dual_parts(report, gs, prods)
     fn = DualFunctional(model, [a + K * b for a, b in zip(l2, l1)])
     value = fn.apply(report.witness)
     if value >= 0 or not is_positive_definite(fn.moment_matrix(gs)):
@@ -890,7 +872,8 @@ def hilbert_witness(d=3, seed=0, samples=100000,
             selected = _default_selection(d, e)
             h0 = fit_h0(points, selected, s_h0, h_forms=(h1f, h2f))
             h_polys = [_vector_to_poly(h0, exps, d), h1f.coeffs, h2f.coeffs]
-            f_raw, stats = build_f(points, selected, h_polys)
+            prods = _square_products(h_polys, d)
+            f_raw, stats = build_f(points, selected, prods)
             break
         except (DegeneratePosition, DegenerateSpan, EmptyComplement,
                 RetryExhausted) as ex:
@@ -903,11 +886,8 @@ def hilbert_witness(d=3, seed=0, samples=100000,
     h_vectors = [h0,
                  _poly_to_vector(h1f.coeffs, exps, d),
                  _poly_to_vector(h2f.coeffs, exps, d)]
-    h_sq = [Fraction(0)] * len(exps2)
-    index2 = {ee: i for i, ee in enumerate(exps2)}
-    for hp in h_polys:
-        for (a, b, _), c in _poly_mul(hp, hp).items():
-            h_sq[index2[(a, b)]] += c
+    # prods[0], prods[3], prods[5] are h0^2, h1^2, h2^2
+    h_sq = [a + b + c for a, b, c in zip(prods[0], prods[3], prods[5])]
     # scale f so its coefficient size matches the square part; delta then
     # measures the perturbation relative to the SOS bulk
     ratio = max(abs(c) for c in h_sq) / max(abs(c) for c in f_raw)
@@ -935,5 +915,5 @@ def hilbert_witness(d=3, seed=0, samples=100000,
     if not cert_valid:
         raise InconsistentModel("exact certificate failed to re-verify")
     _attach_functional(model, gs, report)
-    _attach_dual(model, gs, report)
+    _attach_dual(model, gs, report, prods)
     return report

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line entry point via main(argv)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tracemalloc
@@ -196,6 +197,30 @@ def test_witness_command(capsys):
     assert report.delta > 0
     code2, out2, _ = run(capsys, argv)
     assert code2 == 0 and out2 == out
+
+
+# SHA-256 of the exact part of `mindeg witness --d D --seed S`: the JSON
+# less its only float fields, nonneg_evidence (sphere sampling) and
+# functional_checks.moment_min_eig (an eigenvalue), dumped with sorted keys.
+# Every other field is an exact certificate that a fixed seed fixes byte
+# for byte.
+WITNESS_EXACT_SHA256 = {
+    (3, 7): "13d579eeb3dd21e76d58a2a84895abd5c35297498cf343763b831e0ca952ec73",
+    (4, 1): "a48907d57f12026d135d2a80f1156d99b93de9dd412ce6fbc26d1e9580bae101",
+}
+
+
+@pytest.mark.parametrize("d,seed", sorted(WITNESS_EXACT_SHA256))
+def test_witness_exact_output_is_pinned(capsys, d, seed):
+    code, out, _ = run(capsys, ["witness", "--d", str(d),
+                                "--seed", str(seed)])
+    assert code == 0
+    blob = json.loads(out)
+    del blob["nonneg_evidence"]
+    del blob["functional_checks"]["moment_min_eig"]
+    digest = hashlib.sha256(
+        json.dumps(blob, sort_keys=True).encode()).hexdigest()
+    assert digest == WITNESS_EXACT_SHA256[(d, seed)]
 
 
 def test_witness_rejects_small_degree(capsys):

@@ -47,23 +47,23 @@ def veronese_surface():
 
 def test_gram_slice_shapes():
     gs1 = GramSlice(veronese_model(1, 1))
-    assert (len(gs1.sigma), len(gs1.pairs)) == (3, 3)
+    assert (gs1.model.dim_r2, len(gs1.pairs)) == (3, 3)
     assert gs1.kernel_dimension == 0
     gst = GramSlice(veronese_model(1, 3))
-    assert (len(gst.sigma), len(gst.pairs)) == (7, 10)
+    assert (gst.model.dim_r2, len(gst.pairs)) == (7, 10)
     assert gst.kernel_dimension == 3
 
 
 def test_gram_slice_shapes_surface(veronese_surface):
     _, gs = veronese_surface
-    assert (len(gs.sigma), len(gs.pairs)) == (15, 21)
+    assert (gs.model.dim_r2, len(gs.pairs)) == (15, 21)
     assert gs.kernel_dimension == 6
 
 
 def test_gram_slice_quartic(quartic_gap):
     model, gs = quartic_gap
     assert epsilon(model) == 1
-    assert (len(gs.sigma), len(gs.pairs)) == (8, 10)
+    assert (gs.model.dim_r2, len(gs.pairs)) == (8, 10)
     assert gs.kernel_dimension == 2
 
 
@@ -180,11 +180,23 @@ def test_sos_result_json(quartic_gap):
 
 # -- soundness of the exact verdicts, re-checked with Fractions only -------
 
+def _dense_sigma(model):
+    """The dense exact sigma rows (R_2 basis x monomial pairs, i-major),
+    built entry by entry from model.pair_vector."""
+    pairs, _ = _pair_index_map(model.n + 1)
+    rows = [[F(0)] * len(pairs) for _ in range(model.dim_r2)]
+    for c, (i, j) in enumerate(pairs):
+        for s, coeff in model.pair_vector(i, j).items():
+            rows[s][c] = coeff
+    return rows
+
+
 def _moment_from_sigma(gs, values):
     """M[i][j] = l(x_i x_j) from the dense exact sigma rows."""
     nvars = gs.model.n + 1
     _, index = _pair_index_map(nvars)
-    return [[sum((v * gs.sigma[s][index[min(i, j), max(i, j)]]
+    sigma = _dense_sigma(gs.model)
+    return [[sum((v * sigma[s][index[min(i, j), max(i, j)]]
                   for s, v in enumerate(values)), F(0))
              for j in range(nvars)] for i in range(nvars)]
 
@@ -441,6 +453,7 @@ def _extremality_dense_reference(functional, gs):
     if not kern:
         return False, 0
     nvars = functional.model.n + 1
+    sigma = _dense_sigma(functional.model)
     rows = []
     for k in kern:
         for i in range(nvars):
@@ -450,7 +463,7 @@ def _extremality_dense_reference(functional, gs):
                 for j in range(nvars):
                     if k[j] != 0:
                         a, bb = (i, j) if i <= j else (j, i)
-                        c += gs.sigma[s][gs.pair_index[(a, bb)]] * k[j]
+                        c += sigma[s][gs.pair_index[(a, bb)]] * k[j]
                 row.append(c)
             rows.append(row)
     dim = len(nullspace(rows, functional.model.dim_r2))

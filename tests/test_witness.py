@@ -15,11 +15,13 @@ from mindeg.errors import (
     InconsistentModel,
     NoDeltaFound,
 )
+from mindeg.numerics import nullspace
 from mindeg.variety import QuadraticForm, _pair_index_map, veronese_model
 from mindeg.witness import (
     _SAMPLE_BLOCK,
     ProductForm,
     _default_selection,
+    _double_vanishing_rows,
     _dual_parts,
     _line_product,
     _monomials,
@@ -27,6 +29,8 @@ from mindeg.witness import (
     _poly_to_vector,
     _rng,
     _SphereSamples,
+    _square_products,
+    _value_and_partials,
     _vector_to_poly,
     build_f,
     certify_dual,
@@ -120,11 +124,88 @@ def test_build_f_quotient_must_be_one_at_degree_three():
     h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
     exps = _monomials(3)
     polys = [_vector_to_poly(h0, exps, 3), h1.coeffs, h2.coeffs]
-    f, stats = build_f(pts, selected, polys)
+    prods = _square_products(polys, 3)
+    f, stats = build_f(pts, selected, prods)
     assert stats == {"nullspace_dim": 7, "products_rank": 6,
                      "quotient_dim": 1}
     with pytest.raises(DegenerateSpan):
-        build_f(pts, selected[:6], polys)
+        build_f(pts, selected[:6], prods)
+
+
+def _value_and_partials_reference(point, D, exps2):
+    """Value and x, y, z partial rows as they were computed: Fraction
+    coordinate powers recomputed for every monomial and every partial."""
+    p = [F(c) for c in point]
+    val = []
+    grads = {0: [], 1: [], 2: []}
+    for (a, b) in exps2:
+        ee = (a, b, D - a - b)
+        val.append(p[0] ** a * p[1] ** b * p[2] ** ee[2])
+        for k in range(3):
+            if ee[k] == 0:
+                grads[k].append(F(0))
+                continue
+            shifted = list(ee)
+            shifted[k] -= 1
+            grads[k].append(ee[k] * p[0] ** shifted[0]
+                            * p[1] ** shifted[1] * p[2] ** shifted[2])
+    return [val, grads[0], grads[1], grads[2]]
+
+
+def _double_vanishing_rows_reference(points, selected, d, exps2):
+    """_double_vanishing_rows as it was: value plus two partials per point,
+    the partial along the largest coordinate dropped (homogeneity)."""
+    rows = []
+    for i in selected:
+        pivot = max(range(3), key=lambda k: abs(points[i][k]))
+        val, *grads = _value_and_partials_reference(points[i], 2 * d, exps2)
+        rows.append(val)
+        rows.extend(g for k, g in enumerate(grads) if k != pivot)
+    return rows
+
+
+def _double_zero_at_reference(vec, exps2, deg, point):
+    """The per-monomial Fraction test that vec vanishes to order two."""
+    p = [F(c) for c in point]
+    val = F(0)
+    grad = [F(0)] * 3
+    for (a, b), c in zip(exps2, vec):
+        if c == 0:
+            continue
+        ee = (a, b, deg - a - b)
+        val += c * p[0] ** a * p[1] ** b * p[2] ** ee[2]
+        for k in range(3):
+            if ee[k] == 0:
+                continue
+            sh = list(ee)
+            sh[k] -= 1
+            grad[k] += c * ee[k] * p[0] ** sh[0] * p[1] ** sh[1] \
+                * p[2] ** sh[2]
+    return val == 0 and all(g == 0 for g in grad)
+
+
+@pytest.mark.parametrize("d,seed", [(3, 1), (4, 1), (5, 0)])
+def test_double_vanishing_rows_match_fraction_reference(d, seed):
+    f_vec, _, sel_pts, _ = _pipeline_delta_input(d, seed)
+    exps2 = _monomials(2 * d)
+    idx = list(range(len(sel_pts)))
+    rows = _double_vanishing_rows(sel_pts, idx, d, exps2)
+    assert nullspace(rows, ncols=len(exps2)) == nullspace(
+        _double_vanishing_rows_reference(sel_pts, idx, d, exps2),
+        ncols=len(exps2))
+    perturbed = list(f_vec)
+    perturbed[0] += 1
+    for k, p in enumerate(sel_pts):
+        mine = _value_and_partials(p, 2 * d, exps2)
+        assert mine == rows[4 * k:4 * k + 4]
+        assert mine == _value_and_partials_reference(p, 2 * d, exps2)
+        for vec, want in ((f_vec, True), (perturbed, None)):
+            verdict = all(sum(c * v for c, v in zip(vec, row)) == 0
+                          for row in mine)
+            assert verdict == _double_zero_at_reference(vec, exps2, 2 * d, p)
+            assert want is None or verdict == want
+    assert not all(_double_zero_at_reference(perturbed, exps2, 2 * d, p)
+                   for p in sel_pts)
 
 
 def test_delta_search_zero_f_accepts_first_candidate():
@@ -466,11 +547,23 @@ def test_line_product_expansion():
 
 # -- the exact dual certificate, re-checked from the JSON with Fractions ----
 
+def _dense_sigma(model):
+    """The dense exact sigma rows (R_2 basis x monomial pairs, i-major),
+    built entry by entry from model.pair_vector."""
+    pairs, _ = _pair_index_map(model.n + 1)
+    rows = [[F(0)] * len(pairs) for _ in range(model.dim_r2)]
+    for c, (i, j) in enumerate(pairs):
+        for s, coeff in model.pair_vector(i, j).items():
+            rows[s][c] = coeff
+    return rows
+
+
 def _moment_from_sigma(gs, values):
     """M[i][j] = l(x_i x_j) from the dense exact sigma rows."""
     nvars = gs.model.n + 1
     _, index = _pair_index_map(nvars)
-    return [[sum((v * gs.sigma[s][index[min(i, j), max(i, j)]]
+    sigma = _dense_sigma(gs.model)
+    return [[sum((v * sigma[s][index[min(i, j), max(i, j)]]
                   for s, v in enumerate(values)), F(0))
              for j in range(nvars)] for i in range(nvars)]
 
@@ -527,11 +620,13 @@ def test_certify_dual_rejects_tampered_reports(report):
     assert F(int(vals[0]["num"]), int(vals[0]["den"])) > 0
     vals[0] = dict(vals[0], num=str(-int(vals[0]["num"])))
     assert certify_dual(with_values(vals)) is False
-    l2, _, K = _dual_parts(report, GramSlice(model))
+    exps = _monomials(3)
+    prods = _square_products([_vector_to_poly(h, exps, 3)
+                              for h in report.h_vectors], 3)
+    l2, _, K = _dual_parts(report, GramSlice(model), prods)
     assert K > 0
     assert certify_dual(with_values(
         DualFunctional(model, l2).to_json()["values"])) is False
-    exps = _monomials(3)
     h0 = _vector_to_poly(report.h_vectors[0], exps, 3)
     h0_sq = QuadraticForm(model, _poly_to_vector(_poly_mul(h0, h0),
                                                  _monomials(6), 6))
