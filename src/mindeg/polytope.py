@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, NotFullDimensional
-from .numerics import (exact_rank, integer_diagonalize, lattice_index,
-                       nullspace, solve_exact)
+from .numerics import (exact_rank, lattice_index, nullspace, rref,
+                       saturation_chart, solve_exact)
 
 DENSE = "Dense"
 NOT_DENSE = "NotDense"
@@ -53,16 +53,8 @@ class LatticePolytope:
         self.ambient_rank = ambient_rank
         self._base = pts[0]
         diffs = [[c - b for c, b in zip(p, self._base)] for p in pts[1:]]
-        if diffs:
-            invariants, W, W_inv = integer_diagonalize(diffs)
-            self.dim = len(invariants)
-            self._W = W
-            self._sat_basis = W_inv[:self.dim]
-        else:
-            self.dim = 0
-            self._W = [[1 if i == j else 0 for j in range(ambient_rank)]
-                       for i in range(ambient_rank)]
-            self._sat_basis = []
+        self.dim, self._W, W_inv = saturation_chart(diffs, ambient_rank)
+        self._sat_basis = W_inv[:self.dim]
         self._facets = [] if self.dim == 0 else None
         # trusted callers (e.g. products of vertex sets) pass points already
         # known extreme, skipping the hull of the whole point set
@@ -641,8 +633,10 @@ def cayley_polytope_of_segments(degrees) -> LatticePolytope:
 
 def _affine_equivalence(target: LatticePolytope, Q: LatticePolytope):
     """An exact affine unimodular map T(x) = A x + t with T(target) = Q,
-    verified on all lattice points, or None. Both must be full-dimensional
-    of the same dimension in chart coordinates."""
+    verified on all lattice points, or None. Both must be of the same
+    dimension, the target full-dimensional in its own coordinates. The map
+    is returned in ambient coordinates: `matrix` (ambient_rank x dim) and
+    `translation` send each target point to its image in Q's lattice."""
     m = Q.dim
     if target.dim != m or len(target.vertices) != len(Q.vertices):
         return None
@@ -658,7 +652,13 @@ def _affine_equivalence(target: LatticePolytope, Q: LatticePolytope):
     if anchor is None:
         return None
     t_pts = [tv[i] for i in anchor]
-    t_diff = [[p[j] - t_pts[0][j] for j in range(m)] for p in t_pts[1:]]
+    # rows of T are the anchor differences; one inversion serves every
+    # image, kept as the integer matrix N = D T^-1
+    T = [[p[j] - t_pts[0][j] for j in range(m)] for p in t_pts[1:]]
+    red, _ = rref([row + [int(i == j) for j in range(m)]
+                   for i, row in enumerate(T)])
+    D = math.lcm(*(x.denominator for row in red for x in row[m:]))
+    N = [[int(x * D) for x in row[m:]] for row in red]
     t_lats = sorted(target._proj(p) for p in lattice_points(target, 1))
     q_lats = sorted(Q._proj(p) for p in lattice_points(Q, 1))
     if len(t_lats) != len(q_lats):
@@ -667,53 +667,34 @@ def _affine_equivalence(target: LatticePolytope, Q: LatticePolytope):
     for image in itertools.permutations(range(len(qv)), m + 1):
         q_pts = [qv[i] for i in image]
         q_diff = [[p[j] - q_pts[0][j] for j in range(m)] for p in q_pts[1:]]
-        # solve A * t_diff_i = q_diff_i  (columns)
-        A = _solve_matrix(t_diff, q_diff)
-        if A is None:
+        # A T^T = q_diff^T, so D A = q_diff^T N^T; A must be integral
+        AD = [[sum(q_diff[k][i] * N[j][k] for k in range(m))
+               for j in range(m)] for i in range(m)]
+        if any(x % D for row in AD for x in row):
             continue
-        # integrality first: lattice_index takes integer matrices only
-        if any(x.denominator != 1 for row in A for x in row):
-            continue
+        A = [[x // D for x in row] for row in AD]
         try:
             if lattice_index(A) != 1:
                 continue
         except ValueError:  # singular A
             continue
-        t0 = [q_pts[0][i] - sum(A[i][j] * t_pts[0][j] for j in range(m))
-              for i in range(m)]
-        if any(x.denominator != 1 for x in t0):
-            continue
-        Ai = [[int(x) for x in row] for row in A]
-        ti = [int(x) for x in t0]
+        t = [q_pts[0][i] - _dot(A[i], t_pts[0]) for i in range(m)]
 
         def apply(p):
-            return tuple(sum(Ai[i][j] * p[j] for j in range(m)) + ti[i]
-                         for i in range(m))
+            return tuple(_dot(A[i], p) + t[i] for i in range(m))
 
         if {apply(p) for p in tv} != q_set:
             continue
         if sorted(apply(p) for p in t_lats) != q_lats:
             continue
-        return {"matrix": Ai, "translation": ti}
+        # chart to ambient: q = base_Q + x B and x = A (p - base_T) + t
+        B = Q._sat_basis
+        shift = [t[i] - _dot(A[i], target._base) for i in range(m)]
+        return {"matrix": [[_dot(col, [row[j] for row in A])
+                            for j in range(m)] for col in zip(*B)],
+                "translation": [b + _dot(col, shift)
+                                for b, col in zip(Q._base, zip(*B))]}
     return None
-
-
-def _solve_matrix(t_diff, q_diff):
-    """A with A * t_diff[i] = q_diff[i] for all i (vectors as rows here)."""
-    m = len(t_diff[0])
-    if len(t_diff) != m:
-        return None
-    # transpose systems: rows of t_diff are the input vectors
-    rows = [[Fraction(t_diff[i][j]) for j in range(m)] for i in range(m)]
-    A = []
-    for coord in range(m):
-        rhs = [Fraction(q_diff[i][coord]) for i in range(m)]
-        sol = solve_exact([r[:] for r in rows], rhs)
-        if sol is None:
-            return None
-        A.append(sol)
-    # A rows solve sum_j A[coord][j] * t_diff[i][j] = q_diff[i][coord]
-    return A
 
 
 def classify(Q: LatticePolytope) -> ClassificationReport:

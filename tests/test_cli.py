@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from mindeg import cli
 from mindeg.cli import MAX_SAMPLES, main
 from mindeg.polytope import (LatticePolytope, SparsePolynomial,
-                             cayley_polytope_of_segments)
+                             cayley_polytope_of_segments, higashitani_simplex,
+                             pyramid_over_twice_simplex, reeve_simplex)
 from mindeg.variety import veronese_model
 from mindeg.witness import witness_report_from_json
 
@@ -223,6 +224,60 @@ def test_witness_exact_output_is_pinned(capsys, d, seed):
     assert digest == WITNESS_EXACT_SHA256[(d, seed)]
 
 
+def _pinned_polytopes():
+    """Named polytopes of the benchmark corpus, a sheared one, and three
+    lower-dimensional embeddings (a doubled triangle at height 1, a unit
+    square and a Reeve simplex on skew planes of Z^4)."""
+    polys = [reeve_simplex(q) for q in range(1, 7)]
+    polys += [higashitani_simplex(m, k) for m in (3, 5) for k in (1, 2, 3)]
+    polys += [pyramid_over_twice_simplex(m) for m in (2, 3, 4)]
+    polys += [cayley_polytope_of_segments(d)
+              for d in [(1, 2), (0, 1, 3), (2, 2, 3), (1, 1, 2, 2)]]
+    polys.append(LatticePolytope(3, [(0, 0, 2), (1, 4, 0), (2, 0, 4),
+                                     (2, 4, 2), (3, 4, 2), (4, 1, 0),
+                                     (4, 3, 4)]))
+    polys.append(LatticePolytope(3, [(0, 0, 1), (2, 0, 1), (0, 2, 1)]))
+    polys.append(LatticePolytope(4, [(1, 0, 2, 1), (2, 1, 2, 0),
+                                     (0, 1, 3, 2), (1, 2, 3, 1)]))
+    polys.append(LatticePolytope(4, [(1, -1, 0, 2), (1, 0, 1, 2),
+                                     (2, -1, 1, 3), (5, 3, 5, 3)]))
+    return [json.dumps(Q.to_json()) for Q in polys]
+
+
+# SHA-256 of the stdout of each polytope command over _pinned_polytopes(),
+# one output after another; classify less classification.model_map, which
+# is the one field that depends on the lattice chart's basis.
+POLYTOPE_OUTPUT_SHA256 = {
+    "amgm":
+        "746d528b998e52e4ff7757610b266890bcf70c23857ca7926a9811fea2ff1a8a",
+    "classify":
+        "13660369376687c16e7d92e835d7af24a4268aeb74e9256bdcf27c70e288353f",
+    "density":
+        "dc827e32eedfa66e8ced631a980d30dec6f0d026b37370e261392dad48f62c7b",
+    "epsilon":
+        "d2a190c086c95be81c270de568512c5b66cb1de87d9618140053666871a89ff9",
+    "hstar":
+        "4026bc40724d578e250b93da55a45906e27be972511e47e3772851cf15ac0f40",
+    "normal":
+        "5c70894ffcaec09e25f3eab2cb1bf7aafd5194ff508ac85f87c84757f6fe065f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(POLYTOPE_OUTPUT_SHA256))
+def test_polytope_output_is_pinned(capsys, command):
+    extra = ["--k", "2"] if command == "normal" else []
+    h = hashlib.sha256()
+    for text in _pinned_polytopes():
+        code, out, _ = run(capsys, [command, "--input", text] + extra)
+        assert code == 0
+        if command == "classify":
+            blob = json.loads(out)
+            del blob["classification"]["model_map"]
+            out = json.dumps(blob, sort_keys=True, indent=2) + "\n"
+        h.update(out.encode())
+    assert h.hexdigest() == POLYTOPE_OUTPUT_SHA256[command]
+
+
 def test_witness_rejects_small_degree(capsys):
     code, _, err = run(capsys, ["witness", "--d", "2"])
     assert code == 2 and "--d" in err
@@ -321,9 +376,9 @@ _POLYTOPE_BLOB = st.one_of(
         "vertices": st.lists(st.lists(_COORD, max_size=3), max_size=5),
     }),
     st.fixed_dictionaries({
-        "ambient_rank": st.integers(1, 3),
+        "ambient_rank": st.integers(1, 4),
         "vertices": st.lists(st.lists(st.integers(-3, 3), min_size=1,
-                                      max_size=3), min_size=1, max_size=5),
+                                      max_size=4), min_size=1, max_size=6),
     }),
     st.lists(st.integers(0, 3), max_size=3),
     st.fixed_dictionaries({"vertices": st.just([[0], [1]])}),

@@ -1,6 +1,7 @@
 """Exact linear algebra and the symmetric eigensolver."""
 
 import copy
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindeg.kernels import project_psd, symmetric_eigen
-from mindeg.numerics import (exact_rank, in_row_span, integer_diagonalize,
-                             is_positive_definite, lattice_index, nullspace,
-                             rref, solve_exact, to_float)
+from mindeg.numerics import (exact_rank, in_row_span, is_positive_definite,
+                             lattice_index, nullspace, rref, saturation_chart,
+                             solve_exact, to_float)
 
 F = Fraction
 
@@ -226,27 +227,39 @@ def test_lattice_index():
         lattice_index([[2, 4]])
 
 
-def test_integer_diagonalize_consistency():
-    invariants, W, W_inv = integer_diagonalize([[2, 0], [0, 2]])
-    prod = 1
-    for d in invariants:
-        prod *= d
-    assert prod == lattice_index([[2, 0], [0, 2]])
-    n = len(W)
-    for i in range(n):
-        for j in range(n):
-            s = sum(W[i][k] * W_inv[k][j] for k in range(n))
-            assert s == (1 if i == j else 0)
-
-
-def test_integer_diagonalize_rank_deficient():
-    invariants, W, W_inv = integer_diagonalize([[2, 0, 0], [0, 2, 0]])
-    assert len(invariants) == 2
-    n = len(W)
-    for i in range(n):
-        for j in range(n):
-            s = sum(W[i][k] * W_inv[k][j] for k in range(n))
-            assert s == (1 if i == j else 0)
+@pytest.mark.parametrize("rows,n", [
+    ([[2, 0], [0, 2]], 2),
+    ([[1, 4, 2], [0, 3, 5], [2, 2, 1]], 3),
+    ([[2, 0, 0], [0, 2, 0]], 3),
+    ([[2, 4]], 2),
+    ([[2, 3], [4, 6]], 2),
+    ([[1, 1, 1, 1], [3, -1, 2, 0]], 4),
+    ([[0, 6, 0, 4, 0]], 5),
+    ([], 3),
+], ids=["diagonal", "full-rank", "rank-deficient", "non-primitive-row",
+        "dependent-rows", "rank-2-in-4", "sparse-row", "no-rows"])
+def test_saturation_chart(rows, n):
+    dim, W, W_inv = saturation_chart(rows, n)
+    assert all(sum(W[i][k] * W_inv[k][j] for k in range(n)) == (i == j)
+               for i in range(n) for j in range(n))
+    assert dim == exact_rank(rows)
+    if dim == n:
+        assert W == W_inv == [[int(i == j) for j in range(n)]
+                              for i in range(n)]
+    basis = W_inv[:dim]
+    # W_inv[:dim] spans the rows and generates every lattice point of the
+    # span: each integer point of a small box is in span_R(rows) iff its
+    # chart coordinates past dim vanish, and then it is an integer
+    # combination of the basis with those coordinates
+    assert exact_rank(basis + rows) == dim
+    for u in itertools.product(range(-2, 3), repeat=n):
+        x = [sum(u[i] * W[i][j] for i in range(n)) for j in range(n)]
+        assert in_row_span(rows, u) == (not any(x[dim:]))
+        if not any(x[dim:]):
+            assert list(u) == [sum(x[i] * basis[i][j] for i in range(dim))
+                               for j in range(n)]
+    if rows == [[2, 4]]:
+        assert basis in ([[1, 2]], [[-1, -2]])
 
 
 def test_sym_eigen_diagonal():

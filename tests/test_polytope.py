@@ -129,7 +129,70 @@ def test_embedded_chart():
     assert Q.dim == 2
     assert h_star(Q).coefficients == (1, 3, 0)
     assert sublattice_index(Q) == 1
-    assert classify(Q).family == PYRAMID
+    r = classify(Q)
+    assert r.family == PYRAMID
+    _assert_model_map(Q, r)
+    # a primitive segment and a unit square on skew planes of Z^2 and Z^4
+    for Q in [LatticePolytope(2, [(1, 1), (3, 4)]),
+              LatticePolytope(4, [(1, 0, 2, 1), (2, 1, 2, 0), (0, 1, 3, 2),
+                                  (1, 2, 3, 1)])]:
+        assert Q.dim < Q.ambient_rank
+        r = classify(Q)
+        assert r.family == CAYLEY
+        _assert_model_map(Q, r)
+
+
+def test_skewed_chart_regressions():
+    # full-dimensional polytopes keep their own coordinates, so the scans
+    # are bounded by the polytope's extent: these two once had charts with
+    # entries in the thousands (an 867 MiB box for h*, seconds to classify)
+    Q = LatticePolytope(4, [(1, -3, 3, 1), (-1, 1, 3, 1), (2, -1, -2, 2),
+                            (1, -3, -3, 1), (2, 1, -3, -3), (-2, -3, -2, 3)])
+    assert h_star(Q).coefficients == (1, 34, 347, 340, 26)
+    assert normalized_volume(Q) == 748
+    R = LatticePolytope(3, [(1, 2, -1), (2, -2, 0), (-3, -2, -2), (-3, 1, 3),
+                            (2, 3, 3)])
+    r = classify(R)
+    assert (r.family, r.h2_zero, r.two_normal, r.polytope_degree,
+            r.density) == (NOT_MINIMAL, False, False, 3, DENSE)
+    for P in (Q, R):
+        assert P.dim == P.ambient_rank
+        base = P.vertices[0]
+        assert P.proj_vertices == [tuple(c - b for c, b in zip(v, base))
+                                   for v in P.vertices]
+
+
+@st.composite
+def _pushed_polytope(draw):
+    """A polytope in Z^m (m <= 3, coordinates 0..3) and its image under
+    x -> (x, 0) U + t in Z^n, n in m..m+2, with U unimodular."""
+    m = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(0, 3)] * m),
+                        min_size=1, max_size=6))
+    n = m + draw(st.integers(0, 2))
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, q in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1),
+                                           st.integers(-2, 2)), max_size=4)):
+        if i != j:
+            U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+    U = [U[i] for i in draw(st.permutations(range(n)))]
+    t = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    image = [tuple(sum(x[i] * U[i][j] for i in range(m)) + t[j]
+                   for j in range(n)) for x in pts]
+    return LatticePolytope(m, pts), LatticePolytope(n, image)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pushed_polytope())
+def test_invariants_under_unimodular_maps(pair):
+    P, Q = pair
+    assert Q.dim == P.dim
+    assert h_star(Q) == h_star(P)
+    assert is_k_normal(Q, 2)[0] == is_k_normal(P, 2)[0]
+    assert sublattice_index(Q) == sublattice_index(P)
+    assert normalized_volume(Q) == normalized_volume(P)
+    assert classify(Q).family == classify(P).family
 
 
 def test_hstar_validation():
@@ -286,16 +349,42 @@ def test_amgm_reeve_exact():
         assert f.evaluate(z) >= 0
 
 
+def _assert_model_map(Q, r):
+    """model_map, applied in Q's ambient coordinates, sends the family
+    polytope's vertices and lattice points exactly onto Q's."""
+    mp = r.model_map
+    if mp["family"] == PYRAMID:
+        target = pyramid_over_twice_simplex(Q.dim)
+    else:
+        target = cayley_polytope_of_segments(mp["segments"])
+    assert len(mp["matrix"]) == len(mp["translation"]) == Q.ambient_rank
+
+    def apply(p):
+        return tuple(sum(a * x for a, x in zip(row, p)) + t
+                     for row, t in zip(mp["matrix"], mp["translation"]))
+
+    assert sorted(map(apply, target.vertices)) == list(Q.vertices)
+    assert {apply(p) for p in lattice_points(target, 1)} \
+        == lattice_points(Q, 1)
+
+
 def test_classification_families():
     r = classify(simplex(2, 2))
     assert r.family == PYRAMID and r.pos_equals_sos == "Equal"
-    assert r.model_map is not None
-    assert classify(pyramid_over_twice_simplex(3)).family == PYRAMID
-    assert classify(pyramid_over_twice_simplex(4)).family == PYRAMID
-    assert classify(cayley_polytope_of_segments([1, 2])).family == CAYLEY
-    assert classify(cayley_polytope_of_segments([2, 2])).family == CAYLEY
-    assert classify(LatticePolytope(1, [(0,), (3,)])).family == CAYLEY
-    assert classify(simplex(2, 1)).family == CAYLEY
+    for Q, family in [
+            (simplex(2, 2), PYRAMID),
+            (pyramid_over_twice_simplex(3), PYRAMID),
+            (pyramid_over_twice_simplex(4), PYRAMID),
+            (cayley_polytope_of_segments([1, 2]), CAYLEY),
+            (cayley_polytope_of_segments([2, 2]), CAYLEY),
+            (LatticePolytope(1, [(0,), (3,)]), CAYLEY),
+            (simplex(2, 1), CAYLEY),
+            (LatticePolytope(2, [(0, 2), (1, 1), (3, 0)]), CAYLEY),
+            (LatticePolytope(3, [(1, 0, -1), (1, 1, -1), (2, 0, 0),
+                                 (2, 1, -1), (3, 1, 0), (3, 1, 1)]), CAYLEY)]:
+        r = classify(Q)
+        assert r.family == family
+        _assert_model_map(Q, r)
 
 
 def test_classification_not_minimal():
