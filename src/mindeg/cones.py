@@ -501,18 +501,20 @@ def pair_with_square(functional: DualFunctional, g,
 
 def kernel_dimension(functional: DualFunctional,
                      gram_slice: GramSlice | None = None) -> int:
-    """dim Ker of the moment matrix, by an exact nullspace."""
-    return len(nullspace(functional.moment_matrix(gram_slice)))
+    """dim Ker of the moment matrix: its size minus its exact rank."""
+    M = functional.moment_matrix(gram_slice)
+    return len(M) - exact_rank(M)
 
 
 def extremality_check(functional: DualFunctional,
                       gram_slice: GramSlice | None = None):
     """Whether the functional spans an extremal ray of the dual cone of
     sums of squares: the space of functionals whose moment matrix kills
-    Ker(M) must be one-dimensional. Exact arithmetic only."""
+    Ker(M) must be one-dimensional. Returns (extremal, that dimension).
+    Ker(M) comes from an exact nullspace; the dimension is dim R_2 minus
+    the exact rank of the linear conditions M(l) k = 0, k in Ker(M)."""
     gs = gram_slice if gram_slice is not None else GramSlice(functional.model)
-    M = functional.moment_matrix(gs)
-    kern = nullspace([row[:] for row in M])
+    kern = nullspace(functional.moment_matrix(gs))
     if not kern:
         return False, 0
     nvars = functional.model.n + 1
@@ -528,5 +530,5 @@ def extremality_check(functional: DualFunctional,
                 for s, coeff in col.items():
                     row[s] += coeff * kj
             rows.append(row)
-    dim = len(nullspace(rows, dim_r2))
+    dim = dim_r2 - exact_rank(rows)
     return dim == 1, dim

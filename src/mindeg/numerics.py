@@ -32,58 +32,69 @@ def _primitive(row):
     return row if g <= 1 else [x // g for x in row]
 
 
+def _integer_row(r):
+    """The row cleared of denominators and made primitive."""
+    vals = [e if type(e) is int else _frac(e) for e in r]
+    den = math.lcm(*[v.denominator for v in vals])
+    return _primitive([v.numerator * (den // v.denominator) for v in vals])
+
+
+def _eliminate(row, prow, c):
+    """row with column c cleared by the pivot row prow, kept primitive."""
+    g = math.gcd(prow[c], row[c])
+    p, a = prow[c] // g, row[c] // g
+    return _primitive([p * x - a * y for x, y in zip(row, prow)])
+
+
+def _echelon(rows):
+    """Row echelon form by integer forward elimination.
+
+    Returns (pivot rows, pivot columns): primitive integer rows, row k
+    zero before its pivot column, so the number of pivots is the rank. The
+    pivot is the entry of smallest absolute value in its column; rows that
+    reduce to zero are never pivots. Input is not mutated.
+    """
+    rest = [row for row in map(_integer_row, rows) if any(row)]
+    mat, pivots = [], []
+    for c in range(len(rest[0]) if rest else 0):
+        prow = None
+        for row in rest:
+            if row[c] and (prow is None or abs(row[c]) < abs(prow[c])):
+                prow = row
+        if prow is None:
+            continue
+        mat.append(prow)
+        pivots.append(c)
+        rest = [_eliminate(row, prow, c) if row[c] else row
+                for row in rest if row is not prow]
+        if not rest:
+            break
+    return mat, pivots
+
+
 def rref(rows):
     """Reduced row echelon form over the rationals.
 
     Takes a list of rows (lists of Fraction/int/str); returns (nonzero
     reduced rows of Fractions, pivot column indices). Input is not mutated.
 
-    Integer row elimination: each row is cleared of denominators and kept
-    primitive, the pivot is the entry of smallest absolute value in its
-    column, and only the final division by the pivots makes Fractions. The
+    The integer echelon form, then back-substitution from the last pivot
+    upward; only the final division by the pivots makes Fractions. The
     reduced row echelon form is unique, so the result equals the one
     computed over Fractions.
     """
-    mat = []
-    for r in rows:
-        vals = [e if type(e) is int else _frac(e) for e in r]
-        den = math.lcm(*[v.denominator for v in vals])
-        row = _primitive([v.numerator * (den // v.denominator) for v in vals])
-        if any(row):
-            mat.append(row)
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            a = mat[i][c]
-            if a and (pivot_row is None or abs(a) < abs(mat[pivot_row][c])):
-                pivot_row = i
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        prow = mat[r]
-        p = prow[c]
-        for i in range(len(mat)):
-            a = mat[i][c]
-            if i != r and a:
-                g = math.gcd(p, a)
-                pg, ag = p // g, a // g
-                mat[i] = _primitive([pg * x - ag * y
-                                     for x, y in zip(mat[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
+    mat, pivots = _echelon(rows)
+    for k in reversed(range(len(mat))):
+        c = pivots[k]
+        for i in range(k):
+            if mat[i][c]:
+                mat[i] = _eliminate(mat[i], mat[k], c)
     return [[Fraction(x, row[c]) for x in row]
             for row, c in zip(mat, pivots)], pivots
 
 
 def exact_rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows, ncols=None):
@@ -127,32 +138,34 @@ def solve_exact(rows, rhs):
 
 def is_positive_definite(rows) -> bool:
     """Exact positive definiteness of a symmetric rational matrix (symmetry
-    is assumed). Fraction-free LDL^T (Bareiss) on the matrix cleared of
-    denominators: the k-th pivot is the k-th leading principal minor, so a
-    zero or negative pivot means not positive definite (Sylvester)."""
-    vals = [[_frac(e) for e in r] for r in rows]
+    is assumed, and only the upper triangle is read). Fraction-free LDL^T
+    (Bareiss) on the matrix cleared of denominators, kept as the rows of
+    its upper triangle: the k-th pivot is the k-th leading principal minor,
+    so a zero or negative pivot means not positive definite (Sylvester)."""
+    vals = [[_frac(e) for e in r[i:]] for i, r in enumerate(rows)]
     den = math.lcm(*[v.denominator for r in vals for v in r])
+    # a[i][j - i] is entry (i, j), j >= i
     a = [[v.numerator * (den // v.denominator) for v in r] for r in vals]
-    n = len(a)
     prev = 1
-    for k in range(n):
-        p = a[k][k]
+    for k, ak in enumerate(a):
+        p = ak[0]
         if p <= 0:
             return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (p * a[i][j] - a[i][k] * a[k][j]) // prev
+        for i in range(k + 1, len(a)):
+            aki = ak[i - k]
+            a[i] = [(p * x - aki * y) // prev for x, y in zip(a[i], ak[i - k:])]
         prev = p
     return True
 
 
 def in_row_span(rows, v) -> bool:
-    """Exact membership of v in the row span of `rows`."""
-    rows = list(rows)
-    if not rows:
-        return all(_frac(e) == 0 for e in v)
-    base = exact_rank(rows)
-    return exact_rank(rows + [list(v)]) == base
+    """Exact membership of v in the row span of `rows`: v reduced by the
+    echelon form of the rows is zero."""
+    v = _integer_row(v)
+    for prow, c in zip(*_echelon(rows)):
+        if v[c]:
+            v = _eliminate(v, prow, c)
+    return not any(v)
 
 
 # ---------------------------------------------------------------------------

@@ -420,7 +420,7 @@ def amgm_witness(Q: LatticePolytope):
             cols = [doubled[i] for i in subset]
             rows = [[Fraction(cols[j][i]) for j in range(size)] for i in range(n)]
             rows.append([Fraction(1)] * size)
-            if exact_rank([r[:] for r in rows]) != size:
+            if exact_rank(rows) != size:
                 continue  # affinely dependent; a smaller support exists
             rhs = [Fraction(c) for c in u] + [Fraction(1)]
             sol = solve_exact(rows, rhs)

@@ -69,7 +69,7 @@ class VarietyModel:
                     for p, c in rel.items():
                         row[pair_idx[p]] += Fraction(c)
                     trial = kept + [row]
-                    if exact_rank([r[:] for r in trial]) == len(trial):
+                    if exact_rank(trial) == len(trial):
                         kept.append(row)
                 rows = kept
                 reduced, pivots = rref(rows)
@@ -248,9 +248,14 @@ class QuadraticForm:
 def toric_model_from_points(name, exponents, m):
     pts = sorted(set(exponents))
     arr = np.array(pts, dtype=np.int64)
-    sums = (arr[:, None, :] + arr[None, :, :]).reshape(-1, arr.shape[1])
-    uniq = np.unique(sums, axis=0)
-    toric_sums = [tuple(int(c) for c in row) for row in uniq]
+    i, j = np.triu_indices(len(arr))
+    sums = arr[i] + arr[j]
+    # the distinct sums in lexicographic order: sort, then drop each row
+    # equal to its predecessor
+    sums = sums[np.lexsort(sums.T[::-1])]
+    keep = np.ones(len(sums), dtype=bool)
+    keep[1:] = (sums[1:] != sums[:-1]).any(axis=1)
+    toric_sums = [tuple(int(c) for c in row) for row in sums[keep]]
     return VarietyModel(name, m, pts, toric_sums=toric_sums)
 
 

@@ -30,6 +30,7 @@ from mindeg.variety import (
     toric_model_from_points,
     veronese_model,
 )
+from mindeg.witness import hilbert_witness
 
 
 @pytest.fixture(scope="module")
@@ -470,6 +471,11 @@ def _extremality_dense_reference(functional, gs):
     return dim == 1, dim
 
 
+def _kernel_dimension_reference(functional, gs):
+    """kernel_dimension as it was: the size of an exact nullspace."""
+    return len(nullspace(functional.moment_matrix(gs)))
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_extremality_check_matches_dense_reference(d, quartic_gap):
     # sums of point evaluations on the plane Veronese: kernels of every
@@ -486,6 +492,12 @@ def test_extremality_check_matches_dense_reference(d, quartic_gap):
         fn = DualFunctional(model, values)
         assert extremality_check(fn, gs) == \
             _extremality_dense_reference(fn, gs)
+        assert kernel_dimension(fn, gs) == _kernel_dimension_reference(fn, gs)
+    # the witness pipeline's functional at seed 11
+    fn = hilbert_witness(d, seed=11).functional
+    assert extremality_check(fn, gs) == _extremality_dense_reference(fn, gs) \
+        == {3: (True, 1), 4: (False, 3)}[d]
+    assert kernel_dimension(fn, gs) == _kernel_dimension_reference(fn, gs) == 3
     model, gs = quartic_gap
     for fn in (separating_functional_real(model, QUARTIC_POINTS)[0],
                separating_functional_complex(model, COMPLEX_REAL_PTS,

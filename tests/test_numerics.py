@@ -130,6 +130,17 @@ def test_rref_matches_fraction_reference(rows):
     assert pivots == ref_pivots
     assert reduced == ref_reduced
     assert all(type(e) is Fraction for r in reduced for e in r)
+    assert exact_rank(rows) == len(ref_reduced)
+    if rows:
+        assert in_row_span(rows, rows[-1])
+        # a unit vector at a non-pivot column: every row-span vector that
+        # is zero at all pivot columns is zero
+        free = [c for c in range(len(rows[0])) if c not in ref_pivots]
+        if free:
+            unit = [0] * len(rows[0])
+            unit[free[-1]] = 1
+            assert not in_row_span(rows, unit)
+    assert rows == before
 
 
 def test_rref_rejects_float():
@@ -155,9 +166,9 @@ _PD_ENTRIES = st.one_of(
 
 @st.composite
 def _symmetric(draw):
-    """1-5 square symmetric rationals (small ints and dyadics): B^T B with
+    """1-6 square symmetric rationals (small ints and dyadics): B^T B with
     k rows (singular PSD when k < n), B^T B + c I, or free entries."""
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["gram", "shifted", "free"]))
     if kind == "free":
         M = [[F(0)] * n for _ in range(n)]

@@ -314,6 +314,19 @@ def test_counts_match_oracle():
             assert len(lattice_points(Q, k)) == lattice_point_count_oracle(Q, k)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.lists(
+    st.tuples(*[st.integers(0, 2)] * r), min_size=1, max_size=8)))
+def test_h_star_matches_oracle_counts(points):
+    # h*_j = sum_i (-1)^i C(m+1, i) L(j - i), L(k) counted by membership
+    Q = LatticePolytope(len(points[0]), points)
+    m = Q.dim
+    L = [1] + [lattice_point_count_oracle(Q, k) for k in range(1, m + 1)]
+    want = [sum((-1) ** i * math.comb(m + 1, i) * L[j - i]
+                for i in range(j + 1)) for j in range(m + 1)]
+    assert list(h_star(Q).coefficients) == want
+
+
 def test_contains_point_oracle():
     Q = simplex(2, 2)
     assert contains_point_oracle(Q, (1, 1))

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mindeg.errors import InconsistentModel
@@ -12,8 +13,8 @@ from mindeg.polytope import LatticePolytope, simplex
 from mindeg.variety import (QuadraticForm, VarietyModel, epsilon,
                             is_minimal_degree, scroll_model,
                             segre_veronese_model, toric_model,
-                            veronese_cone_model, veronese_model,
-                            veronese_reembedding)
+                            toric_model_from_points, veronese_cone_model,
+                            veronese_model, veronese_reembedding)
 
 F = Fraction
 
@@ -103,6 +104,23 @@ def test_toric_sparse_support():
     assert (m.n, m.m, m.e) == (3, 2, 1)
     assert m.dim_r2 == 10 and m.i2_count == 0
     assert epsilon(m) == 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_toric_sums_match_numpy_unique(seed):
+    # the pairwise sums, deduplicated by sorting, against np.unique on
+    # every ordered pair; the exponents repeat and go negative
+    rng = np.random.Generator(np.random.Philox(seed))
+    width = int(rng.integers(1, 5))
+    pts = rng.integers(-3, 4, size=(int(rng.integers(2, 30)), width))
+    exps = [tuple(int(c) for c in p) for p in pts]
+    exps += exps[:len(exps) // 2]
+    arr = np.array(sorted(set(exps)))
+    sums = (arr[:, None, :] + arr[None, :, :]).reshape(-1, width)
+    want = [tuple(int(c) for c in row) for row in np.unique(sums, axis=0)]
+    model = toric_model_from_points("t", exps, 0)
+    assert model.r2_basis == want
+    assert model.r1_basis == sorted(set(exps))
 
 
 def test_pair_count_identity():
