@@ -20,8 +20,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DegeneratePosition, InconsistentModel
-from .numerics import (exact_rank, is_positive_definite, nullspace,
-                       solve_exact, to_float)
+from .numerics import (_integer_row, exact_rank, is_positive_definite,
+                       nullspace, solve_exact, to_float)
 from .variety import QuadraticForm, VarietyModel, _pair_index_map
 
 # added to the shifted moment matrix's smallest eigenvalue, well above the
@@ -121,12 +121,18 @@ class GramSlice:
 
     def moment_matrix(self, values):
         """Exact sigma-transpose image of a rational functional:
-        M[i][j] = l(x_i x_j)."""
+        M[i][j] = l(x_i x_j). A pair that is a basis monomial s (column
+        {s: 1}) reads l(s) itself; only reduced pairs sum Fractions."""
         nvars = self.model.n + 1
-        M = [[Fraction(0)] * nvars for _ in range(nvars)]
+        M = [[None] * nvars for _ in range(nvars)]
         for (i, j), col in zip(self.pairs, self._columns):
-            M[i][j] = M[j][i] = sum(
-                (values[s] * coeff for s, coeff in col.items()), Fraction(0))
+            (s, coeff), *rest = col.items()
+            if not rest and coeff == 1:
+                m = values[s]
+            else:
+                m = sum((values[s] * coeff for s, coeff in col.items()),
+                        Fraction(0))
+            M[i][j] = M[j][i] = m
         return M
 
 
@@ -486,17 +492,18 @@ def interpolant_through_points(model: VarietyModel, points, targets):
 
 def pair_with_square(functional: DualFunctional, g,
                      gram_slice: GramSlice | None = None):
-    """Exact value l(g^2) via the moment matrix quadratic form."""
+    """Exact value l(g^2) via the moment matrix quadratic form, summed over
+    ints: g and the functional's values are cleared to integers and the
+    sum is divided once by the common denominator."""
     M = functional.moment_matrix(gram_slice)
     g = [Fraction(c) for c in g]
-    total = Fraction(0)
-    for i, gi in enumerate(g):
-        if gi == 0:
-            continue
-        for j, gj in enumerate(g):
-            if gj != 0:
-                total += gi * gj * M[i][j]
-    return total
+    gden = math.lcm(*(c.denominator for c in g))
+    gi = [(i, c.numerator * (gden // c.denominator))
+          for i, c in enumerate(g) if c]
+    terms = [(a * b, M[i][j]) for i, a in gi for j, b in gi]
+    mden = math.lcm(*(m.denominator for _, m in terms))
+    total = sum(ab * m.numerator * (mden // m.denominator) for ab, m in terms)
+    return Fraction(total, gden * gden * mden)
 
 
 def kernel_dimension(functional: DualFunctional,
@@ -507,14 +514,35 @@ def kernel_dimension(functional: DualFunctional,
 
 
 def extremality_check(functional: DualFunctional,
-                      gram_slice: GramSlice | None = None):
+                      gram_slice: GramSlice | None = None, kernel=None):
     """Whether the functional spans an extremal ray of the dual cone of
     sums of squares: the space of functionals whose moment matrix kills
-    Ker(M) must be one-dimensional. Returns (extremal, that dimension).
-    Ker(M) comes from an exact nullspace; the dimension is dim R_2 minus
-    the exact rank of the linear conditions M(l) k = 0, k in Ker(M)."""
+    Ker(M) must be one-dimensional. Returns (extremal, that dimension),
+    which is dim R_2 minus the exact rank of the linear conditions
+    M(l) k = 0, k in a basis of Ker(M).
+
+    The basis is an exact nullspace of M unless kernel gives one: a list of
+    vectors, checked exactly to lie in Ker(M) (M k = 0 over the integer
+    rows of M), to be independent and to number len(M) - rank(M). A kernel
+    that fails a check raises InconsistentModel. Any basis of Ker(M) gives
+    the same conditions, and a basis with small entries is cheaper to
+    eliminate than the reduced one."""
     gs = gram_slice if gram_slice is not None else GramSlice(functional.model)
-    kern = nullspace(functional.moment_matrix(gs))
+    M = functional.moment_matrix(gs)
+    if kernel is None:
+        kern = nullspace(M)
+    else:
+        if any(len(k) != len(M) for k in kernel):
+            raise InconsistentModel("kernel vector of the wrong length")
+        kern = [_integer_row(k) for k in kernel]
+        int_rows = [_integer_row(r) for r in M]
+        if any(sum(a * b for a, b in zip(r, k)) for k in kern
+               for r in int_rows):
+            raise InconsistentModel("kernel vector outside Ker M")
+        if exact_rank(kern) != len(kern):
+            raise InconsistentModel("kernel vectors are dependent")
+        if len(kern) != len(M) - exact_rank(M):
+            raise InconsistentModel("kernel vectors do not span Ker M")
     if not kern:
         return False, 0
     nvars = functional.model.n + 1
@@ -524,7 +552,7 @@ def extremality_check(functional: DualFunctional,
         support = [(j, kj) for j, kj in enumerate(k) if kj != 0]
         for i in range(nvars):
             # (M(l) k)_i = sum_j k_j l(x_i x_j), linear in l's values
-            row = [Fraction(0)] * dim_r2
+            row = [0] * dim_r2
             for j, kj in support:
                 col = gs._columns[gs.pair_index[(i, j) if i <= j else (j, i)]]
                 for s, coeff in col.items():

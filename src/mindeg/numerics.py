@@ -72,6 +72,17 @@ def _echelon(rows):
     return mat, pivots
 
 
+def _back_substitute(mat, pivots):
+    """The echelon rows reduced from the last pivot upward, so every pivot
+    column is zero outside its own row; rows stay primitive integers."""
+    for k in reversed(range(len(mat))):
+        c = pivots[k]
+        for i in range(k):
+            if mat[i][c]:
+                mat[i] = _eliminate(mat[i], mat[k], c)
+    return mat
+
+
 def rref(rows):
     """Reduced row echelon form over the rationals.
 
@@ -84,11 +95,7 @@ def rref(rows):
     computed over Fractions.
     """
     mat, pivots = _echelon(rows)
-    for k in reversed(range(len(mat))):
-        c = pivots[k]
-        for i in range(k):
-            if mat[i][c]:
-                mat[i] = _eliminate(mat[i], mat[k], c)
+    _back_substitute(mat, pivots)
     return [[Fraction(x, row[c]) for x in row]
             for row, c in zip(mat, pivots)], pivots
 
@@ -98,27 +105,31 @@ def exact_rank(rows) -> int:
 
 
 def nullspace(rows, ncols=None):
-    """Basis of {v : A v = 0}, exact. Rows may be empty (then ncols required)."""
+    """Basis of {v : A v = 0}, exact. Rows may be empty (then ncols required).
+
+    One vector per free column fc of the reduced row echelon form: 1 at fc,
+    -r[fc] / r[pc] at the pivot column pc of each back-substituted integer
+    row r, 0 elsewhere. Only the nonzero pivot-column entries become new
+    Fractions; the basis equals the one read off the Fraction RREF."""
     rows = list(rows)
     if not rows:
         if ncols is None:
             raise ValueError("ncols required for an empty row list")
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
+    else:
+        ncols = len(rows[0])
+    mat, pivots = _echelon(rows)
+    _back_substitute(mat, pivots)
     pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
+    zero, one = Fraction(0), Fraction(1)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in zip(red, pivots):
-            v[pc] = -r[fc]
+    for fc in range(ncols):
+        if fc in pivset:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for r, pc in zip(mat, pivots):
+            if r[fc]:
+                v[pc] = Fraction(-r[fc], r[pc])
         basis.append(v)
     return basis
 
@@ -158,14 +169,26 @@ def is_positive_definite(rows) -> bool:
     return True
 
 
+def residues(rows, vectors):
+    """Each vector reduced modulo the row span of `rows` by their echelon
+    form: a primitive integer vector, zero at every pivot column and zero
+    exactly when the vector lies in the span. It is a nonzero multiple of
+    the reduction by the Fraction RREF, the unique such vector in v + span.
+    """
+    mat, pivots = _echelon(rows)
+    out = []
+    for v in vectors:
+        v = _integer_row(v)
+        for prow, c in zip(mat, pivots):
+            if v[c]:
+                v = _eliminate(v, prow, c)
+        out.append(v)
+    return out
+
+
 def in_row_span(rows, v) -> bool:
-    """Exact membership of v in the row span of `rows`: v reduced by the
-    echelon form of the rows is zero."""
-    v = _integer_row(v)
-    for prow, c in zip(*_echelon(rows)):
-        if v[c]:
-            v = _eliminate(v, prow, c)
-    return not any(v)
+    """Exact membership of v in the row span of `rows`."""
+    return not any(residues(rows, [v])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -99,15 +99,18 @@ class VarietyModel:
     # -- canonical representation of x_i x_j over the R_2 basis --
 
     def pair_vector(self, i, j):
-        """Sparse map basis_index -> Fraction representing x_i x_j in R_2."""
+        """Sparse map basis_index -> coefficient representing x_i x_j in
+        R_2. A pair that is itself a basis monomial (every pair of a toric
+        model) maps to {its index: 1} with the int 1; a reduced pair of a
+        determinantal model keeps the Fractions of its relation."""
         if i > j:
             i, j = j, i
         if self.is_toric:
             s = tuple(a + b for a, b in zip(self.r1_basis[i], self.r1_basis[j]))
-            return {self._sum_index[s]: Fraction(1)}
+            return {self._sum_index[s]: 1}
         if (i, j) in self._pair_reduce:
             return dict(self._pair_reduce[(i, j)])
-        return {self._free_index[(i, j)]: Fraction(1)}
+        return {self._free_index[(i, j)]: 1}
 
     def i2_pairs(self):
         """Toric quadric relations as pairs of monomial pairs: each entry

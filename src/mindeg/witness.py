@@ -39,7 +39,6 @@ from .cones import (
     _normalized_on_variety,
     extremality_check,
     interpolant_through_points,
-    kernel_dimension,
     moment_psd,
     pair_with_square,
 )
@@ -53,7 +52,7 @@ from .errors import (
     RetryExhausted,
 )
 from .numerics import (exact_rank, in_row_span, is_positive_definite,
-                       nullspace, rref, solve_exact)
+                       nullspace, residues, rref, solve_exact)
 from .variety import QuadraticForm, veronese_model
 
 # sphere samples per block of power tables in _SphereSamples
@@ -136,12 +135,12 @@ def _poly_mul(p, q):
     for ea, ca in p.items():
         for eb, cb in q.items():
             key = tuple(i + j for i, j in zip(ea, eb))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
+            out[key] = out.get(key, 0) + ca * cb
     return {k: v for k, v in out.items() if v != 0}
 
 
 def _poly_to_vector(p, exps, deg):
-    vec = [Fraction(0)] * len(exps)
+    vec = [0] * len(exps)
     index = {e: i for i, e in enumerate(exps)}
     for (a, b, e), c in p.items():
         if a + b + e != deg:
@@ -150,17 +149,22 @@ def _poly_to_vector(p, exps, deg):
     return vec
 
 
+def _integral(c):
+    """c as an int when it is an integer, else as a Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _vector_to_poly(vec, exps, deg):
-    return {(a, b, deg - a - b): Fraction(c)
+    return {(a, b, deg - a - b): _integral(c)
             for (a, b), c in zip(exps, vec) if c != 0}
 
 
 def _line_product(lines):
-    prod = {(0, 0, 0): Fraction(1)}
+    prod = {(0, 0, 0): 1}
     for (a, b, c) in lines:
-        prod = _poly_mul(prod, {(1, 0, 0): Fraction(a),
-                                (0, 1, 0): Fraction(b),
-                                (0, 0, 1): Fraction(c)})
+        prod = _poly_mul(prod, {(1, 0, 0): int(a), (0, 1, 0): int(b),
+                                (0, 0, 1): int(c)})
     return prod
 
 
@@ -258,10 +262,11 @@ def fit_h0(points, selected, seed, h_forms=None, max_draws=64):
                 for j in range(len(exps))]
         if all(v == 0 for v in cand):
             continue
+        cand = list(_primitive(cand))
         vals = [sum(a * b for a, b in zip(cand, img))
                 for img in unselected_images]
         if all(v != 0 for v in vals):
-            h0 = [Fraction(v) for v in _primitive(cand)]
+            h0 = cand
             break
     if h0 is None:
         raise RetryExhausted(
@@ -315,23 +320,15 @@ def build_f(points, selected, prods):
         raise DegenerateSpan(
             "quotient dimension %d is degenerate (deficiency %d)"
             % (quotient, eps))
-    reduced, pivots = rref(prods)
-    f = None
-    for v in ns:
-        w = list(v)
-        for row, pc in zip(reduced, pivots):
-            if w[pc] != 0:
-                c = w[pc]
-                w = [a - c * b for a, b in zip(w, row)]
-        if any(c != 0 for c in w):
-            f = [Fraction(c) for c in _primitive(w)]
-            break
+    f = next((w for w in residues(prods, ns) if any(w)), None)
     if f is None:
         raise EmptyComplement("nullspace basis reduced to zero")
+    f = _primitive(f)
     if any(sum(c * v for c, v in zip(f, row)) != 0 for row in rows):
         raise InconsistentModel("f fails to doubly vanish at a point")
-    return f, {"nullspace_dim": len(ns), "products_rank": rp,
-               "quotient_dim": quotient}
+    return [Fraction(c) for c in f], {"nullspace_dim": len(ns),
+                                      "products_rank": rp,
+                                      "quotient_dim": quotient}
 
 
 def _quadratic_deficiency(d):
@@ -661,12 +658,13 @@ def witness_report_from_json(blob):
 
 
 def certify_not_sos(report: WitnessReport) -> bool:
-    """Exact re-verification that the witness is not a sum of squares for
-    any positive delta: (a) the degree-d forms vanishing at the selected
-    points are exactly span{h0, h1, h2}; (b) f vanishes at the selected
-    points but lies outside span{h_i h_j}. Any square decomposition of the
-    witness would force its squares into the span from (a), contradicting
-    (b). Returns False instead of raising on an invalid report."""
+    """Exact re-verification that the witness is not a sum of squares:
+    (a) the degree-d forms vanishing at the selected points are exactly
+    span{h0, h1, h2}; (b) f vanishes at the selected points but lies
+    outside span{h_i h_j}; (c) the witness is delta f + h0^2 + h1^2 + h2^2
+    with delta > 0. Any square decomposition of the witness would force its
+    squares into the span from (a), contradicting (b). Returns False
+    instead of raising on an invalid report."""
     try:
         d = report.d
         exps = _monomials(d)
@@ -677,18 +675,24 @@ def certify_not_sos(report: WitnessReport) -> bool:
         if len(vanishing) != 3:
             return False
         hs = report.h_vectors
-        if len(hs) != 3:
+        if len(hs) != 3 or any(len(h) != len(exps) for h in hs):
             return False
-        for h in hs:
-            if not in_row_span(vanishing, h):
-                return False
-        if exact_rank(list(hs)) != 3:
+        if any(any(r) for r in residues(vanishing, hs)) \
+                or exact_rank(hs) != 3:
             return False
         prods = _square_products([_vector_to_poly(h, exps, d) for h in hs],
                                  d)
-        f = list(report.f.coefficients)
-        if all(c == 0 for c in f):
+        f = [Fraction(c) for c in report.f.coefficients]
+        if len(f) != len(exps2) or all(c == 0 for c in f):
             return False
+        delta = Fraction(report.delta)
+        # prods[0], prods[3], prods[5] are h0^2, h1^2, h2^2
+        if delta <= 0 or list(report.witness.coefficients) != [
+                delta * c + a + b + e
+                for c, a, b, e in zip(f, prods[0], prods[3], prods[5])]:
+            return False
+        den = math.lcm(*(c.denominator for c in f))
+        f = [c.numerator * (den // c.denominator) for c in f]
         rp = exact_rank(prods)
         if exact_rank(prods + [f]) != rp + 1:
             return False
@@ -697,7 +701,7 @@ def certify_not_sos(report: WitnessReport) -> bool:
             if sum(c * v for c, v in zip(f, img2)) != 0:
                 return False
         return True
-    except (ValueError, IndexError, KeyError, TypeError):
+    except (AttributeError, ValueError, IndexError, KeyError, TypeError):
         return False
 
 
@@ -780,8 +784,8 @@ def certify_dual(report: WitnessReport) -> bool:
         witness = QuadraticForm(model, list(report.witness.coefficients))
         return (fn.apply(witness) < 0
                 and is_positive_definite(fn.moment_matrix()))
-    except (MindegError, ValueError, IndexError, KeyError, TypeError,
-            ZeroDivisionError):
+    except (MindegError, AttributeError, ValueError, IndexError, KeyError,
+            TypeError, ZeroDivisionError):
         return False
 
 
@@ -815,8 +819,11 @@ def _attach_functional(model, gs, report, max_subsets=60):
         if pairing != 0:
             raise InconsistentModel(
                 "functional fails to annihilate g^2 + h1^2 + h2^2")
-        kd = kernel_dimension(fn, gs)
-        extremal, pdim = extremality_check(fn, gs)
+        # g, h1 and h2 lie in Ker M by the pairing; extremality_check
+        # verifies exactly that they are a basis of it
+        kernel = [g] + list(report.h_vectors[1:])
+        extremal, pdim = extremality_check(fn, gs, kernel=kernel)
+        kd = len(kernel)
         if extremal and kd != model.m + 1:
             raise InconsistentModel(
                 "extremal functional kernel dimension %d != m+1" % kd)

@@ -9,6 +9,7 @@ from mindeg.cones import (
     DualFunctional,
     GramSlice,
     _basis_rep_pairs,
+    _sup_normalize,
     extremality_check,
     interpolant_through_points,
     kernel_dimension,
@@ -23,6 +24,7 @@ from mindeg.numerics import nullspace
 from mindeg.polytope import LatticePolytope, simplex
 from mindeg.variety import (
     QuadraticForm,
+    VarietyModel,
     _pair_index_map,
     epsilon,
     scroll_model,
@@ -30,7 +32,7 @@ from mindeg.variety import (
     toric_model_from_points,
     veronese_model,
 )
-from mindeg.witness import hilbert_witness
+from mindeg.witness import _veronese_image, hilbert_witness
 
 
 @pytest.fixture(scope="module")
@@ -247,8 +249,12 @@ def _dyadic_gram(C):
 
 
 @pytest.mark.parametrize(
-    "build", [m[1] for m in SOS_MODELS] + [lambda: veronese_model(2, 5)],
-    ids=[m[0] for m in SOS_MODELS] + ["veronese(2,5)"])
+    "build", [m[1] for m in SOS_MODELS] + [
+        lambda: veronese_model(2, 5),
+        # x0 x2 reduces to 2 x1^2: a one-term column whose coefficient is 2
+        lambda: VarietyModel("conic", 1, ["x0", "x1", "x2"],
+                             relations=[{(0, 2): 1, (1, 1): -2}])],
+    ids=[m[0] for m in SOS_MODELS] + ["veronese(2,5)", "conic"])
 def test_interior_functional_is_exactly_positive_definite(build):
     gs = GramSlice(build())
     found = gs.interior_functional
@@ -257,6 +263,8 @@ def test_interior_functional_is_exactly_positive_definite(build):
     assert lam0 > 0
     M = _moment_from_sigma(gs, [F(v) for v in ell0.tolist()])
     assert _exactly_positive_definite(M)
+    # the sparse moment matrix, on toric and determinantal models alike
+    assert gs.moment_matrix([F(v) for v in ell0.tolist()]) == M
 
 
 @pytest.mark.parametrize("label,build,param_exps", SOS_MODELS,
@@ -494,10 +502,30 @@ def test_extremality_check_matches_dense_reference(d, quartic_gap):
             _extremality_dense_reference(fn, gs)
         assert kernel_dimension(fn, gs) == _kernel_dimension_reference(fn, gs)
     # the witness pipeline's functional at seed 11
-    fn = hilbert_witness(d, seed=11).functional
-    assert extremality_check(fn, gs) == _extremality_dense_reference(fn, gs) \
+    rep = hilbert_witness(d, seed=11)
+    fn = rep.functional
+    expected = _extremality_dense_reference(fn, gs)
+    assert extremality_check(fn, gs) == expected \
         == {3: (True, 1), 4: (False, 3)}[d]
     assert kernel_dimension(fn, gs) == _kernel_dimension_reference(fn, gs) == 3
+    # the kernel basis the construction gives: the interpolant g, h1, h2
+    info = rep.functional_info
+    pts = [_sup_normalize(_veronese_image(rep.points[i], d, model.r1_basis))
+           for i in info["point_indices"]]
+    g = interpolant_through_points(
+        model, pts[:-1],
+        [lam / kap for lam, kap in zip(info["lambdas"], info["kappas"])])
+    h1, h2 = rep.h_vectors[1:]
+    assert extremality_check(fn, gs, kernel=[g, h1, h2]) == expected
+    mixed = [[a + b for a, b in zip(g, h1)], [3 * c for c in h2], g]
+    assert extremality_check(fn, gs, kernel=mixed) == expected
+    M = fn.moment_matrix(gs)
+    i = max(range(len(M)), key=lambda k: M[k][k])
+    outside = [int(k == i) for k in range(len(M))]
+    for bad in ([g, h1, outside], [g, h1, h1], [g, h1],
+                [g, h1, list(h2) + [0]]):
+        with pytest.raises(InconsistentModel):
+            extremality_check(fn, gs, kernel=bad)
     model, gs = quartic_gap
     for fn in (separating_functional_real(model, QUARTIC_POINTS)[0],
                separating_functional_complex(model, COMPLEX_REAL_PTS,

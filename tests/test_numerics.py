@@ -131,7 +131,19 @@ def test_rref_matches_fraction_reference(rows):
     assert reduced == ref_reduced
     assert all(type(e) is Fraction for r in reduced for e in r)
     assert exact_rank(rows) == len(ref_reduced)
+    # the nullspace basis read off the Fraction RREF, vector for vector
     if rows:
+        ncols = len(rows[0])
+        ref_null = []
+        for fc in (c for c in range(ncols) if c not in ref_pivots):
+            v = [F(0)] * ncols
+            v[fc] = F(1)
+            for r, pc in zip(ref_reduced, ref_pivots):
+                v[pc] = -r[fc]
+            ref_null.append(v)
+        null = nullspace(rows)
+        assert null == ref_null
+        assert all(type(e) is Fraction for v in null for e in v)
         assert in_row_span(rows, rows[-1])
         # a unit vector at a non-pivot column: every row-span vector that
         # is zero at all pivot columns is zero

@@ -427,18 +427,34 @@ def test_classification_report_json():
                         "density_criterion", "pos_equals_sos"}
 
 
-def test_polytope_json_roundtrip():
-    Q = reeve_simplex(5)
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * r), min_size=1, max_size=8)))
+@example(list(reeve_simplex(5).vertices))
+def test_polytope_json_roundtrip(points):
+    Q = LatticePolytope(len(points[0]), points)
     s = json.dumps(Q.to_json(), sort_keys=True, separators=(",", ":"))
     Q2 = LatticePolytope.from_json(json.loads(s))
-    assert Q2 == Q
+    assert Q2 == Q and Q2.dim == Q.dim
     assert json.dumps(Q2.to_json(), sort_keys=True, separators=(",", ":")) == s
 
 
-def test_sparse_polynomial_json_roundtrip():
-    f = SparsePolynomial({(1, 0): F(1, 2), (0, 1): F(-3)})
-    g = SparsePolynomial.from_json(f.to_json())
+_COEFFS = st.one_of(
+    st.integers(-2 ** 80, 2 ** 80),
+    st.builds(F, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 120)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.dictionaries(
+    st.tuples(*[st.integers(-4, 4)] * r), _COEFFS, max_size=6)))
+@example({(1, 0): F(1, 2), (0, 1): F(-3)})
+def test_sparse_polynomial_json_roundtrip(terms):
+    f = SparsePolynomial(terms)
+    s = json.dumps(f.to_json())
+    g = SparsePolynomial.from_json(json.loads(s))
     assert g.terms == f.terms
+    assert all(type(c) is F for c in g.terms.values())
+    assert json.dumps(g.to_json()) == s
 
 
 def test_sparse_polynomial_drops_zeros():

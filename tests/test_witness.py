@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mindeg.witness
 from mindeg.cones import DualFunctional, GramSlice
@@ -23,6 +25,8 @@ from mindeg.witness import (
     _default_selection,
     _double_vanishing_rows,
     _dual_parts,
+    _frac_from_json,
+    _frac_json,
     _line_product,
     _monomials,
     _poly_mul,
@@ -500,6 +504,20 @@ def test_report_json_roundtrip(report):
     assert certify_not_sos(back) is True
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(
+    st.integers(-2 ** 300, 2 ** 300),
+    st.fractions(),
+    st.builds(F, st.integers(-2 ** 300, 2 ** 300),
+              st.integers(1, 2 ** 300))))
+def test_frac_json_roundtrip(v):
+    blob = json.loads(json.dumps(_frac_json(v)))
+    assert set(blob) == {"num", "den"} and int(blob["den"]) > 0
+    back = _frac_from_json(blob)
+    assert type(back) is F and back == v
+    assert _frac_json(back) == blob
+
+
 def test_certify_rejects_tampered_reports(report):
     model = veronese_model(2, 3)
     exps = _monomials(3)
@@ -513,6 +531,19 @@ def test_certify_rejects_tampered_reports(report):
     assert certify_not_sos(short) is False
     zero = replace(report, f=QuadraticForm(model, [F(0)] * 28))
     assert certify_not_sos(zero) is False
+    # the witness must be delta f + sum h_i^2, with delta > 0
+    assert certify_not_sos(replace(
+        report, witness=QuadraticForm(model, h0_sq))) is False
+    longer = replace(report, h_vectors=[list(h) + [F(5)]
+                                        for h in report.h_vectors])
+    assert certify_not_sos(longer) is False
+    h_polys = [_vector_to_poly(h, exps, 3) for h in report.h_vectors]
+    squares = [_poly_to_vector(_poly_mul(h, h), exps2, 6) for h in h_polys]
+    sum_sq = [a + b + c for a, b, c in zip(*squares)]
+    assert certify_not_sos(replace(
+        report, delta=F(0), witness=QuadraticForm(model, sum_sq))) is False
+    assert certify_not_sos(replace(report, witness=None)) is False
+    assert certify_not_sos(report) is True
 
 
 def test_delta_halving_stays_accepted(report):
@@ -633,3 +664,4 @@ def test_certify_dual_rejects_tampered_reports(report):
     assert certify_dual(replace(report, witness=h0_sq)) is False
     assert certify_dual(with_values(good["values"][:-1])) is False
     assert certify_dual(replace(report, sos=None)) is False
+    assert certify_dual(replace(report, witness=None)) is False
