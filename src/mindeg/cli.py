@@ -73,9 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("density", "sublattice index and real-point density")
     add("amgm", "nonnegative witness outside the SOS cone, when one exists")
     add("epsilon", "quadratic deficiency of a model or polytope")
-    p = add("sos-check", "Gram feasibility of a quadratic form on a model")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="PSD tolerance for the certificate (default 1e-8)")
+    add("sos-check", "Gram feasibility of a quadratic form on a model")
     p = add("witness", "nonnegative-not-SOS pipeline on a plane Veronese",
             needs_input=False)
     p.add_argument("--d", type=int, default=3, help="Veronese degree "
@@ -196,7 +194,7 @@ def _cmd_sos_check(args):
         form = QuadraticForm(model, coeffs)
     except InconsistentModel as ex:
         raise UsageError(str(ex))
-    res = sos_check(form, psd_tol=args.tol)
+    res = sos_check(form)
     return {"model": model.name, "dim_r2": model.dim_r2,
             "result": res.to_json()}
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotFullDimensional
-from .numerics import (exact_rank, lattice_index, nullspace, rref,
-                       saturation_chart, solve_exact)
+from .errors import DimensionMismatch, InconsistentModel, NotFullDimensional
+from .numerics import (exact_rank, lattice_index, nullspace, saturation_chart,
+                       solve_exact)
 
 DENSE = "Dense"
 NOT_DENSE = "NotDense"
@@ -433,9 +433,7 @@ def amgm_witness(Q: LatticePolytope):
     if combo is None:
         raise ValueError("no convex combination found; u outside 2Q?")
     subset, sol = combo
-    lcm = 1
-    for c in sol:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in sol))
     r = [int(c * lcm) for c in sol]
     terms = {}
     for i, ri in zip(subset, r):
@@ -524,13 +522,10 @@ def contains_point_oracle(Q: LatticePolytope, p, k: int = 1) -> bool:
                 for i in range(Q.dim)]
         rows.append([Fraction(1)] * len(proj))
         rhs = [Fraction(c) for c in x] + [Fraction(1)]
+        # simplices are affinely independent, so sol is never None
         sol = solve_exact(rows, rhs)
-        if sol is not None and all(c >= 0 for c in sol):
+        if all(c >= 0 for c in sol):
             return True
-        if sol is None:
-            # degenerate simplex coordinates cannot happen: simplices are
-            # affinely independent by construction
-            continue
     return False
 
 
@@ -631,99 +626,35 @@ def cayley_polytope_of_segments(degrees) -> LatticePolytope:
     return LatticePolytope(m, verts)
 
 
-def _affine_equivalence(target: LatticePolytope, Q: LatticePolytope):
-    """An exact affine unimodular map T(x) = A x + t with T(target) = Q,
-    verified on all lattice points, or None. Both must be of the same
-    dimension, the target full-dimensional in its own coordinates. The map
-    is returned in ambient coordinates: `matrix` (ambient_rank x dim) and
-    `translation` send each target point to its image in Q's lattice."""
-    m = Q.dim
-    if target.dim != m or len(target.vertices) != len(Q.vertices):
-        return None
-    tv = [target._proj(v) for v in target.vertices]
-    qv = [Q._proj(v) for v in Q.vertices]
-    # fixed affinely independent anchor in the target
-    anchor = None
-    for subset in itertools.combinations(range(len(tv)), m + 1):
-        diffs = [[tv[i][j] - tv[subset[0]][j] for j in range(m)] for i in subset[1:]]
-        if exact_rank(diffs) == m:
-            anchor = subset
-            break
-    if anchor is None:
-        return None
-    t_pts = [tv[i] for i in anchor]
-    # rows of T are the anchor differences; one inversion serves every
-    # image, kept as the integer matrix N = D T^-1
-    T = [[p[j] - t_pts[0][j] for j in range(m)] for p in t_pts[1:]]
-    red, _ = rref([row + [int(i == j) for j in range(m)]
-                   for i, row in enumerate(T)])
-    D = math.lcm(*(x.denominator for row in red for x in row[m:]))
-    N = [[int(x * D) for x in row[m:]] for row in red]
-    t_lats = sorted(target._proj(p) for p in lattice_points(target, 1))
-    q_lats = sorted(Q._proj(p) for p in lattice_points(Q, 1))
-    if len(t_lats) != len(q_lats):
-        return None
-    q_set = set(map(tuple, qv))
-    for image in itertools.permutations(range(len(qv)), m + 1):
-        q_pts = [qv[i] for i in image]
-        q_diff = [[p[j] - q_pts[0][j] for j in range(m)] for p in q_pts[1:]]
-        # A T^T = q_diff^T, so D A = q_diff^T N^T; A must be integral
-        AD = [[sum(q_diff[k][i] * N[j][k] for k in range(m))
-               for j in range(m)] for i in range(m)]
-        if any(x % D for row in AD for x in row):
-            continue
-        A = [[x // D for x in row] for row in AD]
-        try:
-            if lattice_index(A) != 1:
-                continue
-        except ValueError:  # singular A
-            continue
-        t = [q_pts[0][i] - _dot(A[i], t_pts[0]) for i in range(m)]
-
-        def apply(p):
-            return tuple(_dot(A[i], p) + t[i] for i in range(m))
-
-        if {apply(p) for p in tv} != q_set:
-            continue
-        if sorted(apply(p) for p in t_lats) != q_lats:
-            continue
-        # chart to ambient: q = base_Q + x B and x = A (p - base_T) + t
-        B = Q._sat_basis
-        shift = [t[i] - _dot(A[i], target._base) for i in range(m)]
-        return {"matrix": [[_dot(col, [row[j] for row in A])
-                            for j in range(m)] for col in zip(*B)],
-                "translation": [b + _dot(col, shift)
-                                for b, col in zip(Q._base, zip(*B))]}
-    return None
-
-
 def classify(Q: LatticePolytope) -> ClassificationReport:
-    """Full report: h*_2, 2-normality, degree, family recognition (exact
-    affine unimodular equivalence for m <= 4), density, and the
-    equality-vs-strict-containment verdict."""
-    m = Q.dim
+    """Full report: h*_2, 2-normality, degree, family, density, and the
+    equality-vs-strict-containment verdict.
+
+    Every polytope of dimension >= 1 and degree <= 1 is named, in every
+    dimension: by Batyrev & Nill ("Multiples of lattice polytopes without
+    interior lattice points", Mosc. Math. J. 2007) it is a Cayley polytope
+    of segments (a Lawrence prism) or the pyramid over twice the unimodular
+    triangle, and model_map is an exactly verified map from that family
+    member onto Q. A polytope with symmetries has several such maps; the
+    one returned is deterministic but not unique."""
     hs = h_star(Q)
     h2_zero = hs.h2 == 0
     two_normal = is_k_normal(Q, 2)[0]
     pdeg = polytope_degree(Q)
-    degree_one = pdeg <= 1
     density = real_density(Q)
     family = NOT_MINIMAL
     model_map = None
-    if h2_zero and two_normal:
+    if Q.dim >= 1 and pdeg <= 1:
+        model_map = _recognize_family(Q)
+        family = model_map["family"]
+    elif h2_zero and two_normal:
         family = IMAGE_OF_MODEL
-        if m <= 4:
-            normal = all(is_k_normal(Q, k)[0] for k in range(2, max(2, m)))
-            if normal:
-                found = _recognize_family(Q, hs)
-                if found is not None:
-                    family, model_map = found
     pos = "Equal" if (h2_zero and density == DENSE) else "NotEqual"
     return ClassificationReport(
         h2_zero=h2_zero,
         two_normal=two_normal,
         polytope_degree=pdeg,
-        degree_one=degree_one,
+        degree_one=pdeg <= 1,
         family=family,
         model_map=model_map,
         density=density,
@@ -731,39 +662,103 @@ def classify(Q: LatticePolytope) -> ClassificationReport:
     )
 
 
-def _recognize_family(Q: LatticePolytope, hs: HStar):
+def _recognize_family(Q: LatticePolytope) -> dict:
+    """The model_map of a polytope of dimension >= 1 and degree <= 1: the
+    first candidate map of the prism test, then of the exceptional-simplex
+    test, that passes the exact check."""
+    for segments, cols, t in itertools.chain(_prism_maps(Q),
+                                             _exceptional_maps(Q)):
+        mp = _verified_map(Q, segments, cols, t)
+        if mp is not None:
+            return mp
+    raise InconsistentModel(
+        "degree <= 1 but neither a Cayley polytope of segments nor a "
+        "pyramid over twice a triangle: %r" % (Q.vertices,))
+
+
+def _prism_maps(Q: LatticePolytope):
+    """Candidate maps from cayley_polytope_of_segments(segments) into Q's
+    chart, as (segments, images of the unit vectors, image of 0). For each primitive direction u between two vertices, the
+    projection along u (the last dim - 1 coordinates of the chart
+    saturation_chart([u], m)) must send the vertices onto exactly m points.
+    Each fiber is then a point or a segment along u; sorted by length, the
+    lengths are the segments and the lower ends the images of the base
+    simplex. The exact check asks that these ends, with u, span the lattice."""
     m = Q.dim
-    s = hs.sum()
-    if m >= 2 and s == 4:
-        target = pyramid_over_twice_simplex(m)
-        mp = _affine_equivalence(target, Q)
-        if mp is not None:
-            mp["family"] = PYRAMID
-            return PYRAMID, mp
-    # Cayley candidates: sorted degree tuples with sum = normalized volume
-    for d in _partitions(s, m):
-        if max(d) < 1:
+    verts = Q.proj_vertices
+    seen = set()
+    for p, q in itertools.combinations(verts, 2):
+        d = [b - a for a, b in zip(p, q)]
+        g = math.gcd(*d)
+        u = tuple(x // g for x in d)  # first nonzero entry > 0: p < q
+        if u in seen:
             continue
-        target = cayley_polytope_of_segments(d)
-        mp = _affine_equivalence(target, Q)
-        if mp is not None:
-            mp["family"] = CAYLEY
-            mp["segments"] = list(d)
-            return CAYLEY, mp
-    return None
+        seen.add(u)
+        _, W, W_inv = saturation_chart([u], m)
+        fibers = {}
+        for v in verts:
+            c = [_dot(v, col) for col in zip(*W)]
+            fibers.setdefault(tuple(c[1:]), []).append((c[0], v))
+        if len(fibers) != m:
+            continue
+        ends = sorted((max(f)[0] - min(f)[0], min(f)[1])
+                      for f in fibers.values())
+        p0 = ends[0][1]
+        cols = [[a - b for a, b in zip(p, p0)] for _, p in ends[1:]]
+        cols.append(W_inv[0])
+        yield [h for h, _ in ends], cols, p0
 
 
-def _partitions(total, parts):
-    """Nondecreasing tuples of `parts` nonnegative ints summing to total."""
-    def rec(remaining, k, minimum):
-        if k == 0:
-            if remaining == 0:
-                yield ()
-            return
-        for first in range(minimum, remaining // k + 1):
-            for rest in rec(remaining - first, k - 1, first):
-                yield (first,) + rest
-    return list(rec(total, parts, 0))
+def _exceptional_maps(Q: LatticePolytope):
+    """Candidate maps from pyramid_over_twice_simplex(m) into Q's chart: a
+    simplex with a triangle (a, b, c) whose three edges have lattice length
+    2 sends 2e_1 and 2e_2 to b and c, and e_i to the other vertices."""
+    m = Q.dim
+    verts = Q.proj_vertices
+    if m < 2 or len(verts) != m + 1:
+        return
+    for tri in itertools.combinations(range(m + 1), 3):
+        a, b, c = (verts[i] for i in tri)
+        edges = [[y - x for x, y in zip(s, e)]
+                 for s, e in itertools.combinations((a, b, c), 2)]
+        if all(math.gcd(*e) == 2 for e in edges):
+            yield None, [[x // 2 for x in e] for e in edges[:2]] + [
+                [y - x for x, y in zip(a, v)]
+                for i, v in enumerate(verts) if i not in tri], a
+
+
+def _verified_map(Q: LatticePolytope, segments, cols, t):
+    """The model_map of x -> A x + t, A with columns cols, from the Cayley
+    polytope of the given segments (the pyramid over twice a triangle when
+    segments is None) into Q's chart, or None unless A is unimodular and the
+    map sends the family polytope's vertices and lattice points exactly onto
+    Q's. The map is returned in ambient coordinates: `matrix` (ambient_rank
+    x dim) and `translation`."""
+    try:
+        if lattice_index(cols) != 1:
+            return None
+    except ValueError:  # singular A
+        return None
+    if segments is None:
+        target = pyramid_over_twice_simplex(Q.dim)
+        mp = {"family": PYRAMID}
+    else:
+        target = cayley_polytope_of_segments(segments)
+        mp = {"family": CAYLEY, "segments": segments}
+    # chart to ambient: q = base_Q + x B with x = A p + t
+    B = list(zip(*Q._sat_basis))
+    mp["matrix"] = [[_dot(row, c) for c in cols] for row in B]
+    mp["translation"] = [b + _dot(row, t) for b, row in zip(Q._base, B)]
+
+    def apply(p):
+        return tuple(_dot(row, p) + s
+                     for row, s in zip(mp["matrix"], mp["translation"]))
+
+    if sorted(map(apply, target.vertices)) != list(Q.vertices) \
+            or sorted(map(apply, lattice_points(target, 1))) \
+            != sorted(lattice_points(Q, 1)):
+        return None
+    return mp
 
 
 # ---------------------------------------------------------------------------

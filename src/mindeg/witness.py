@@ -78,13 +78,9 @@ def _seed_seq(seed):
 def _primitive(vec):
     """Integer vector scaled primitively with first nonzero entry > 0."""
     fracs = [Fraction(v) for v in vec]
-    den = 1
-    for v in fracs:
-        den = den * v.denominator // math.gcd(den, v.denominator)
+    den = math.lcm(*(v.denominator for v in fracs))
     ints = [int(v * den) for v in fracs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+    g = math.gcd(*ints)
     if g == 0:
         raise DegeneratePosition("zero vector cannot be normalized")
     ints = [v // g for v in ints]

@@ -17,10 +17,10 @@ from mindeg.cones import (GramSlice, _basis_rep_pairs, extremality_check,
                           separating_functional_real, sos_check)
 from mindeg.errors import (DegeneratePosition, DegenerateSpan,
                            EmptyComplement, NoDeltaFound, RetryExhausted)
-from mindeg.polytope import (LatticePolytope, amgm_witness, h_star,
-                             higashitani_simplex, is_k_normal,
-                             lattice_points, polytope_degree, real_density,
-                             reeve_simplex, simplex)
+from mindeg.polytope import (CAYLEY, PYRAMID, LatticePolytope, amgm_witness,
+                             classify, h_star, higashitani_simplex,
+                             is_k_normal, lattice_points, polytope_degree,
+                             real_density, reeve_simplex, simplex)
 from mindeg.variety import (QuadraticForm, epsilon, is_minimal_degree,
                             scroll_model, segre_veronese_model, toric_model,
                             veronese_model)
@@ -106,7 +106,8 @@ def test_criterion_5_degree_one_equivalence(corpus):
             cond_b = (all(is_k_normal(Q, k)[0] for k in range(2, m))
                       and hs.h2 == 0)
             cond_c = all(hs.coefficients[j] == 0 for j in range(2, m + 1))
-            assert cond_a == cond_b == cond_c, Q.vertices
+            named = classify(Q).family in (CAYLEY, PYRAMID)
+            assert cond_a == cond_b == cond_c == named, Q.vertices
 
 
 def test_criterion_6_witness_pipeline():

@@ -176,6 +176,20 @@ def test_sos_check_certificate(capsys):
     assert rep["dim_r2"] == 5
 
 
+def test_sos_check_has_no_tolerance_flag(capsys):
+    # the form is negative everywhere; a loose PSD tolerance once passed it
+    # as a Certificate, so the flag is gone and the library default decides
+    model = veronese_model(1, 2)
+    blob = json.dumps({"model": model.to_json(), "coefficients": ["-1"] * 5})
+    for tol in ("inf", "1e9", "nan", "-1"):
+        code, out, err = run(capsys, ["sos-check", "--input", blob,
+                                      "--tol", tol])
+        assert code == 2 and out == "" and "--tol" in err
+    code, out, _ = run(capsys, ["sos-check", "--input", blob])
+    assert code == 0
+    assert json.loads(out)["result"]["status"] == "Infeasible"
+
+
 def test_sos_check_rejects_bad_count(capsys):
     model = veronese_model(1, 2)
     blob = json.dumps({"model": model.to_json(), "coefficients": ["1"]})
@@ -357,13 +371,14 @@ def test_polytope_json_rejects_non_integers(capsys, command, blob):
 
 
 def test_classify_single_point_exit_0(capsys):
-    # a zero-dimensional polytope has no Cayley partition to search
+    # recognition needs dimension >= 1: a point stays ImageOfModel
     point = json.dumps({"ambient_rank": 2, "vertices": [[3, 1]]})
     code, out, err = run(capsys, ["classify", "--input", point])
     assert code == 0 and err == ""
     rep = json.loads(out)
     assert rep["polytope"]["vertices"] == [[3, 1]]
     assert rep["classification"]["h2_zero"] is True
+    assert rep["classification"]["family"] == "ImageOfModel"
 
 
 _COORD = st.one_of(st.integers(-3, 3), st.integers(-3, 3),

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mindeg.errors import DimensionMismatch
-from mindeg.numerics import exact_rank, nullspace
+from mindeg.errors import DimensionMismatch, InconsistentModel
+from mindeg.numerics import exact_rank, lattice_index, nullspace, rref
 from mindeg.polytope import (CAYLEY, DENSE, IMAGE_OF_MODEL, NOT_DENSE,
                              NOT_MINIMAL, PYRAMID, HStar, LatticePolytope,
                              SparsePolynomial, amgm_witness,
@@ -21,7 +21,7 @@ from mindeg.polytope import (CAYLEY, DENSE, IMAGE_OF_MODEL, NOT_DENSE,
                              is_k_normal, k_normal_oracle,
                              lattice_point_count_oracle, lattice_points,
                              normalized_volume, polytope_degree,
-                             product_polytope,
+                             product_polytope, _recognize_family,
                              _supporting_hyperplanes,
                              pyramid_over_twice_simplex, real_density,
                              reeve_simplex, simplex, sublattice_index)
@@ -131,7 +131,7 @@ def test_embedded_chart():
     assert sublattice_index(Q) == 1
     r = classify(Q)
     assert r.family == PYRAMID
-    _assert_model_map(Q, r)
+    _assert_model_map(Q, r.model_map)
     # a primitive segment and a unit square on skew planes of Z^2 and Z^4
     for Q in [LatticePolytope(2, [(1, 1), (3, 4)]),
               LatticePolytope(4, [(1, 0, 2, 1), (2, 1, 2, 0), (0, 1, 3, 2),
@@ -139,7 +139,7 @@ def test_embedded_chart():
         assert Q.dim < Q.ambient_rank
         r = classify(Q)
         assert r.family == CAYLEY
-        _assert_model_map(Q, r)
+        _assert_model_map(Q, r.model_map)
 
 
 def test_skewed_chart_regressions():
@@ -162,13 +162,9 @@ def test_skewed_chart_regressions():
                                    for v in P.vertices]
 
 
-@st.composite
-def _pushed_polytope(draw):
-    """A polytope in Z^m (m <= 3, coordinates 0..3) and its image under
-    x -> (x, 0) U + t in Z^n, n in m..m+2, with U unimodular."""
-    m = draw(st.integers(1, 3))
-    pts = draw(st.lists(st.tuples(*[st.integers(0, 3)] * m),
-                        min_size=1, max_size=6))
+def _push(draw, m, pts):
+    """The image of points of Z^m under x -> (x, 0) U + t in Z^n, n in
+    m..m+2, with U unimodular."""
     n = m + draw(st.integers(0, 2))
     U = [[int(i == j) for j in range(n)] for i in range(n)]
     for i, j, q in draw(st.lists(st.tuples(st.integers(0, n - 1),
@@ -178,9 +174,18 @@ def _pushed_polytope(draw):
             U[i] = [a + q * b for a, b in zip(U[i], U[j])]
     U = [U[i] for i in draw(st.permutations(range(n)))]
     t = draw(st.tuples(*[st.integers(-3, 3)] * n))
-    image = [tuple(sum(x[i] * U[i][j] for i in range(m)) + t[j]
-                   for j in range(n)) for x in pts]
-    return LatticePolytope(m, pts), LatticePolytope(n, image)
+    return LatticePolytope(n, [tuple(sum(x[i] * U[i][j] for i in range(m))
+                                     + t[j] for j in range(n)) for x in pts])
+
+
+@st.composite
+def _pushed_polytope(draw):
+    """A polytope in Z^m (m <= 3, coordinates 0..3) and its image under a
+    unimodular push (`_push`)."""
+    m = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(0, 3)] * m),
+                        min_size=1, max_size=6))
+    return LatticePolytope(m, pts), _push(draw, m, pts)
 
 
 @settings(max_examples=150, deadline=None)
@@ -362,10 +367,9 @@ def test_amgm_reeve_exact():
         assert f.evaluate(z) >= 0
 
 
-def _assert_model_map(Q, r):
+def _assert_model_map(Q, mp):
     """model_map, applied in Q's ambient coordinates, sends the family
     polytope's vertices and lattice points exactly onto Q's."""
-    mp = r.model_map
     if mp["family"] == PYRAMID:
         target = pyramid_over_twice_simplex(Q.dim)
     else:
@@ -381,6 +385,12 @@ def _assert_model_map(Q, r):
         == lattice_points(Q, 1)
 
 
+def _sheared(Q):
+    """Q under the unimodular map x -> (x1 - 2 x3, x1 + x2, x3, x4, ...)."""
+    return LatticePolytope(Q.ambient_rank, [
+        (v[0] - 2 * v[2], v[1] + v[0]) + v[2:] for v in Q.vertices])
+
+
 def test_classification_families():
     r = classify(simplex(2, 2))
     assert r.family == PYRAMID and r.pos_equals_sos == "Equal"
@@ -394,10 +404,15 @@ def test_classification_families():
             (simplex(2, 1), CAYLEY),
             (LatticePolytope(2, [(0, 2), (1, 1), (3, 0)]), CAYLEY),
             (LatticePolytope(3, [(1, 0, -1), (1, 1, -1), (2, 0, 0),
-                                 (2, 1, -1), (3, 1, 0), (3, 1, 1)]), CAYLEY)]:
+                                 (2, 1, -1), (3, 1, 0), (3, 1, 1)]), CAYLEY),
+            # dimension 5, beyond the permutation search this replaced
+            (_sheared(pyramid_over_twice_simplex(5)), PYRAMID),
+            (_sheared(cayley_polytope_of_segments([1, 1, 1, 2, 2])), CAYLEY),
+            (_sheared(cayley_polytope_of_segments([0, 1, 1, 2, 2])),
+             CAYLEY)]:
         r = classify(Q)
         assert r.family == family
-        _assert_model_map(Q, r)
+        _assert_model_map(Q, r.model_map)
 
 
 def test_classification_not_minimal():
@@ -415,6 +430,138 @@ def test_classification_higashitani():
     assert r1.density == NOT_DENSE and r1.pos_equals_sos == "NotEqual"
     r2 = classify(higashitani_simplex(5, 2))
     assert r2.density == DENSE and r2.pos_equals_sos == "Equal"
+
+
+def _sub(p, q):
+    return [a - b for a, b in zip(p, q)]
+
+
+def _reference_equivalent(target, Q):
+    """True iff an affine unimodular map sends target onto Q, vertices and
+    lattice points alike. This is the vertex-permutation search classify
+    used up to m = 4, kept as a reference: a fixed affinely independent
+    anchor of the target is sent to every ordered (m+1)-tuple of Q's
+    vertices in turn."""
+    m = Q.dim
+    if target.dim != m or len(target.vertices) != len(Q.vertices):
+        return False
+    tv, qv = target.proj_vertices, Q.proj_vertices
+    anchor = next(a for a in itertools.combinations(tv, m + 1)
+                  if exact_rank([_sub(p, a[0]) for p in a[1:]]) == m)
+    # rows of T are the anchor differences, inverted once as N = D T^-1
+    T = [_sub(p, anchor[0]) for p in anchor[1:]]
+    red, _ = rref([row + [int(i == j) for j in range(m)]
+                   for i, row in enumerate(T)])
+    D = math.lcm(*(x.denominator for row in red for x in row[m:]))
+    N = [[int(x * D) for x in row[m:]] for row in red]
+    t_lats = sorted(target._proj(p) for p in lattice_points(target, 1))
+    q_lats = sorted(Q._proj(p) for p in lattice_points(Q, 1))
+    if len(t_lats) != len(q_lats):
+        return False
+    for image in itertools.permutations(qv, m + 1):
+        q_diff = [_sub(p, image[0]) for p in image[1:]]
+        # A T^T = q_diff^T, so D A = q_diff^T N^T; A must be integral and
+        # unimodular
+        AD = [[sum(q_diff[k][i] * N[j][k] for k in range(m))
+               for j in range(m)] for i in range(m)]
+        if any(x % D for row in AD for x in row):
+            continue
+        A = [[x // D for x in row] for row in AD]
+        try:
+            if lattice_index(A) != 1:
+                continue
+        except ValueError:  # singular A
+            continue
+        t = _sub(image[0], [sum(a * x for a, x in zip(row, anchor[0]))
+                            for row in A])
+
+        def apply(p):
+            return tuple(sum(a * x for a, x in zip(row, p)) + ti
+                         for row, ti in zip(A, t))
+
+        if sorted(map(apply, tv)) == sorted(qv) \
+                and sorted(map(apply, t_lats)) == q_lats:
+            return True
+    return False
+
+
+def _reference_family(Q):
+    """(family, segments) as the permutation search named them (m <= 4):
+    pyramid first, then each Cayley degree tuple of the normalized volume."""
+    hs = h_star(Q)
+    m = Q.dim
+    if hs.h2 != 0 or not is_k_normal(Q, 2)[0]:
+        return NOT_MINIMAL, None
+    if m >= 1 and _is_normal_upto_detection(Q):
+        s = hs.sum()
+        if m >= 2 and s == 4 and _reference_equivalent(
+                pyramid_over_twice_simplex(m), Q):
+            return PYRAMID, None
+        for d in itertools.combinations_with_replacement(range(s + 1), m):
+            if sum(d) == s and max(d) >= 1 and _reference_equivalent(
+                    cayley_polytope_of_segments(d), Q):
+                return CAYLEY, list(d)
+    return IMAGE_OF_MODEL, None
+
+
+@st.composite
+def _degree_one_polytope(draw, m):
+    """(family, sorted segments, Q): a Cayley polytope of m segments of
+    degree 0..3 (one positive at least) or, for m >= 2, the pyramid over
+    twice a triangle, under a unimodular push."""
+    if m >= 2 and draw(st.integers(0, 3)) == 0:
+        family, segments = PYRAMID, None
+        target = pyramid_over_twice_simplex(m)
+    else:
+        family = CAYLEY
+        segments = sorted(draw(st.lists(st.integers(0, 3), min_size=m,
+                                        max_size=m)))
+        segments[-1] = max(segments[-1], 1)
+        target = cayley_polytope_of_segments(segments)
+    return family, segments, _push(draw, m, target.vertices)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_recognizer_in_every_dimension(m, data):
+    # Batyrev & Nill: degree <= 1 means one of the two families, in every
+    # dimension; classify itself runs to m = 5 (h* costs seconds at m = 6)
+    family, segments, Q = data.draw(_degree_one_polytope(m))
+    mp = _recognize_family(Q)
+    assert (mp["family"], mp.get("segments")) == (family, segments)
+    _assert_model_map(Q, mp)
+    if Q.dim <= 5:
+        r = classify(Q)
+        assert (r.family, r.degree_one, r.model_map) == (family, True, mp)
+
+
+@st.composite
+def _small_polytope(draw):
+    """A pushed degree-one polytope of dimension <= 4, or a pushed random
+    point set of dimension <= 3 (coordinates 0..3)."""
+    if draw(st.booleans()):
+        return draw(_degree_one_polytope(draw(st.integers(1, 4))))[2]
+    m = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(0, 3)] * m),
+                        min_size=m + 1, max_size=6))
+    return _push(draw, m, pts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_polytope())
+def test_recognizer_matches_permutation_search(Q):
+    r = classify(Q)
+    segments = r.model_map.get("segments") if r.model_map else None
+    assert (r.family, segments) == _reference_family(Q)
+
+
+def test_recognizer_rejects_degree_two():
+    # classify asks only for degree <= 1; Batyrev & Nill leave no third
+    # family, so a miss is an internal error
+    for Q in [simplex(2, 3), reeve_simplex(5), higashitani_simplex(5, 1)]:
+        with pytest.raises(InconsistentModel):
+            _recognize_family(Q)
 
 
 def test_classification_report_json():
