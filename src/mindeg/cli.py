@@ -21,7 +21,6 @@ from .polytope import (
     is_k_normal,
     k_normal_oracle,
     lattice_point_count_oracle,
-    polytope_degree,
     real_density,
     sublattice_index,
 )
@@ -112,7 +111,7 @@ def _cmd_hstar(args):
     hs = h_star(Q)
     rep = {"polytope": Q.to_json(), "h_star": hs.to_json(),
            "hstar_degree": hs.degree, "h2": hs.h2,
-           "polytope_degree": polytope_degree(Q)}
+           "polytope_degree": hs.degree}
     if args.oracle:
         brute = _hstar_brute_force(Q)
         matches = brute == list(hs.coefficients)
@@ -168,7 +167,8 @@ def _model_from_blob(blob) -> VarietyModel:
         return toric_model(_polytope(blob))
     try:
         return VarietyModel.from_json(blob)
-    except (KeyError, ValueError, TypeError) as ex:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError,
+            OverflowError) as ex:
         raise UsageError("invalid model JSON: %s" % ex)
 
 
@@ -185,6 +185,8 @@ def _cmd_sos_check(args):
     if not isinstance(blob, dict) or "model" not in blob \
             or "coefficients" not in blob:
         raise UsageError("sos-check input needs 'model' and 'coefficients'")
+    if not isinstance(blob["coefficients"], list):
+        raise UsageError("sos-check coefficients must be a JSON list")
     model = _model_from_blob(blob["model"])
     try:
         coeffs = [Fraction(str(c)) for c in blob["coefficients"]]

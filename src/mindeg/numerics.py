@@ -252,10 +252,7 @@ def saturation_chart(rows, n):
     cleared into column n - r + i; Cohen 1993, §2.4), so W = V^-T and
     W_inv = V^T. An empty kernel needs no operation: W = I.
     """
-    K = []
-    for v in nullspace(rows, n):
-        den = math.lcm(*(e.denominator for e in v))
-        K.append([int(e * den) for e in v])
+    K = [_integer_row(v) for v in nullspace(rows, n)]
     r = len(K)
     W = [[int(i == j) for j in range(n)] for i in range(n)]
     W_inv = [row[:] for row in W]

@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentModel, NotFullDimensional
-from .numerics import (exact_rank, lattice_index, nullspace, saturation_chart,
-                       solve_exact)
+from .numerics import (_integer_row, exact_rank, lattice_index, nullspace,
+                       saturation_chart, solve_exact)
 
 DENSE = "Dense"
 NOT_DENSE = "NotDense"
@@ -158,10 +158,7 @@ def _supporting_hyperplanes(proj_points, m):
     for k in chosen:
         on = [pts[i] for i in chosen if i != k]
         ker = nullspace([[c - b for c, b in zip(p, on[0])] for p in on[1:]], m)
-        lcm = math.lcm(*(e.denominator for e in ker[0]))
-        a = [int(e * lcm) for e in ker[0]]
-        g = math.gcd(*a)
-        a = [e // g for e in a]
+        a = _integer_row(ker[0])
         b = _dot(a, on[0])
         if _dot(a, pts[k]) > b:
             a, b = [-e for e in a], -b
@@ -196,29 +193,16 @@ def _dot(a, x):
 
 
 def _box_candidates(lo, hi):
-    """Integer grid of the box [lo, hi], yielded as int64 arrays in chunks."""
+    """Integer grid of the box [lo, hi] in lexicographic order, yielded as
+    int64 arrays in chunks of about _SCAN_CHUNK points along the first
+    axis."""
     ranges = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-    sizes = [len(r) for r in ranges]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total == 0:
-        return
-    m = len(ranges)
-    if total <= _SCAN_CHUNK:
-        grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, m)
-        yield grid
-        return
-    # chunk along the first axis
-    rest = ranges[1:]
-    sub = np.stack(np.meshgrid(*rest, indexing="ij"), axis=-1).reshape(-1, m - 1)
-    step = max(1, _SCAN_CHUNK // max(1, sub.shape[0]))
-    first = ranges[0]
+    first, rest = ranges[0], ranges[1:]
+    per_slice = math.prod(len(r) for r in rest)
+    step = max(1, _SCAN_CHUNK // max(1, per_slice))
     for s in range(0, len(first), step):
-        block = first[s:s + step]
-        reps = np.repeat(block, sub.shape[0])
-        tiles = np.tile(sub, (len(block), 1))
-        yield np.column_stack([reps, tiles])
+        yield np.stack(np.meshgrid(first[s:s + step], *rest, indexing="ij"),
+                       axis=-1).reshape(-1, len(ranges))
 
 
 def _scan_dilate(Q: LatticePolytope, k: int, strict: bool):
@@ -316,16 +300,9 @@ def h_star(Q: LatticePolytope) -> HStar:
 
 
 def polytope_degree(Q: LatticePolytope) -> int:
-    """Smallest j >= 0 such that kQ has no interior lattice point for all
-    1 <= k <= m - j."""
-    m = Q.dim
-    empty_up_to = 0
-    for k in range(1, m + 1):
-        if interior_lattice_point_count(Q, k) == 0:
-            empty_up_to = k
-        else:
-            break
-    return m - empty_up_to
+    """Degree of h*: by Ehrhart reciprocity the smallest j >= 0 such that
+    kQ has no interior lattice point for all 1 <= k <= m - j."""
+    return h_star(Q).degree
 
 
 def is_k_normal(Q: LatticePolytope, k: int):
@@ -547,6 +524,18 @@ def lattice_point_count_oracle(Q: LatticePolytope, k: int) -> int:
     return count
 
 
+def _polytope_degree_oracle(Q: LatticePolytope) -> int:
+    """polytope_degree from the interior lattice points of each dilate."""
+    m = Q.dim
+    empty_up_to = 0
+    for k in range(1, m + 1):
+        if interior_lattice_point_count(Q, k) == 0:
+            empty_up_to = k
+        else:
+            break
+    return m - empty_up_to
+
+
 def k_normal_oracle(Q: LatticePolytope, k: int):
     """Brute-force k-normality via combinations-with-replacement sums."""
     pts1 = sorted(lattice_points(Q, 1))
@@ -640,7 +629,7 @@ def classify(Q: LatticePolytope) -> ClassificationReport:
     hs = h_star(Q)
     h2_zero = hs.h2 == 0
     two_normal = is_k_normal(Q, 2)[0]
-    pdeg = polytope_degree(Q)
+    pdeg = hs.degree
     density = real_density(Q)
     family = NOT_MINIMAL
     model_map = None

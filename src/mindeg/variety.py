@@ -209,14 +209,31 @@ class VarietyModel:
 
     @classmethod
     def from_json(cls, obj):
-        r1 = obj["r1_basis"]
+        """The model of to_json output: m a JSON integer, and r1_basis
+        distinct toric rows, lists of JSON integers of one length, or
+        string labels with i2_basis rows of nvars^2 strings or JSON
+        integers. Anything else raises ValueError."""
+        r1, m, flats = obj["r1_basis"], obj["m"], obj.get("i2_basis")
+        if type(m) is not int or not isinstance(r1, list):
+            raise ValueError("m must be a JSON integer, r1_basis a list")
         if r1 and isinstance(r1[0], list):
-            exps = [tuple(int(c) for c in u) for u in r1]
-            return toric_model_from_points(obj.get("name", "toric"), exps,
-                                           int(obj["m"]))
+            if not all(isinstance(u, list) and len(u) == len(r1[0])
+                       and all(type(c) is int for c in u) for u in r1) \
+                    or len({tuple(u) for u in r1}) != len(r1):
+                raise ValueError("toric r1_basis rows must be distinct lists "
+                                 "of JSON integers of one length")
+            return toric_model_from_points(obj.get("name", "toric"),
+                                           [tuple(u) for u in r1], m)
         nvars = len(r1)
+        if not all(isinstance(u, str) for u in r1) \
+                or not isinstance(flats, list) \
+                or not all(isinstance(f, list) and len(f) == nvars * nvars
+                           and all(type(c) in (int, str) for c in f)
+                           for f in flats):
+            raise ValueError("r1_basis labels must be strings, i2_basis rows "
+                             "lists of nvars^2 strings or JSON integers")
         rels = []
-        for flat in obj["i2_basis"]:
+        for flat in flats:
             rel = {}
             for i in range(nvars):
                 for j in range(i, nvars):
@@ -226,8 +243,7 @@ class VarietyModel:
                     if a != 0:
                         rel[(i, j)] = rel.get((i, j), Fraction(0)) + a
             rels.append({k: v for k, v in rel.items() if v != 0})
-        return cls(obj.get("name", "model"), int(obj["m"]), list(r1),
-                   relations=rels)
+        return cls(obj.get("name", "model"), m, r1, relations=rels)
 
 
 @dataclass

@@ -25,7 +25,6 @@ bit those of evaluating every sample the defining way.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,8 +50,9 @@ from .errors import (
     NoDeltaFound,
     RetryExhausted,
 )
-from .numerics import (exact_rank, in_row_span, is_positive_definite,
-                       nullspace, residues, rref, solve_exact)
+from .numerics import (_integer_row, exact_rank, in_row_span,
+                       is_positive_definite, nullspace, residues, rref,
+                       solve_exact)
 from .variety import QuadraticForm, veronese_model
 
 # sphere samples per block of power tables in _SphereSamples
@@ -77,17 +77,11 @@ def _seed_seq(seed):
 
 def _primitive(vec):
     """Integer vector scaled primitively with first nonzero entry > 0."""
-    fracs = [Fraction(v) for v in vec]
-    den = math.lcm(*(v.denominator for v in fracs))
-    ints = [int(v * den) for v in fracs]
-    g = math.gcd(*ints)
-    if g == 0:
+    ints = _integer_row(vec)
+    lead = next((v for v in ints if v != 0), None)
+    if lead is None:
         raise DegeneratePosition("zero vector cannot be normalized")
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    return tuple(-v for v in ints) if lead < 0 else tuple(ints)
 
 
 def _cross(u, v):
@@ -181,31 +175,44 @@ class ProductForm:
     coeffs: dict
 
 
+def _functional_points(d):
+    """Indices i*d + j (line i of h1 meeting line j of h2) of the e + 2
+    grid points that carry the separating functional: all but the
+    staircase Gamma = {(i, j) : d + 1 <= i + j <= 2d - 3}, C(d - 1, 2) - 1
+    cells, empty at d = 3.
+
+    The d^2 points Z are a reduced complete intersection of type (d, d). By
+    Cayley-Bacharach (Eisenbud, Green & Harris, "Cayley-Bacharach theorems
+    and conjectures", Bull. AMS 1996, CB7) the images of S = Z - Gamma
+    satisfy 1 + |Gamma| - h_Gamma(d - 3) linear relations, and the one at
+    p in S has coefficient zero iff p lies on every degree-(d - 3) curve
+    through Gamma. For the grid x = (d - 1 - i) z, y = (d - 1 - j) z, Gamma
+    is {1 <= x + y <= d - 3}, independent in degree d - 3, and its one
+    curve prod_k (x + y - k z) misses S. Both conditions are open, so lines
+    in general position give one relation, every coefficient nonzero;
+    choose_hyperplanes checks it exactly."""
+    return [i * d + j for i in range(d) for j in range(d)
+            if not d + 1 <= i + j <= 2 * d - 3]
+
+
 def choose_hyperplanes(d, seed, max_draws=64, coeff_bound=9):
     """Two products of d random integer lines whose d^2 pairwise
-    intersections are distinct exact points spanning, under the degree-d
-    Veronese map, a subspace of dimension exactly e + 1 (the two products
-    themselves are the only degree-d forms through all the points).
-
-    When exactly one linear relation ties the point images together (the
-    d = 3 case), every relation coefficient is required nonzero so the
-    configuration feeds the separating-functional construction directly.
-    """
+    intersections are distinct exact points, and whose points
+    _functional_points(d) have degree-d images tied by exactly one linear
+    relation with every coefficient nonzero, so the configuration feeds
+    the separating-functional construction directly. Draws that fail are
+    rejected."""
     if d < 3:
         raise ValueError("need degree at least 3")
     rng = _rng(seed)
     exps = _monomials(d)
-    e = (d + 2) * (d + 1) // 2 - 3
+    chosen = _functional_points(d)
     for _ in range(max_draws):
         raw = rng.integers(-coeff_bound, coeff_bound + 1, size=(2 * d, 3))
-        lines = []
-        ok = True
-        for row in raw:
-            if not row.any():
-                ok = False
-                break
-            lines.append(_primitive([int(c) for c in row]))
-        if not ok or len(set(lines)) != 2 * d:
+        if not raw.any(axis=1).all():
+            continue
+        lines = [_primitive([int(c) for c in row]) for row in raw]
+        if len(set(lines)) != 2 * d:
             continue
         ell, em = lines[:d], lines[d:]
         pts = [_cross(a, b) for a in ell for b in em]
@@ -214,14 +221,12 @@ def choose_hyperplanes(d, seed, max_draws=64, coeff_bound=9):
         pts = [_primitive(p) for p in pts]
         if len(set(pts)) != d * d:
             continue
-        images = [_veronese_image(p, d, exps) for p in pts]
-        if exact_rank(images) != e + 1:
+        # one relation gives the chosen images rank e + 1, and so all d^2:
+        # h1 and h2 are independent and vanish on every image
+        images = [_veronese_image(pts[i], d, exps) for i in chosen]
+        rel = nullspace(zip(*images))
+        if len(rel) != 1 or any(c == 0 for c in rel[0]):
             continue
-        if d * d == e + 2:
-            cols = [[img[i] for img in images] for i in range(len(exps))]
-            rel = nullspace(cols)
-            if len(rel) != 1 or any(c == 0 for c in rel[0]):
-                continue
         return (ProductForm(list(ell), _line_product(ell)),
                 ProductForm(list(em), _line_product(em)),
                 pts)
@@ -687,8 +692,7 @@ def certify_not_sos(report: WitnessReport) -> bool:
                 delta * c + a + b + e
                 for c, a, b, e in zip(f, prods[0], prods[3], prods[5])]:
             return False
-        den = math.lcm(*(c.denominator for c in f))
-        f = [c.numerator * (den // c.denominator) for c in f]
+        f = _integer_row(f)
         rp = exact_rank(prods)
         if exact_rank(prods + [f]) != rp + 1:
             return False
@@ -785,57 +789,45 @@ def certify_dual(report: WitnessReport) -> bool:
         return False
 
 
-def _attach_functional(model, gs, report, max_subsets=60):
-    """Separating functional from e+2 of the intersection points, plus the
-    exact pairing and kernel checks. Point subsets are scanned in index
-    order until one admits the unique all-nonzero relation; each point's
-    image is computed, checked on the variety and normalized once."""
+def _attach_functional(model, gs, report):
+    """Separating functional from the e+2 intersection points
+    _functional_points(d), plus the exact pairing and kernel checks. The
+    draw guarantees their unique all-nonzero relation (choose_hyperplanes),
+    and the functional's exact nullspace confirms it."""
     d = report.d
     e = model.e
     exps = _monomials(d)
+    idx = _functional_points(d)
     images = _normalized_on_variety(
-        model, [_veronese_image(p, d, exps) for p in report.points])
-    last = None
-    for count, idx in enumerate(
-            itertools.combinations(range(len(report.points)), e + 2)):
-        if count >= max_subsets:
-            break
-        try:
-            fn, info = _functional_from_points(model,
-                                               [images[i] for i in idx])
-        except DegeneratePosition as ex:
-            last = ex
-            continue
-        targets = [info["lambdas"][j] / info["kappas"][j]
-                   for j in range(e + 1)]
-        g = interpolant_through_points(model, info["points"][:e + 1], targets)
-        pairing = pair_with_square(fn, g, gs)
-        for h in report.h_vectors[1:]:
-            pairing += pair_with_square(fn, h, gs)
-        if pairing != 0:
-            raise InconsistentModel(
-                "functional fails to annihilate g^2 + h1^2 + h2^2")
-        # g, h1 and h2 lie in Ker M by the pairing; extremality_check
-        # verifies exactly that they are a basis of it
-        kernel = [g] + list(report.h_vectors[1:])
-        extremal, pdim = extremality_check(fn, gs, kernel=kernel)
-        kd = len(kernel)
-        if extremal and kd != model.m + 1:
-            raise InconsistentModel(
-                "extremal functional kernel dimension %d != m+1" % kd)
-        report.functional = fn
-        report.functional_info = {"lambdas": info["lambdas"],
-                                  "kappas": info["kappas"],
-                                  "point_indices": list(idx)}
-        report.functional_checks = {
-            "moment_min_eig": moment_psd(fn, gs),
-            "pairing_is_zero": True,
-            "kernel_dim": kd,
-            "extremal": extremal,
-            "perturbation_dim": pdim,
-        }
-        return
-    report.functional_checks = {"skipped": str(last)}
+        model, [_veronese_image(report.points[i], d, exps) for i in idx])
+    fn, info = _functional_from_points(model, images)
+    targets = [info["lambdas"][j] / info["kappas"][j] for j in range(e + 1)]
+    g = interpolant_through_points(model, info["points"][:e + 1], targets)
+    pairing = pair_with_square(fn, g, gs)
+    for h in report.h_vectors[1:]:
+        pairing += pair_with_square(fn, h, gs)
+    if pairing != 0:
+        raise InconsistentModel(
+            "functional fails to annihilate g^2 + h1^2 + h2^2")
+    # g, h1 and h2 lie in Ker M by the pairing; extremality_check
+    # verifies exactly that they are a basis of it
+    kernel = [g] + list(report.h_vectors[1:])
+    extremal, pdim = extremality_check(fn, gs, kernel=kernel)
+    kd = len(kernel)
+    if extremal and kd != model.m + 1:
+        raise InconsistentModel(
+            "extremal functional kernel dimension %d != m+1" % kd)
+    report.functional = fn
+    report.functional_info = {"lambdas": info["lambdas"],
+                              "kappas": info["kappas"],
+                              "point_indices": idx}
+    report.functional_checks = {
+        "moment_min_eig": moment_psd(fn, gs),
+        "pairing_is_zero": True,
+        "kernel_dim": kd,
+        "extremal": extremal,
+        "perturbation_dim": pdim,
+    }
 
 
 def _default_selection(d, e):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mindeg.polytope
 from mindeg import cli
 from mindeg.cli import MAX_SAMPLES, main
 from mindeg.polytope import (LatticePolytope, SparsePolynomial,
@@ -370,6 +371,65 @@ def test_polytope_json_rejects_non_integers(capsys, command, blob):
     assert "integer" in err and "Traceback" not in err
 
 
+_SCROLL = {"m": 1, "r1_basis": ["a", "b", "c"],
+           "i2_basis": [["0", "0", "1", "0", "-1", "0", "1", "0", "0"]]}
+
+
+@pytest.mark.parametrize("blob", [
+    {"m": 1, "r1_basis": [[0], [1.7]]},
+    {"m": 1, "r1_basis": [[0], [True]]},
+    {"m": 1.9, "r1_basis": [[0], [1]]},
+    {"m": True, "r1_basis": [[0], [1]]},
+    {"m": 1, "r1_basis": [[0], [1], [1]]},
+    {"m": 1, "r1_basis": [[0], [1, 0]]},
+    {"m": 1, "r1_basis": [[0], [10 ** 30]]},
+    {"m": 1, "r1_basis": "abc", "i2_basis": []},
+    dict(_SCROLL, r1_basis=["a", ["b"], "c"]),
+    dict(_SCROLL, i2_basis=[["0", "0", "1"]]),
+    dict(_SCROLL, i2_basis=[["0", "0", 1.0, "0", "-1", "0", "1", "0", "0"]]),
+    dict(_SCROLL, i2_basis=[["1/0"] * 9]),
+    dict(_SCROLL, i2_basis="0"),
+], ids=["float-row", "bool-row", "float-m", "bool-m", "duplicate-rows",
+        "ragged-rows", "huge-exponent", "string-basis", "list-label",
+        "short-i2-row", "float-i2-entry", "zero-denominator", "string-i2"])
+@pytest.mark.parametrize("command", ["epsilon", "sos-check"])
+def test_model_json_rejects_malformed_input(capsys, command, blob):
+    # a float must not be truncated ([[0], [1.7]] is not [[0], [1]]), a
+    # duplicate row must not change n, and a short i2_basis row must not
+    # index out of range
+    if command == "sos-check":
+        blob = {"model": blob, "coefficients": []}
+    code, out, err = run(capsys, [command, "--input", json.dumps(blob)])
+    assert code == 2 and out == ""
+    assert "invalid model JSON" in err and "Traceback" not in err
+
+
+def test_model_json_accepts_the_scroll(capsys):
+    code, out, _ = run(capsys, ["epsilon", "--input", json.dumps(_SCROLL)])
+    assert code == 0
+    assert json.loads(out)["epsilon"] == 0
+
+
+def test_sos_check_coefficients_must_be_a_list(capsys):
+    # the string "121" once read as the coefficients [1, 2, 1]
+    blob = json.dumps({"model": veronese_model(1, 2).to_json(),
+                       "coefficients": "10101"})
+    code, out, err = run(capsys, ["sos-check", "--input", blob])
+    assert code == 2 and out == "" and "list" in err
+
+
+def test_hstar_segment_in_chunks(capsys, monkeypatch):
+    # a one-dimensional box scan too long for one block once stacked an
+    # empty meshgrid and exited 2
+    monkeypatch.setattr(mindeg.polytope, "_SCAN_CHUNK", 4)
+    blob = json.dumps({"ambient_rank": 1, "vertices": [[0], [30]]})
+    code, out, err = run(capsys, ["hstar", "--input", blob])
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["h_star"]["coefficients"] == [1, 29]
+    assert rep["polytope_degree"] == rep["hstar_degree"] == 1
+
+
 def test_classify_single_point_exit_0(capsys):
     # recognition needs dimension >= 1: a point stays ImageOfModel
     point = json.dumps({"ambient_rank": 2, "vertices": [[3, 1]]})
@@ -408,6 +468,41 @@ def test_polytope_commands_never_crash(command, blob):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, "--input", json.dumps(blob)])
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (out.getvalue() != "") == (code == 0)
+
+
+_ENTRY = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70),
+                   st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x", ""]),
+                   st.floats(allow_nan=False), st.booleans(), st.none())
+_MODEL_BLOB = st.one_of(
+    st.fixed_dictionaries({
+        "m": st.one_of(st.integers(-1, 3), st.floats(0, 3), st.booleans()),
+        "r1_basis": st.lists(st.lists(_ENTRY, max_size=3), max_size=5),
+    }),
+    st.fixed_dictionaries({
+        "m": st.integers(0, 3),
+        "r1_basis": st.lists(st.lists(st.integers(-2, 2), min_size=2,
+                                      max_size=2), min_size=1, max_size=5),
+    }),
+    st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries({
+        "m": st.one_of(st.integers(-1, 3), st.floats(0, 3)),
+        "r1_basis": st.lists(st.one_of(st.text(max_size=2), st.integers()),
+                             min_size=n, max_size=n),
+        "i2_basis": st.lists(st.lists(_ENTRY, min_size=n * n - 1,
+                                      max_size=n * n), max_size=3),
+    })),
+    st.fixed_dictionaries({"m": st.integers(0, 2), "r1_basis": st.just([])}),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=_MODEL_BLOB)
+def test_epsilon_on_model_json_never_crashes(blob):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["epsilon", "--input", json.dumps(blob)])
     assert code in (0, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert (out.getvalue() != "") == (code == 0)

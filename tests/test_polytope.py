@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mindeg.polytope
 from mindeg.errors import DimensionMismatch, InconsistentModel
 from mindeg.numerics import exact_rank, lattice_index, nullspace, rref
 from mindeg.polytope import (CAYLEY, DENSE, IMAGE_OF_MODEL, NOT_DENSE,
@@ -21,7 +22,8 @@ from mindeg.polytope import (CAYLEY, DENSE, IMAGE_OF_MODEL, NOT_DENSE,
                              is_k_normal, k_normal_oracle,
                              lattice_point_count_oracle, lattice_points,
                              normalized_volume, polytope_degree,
-                             product_polytope, _recognize_family,
+                             product_polytope, _polytope_degree_oracle,
+                             _box_candidates, _recognize_family,
                              _supporting_hyperplanes,
                              pyramid_over_twice_simplex, real_density,
                              reeve_simplex, simplex, sublattice_index)
@@ -301,6 +303,40 @@ def test_degree_one_characterizations_agree():
         b = polytope_degree(Q) <= 1
         c = all(x == 0 for x in hs.coefficients[2:])
         assert a == b == c, (Q.vertices, hs.coefficients, a, b, c)
+
+
+def test_polytope_degree_is_the_interior_point_degree():
+    # Ehrhart reciprocity: kQ has no interior point exactly for
+    # k <= m - deg h*
+    named = [reeve_simplex(5), higashitani_simplex(5, 1),
+             higashitani_simplex(5, 2), pyramid_over_twice_simplex(4),
+             cayley_polytope_of_segments([1, 2, 3]), simplex(3, 4),
+             LatticePolytope(2, [(3, 1)])]
+    for Q in _corpus() + named + _random_polytopes(60, 7):
+        assert polytope_degree(Q) == _polytope_degree_oracle(Q), Q.vertices
+
+
+@pytest.mark.parametrize("box", [[(0,), (7,)],
+                                 [(0, 0), (3, 0), (0, 3), (3, 3)],
+                                 list(itertools.product((0, 2), (0, 3),
+                                                        (-1, 1)))],
+                         ids=["segment", "square", "3-box"])
+def test_box_scan_chunks_match_one_block(monkeypatch, box):
+    m = len(box[0])
+    lo, hi = np.min(box, axis=0), np.max(box, axis=0)
+    grid = np.concatenate(list(_box_candidates(lo, hi)))
+    whole = LatticePolytope(m, box)
+    want = ([lattice_points(whole, k) for k in (1, 2)],
+            [interior_lattice_point_count(whole, k) for k in (1, 2)],
+            h_star(whole))
+    monkeypatch.setattr(mindeg.polytope, "_SCAN_CHUNK", 3)
+    chunks = list(_box_candidates(lo, hi))
+    assert len(chunks) > 1
+    assert np.array_equal(np.concatenate(chunks), grid)
+    Q = LatticePolytope(m, box)
+    assert ([lattice_points(Q, k) for k in (1, 2)],
+            [interior_lattice_point_count(Q, k) for k in (1, 2)],
+            h_star(Q)) == want
 
 
 def test_k_normal_matches_oracle():

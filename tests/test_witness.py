@@ -1,5 +1,6 @@
 """End-to-end witness pipeline on plane Veronese models."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -11,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mindeg.witness
-from mindeg.cones import DualFunctional, GramSlice
+from mindeg.cones import (DualFunctional, GramSlice, _functional_from_points,
+                          _normalized_on_variety, interpolant_through_points,
+                          pair_with_square)
 from mindeg.errors import (
+    DegeneratePosition,
     DegenerateSpan,
     InconsistentModel,
     NoDeltaFound,
@@ -27,15 +31,18 @@ from mindeg.witness import (
     _dual_parts,
     _frac_from_json,
     _frac_json,
+    _functional_points,
     _line_product,
     _monomials,
     _poly_mul,
     _poly_to_vector,
+    _quadratic_deficiency,
     _rng,
     _SphereSamples,
     _square_products,
     _value_and_partials,
     _vector_to_poly,
+    _veronese_image,
     build_f,
     certify_dual,
     certify_not_sos,
@@ -97,7 +104,6 @@ def test_fit_h0_vanishing_pattern():
     selected = _default_selection(3, 7)
     h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
     exps = _monomials(3)
-    from mindeg.witness import _veronese_image
     for i in range(9):
         val = sum(a * b for a, b in zip(h0, _veronese_image(pts[i], 3, exps)))
         if i in selected:
@@ -482,7 +488,8 @@ def test_pipeline_functional_checks(report):
     assert checks["moment_min_eig"] >= -1e-8
     assert checks["kernel_dim"] == 3
     assert checks["extremal"] is True
-    assert checks["perturbation_dim"] == 1
+    # the products R_1 span{g, h1, h2} satisfy only the 3 Koszul relations
+    assert checks["perturbation_dim"] == _quadratic_deficiency(3) == 1
     assert report.functional_info["point_indices"] == list(range(9))
 
 
@@ -565,6 +572,70 @@ def test_pipeline_degree_four():
     assert rep.certificate["valid"] is True
     assert rep.sos["status"] == "Infeasible"
     assert certify_not_sos(rep) is True
+    assert rep.functional_checks["perturbation_dim"] == \
+        _quadratic_deficiency(4) == 3
+
+
+def test_pipeline_degree_five_carries_the_functional():
+    rep = hilbert_witness(5, seed=1, samples=SAMPLES)
+    model = veronese_model(2, 5)
+    gs = GramSlice(model)
+    info = rep.functional_info
+    assert info["point_indices"] == _functional_points(5)
+    # the pairing l(g^2 + h1^2 + h2^2), redone from the recorded points
+    pts = _normalized_on_variety(
+        model, [_veronese_image(rep.points[i], 5, model.r1_basis)
+                for i in info["point_indices"]])
+    g = interpolant_through_points(
+        model, pts[:-1],
+        [lam / kap for lam, kap in zip(info["lambdas"], info["kappas"])])
+    pairing = sum(pair_with_square(rep.functional, h, gs)
+                  for h in [g] + list(rep.h_vectors[1:]))
+    assert pairing == 0
+    checks = rep.functional_checks
+    assert checks["pairing_is_zero"] is True
+    assert checks["kernel_dim"] == 3
+    assert checks["perturbation_dim"] == _quadratic_deficiency(5) == 6
+    assert certify_dual(rep) is True
+
+
+def _functional_scan_reference(model, points, max_subsets=60):
+    """The first e+2 point indices, in itertools.combinations order, whose
+    images admit a unique relation with every coefficient nonzero; None
+    when max_subsets subsets fail."""
+    d = math.isqrt(len(points))
+    images = _normalized_on_variety(
+        model, [_veronese_image(p, d, model.r1_basis) for p in points])
+    for idx in itertools.islice(
+            itertools.combinations(range(len(points)), model.e + 2),
+            max_subsets):
+        try:
+            _functional_from_points(model, [images[i] for i in idx])
+        except DegeneratePosition:
+            continue
+        return list(idx)
+    return None
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_functional_points_leave_out_the_staircase(d):
+    e = (d + 2) * (d + 1) // 2 - 3
+    chosen = _functional_points(d)
+    assert len(chosen) == e + 2 == d * d - (math.comb(d - 1, 2) - 1)
+    assert chosen == sorted(set(chosen)) and chosen[-1] < d * d
+    if d == 4:
+        assert sorted(set(range(16)) - set(chosen)) == [11, 14]
+
+
+def test_functional_points_are_the_scan_choice_at_degree_four():
+    # the subset scan that picked the points before the construction: on
+    # these draws it rejects the seven subsets that precede
+    # _functional_points(4) in combinations order
+    model = veronese_model(2, 4)
+    for seed in range(40):
+        _, _, pts = choose_hyperplanes(4, seed)
+        assert _functional_scan_reference(model, pts) == \
+            _functional_points(4), seed
 
 
 def test_line_product_expansion():
