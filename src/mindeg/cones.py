@@ -3,10 +3,11 @@
 The degree-2 part of the coordinate ring is R_2 = Sym^2(R_1) / I_2. A form
 f in R_2 is a sum of squares iff some positive semidefinite Gram matrix G
 satisfies sigma(G) = f, where sigma maps a symmetric matrix over R_1 to its
-quadratic form in R_2. This module carries the exact Gram map, a float
-alternating-projection feasibility solver over it, dual functionals that
-certify infeasibility, and the rational separating functionals built from
-point configurations on the variety.
+quadratic form in R_2. This module carries the exact Gram map, the SOS
+decision over it (a float log-det barrier in the quadric coordinates whose
+verdicts are proved exactly: a rational PSD Gram matrix, or a rational
+dual functional with a positive definite moment matrix), and the rational
+separating functionals built from point configurations on the variety.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .errors import DegeneratePosition, InconsistentModel
 from .numerics import (_integer_row, exact_rank, is_positive_definite,
                        nullspace, solve_exact, to_float)
 from .variety import QuadraticForm, VarietyModel, _pair_index_map
-
-# added to the shifted moment matrix's smallest eigenvalue, well above the
-# float error of a unit-norm eigenvalue
-_SHIFT_FLOOR = 1e-12
 
 
 class GramSlice:
@@ -76,47 +73,27 @@ class GramSlice:
 
     @functools.cached_property
     def solver_maps(self):
-        """(A, (A A^T)^-1, projector onto ker A) in svec coordinates, the
-        fixed matrices of every sos_check on this slice."""
+        """(A, (A A^T)^-1, F), the fixed float matrices of every sos_check
+        on this slice. F stacks the directions of the barrier variables
+        (y, t): smat of an orthonormal svec basis Q_1..Q_k of ker A, the
+        quadric directions of the Gram slice, then -I."""
         A = self.a_float()
         AAt_inv = np.linalg.inv(A @ A.T)
-        return A, AAt_inv, np.eye(A.shape[1]) - A.T @ (AAt_inv @ A)
-
-    @functools.cached_property
-    def interior_functional(self):
-        """(l0, lambda_min of its moment matrix) for a float functional l0
-        whose moment matrix is positive definite, also exactly on its dyadic
-        values; None when none is found.
-
-        l0 is the projection of the identity onto range sigma*; where that
-        is not positive definite, ten Dykstra iterations between range
-        sigma* and {M >= 0.1 I} push it inside."""
-        A, AAt_inv, Pmat = self.solver_maps
         nvars = self.model.n + 1
-        ident = kernels.svec(np.eye(nvars))
-        Q = np.eye(len(ident)) - Pmat
-        v = Q @ ident
-        if np.linalg.eigvalsh(kernels.smat(v, nvars))[0] <= 0:
-            x, _, _ = kernels.dykstra_chunk(Q, -0.1 * (Pmat @ ident),
-                                            0.9 * ident,
-                                            np.zeros_like(ident), 10, nvars)
-            v = Q @ (x + 0.1 * ident)
-        ell0 = AAt_inv @ (A @ v)
-        lam0 = float(np.linalg.eigvalsh(kernels.smat(A.T @ ell0, nvars))[0])
-        if lam0 > 0 and is_positive_definite(
-                self.moment_matrix([Fraction(t) for t in ell0.tolist()])):
-            return ell0, lam0
-        return None
+        ker = np.linalg.svd(A)[2][A.shape[0]:]
+        F = np.array([kernels.smat(q, nvars) for q in ker] + [-np.eye(nvars)])
+        return A, AAt_inv, F
 
     def apply_to_gram(self, G):
-        """Exact coefficient vector of sigma(G) for a symmetric rational G."""
-        out = [Fraction(0)] * self.model.dim_r2
+        """Exact coefficient vector of sigma(G) for a symmetric rational G;
+        ints stay ints."""
+        out = [0] * self.model.dim_r2
         for (i, j), col in zip(self.pairs, self._columns):
             g = G[i][j] if i == j else 2 * G[i][j]
             if g == 0:
                 continue
             for s, coeff in col.items():
-                out[s] += coeff * g
+                out[s] += g if coeff == 1 else coeff * g
         return out
 
     def moment_matrix(self, values):
@@ -134,6 +111,11 @@ class GramSlice:
                         Fraction(0))
             M[i][j] = M[j][i] = m
         return M
+
+
+def _frac_json(v):
+    v = Fraction(v)
+    return {"num": str(v.numerator), "den": str(v.denominator)}
 
 
 @dataclass
@@ -161,137 +143,152 @@ class DualFunctional:
         return gs.moment_matrix(self.values)
 
     def to_json(self):
-        vals = [{"num": str(v.numerator), "den": str(v.denominator)}
-                for v in self.values]
-        return {"model": self.model.name, "exact": True, "values": vals}
+        return {"model": self.model.name, "exact": True,
+                "values": [_frac_json(v) for v in self.values]}
 
 
 @dataclass
 class SosResult:
-    """Outcome of the Gram feasibility run. status is one of Certificate,
-    Infeasible, Undetermined; the payload depends on it."""
+    """Outcome of sos_check: Certificate (exact rational Gram matrix,
+    residual 0.0), Infeasible (exact dual functional and its value on the
+    form) or Undetermined. min_eig is the float smallest eigenvalue of the
+    Gram or moment matrix; iterations counts Newton steps."""
 
     status: str
     iterations: int
     min_eig: float
     residual: float
-    gram: np.ndarray | None = None
+    gram: list | None = None
     functional: DualFunctional | None = None
     separation: float | None = None
 
     def to_json(self):
-        return {
-            "status": self.status,
-            "iterations": self.iterations,
-            "min_eig": self.min_eig,
-            "residual": self.residual,
-            "gram": None if self.gram is None else
-                [[float(x) for x in row] for row in self.gram],
-            "functional": None if self.functional is None else
-                self.functional.to_json(),
-            "separation": self.separation,
-        }
+        out = dict(vars(self))
+        out["gram"] = None if self.gram is None else \
+            [[_frac_json(x) for x in row] for row in self.gram]
+        out["functional"] = None if self.functional is None else \
+            self.functional.to_json()
+        return out
 
 
-def _as_slice(model_or_slice) -> GramSlice:
-    if isinstance(model_or_slice, GramSlice):
-        return model_or_slice
-    return GramSlice(model_or_slice)
+# Gram rounding grid, 2^-bits times the form's scale; barrier weight step,
+# centering bound on the squared Newton decrement, and weight cap
+_GRID_BITS = 30
+_WEIGHT_STEP = 8.0
+_CENTERED = 1e-2
+_MAX_WEIGHT = 2.0 ** 40
 
 
 def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
-              budget: int = 100000, chunk: int = 500, psd_tol: float = 1e-8,
-              sep_tol: float = 1e-7) -> SosResult:
-    """Decide whether the form is a sum of squares on the model.
+              budget: int = 1000) -> SosResult:
+    """Decide whether the form is a sum of squares on the model, with an
+    exact proof either way; `budget` caps the Newton steps.
 
-    Alternating projections (Dykstra) between the PSD cone and the affine
-    slice {G : sigma(G) = f} in svec coordinates. The affine-side iterate is
-    always feasible for sigma, so a near-PSD affine iterate (within psd_tol
-    on the original scale) is returned as a Certificate. When the slice
-    misses the cone, the gap direction projected back through the slice
-    yields a dual functional; shifted into the interior of the dual cone,
-    it is returned as Infeasible only after an exact proof (see
-    _separation). Otherwise the budget runs out: Undetermined.
+    The Gram slice is G0 + span{Q_i} (G0 least-norm, Q_i from solver_maps).
+    Damped Newton steps on -c t - log det S, S = G0 + sum y_i Q_i - t I,
+    maximize t, and c grows after each centering (Vandenberghe & Boyd, SIAM
+    Review 1996). Certificate: G0, then S + t I whenever t > 0 has doubled,
+    made exact by _certificate (Peyrl & Parrilo, TCS 2008). Infeasible: at
+    a center Z = S^-1 / c has trace 1, <Z, Q_i> = 0 and <G0, Z> = t +
+    (n+1)/c; when that is negative, _center_dual makes Z's preimage under
+    sigma* an exact dual functional. Undetermined: the budget ran out.
     """
-    gs = _as_slice(gram_slice if gram_slice is not None else form.model)
+    gs = gram_slice if isinstance(gram_slice, GramSlice) \
+        else GramSlice(form.model if gram_slice is None else gram_slice)
     if gs.model is not form.model and gs.model.r2_basis != form.model.r2_basis:
         raise InconsistentModel("form and Gram slice use different models")
     nvars = gs.model.n + 1
-    A, AAt_inv, Pmat = gs.solver_maps
+    A, AAt_inv, F = gs.solver_maps
     b = np.array([float(c) for c in form.coefficients])
-    scale = max(1.0, float(np.abs(b).max()))
-    bs = b / scale
-    x_part = A.T @ (AAt_inv @ bs)
+    # a power of two (1 for the zero form), so that scaling is exact
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(b).max()))[1])
+    G0 = kernels.smat(A.T @ (AAt_inv @ (b / scale)), nvars)
+    z = np.zeros(len(F))
+    z[-1] = float(np.linalg.eigvalsh(G0)[0]) - 1.0
+    L = np.linalg.cholesky(G0 - z[-1] * np.eye(nvars))
+    c, tried, done = 1.0, 0.0, 0
+    res = _certificate(gs, form, G0, scale, 0)
+    while res is None and done < budget:
+        # W_a = L^-1 F_a L^-T: gradient -tr W_a (-c more for t), Hessian
+        # <W_a, W_b>
+        Linv = np.linalg.inv(L)
+        W = Linv @ F @ Linv.T
+        grad = -np.trace(W, axis1=1, axis2=2)
+        grad[-1] -= c
+        Wf = W.reshape(len(F), -1)
+        try:
+            step = np.linalg.solve(Wf @ Wf.T, -grad)
+        except np.linalg.LinAlgError:
+            step = np.zeros(len(F))
+        dec = float(-grad @ step)
+        done += 1
+        # the damped step 1 / (1 + sqrt(dec)), halved until S stays
+        # positive definite in floats
+        s = 1.0 / (1.0 + math.sqrt(dec)) if dec >= 0 else 0.0
+        for _ in range(60):
+            try:
+                Ln = np.linalg.cholesky(G0 + np.tensordot(z + s * step, F, 1))
+                if np.isfinite(Ln).all():
+                    z, L = z + s * step, Ln
+                    break
+            except np.linalg.LinAlgError:
+                pass
+            s *= 0.5
+        if z[-1] > 0 and z[-1] >= 2.0 * tried:
+            tried = z[-1]
+            res = _certificate(gs, form, G0 + np.tensordot(z[:-1], F[:-1], 1),
+                               scale, done)
+        if res is None and dec <= _CENTERED:
+            if z[-1] + nvars / c < 0:
+                res = _center_dual(gs, form, L, c, done)
+            c = min(c * _WEIGHT_STEP, _MAX_WEIGHT)
+    if res is None:
+        G = (G0 + np.tensordot(z[:-1], F[:-1], 1)) * scale
+        res = SosResult("Undetermined", done, float(np.linalg.eigvalsh(G)[0]),
+                        float(np.abs(A @ kernels.svec(G) - b).max()))
+    return res
 
-    def affine_result(status, iterations, x_aff, wmin_orig):
-        G = kernels.smat(x_aff, nvars) * scale
-        resid = float(np.abs(A @ kernels.svec(G / scale) - bs).max()) * scale
-        return SosResult(status, iterations, wmin_orig, resid, gram=G)
 
-    x = x_part.copy()
-    p = np.zeros_like(x)
-    done = 0
-    while True:
-        x_aff = Pmat @ x + x_part
-        Xa = kernels.smat(x_aff, nvars)
-        wmin = float(np.linalg.eigvalsh(Xa)[0])
-        if wmin * scale >= -psd_tol:
-            return affine_result("Certificate", done, x_aff, wmin * scale)
-        # separation attempt: gap direction from the affine point to the
-        # cone, pushed into the image of the adjoint
-        Pp, _ = kernels.project_psd(Xa)
-        gap = kernels.svec(Pp - Xa)
-        gnorm = float(np.linalg.norm(gap))
-        if gnorm > 0:
-            # gap points from the affine iterate into the cone; at the
-            # proximal pair smat(gap) is PSD and <gap, b-slice> < 0
-            ell = AAt_inv @ (A @ gap)
-            mnorm = float(np.linalg.norm(A.T @ ell))
-            if mnorm > 0:
-                res = _separation(gs, form, b, ell / mnorm, sep_tol, done)
-                if res is not None:
-                    return res
-        if done >= budget:
-            return affine_result("Undetermined", done, x_aff, wmin * scale)
-        step = min(chunk, budget - done)
-        x, p, _ = kernels.dykstra_chunk(Pmat, x_part, x, p, step, nvars)
-        done += step
-
-
-def _separation(gs, form, b, ell, sep_tol, iterations):
-    """Infeasible with an exactly verified functional near the unit gap
-    functional ell, or None.
-
-    The gap functional tends to a point evaluation, whose rank-one moment
-    matrix lies on the boundary of the PSD cone. So ell is shifted by
-    eps * l0 (l0 the slice's interior functional), with eps =
-    (2 max(0, -lambda_min M(ell)) + _SHIFT_FLOOR) / lambda_min M(l0). A
-    float value on f above -sep_tol rejects it cheaply; the verdict is
-    exact: the shifted values, read as dyadic Fractions, must give a
-    positive definite moment matrix and a negative value on f.
-    """
-    A = gs.a_float()
-    nvars = gs.model.n + 1
-
-    def lam_min(v):
-        return float(np.linalg.eigvalsh(kernels.smat(A.T @ v, nvars))[0])
-
-    interior = gs.interior_functional
-    if interior is not None:
-        ell0, lam0 = interior
-        eps = (2.0 * max(0.0, -lam_min(ell)) + _SHIFT_FLOOR) / lam0
-        ell = ell + eps * ell0
-    if float(ell @ b) > -sep_tol:
+def _certificate(gs, form, G, scale, steps):
+    """Certificate from the float Gram matrix G of form / scale, or None:
+    G * scale on the grid scale * 2^-_GRID_BITS, with each R_2 basis
+    element's residual f_s - sigma(G)_s put on its representative pair
+    (column {s: 1}; half on each side off the diagonal). It needs sigma(G)
+    = f in Fractions and an exact LDL^T proof that G is PSD."""
+    unit = Fraction(scale) / (1 << _GRID_BITS)
+    # G is exactly symmetric, and so is its rounding R
+    R = [[int(x) for x in row]
+         for row in np.rint(G * math.ldexp(1.0, _GRID_BITS))]
+    have = gs.apply_to_gram(R)
+    Ge = [[x * unit for x in row] for row in R]
+    for s, (i, j) in enumerate(_basis_rep_pairs(gs.model)):
+        r = form.coefficients[s] - have[s] * unit
+        if r:
+            Ge[i][j] += r if i == j else r / 2
+            Ge[j][i] = Ge[i][j]
+    if gs.apply_to_gram(Ge) != form.coefficients \
+            or not is_positive_definite(Ge, semidefinite=True):
         return None
-    m_min = lam_min(ell)
-    if m_min <= 0:
-        return None
-    fn = DualFunctional(gs.model, ell.tolist())
+    min_eig = float(np.linalg.eigvalsh(to_float(Ge))[0])
+    return SosResult("Certificate", steps, min_eig, 0.0, gram=Ge)
+
+
+def _center_dual(gs, form, L, c, steps):
+    """Infeasible from the center S = L L^T at weight c, or None: the
+    least-squares preimage l of Z = S^-1 / c under sigma*, on its dyadic
+    values, must be negative on f and have a positive definite moment
+    matrix, both exactly."""
+    A, AAt_inv, _ = gs.solver_maps
+    Linv = np.linalg.inv(L)
+    fn = DualFunctional(gs.model, (AAt_inv @ (A @ kernels.svec(
+        Linv.T @ Linv / c))).tolist())
     val = fn.apply(form)
-    if val >= 0 or not is_positive_definite(fn.moment_matrix(gs)):
+    M = fn.moment_matrix(gs)
+    if val >= 0 or not is_positive_definite(M):
         return None
-    return SosResult("Infeasible", iterations, m_min, 0.0, functional=fn,
-                     separation=float(val))
+    return SosResult("Infeasible", steps,
+                     float(np.linalg.eigvalsh(to_float(M))[0]), 0.0,
+                     functional=fn, separation=float(val))
 
 
 def moment_psd(functional: DualFunctional,

@@ -1,5 +1,6 @@
-"""Floating-point kernels: symmetric eigensolver, PSD projection, and the
-Dykstra alternating-projection inner loop.
+"""Floating-point kernels: svec/smat coding, the symmetric eigensolver, and
+the PSD projection and Dykstra loop, which no solver calls since sos_check
+became a barrier solve but perfbench/tracer.py binds by name.
 
 One numpy backend. Matrices are svec-coded through cached index arrays
 (upper triangle, row-major) and weight vectors, so no kernel loops in

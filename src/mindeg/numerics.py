@@ -147,12 +147,16 @@ def solve_exact(rows, rhs):
     return x
 
 
-def is_positive_definite(rows) -> bool:
+def is_positive_definite(rows, semidefinite=False) -> bool:
     """Exact positive definiteness of a symmetric rational matrix (symmetry
     is assumed, and only the upper triangle is read). Fraction-free LDL^T
     (Bareiss) on the matrix cleared of denominators, kept as the rows of
     its upper triangle: the k-th pivot is the k-th leading principal minor,
-    so a zero or negative pivot means not positive definite (Sylvester)."""
+    so a zero or negative pivot means not positive definite (Sylvester).
+
+    semidefinite=True decides semidefiniteness: a zero pivot then needs the
+    rest of its reduced row zero, and the row is dropped (a PSD matrix has
+    a zero row wherever its diagonal is zero)."""
     vals = [[_frac(e) for e in r[i:]] for i, r in enumerate(rows)]
     den = math.lcm(*[v.denominator for r in vals for v in r])
     # a[i][j - i] is entry (i, j), j >= i
@@ -160,8 +164,10 @@ def is_positive_definite(rows) -> bool:
     prev = 1
     for k, ak in enumerate(a):
         p = ak[0]
-        if p <= 0:
+        if p < 0 or p == 0 and (not semidefinite or any(ak)):
             return False
+        if p == 0:
+            continue
         for i in range(k + 1, len(a)):
             aki = ak[i - k]
             a[i] = [(p * x - aki * y) // prev for x, y in zip(a[i], ak[i - k:])]

@@ -205,11 +205,22 @@ def _box_candidates(lo, hi):
                        axis=-1).reshape(-1, len(ranges))
 
 
+def _scan_box(Q: LatticePolytope, k: int):
+    """(lo, hi) int64 corners of the chart box of kQ. ValueError unless
+    |coordinate| * k * (largest l1 norm of a facet normal) <= 2^62, which
+    keeps every facet value on the box inside int64."""
+    proj = Q.proj_vertices
+    coord = max(abs(c) for v in proj for c in v)
+    if coord * k * max(sum(map(abs, a)) for a, _ in Q.facets()) > 2 ** 62:
+        raise ValueError("dilate %d of the polytope exceeds the int64 lattice "
+                         "scan limit 2^62" % k)
+    verts = np.array(proj, dtype=np.int64) * k
+    return verts.min(axis=0), verts.max(axis=0)
+
+
 def _scan_dilate(Q: LatticePolytope, k: int, strict: bool):
     """Chart coordinates of the lattice points of kQ (strict: interior)."""
-    verts = np.array(Q.proj_vertices, dtype=np.int64) * k
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
+    lo, hi = _scan_box(Q, k)
     planes = Q.facets()
     A = np.array([a for a, _ in planes], dtype=np.int64)
     b = np.array([bb for _, bb in planes], dtype=np.int64) * k
@@ -512,9 +523,7 @@ def lattice_point_count_oracle(Q: LatticePolytope, k: int) -> int:
         return 1
     if Q.dim == 0:
         return 1
-    verts = np.array(Q.proj_vertices, dtype=np.int64) * k
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
+    lo, hi = _scan_box(Q, k)
     count = 0
     for grid in _box_candidates(lo, hi):
         for row in grid:

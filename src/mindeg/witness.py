@@ -34,6 +34,7 @@ import numpy as np
 from .cones import (
     DualFunctional,
     GramSlice,
+    _frac_json,
     _functional_from_points,
     _normalized_on_variety,
     extremality_check,
@@ -604,11 +605,6 @@ class WitnessReport:
                 else dict(self.functional_checks),
             "sos": None if self.sos is None else dict(self.sos),
         }
-
-
-def _frac_json(v):
-    v = Fraction(v)
-    return {"num": str(v.numerator), "den": str(v.denominator)}
 
 
 def _frac_from_json(blob):

@@ -7,7 +7,7 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mindeg.polytope
@@ -25,6 +25,8 @@ SQUARE = json.dumps({"ambient_rank": 2,
 # sum of two lattice points of Q
 TETRA = json.dumps({"ambient_rank": 3,
                     "vertices": [[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]]})
+# a segment whose chart coordinates lie far beyond int64
+HUGE_SEGMENT = {"ambient_rank": 1, "vertices": [[0], [10 ** 30]]}
 
 
 def run(capsys, argv):
@@ -430,6 +432,15 @@ def test_hstar_segment_in_chunks(capsys, monkeypatch):
     assert rep["polytope_degree"] == rep["hstar_degree"] == 1
 
 
+@pytest.mark.parametrize("command", ["hstar", "epsilon"])
+def test_coordinates_beyond_int64_exit_2(capsys, command):
+    # once an uncaught OverflowError from the int64 box scan
+    code, out, err = run(capsys, [command, "--input",
+                                  json.dumps(HUGE_SEGMENT)])
+    assert code == 2 and out == ""
+    assert "2^62" in err and "Traceback" not in err
+
+
 def test_classify_single_point_exit_0(capsys):
     # recognition needs dimension >= 1: a point stays ImageOfModel
     point = json.dumps({"ambient_rank": 2, "vertices": [[3, 1]]})
@@ -464,6 +475,8 @@ _POLYTOPE_BLOB = st.one_of(
 @given(command=st.sampled_from(["hstar", "normal", "classify", "density",
                                 "amgm", "epsilon"]),
        blob=_POLYTOPE_BLOB)
+@example(command="hstar", blob=HUGE_SEGMENT)
+@example(command="epsilon", blob=HUGE_SEGMENT)
 def test_polytope_commands_never_crash(command, blob):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -138,13 +138,15 @@ def test_sos_check_certificate(veronese_surface):
     f = QuadraticForm(model, gs.apply_to_gram(G0))
     res = sos_check(f, gram_slice=gs)
     assert res.status == "Certificate"
-    assert res.residual <= 1e-6
+    assert res.residual == 0.0
     assert res.min_eig >= -1e-8
-    assert res.gram is not None
-    back = gs.a_float() @ np.array(
-        [res.gram[i, j] * (np.sqrt(2.0) if i != j else 1.0)
-         for (i, j) in gs.pairs])
-    assert np.allclose(back, [float(c) for c in f.coefficients], atol=1e-6)
+    G = res.gram
+    assert all(isinstance(x, F) for row in G for x in row)
+    assert _sigma_exact(model, G) == f.coefficients
+    assert _exactly_psd(G)
+    blob = res.to_json()["gram"]
+    assert [[F(int(x["num"]), int(x["den"])) for x in row]
+            for row in blob] == G
 
 
 def test_sos_check_zero_form(quartic_gap):
@@ -218,6 +220,56 @@ def _exactly_positive_definite(M):
     return True
 
 
+def _exactly_psd(M):
+    """Fraction LDL^T: every pivot nonnegative, and a zero pivot only on a
+    row that is zero to its right."""
+    A = [[F(x) for x in row] for row in M]
+    n = len(A)
+    for k in range(n):
+        if A[k][k] < 0 or A[k][k] == 0 and any(A[k][k + 1:]):
+            return False
+        if A[k][k] == 0:
+            continue
+        for i in range(k + 1, n):
+            t = A[i][k] / A[k][k]
+            for j in range(k + 1, n):
+                A[i][j] -= t * A[k][j]
+    return True
+
+
+def _sigma_exact(model, G):
+    """sigma(G) from the dense exact sigma rows; an off-diagonal pair
+    carries G[i][j] + G[j][i]."""
+    pairs, _ = _pair_index_map(model.n + 1)
+    sigma = _dense_sigma(model)
+    g = [G[i][j] if i == j else G[i][j] + G[j][i] for i, j in pairs]
+    return [sum((a * x for a, x in zip(row, g)), F(0)) for row in sigma]
+
+
+def _assert_certificate_reverifies(gs, f, res):
+    """The Gram matrix of a Certificate, read back from its JSON, is a
+    symmetric rational matrix with sigma(G) = f and G PSD, exactly."""
+    G = [[F(int(x["num"]), int(x["den"])) for x in row]
+         for row in res.to_json()["gram"]]
+    assert G == res.gram
+    assert all(G[i][j] == G[j][i] for i in range(len(G))
+               for j in range(len(G)))
+    assert _sigma_exact(gs.model, G) == f.coefficients
+    assert _exactly_psd(G)
+    assert res.residual == 0.0
+
+
+def _assert_infeasible_reverifies(gs, f, res):
+    """The functional of an Infeasible, read back from its JSON, is
+    negative on f and has a positive definite moment matrix, exactly."""
+    blob = res.to_json()["functional"]
+    assert blob["exact"] is True
+    values = [F(int(v["num"]), int(v["den"])) for v in blob["values"]]
+    assert values == res.functional.values
+    assert sum((v * c for v, c in zip(values, f.coefficients)), F(0)) < 0
+    assert _exactly_positive_definite(_moment_from_sigma(gs, values))
+
+
 # (model, exponents parameterizing the affine cone, or None for the toric
 # exponent basis): the six models of the sos-stream benchmark
 SOS_MODELS = [
@@ -255,16 +307,27 @@ def _dyadic_gram(C):
         lambda: VarietyModel("conic", 1, ["x0", "x1", "x2"],
                              relations=[{(0, 2): 1, (1, 1): -2}])],
     ids=[m[0] for m in SOS_MODELS] + ["veronese(2,5)", "conic"])
-def test_interior_functional_is_exactly_positive_definite(build):
+def test_center_dual_route_is_exact(build):
+    # sigma of a negative definite Gram matrix is negative on the whole
+    # cone: the barrier's center gives an exact Infeasible; sigma of a
+    # positive definite one gives an exact Certificate
     gs = GramSlice(build())
-    found = gs.interior_functional
-    assert found is not None
-    ell0, lam0 = found
-    assert lam0 > 0
-    M = _moment_from_sigma(gs, [F(v) for v in ell0.tolist()])
-    assert _exactly_positive_definite(M)
+    model = gs.model
+    nvars = model.n + 1
+    rng = np.random.Generator(np.random.Philox(605))
+    B = rng.normal(size=(nvars, nvars))
+    C = B.T @ B + np.eye(nvars)
+    neg = QuadraticForm(model, gs.apply_to_gram(_dyadic_gram(-C)))
+    res = sos_check(neg, gs)
+    assert res.status == "Infeasible"
+    _assert_infeasible_reverifies(gs, neg, res)
     # the sparse moment matrix, on toric and determinantal models alike
-    assert gs.moment_matrix([F(v) for v in ell0.tolist()]) == M
+    values = res.functional.values
+    assert gs.moment_matrix(values) == _moment_from_sigma(gs, values)
+    pos = QuadraticForm(model, gs.apply_to_gram(_dyadic_gram(C)))
+    res = sos_check(pos, gs)
+    assert res.status == "Certificate"
+    _assert_certificate_reverifies(gs, pos, res)
 
 
 @pytest.mark.parametrize("label,build,param_exps", SOS_MODELS,
@@ -316,6 +379,69 @@ def test_gram_sos_forms_are_never_infeasible(label, build, param_exps):
         f = QuadraticForm(model, gs.apply_to_gram(_dyadic_gram(B.T @ B)))
         res = sos_check(f, gs, budget=3000)
         assert res.status != "Infeasible", label
+
+
+def _near_boundary_gram(X, rng, cushion):
+    """B^T B + c I with B x0 = 0 at a sampled cone point x0, c = cushion
+    times the largest sampled value of B^T B: SOS by construction, and only
+    c at x0."""
+    nvars = X.shape[1]
+    x0 = X[int(rng.integers(0, len(X)))]
+    B = rng.normal(size=(nvars, nvars))
+    B -= np.outer(B @ x0, x0)
+    G = B.T @ B
+    values = np.einsum("ij,jk,ik->i", X, G, X)
+    return G + cushion * max(1.0, float(values.max())) * np.eye(nvars)
+
+
+@pytest.mark.parametrize("label,build,param_exps", SOS_MODELS,
+                         ids=[m[0] for m in SOS_MODELS])
+def test_stream_verdicts_reverify_exactly(label, build, param_exps):
+    # the three job classes of the sos-stream benchmark: PSD-Gram forms,
+    # near-boundary SOS forms and forms negative at a cone point
+    model = build()
+    gs = GramSlice(model)
+    nvars = model.n + 1
+    rng = np.random.Generator(np.random.Philox(608))
+    X = _cone_points(model, param_exps, 2000, rng)
+    pairs = _basis_rep_pairs(model)
+    R = np.stack([X[:, i] * X[:, j] for i, j in pairs], axis=1)
+    sum_sq = gs.apply_to_gram([[F(int(i == j)) for j in range(nvars)]
+                               for i in range(nvars)])
+    jobs = []
+    for _ in range(4):
+        B = rng.normal(size=(nvars, nvars))
+        jobs.append(("Certificate", gs.apply_to_gram(_dyadic_gram(B.T @ B))))
+        jobs.append(("Certificate", gs.apply_to_gram(
+            _dyadic_gram(_near_boundary_gram(X, rng, 0.02)))))
+    for _ in range(2):
+        g = rng.normal(size=model.dim_r2)
+        vals = R @ g
+        shift = F(float(vals.min()) + 0.1 * float(np.abs(vals).max()))
+        jobs.append(("Infeasible", [F(float(gc)) - shift * ec
+                                    for gc, ec in zip(g, sum_sq)]))
+    for expected, coeffs in jobs:
+        f = QuadraticForm(model, coeffs)
+        res = sos_check(f, gs, budget=40000)
+        assert res.status == expected, label
+        if expected == "Certificate":
+            _assert_certificate_reverifies(gs, f, res)
+        else:
+            _assert_infeasible_reverifies(gs, f, res)
+
+
+def test_near_boundary_twisted_cubic_certifies():
+    # a near-boundary form (cushion 0.1% of the largest sampled value) that
+    # the earlier Dykstra solver left Undetermined after 40,000 iterations
+    model = veronese_model(1, 3)
+    gs = GramSlice(model)
+    rng = np.random.Generator(np.random.Philox(0))
+    X = _cone_points(model, None, 2000, rng)
+    f = QuadraticForm(model, gs.apply_to_gram(
+        _dyadic_gram(_near_boundary_gram(X, rng, 0.001))))
+    res = sos_check(f, gs, budget=40000)
+    assert res.status == "Certificate"
+    _assert_certificate_reverifies(gs, f, res)
 
 
 QUARTIC_POINTS = [(1, 1, 1, 1), (1, 1, -1, 1), (1, 4, 8, 16), (1, 4, -8, 16)]

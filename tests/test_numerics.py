@@ -212,6 +212,24 @@ def test_is_positive_definite_matches_leading_minors(M):
         assert not expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(_symmetric())
+@example([[F(0)]])
+@example([[F(0), F(0)], [F(0), F(1)]])
+@example([[F(0), F(1)], [F(1), F(1)]])
+@example([[F(1), F(1), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(0)]])
+@example([[F(1), F(1), F(1)], [F(1), F(1), F(2)], [F(1), F(2), F(5)]])
+def test_is_positive_semidefinite_matches_principal_minors(M):
+    # PSD iff every principal minor is nonnegative
+    n = len(M)
+    expected = all(
+        _det_laplace([[M[i][j] for j in rows] for i in rows]) >= 0
+        for k in range(1, n + 1) for rows in itertools.combinations(range(n), k))
+    assert is_positive_definite(M, semidefinite=True) == expected
+    if is_positive_definite(M):
+        assert expected
+
+
 def test_is_positive_definite_rejects_float():
     with pytest.raises(TypeError):
         is_positive_definite([[1.0]])

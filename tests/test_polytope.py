@@ -24,6 +24,7 @@ from mindeg.polytope import (CAYLEY, DENSE, IMAGE_OF_MODEL, NOT_DENSE,
                              normalized_volume, polytope_degree,
                              product_polytope, _polytope_degree_oracle,
                              _box_candidates, _recognize_family,
+                             _scan_box,
                              _supporting_hyperplanes,
                              pyramid_over_twice_simplex, real_density,
                              reeve_simplex, simplex, sublattice_index)
@@ -314,6 +315,26 @@ def test_polytope_degree_is_the_interior_point_degree():
              LatticePolytope(2, [(3, 1)])]
     for Q in _corpus() + named + _random_polytopes(60, 7):
         assert polytope_degree(Q) == _polytope_degree_oracle(Q), Q.vertices
+
+
+def test_scan_box_bounds_int64_exactly():
+    # |coordinate| * k * (largest l1 facet-normal norm) <= 2^62; the
+    # segment's facet normals are +-1, the triangle's reach l1 norm 2
+    seg = LatticePolytope(1, [(0,), (2 ** 61,)])
+    assert [list(c) for c in _scan_box(seg, 2)] == [[0], [2 ** 62]]
+    with pytest.raises(ValueError, match="2\\^62"):
+        _scan_box(seg, 3)
+    tri = LatticePolytope(2, [(0, 0), (2 ** 60, 0), (0, 2 ** 60)])
+    _scan_box(tri, 2)
+    with pytest.raises(ValueError, match="2\\^62"):
+        _scan_box(tri, 3)
+    huge = LatticePolytope(1, [(0,), (10 ** 30,)])
+    for count in (lambda: lattice_points(huge, 1),
+                  lambda: interior_lattice_point_count(huge, 1),
+                  lambda: lattice_point_count_oracle(huge, 1),
+                  lambda: h_star(huge)):
+        with pytest.raises(ValueError, match="2\\^62"):
+            count()
 
 
 @pytest.mark.parametrize("box", [[(0,), (7,)],
