@@ -26,6 +26,8 @@ from mindeg.variety import (QuadraticForm, epsilon, is_minimal_degree,
                             veronese_model)
 from mindeg.witness import (_monomials, _veronese_image, certify_not_sos,
                             hilbert_witness, sample_nonnegativity)
+from test_cones import (_assert_certificate_reverifies,
+                        _assert_infeasible_reverifies)
 
 
 @contextmanager
@@ -216,38 +218,45 @@ def _exact_gram(C):
     return G
 
 
+def _criterion_8_forms():
+    """(label, Gram slice, form) for criterion 8: per model 50 PSD-Gram
+    forms and 50 forms nonnegative, with a cushion, on 10,000 samples."""
+    rng = np.random.Generator(np.random.Philox(8))
+    for label, make, param_exps in SUITE:
+        model = make()
+        gs = GramSlice(model)
+        nvars = model.n + 1
+        X = _cone_samples(model, param_exps, 10000, rng)
+        R = _value_matrix(model, X)
+        ident = [[Fraction(int(i == j)) for j in range(nvars)]
+                 for i in range(nvars)]
+        sum_sq = gs.apply_to_gram(ident)
+        forms = []
+        for _ in range(50):
+            B = rng.normal(size=(nvars, nvars))
+            forms.append(QuadraticForm(
+                model, gs.apply_to_gram(_exact_gram(B.T @ B))))
+        for _ in range(50):
+            g = rng.normal(size=model.dim_r2)
+            vals = R @ g
+            lo = float(vals.min())
+            cushion = 0.02 * max(1.0, float(np.abs(vals).max()))
+            shift = Fraction(0 if lo >= cushion else lo - cushion)
+            coeffs = [Fraction(float(gc)) - shift * ec
+                      for gc, ec in zip(g, sum_sq)]
+            fv = R @ np.array([float(c) for c in coeffs])
+            assert fv.min() >= 0, label
+            forms.append(QuadraticForm(model, coeffs))
+        for f in forms:
+            yield label, gs, f
+
+
 def test_criterion_8_minimal_degree_positivity():
     with criterion(8, "sampled-nonnegative forms certify", 300):
-        rng = np.random.Generator(np.random.Philox(8))
         counts = {"Certificate": 0, "Undetermined": 0, "Infeasible": 0}
-        for label, make, param_exps in SUITE:
-            model = make()
-            gs = GramSlice(model)
-            nvars = model.n + 1
-            X = _cone_samples(model, param_exps, 10000, rng)
-            R = _value_matrix(model, X)
-            ident = [[Fraction(int(i == j)) for j in range(nvars)]
-                     for i in range(nvars)]
-            sum_sq = gs.apply_to_gram(ident)
-            forms = []
-            for _ in range(50):
-                B = rng.normal(size=(nvars, nvars))
-                forms.append(QuadraticForm(
-                    model, gs.apply_to_gram(_exact_gram(B.T @ B))))
-            for _ in range(50):
-                g = rng.normal(size=model.dim_r2)
-                vals = R @ g
-                lo = float(vals.min())
-                cushion = 0.02 * max(1.0, float(np.abs(vals).max()))
-                shift = Fraction(0 if lo >= cushion else lo - cushion)
-                coeffs = [Fraction(float(gc)) - shift * ec
-                          for gc, ec in zip(g, sum_sq)]
-                fv = R @ np.array([float(c) for c in coeffs])
-                assert fv.min() >= 0, label
-                forms.append(QuadraticForm(model, coeffs))
-            for f in forms:
-                res = sos_check(f, gs, budget=40000)
-                counts[res.status] += 1
+        for label, gs, f in _criterion_8_forms():
+            res = sos_check(f, gs, budget=40000)
+            counts[res.status] += 1
         total = sum(counts.values())
         assert total == 400
         assert counts["Infeasible"] == 0, counts
@@ -285,18 +294,36 @@ def test_criterion_9_amgm_witness():
         assert float((vals / scale).min()) >= -1e-12
 
 
+def _criterion_10_forms():
+    """(label, Gram slice, form) for criterion 10: per model 100 forms with
+    a random PSD Gram matrix B^T B."""
+    rng = np.random.Generator(np.random.Philox(10))
+    for label, make, _ in SUITE:
+        model = make()
+        gs = GramSlice(model)
+        nvars = model.n + 1
+        for _ in range(100):
+            B = rng.normal(size=(nvars, nvars))
+            yield label, gs, QuadraticForm(
+                model, gs.apply_to_gram(_exact_gram(B.T @ B)))
+
+
 def test_criterion_10_gram_round_trip():
     with criterion(10, "PSD Gram round trips", 120):
-        rng = np.random.Generator(np.random.Philox(10))
-        for label, make, _ in SUITE:
-            model = make()
-            gs = GramSlice(model)
-            nvars = model.n + 1
-            for _ in range(100):
-                B = rng.normal(size=(nvars, nvars))
-                f = QuadraticForm(model,
-                                  gs.apply_to_gram(_exact_gram(B.T @ B)))
-                res = sos_check(f, gs, budget=40000)
-                assert res.status == "Certificate", label
-                assert res.residual <= 1e-6, label
-                assert res.min_eig >= -1e-8, label
+        for label, gs, f in _criterion_10_forms():
+            res = sos_check(f, gs, budget=40000)
+            assert res.status == "Certificate", label
+            assert res.residual <= 1e-6, label
+            assert res.min_eig >= -1e-8, label
+
+
+def test_criteria_8_and_10_verdicts_reverify_exactly():
+    # every verdict on the forms of criteria 8 and 10, re-verified in
+    # Fractions alone by the test_cones helpers
+    for label, gs, f in itertools.chain(_criterion_8_forms(),
+                                        _criterion_10_forms()):
+        res = sos_check(f, gs, budget=40000)
+        if res.status == "Certificate":
+            _assert_certificate_reverifies(gs, f, res)
+        elif res.status == "Infeasible":
+            _assert_infeasible_reverifies(gs, f, res)
