@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindeg.cones import (
     DualFunctional,
@@ -442,6 +444,50 @@ def test_near_boundary_twisted_cubic_certifies():
     res = sos_check(f, gs, budget=40000)
     assert res.status == "Certificate"
     _assert_certificate_reverifies(gs, f, res)
+
+
+_FUZZ_SLICES = [GramSlice(veronese_model(1, 3)), GramSlice(
+    VarietyModel("conic", 1, ["x0", "x1", "x2"],
+                 relations=[{(0, 2): 1, (1, 1): -2}])),
+    GramSlice(scroll_model([1, 2]))]
+_FUZZ_COEFF = st.one_of(
+    st.integers(-3, 3), st.integers(-2 ** 60, 2 ** 60),
+    st.builds(lambda k, e: F(k, 2 ** e), st.integers(-99, 99),
+              st.integers(0, 200)),
+    st.builds(lambda k, e: F(k) * 10 ** e, st.integers(-9, 9),
+              st.integers(-250, 250)),
+    st.builds(F, st.integers(-50, 50), st.integers(1, 50)))
+
+
+@st.composite
+def _fuzz_form(draw):
+    """A form on a small model: free rational coefficients of any size, or
+    sigma of a rank-deficient Gram matrix (a boundary form)."""
+    gs = draw(st.sampled_from(_FUZZ_SLICES))
+    model = gs.model
+    if draw(st.booleans()):
+        return gs, QuadraticForm(model, [draw(_FUZZ_COEFF)
+                                         for _ in range(model.dim_r2)])
+    nvars = model.n + 1
+    rows = [[F(draw(st.integers(-3, 3))) for _ in range(nvars)]
+            for _ in range(draw(st.integers(0, 2)))]
+    G = [[sum((r[i] * r[j] for r in rows), F(0)) for j in range(nvars)]
+         for i in range(nvars)]
+    return gs, QuadraticForm(model, gs.apply_to_gram(G))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fuzz_form())
+def test_sos_check_never_raises_and_its_verdicts_verify(case):
+    # Undetermined only when the budget is spent; every verdict exact
+    gs, f = case
+    res = sos_check(f, gs, budget=200)
+    if res.status == "Certificate":
+        _assert_certificate_reverifies(gs, f, res)
+    elif res.status == "Infeasible":
+        _assert_infeasible_reverifies(gs, f, res)
+    else:
+        assert res.status == "Undetermined" and res.iterations == 200
 
 
 QUARTIC_POINTS = [(1, 1, 1, 1), (1, 1, -1, 1), (1, 4, 8, 16), (1, 4, -8, 16)]
