@@ -145,7 +145,7 @@ def test_sos_check_certificate(veronese_surface):
     G = res.gram
     assert all(isinstance(x, F) for row in G for x in row)
     assert _sigma_exact(model, G) == f.coefficients
-    assert _exactly_psd(G)
+    assert _exactly_positive_definite(G, semidefinite=True)
     blob = res.to_json()["gram"]
     assert [[F(int(x["num"]), int(x["den"])) for x in row]
             for row in blob] == G
@@ -208,27 +208,14 @@ def _moment_from_sigma(gs, values):
              for j in range(nvars)] for i in range(nvars)]
 
 
-def _exactly_positive_definite(M):
-    """Fraction LDL^T: every pivot strictly positive."""
+def _exactly_positive_definite(M, semidefinite=False):
+    """Fraction LDL^T: every pivot strictly positive; semidefinite also
+    lets a zero pivot through on a row that is zero to its right."""
     A = [[F(x) for x in row] for row in M]
     n = len(A)
     for k in range(n):
-        if A[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            t = A[i][k] / A[k][k]
-            for j in range(k + 1, n):
-                A[i][j] -= t * A[k][j]
-    return True
-
-
-def _exactly_psd(M):
-    """Fraction LDL^T: every pivot nonnegative, and a zero pivot only on a
-    row that is zero to its right."""
-    A = [[F(x) for x in row] for row in M]
-    n = len(A)
-    for k in range(n):
-        if A[k][k] < 0 or A[k][k] == 0 and any(A[k][k + 1:]):
+        if A[k][k] < 0 or A[k][k] == 0 and (
+                not semidefinite or any(A[k][k + 1:])):
             return False
         if A[k][k] == 0:
             continue
@@ -257,7 +244,7 @@ def _assert_certificate_reverifies(gs, f, res):
     assert all(G[i][j] == G[j][i] for i in range(len(G))
                for j in range(len(G)))
     assert _sigma_exact(gs.model, G) == f.coefficients
-    assert _exactly_psd(G)
+    assert _exactly_positive_definite(G, semidefinite=True)
     assert res.residual == 0.0
 
 
