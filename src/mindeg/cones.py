@@ -54,6 +54,17 @@ class GramSlice:
         self._columns = columns
         self._a_float = None
 
+    @functools.cached_property
+    def rep_pairs(self):
+        """One representative monomial pair per R_2 basis element."""
+        return _basis_rep_pairs(self.model)
+
+    @functools.cached_property
+    def sigma_den(self) -> int:
+        """The lcm of the denominators of sigma's coefficients."""
+        return math.lcm(*(c.denominator for col in self._columns
+                          for c in col.values()))
+
     @property
     def kernel_dimension(self) -> int:
         return len(self.pairs) - self.model.dim_r2
@@ -199,6 +210,8 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
         raise InconsistentModel("form and Gram slice use different models")
     nvars = gs.model.n + 1
     A, AAt_inv, F = gs.solver_maps
+    # S = G0 + (z @ Ff) reshaped, z = (y, t)
+    Ff = F.reshape(len(F), -1)
     b = np.array([float(c) for c in form.coefficients])
     # a power of two (1 for the zero form), so that scaling is exact
     scale = math.ldexp(1.0, math.frexp(float(np.abs(b).max()))[1])
@@ -227,7 +240,8 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
         s = 1.0 / (1.0 + math.sqrt(dec)) if dec >= 0 else 0.0
         for _ in range(60):
             try:
-                Ln = np.linalg.cholesky(G0 + np.tensordot(z + s * step, F, 1))
+                Ln = np.linalg.cholesky(
+                    G0 + ((z + s * step) @ Ff).reshape(nvars, nvars))
                 if np.isfinite(Ln).all():
                     z, L = z + s * step, Ln
                     break
@@ -236,14 +250,15 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
             s *= 0.5
         if z[-1] > 0 and z[-1] >= 2.0 * tried:
             tried = z[-1]
-            res = _certificate(gs, form, G0 + np.tensordot(z[:-1], F[:-1], 1),
-                               scale, done)
+            res = _certificate(
+                gs, form, G0 + (z[:-1] @ Ff[:-1]).reshape(nvars, nvars),
+                scale, done)
         if res is None and dec <= _CENTERED:
             if z[-1] + nvars / c < 0:
                 res = _center_dual(gs, form, L, c, done)
             c = min(c * _WEIGHT_STEP, _MAX_WEIGHT)
     if res is None:
-        G = (G0 + np.tensordot(z[:-1], F[:-1], 1)) * scale
+        G = (G0 + (z[:-1] @ Ff[:-1]).reshape(nvars, nvars)) * scale
         res = SosResult("Undetermined", done, float(np.linalg.eigvalsh(G)[0]),
                         float(np.abs(A @ kernels.svec(G) - b).max()))
     return res
@@ -254,23 +269,33 @@ def _certificate(gs, form, G, scale, steps):
     G * scale on the grid scale * 2^-_GRID_BITS, with each R_2 basis
     element's residual f_s - sigma(G)_s put on its representative pair
     (column {s: 1}; half on each side off the diagonal). It needs sigma(G)
-    = f in Fractions and an exact LDL^T proof that G is PSD."""
+    = f and an exact LDL^T proof that G is PSD, both over Python ints: the
+    Gram matrix is N / D with D = 2 lcm(grid and f denominators) (times the
+    lcm of sigma's denominators, 1 on a toric model), so every entry of N
+    and every residual is an even int. Fractions are made only for a Gram
+    matrix that passes."""
     unit = Fraction(scale) / (1 << _GRID_BITS)
-    # G is exactly symmetric, and so is its rounding R
-    R = [[int(x) for x in row]
+    f = form.coefficients
+    D = 2 * gs.sigma_den * math.lcm(unit.denominator,
+                                    *(c.denominator for c in f))
+    u = unit.numerator * (D // unit.denominator)
+    target = [c.numerator * (D // c.denominator) for c in f]
+    # G is exactly symmetric, and so is N
+    N = [[int(x) * u for x in row]
          for row in np.rint(G * math.ldexp(1.0, _GRID_BITS))]
-    have = gs.apply_to_gram(R)
-    Ge = [[x * unit for x in row] for row in R]
-    for s, (i, j) in enumerate(_basis_rep_pairs(gs.model)):
-        r = form.coefficients[s] - have[s] * unit
+    have = [int(x) for x in gs.apply_to_gram(N)]
+    for s, (i, j) in enumerate(gs.rep_pairs):
+        r = target[s] - have[s]
         if r:
-            Ge[i][j] += r if i == j else r / 2
-            Ge[j][i] = Ge[i][j]
-    if gs.apply_to_gram(Ge) != form.coefficients \
-            or not is_positive_definite(Ge, semidefinite=True):
+            N[i][j] += r if i == j else r // 2
+            N[j][i] = N[i][j]
+    if gs.apply_to_gram(N) != target \
+            or not is_positive_definite(N, semidefinite=True):
         return None
-    min_eig = float(np.linalg.eigvalsh(to_float(Ge))[0])
-    return SosResult("Certificate", steps, min_eig, 0.0, gram=Ge)
+    # int / int is correctly rounded, as float(Fraction(x, D)) is
+    min_eig = float(np.linalg.eigvalsh([[x / D for x in row] for row in N])[0])
+    return SosResult("Certificate", steps, min_eig, 0.0,
+                     gram=[[Fraction(x, D) for x in row] for row in N])
 
 
 def _center_dual(gs, form, L, c, steps):

@@ -156,8 +156,12 @@ def is_positive_definite(rows, semidefinite=False) -> bool:
 
     semidefinite=True decides semidefiniteness: a zero pivot then needs the
     rest of its reduced row zero, and the row is dropped (a PSD matrix has
-    a zero row wherever its diagonal is zero)."""
-    vals = [[_frac(e) for e in r[i:]] for i, r in enumerate(rows)]
+    a zero row wherever its diagonal is zero).
+
+    Int entries are taken as they are, as _integer_row does; only the
+    other entries become Fractions."""
+    vals = [[e if type(e) is int else _frac(e) for e in r[i:]]
+            for i, r in enumerate(rows)]
     den = math.lcm(*[v.denominator for r in vals for v in r])
     # a[i][j - i] is entry (i, j), j >= i
     a = [[v.numerator * (den // v.denominator) for v in r] for r in vals]
