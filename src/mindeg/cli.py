@@ -192,6 +192,15 @@ def _cmd_sos_check(args):
         coeffs = [Fraction(str(c)) for c in blob["coefficients"]]
     except (ValueError, ZeroDivisionError) as ex:
         raise UsageError("invalid coefficient: %s" % ex)
+    for raw, c in zip(blob["coefficients"], coeffs):
+        # sos_check's input range: floats below 2^1023 in size
+        try:
+            inside = abs(float(c)) < 2.0 ** 1023
+        except OverflowError:
+            inside = False
+        if not inside:
+            raise UsageError("coefficient %s is beyond the float range "
+                             "(|c| < 2^1023)" % raw)
     try:
         form = QuadraticForm(model, coeffs)
     except InconsistentModel as ex:

@@ -188,6 +188,11 @@ _GRID_BITS = 30
 _WEIGHT_STEP = 8.0
 _CENTERED = 1e-2
 _MAX_WEIGHT = 2.0 ** 40
+# sufficient decrease of a backtracking step, as a share of s * dec
+_ARMIJO = 1e-2
+# G0 (in units of the scale) with lambda_min below minus this gets no
+# exact test
+_FAR_FROM_PSD = 2.0 ** -10
 
 
 def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
@@ -196,13 +201,25 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
     exact proof either way; `budget` caps the Newton steps.
 
     The Gram slice is G0 + span{Q_i} (G0 least-norm, Q_i from solver_maps).
-    Damped Newton steps on -c t - log det S, S = G0 + sum y_i Q_i - t I,
-    maximize t, and c grows after each centering (Vandenberghe & Boyd, SIAM
-    Review 1996). Certificate: G0, then S + t I whenever t > 0 has doubled,
-    made exact by _certificate (Peyrl & Parrilo, TCS 2008). Infeasible: at
-    a center Z = S^-1 / c has trace 1, <Z, Q_i> = 0 and <G0, Z> = t +
-    (n+1)/c; when that is negative, _center_dual makes Z's preimage under
-    sigma* an exact dual functional. Undetermined: the budget ran out.
+    Newton steps on -c t - log det S, S = G0 + sum y_i Q_i - t I, maximize
+    t, and c grows after each centering (Vandenberghe & Boyd, SIAM Review
+    1996). Each step backtracks from the full Newton step on sufficient
+    decrease, never below the damped step 1 / (1 + sqrt(dec)) of a
+    self-concordant barrier (Boyd & Vandenberghe, Convex Optimization,
+    9.6 and 11.5). Certificate: G0 unless floats see it far from PSD, then
+    S + t I whenever t > 0 has doubled, made exact by _certificate (Peyrl &
+    Parrilo, TCS 2008).
+    Infeasible: at a center Z = S^-1 / c has trace 1, <Z, Q_i> = 0 and
+    <G0, Z> = t + (n+1)/c; when that is negative, _center_dual makes Z's
+    preimage under sigma* an exact dual functional. Undetermined: the
+    budget ran out.
+
+    Input range: rational coefficients whose floats are below 2^1023 in
+    size (about 9e307), so that the power of two above max |f_s|, the scale
+    of the float solve, is a finite float; a larger one raises
+    OverflowError. A coefficient below about 2^-1074 times that scale is
+    zero to the solve; the verdict stays exact, but such a form may end
+    Undetermined.
     """
     gs = gram_slice if isinstance(gram_slice, GramSlice) \
         else GramSlice(form.model if gram_slice is None else gram_slice)
@@ -210,17 +227,26 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
         raise InconsistentModel("form and Gram slice use different models")
     nvars = gs.model.n + 1
     A, AAt_inv, F = gs.solver_maps
-    # S = G0 + (z @ Ff) reshaped, z = (y, t)
-    Ff = F.reshape(len(F), -1)
     b = np.array([float(c) for c in form.coefficients])
     # a power of two (1 for the zero form), so that scaling is exact
     scale = math.ldexp(1.0, math.frexp(float(np.abs(b).max()))[1])
     G0 = kernels.smat(A.T @ (AAt_inv @ (b / scale)), nvars)
+    Ff = F.reshape(len(F), -1)
+
+    def at(v):
+        # G0 + sum v_a F_a over the first len(v) directions: S at z = (y, t),
+        # the Gram matrix S + t I at y
+        return G0 + (v @ Ff[:len(v)]).reshape(nvars, nvars)
+
+    lam0 = float(np.linalg.eigvalsh(G0)[0])
     z = np.zeros(len(F))
-    z[-1] = float(np.linalg.eigvalsh(G0)[0]) - 1.0
+    z[-1] = lam0 - 1.0
     L = np.linalg.cholesky(G0 - z[-1] * np.eye(nvars))
     c, tried, done = 1.0, 0.0, 0
-    res = _certificate(gs, form, G0, scale, 0)
+    # rounding G0 moves it by some 2^-30 of the scale, so the exact test
+    # cannot pass where floats see G0 far from PSD
+    res = _certificate(gs, form, G0, scale, 0) \
+        if lam0 > -_FAR_FROM_PSD else None
     while res is None and done < budget:
         # W_a = L^-1 F_a L^-T: gradient -tr W_a (-c more for t), Hessian
         # <W_a, W_b>
@@ -235,33 +261,55 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
             step = np.zeros(len(F))
         dec = float(-grad @ step)
         done += 1
-        # the damped step 1 / (1 + sqrt(dec)), halved until S stays
-        # positive definite in floats
-        s = 1.0 / (1.0 + math.sqrt(dec)) if dec >= 0 else 0.0
-        for _ in range(60):
-            try:
-                Ln = np.linalg.cholesky(
-                    G0 + ((z + s * step) @ Ff).reshape(nvars, nvars))
-                if np.isfinite(Ln).all():
-                    z, L = z + s * step, Ln
-                    break
-            except np.linalg.LinAlgError:
-                pass
+        # backtracking from the full step (Boyd & Vandenberghe 2004, 9.6):
+        # halve while S is not positive definite in floats or the objective
+        # falls by less than _ARMIJO * s * dec, but never below the damped
+        # step 1 / (1 + sqrt(dec)); that one is taken whenever S keeps its
+        # Cholesky factor, and halved only while it does not
+        floor = 1.0 / (1.0 + math.sqrt(dec)) if dec >= 0 else 0.0
+        s, Ln = (1.0 if dec > 0 else floor), None
+        obj = _objective(c, z, L)
+        while s > floor:
+            Ln = _factor(at(z + s * step))
+            if Ln is not None and _objective(c, z + s * step, Ln) \
+                    <= obj - _ARMIJO * s * dec:
+                break
+            s, Ln = max(0.5 * s, floor), None
+        for _ in range(0 if Ln is not None else 60):
+            Ln = _factor(at(z + s * step))
+            if Ln is not None:
+                break
             s *= 0.5
+        if Ln is not None:
+            z, L = z + s * step, Ln
         if z[-1] > 0 and z[-1] >= 2.0 * tried:
             tried = z[-1]
-            res = _certificate(
-                gs, form, G0 + (z[:-1] @ Ff[:-1]).reshape(nvars, nvars),
-                scale, done)
+            res = _certificate(gs, form, at(z[:-1]), scale, done)
         if res is None and dec <= _CENTERED:
             if z[-1] + nvars / c < 0:
                 res = _center_dual(gs, form, L, c, done)
             c = min(c * _WEIGHT_STEP, _MAX_WEIGHT)
     if res is None:
-        G = (G0 + (z[:-1] @ Ff[:-1]).reshape(nvars, nvars)) * scale
+        G = at(z[:-1]) * scale
         res = SosResult("Undetermined", done, float(np.linalg.eigvalsh(G)[0]),
                         float(np.abs(A @ kernels.svec(G) - b).max()))
     return res
+
+
+def _objective(c, z, L):
+    """The barrier objective -c t - log det S at z = (y, t), from the
+    Cholesky factor L of S."""
+    return -c * z[-1] - 2.0 * np.log(np.diagonal(L)).sum()
+
+
+def _factor(S):
+    """The Cholesky factor of S, or None when S is not positive definite in
+    floats."""
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return None
+    return L if np.isfinite(L).all() else None
 
 
 def _certificate(gs, form, G, scale, steps):

@@ -331,7 +331,12 @@ def is_k_normal(Q: LatticePolytope, k: int):
 
 
 def _iterated_sumset(pts1, k):
-    base = np.array(pts1, dtype=np.int64)
+    """The k-fold sums of the lex-sorted points pts1, as a set of tuples.
+    The int64 sums run on the points less the least one, pts1[0], which k
+    times over is added back in Python ints; ValueError unless k times
+    every coordinate difference stays inside int64."""
+    least = pts1[0]
+    base = _int64_translate(pts1, least, k)
     acc = base
     for _ in range(k - 1):
         if len(acc) * len(base) <= 4_000_000:
@@ -344,7 +349,18 @@ def _iterated_sumset(pts1, k):
                 part = (acc[s:s + step, None, :] + base[None, :, :]).reshape(-1, base.shape[1])
                 blocks.append(np.unique(part, axis=0))
             acc = np.unique(np.concatenate(blocks, axis=0), axis=0)
-    return {tuple(int(c) for c in row) for row in acc}
+    shift = [k * c for c in least]
+    return {tuple(c + o for c, o in zip(row, shift)) for row in acc.tolist()}
+
+
+def _int64_translate(pts, least, k):
+    """The int64 array of pts - least. ValueError unless k * |coordinate|
+    < 2^63 for every difference, so that sums of k rows stay in int64."""
+    diffs = [[c - o for c, o in zip(p, least)] for p in pts]
+    if k * max((abs(c) for d in diffs for c in d), default=0) >= 2 ** 63:
+        raise ValueError("sums of %d lattice points exceed the int64 range"
+                         % k)
+    return np.array(diffs, dtype=np.int64)
 
 
 @dataclass

@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import InconsistentModel, NotFullDimensional
 from .numerics import exact_rank, rref
-from .polytope import (LatticePolytope, is_k_normal, lattice_points,
-                       normalized_volume, product_polytope, simplex)
+from .polytope import (LatticePolytope, _int64_translate, is_k_normal,
+                       lattice_points, normalized_volume, product_polytope,
+                       simplex)
 
 
 def _pair_index_map(nvars):
@@ -265,8 +266,11 @@ class QuadraticForm:
 
 
 def toric_model_from_points(name, exponents, m):
+    """The toric model of the exponents: the pairwise sums run in int64 on
+    the exponents less the least one, which keeps their lexicographic
+    order, and twice it is added back in Python ints."""
     pts = sorted(set(exponents))
-    arr = np.array(pts, dtype=np.int64)
+    arr = _int64_translate(pts, pts[0], 2)
     i, j = np.triu_indices(len(arr))
     sums = arr[i] + arr[j]
     # the distinct sums in lexicographic order: sort, then drop each row
@@ -274,7 +278,9 @@ def toric_model_from_points(name, exponents, m):
     sums = sums[np.lexsort(sums.T[::-1])]
     keep = np.ones(len(sums), dtype=bool)
     keep[1:] = (sums[1:] != sums[:-1]).any(axis=1)
-    toric_sums = [tuple(int(c) for c in row) for row in sums[keep]]
+    shift = [2 * c for c in pts[0]]
+    toric_sums = [tuple(c + o for c, o in zip(row, shift))
+                  for row in sums[keep].tolist()]
     return VarietyModel(name, m, pts, toric_sums=toric_sums)
 
 

@@ -27,6 +27,10 @@ TETRA = json.dumps({"ambient_rank": 3,
                     "vertices": [[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]]})
 # a segment whose chart coordinates lie far beyond int64
 HUGE_SEGMENT = {"ambient_rank": 1, "vertices": [[0], [10 ** 30]]}
+# a unit triangle translated far beyond int64
+FAR = 10 ** 30
+FAR_TRIANGLE = {"ambient_rank": 2,
+                "vertices": [[FAR, 0], [FAR, 1], [FAR + 1, 0]]}
 
 
 def run(capsys, argv):
@@ -198,6 +202,28 @@ def test_sos_check_rejects_bad_count(capsys):
     blob = json.dumps({"model": model.to_json(), "coefficients": ["1"]})
     code, _, err = run(capsys, ["sos-check", "--input", blob])
     assert code == 2 and err != ""
+
+
+@pytest.mark.parametrize("coeff", ["1e400", "-1e400", 2 ** 1023,
+                                   -2 ** 1023 + 2 ** 969])
+def test_sos_check_rejects_coefficients_beyond_float_range(capsys, coeff):
+    # "1e400" once ended in an OverflowError traceback from float(c)
+    model = veronese_model(1, 2)
+    coeffs = [coeff] + ["0"] * (model.dim_r2 - 1)
+    blob = json.dumps({"model": model.to_json(), "coefficients": coeffs})
+    code, out, err = run(capsys, ["sos-check", "--input", blob])
+    assert code == 2 and out == ""
+    assert str(coeff) in err and "Traceback" not in err
+
+
+def test_sos_check_accepts_the_largest_coefficients(capsys):
+    model = veronese_model(1, 2)
+    # the largest float below 2^1023
+    coeffs = [str(2 ** 1023 - 2 ** 970)] + ["0"] * (model.dim_r2 - 1)
+    blob = json.dumps({"model": model.to_json(), "coefficients": coeffs})
+    code, out, _ = run(capsys, ["sos-check", "--input", blob])
+    assert code == 0
+    assert json.loads(out)["result"]["status"] == "Certificate"
 
 
 def test_sos_check_needs_both_keys(capsys):
@@ -441,6 +467,45 @@ def test_coordinates_beyond_int64_exit_2(capsys, command):
     assert "2^62" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["normal", "classify", "amgm", "epsilon"])
+def test_far_translated_polytope_answers_as_at_the_origin(capsys, command):
+    # once an OverflowError traceback from the int64 sumset and toric model
+    near = {"ambient_rank": 2, "vertices": [[0, 0], [0, 1], [1, 0]]}
+    code, out, err = run(capsys, [command, "--input", json.dumps(near)])
+    assert code == 0
+    want = json.loads(out)
+    code, out, err = run(capsys, [command, "--input",
+                                  json.dumps(FAR_TRIANGLE)])
+    assert code == 0 and err == ""
+    got = json.loads(out)
+    # ambient coordinates shifted back by (FAR, 0)
+    if "polytope" in got:
+        got["polytope"]["vertices"] = [
+            [x - FAR, y] for x, y in got["polytope"]["vertices"]]
+    if command == "classify":
+        got["classification"]["model_map"]["translation"][0] -= FAR
+    assert got == want
+
+
+def test_far_translated_gap_keeps_its_missing_point(capsys):
+    far = {"ambient_rank": 3,
+           "vertices": [[FAR + x, y, z] for x, y, z in json.loads(TETRA)[
+               "vertices"]]}
+    code, out, _ = run(capsys, ["normal", "--input", json.dumps(far)])
+    assert code == 0
+    assert json.loads(out)["missing_point"] == [2 * FAR + 1, 1, 1]
+
+
+@pytest.mark.parametrize("x,code", [(2 ** 62 - 1, 0), (2 ** 62, 2)])
+def test_sumset_at_the_int64_edge(capsys, x, code):
+    # a primitive segment: two lattice points, whose sum leaves int64 at
+    # x = 2^62
+    blob = {"ambient_rank": 2, "vertices": [[0, 0], [x, 1]]}
+    got, out, err = run(capsys, ["normal", "--input", json.dumps(blob)])
+    assert got == code and "Traceback" not in err
+    assert code == 0 or "int64" in err and out == ""
+
+
 def test_classify_single_point_exit_0(capsys):
     # recognition needs dimension >= 1: a point stays ImageOfModel
     point = json.dumps({"ambient_rank": 2, "vertices": [[3, 1]]})
@@ -477,6 +542,10 @@ _POLYTOPE_BLOB = st.one_of(
        blob=_POLYTOPE_BLOB)
 @example(command="hstar", blob=HUGE_SEGMENT)
 @example(command="epsilon", blob=HUGE_SEGMENT)
+@example(command="normal", blob=FAR_TRIANGLE)
+@example(command="classify", blob=FAR_TRIANGLE)
+@example(command="amgm", blob=FAR_TRIANGLE)
+@example(command="epsilon", blob=FAR_TRIANGLE)
 def test_polytope_commands_never_crash(command, blob):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

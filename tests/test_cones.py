@@ -1,5 +1,7 @@
 """Gram slices, the SOS feasibility solver, and separating functionals."""
 
+import math
+from fractions import Fraction
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,10 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mindeg import kernels
 from mindeg.cones import (
+    _GRID_BITS,
     DualFunctional,
     GramSlice,
+    SosResult,
     _basis_rep_pairs,
+    _certificate,
     _sup_normalize,
     extremality_check,
     interpolant_through_points,
@@ -22,7 +28,7 @@ from mindeg.cones import (
     sos_check,
 )
 from mindeg.errors import DegeneratePosition, InconsistentModel
-from mindeg.numerics import nullspace
+from mindeg.numerics import is_positive_definite, nullspace, to_float
 from mindeg.polytope import LatticePolytope, simplex
 from mindeg.variety import (
     QuadraticForm,
@@ -431,6 +437,86 @@ def test_near_boundary_twisted_cubic_certifies():
     res = sos_check(f, gs, budget=40000)
     assert res.status == "Certificate"
     _assert_certificate_reverifies(gs, f, res)
+
+
+# -- the integer certificate against the Fraction one it replaced ---------
+
+def _certificate_reference(gs, form, G, scale, steps):
+    """Certificate from the float Gram matrix G of form / scale, or None:
+    G * scale on the grid scale * 2^-_GRID_BITS, with each R_2 basis
+    element's residual f_s - sigma(G)_s put on its representative pair
+    (column {s: 1}; half on each side off the diagonal). It needs sigma(G)
+    = f in Fractions and an exact LDL^T proof that G is PSD."""
+    unit = Fraction(scale) / (1 << _GRID_BITS)
+    # G is exactly symmetric, and so is its rounding R
+    R = [[int(x) for x in row]
+         for row in np.rint(G * math.ldexp(1.0, _GRID_BITS))]
+    have = gs.apply_to_gram(R)
+    Ge = [[x * unit for x in row] for row in R]
+    for s, (i, j) in enumerate(_basis_rep_pairs(gs.model)):
+        r = form.coefficients[s] - have[s] * unit
+        if r:
+            Ge[i][j] += r if i == j else r / 2
+            Ge[j][i] = Ge[i][j]
+    if gs.apply_to_gram(Ge) != form.coefficients \
+            or not is_positive_definite(Ge, semidefinite=True):
+        return None
+    min_eig = float(np.linalg.eigvalsh(to_float(Ge))[0])
+    return SosResult("Certificate", steps, min_eig, 0.0, gram=Ge)
+
+
+def _conic(a, b):
+    # a x0 x2 = b x1^2: sigma's coefficient at x0 x2 is b / a
+    return VarietyModel("conic", 1, ["x0", "x1", "x2"],
+                        relations=[{(0, 2): a, (1, 1): -b}])
+
+
+@pytest.mark.parametrize(
+    "build", [m[1] for m in SOS_MODELS] + [
+        lambda: _conic(1, 2), lambda: _conic(2, 1), lambda: _conic(3, 1)],
+    ids=[m[0] for m in SOS_MODELS] + ["conic-2", "conic-1/2", "conic-1/3"])
+def test_integer_certificate_matches_the_fraction_reference(build):
+    # float Grams that are positive definite, indefinite and singular PSD
+    # (rank <= 2), and G0 as sos_check starts from, for forms with dyadic
+    # denominators and denominators 3, 7 and 21, at three magnitudes
+    gs = GramSlice(build())
+    nvars = gs.model.n + 1
+    A, AAt_inv, _ = gs.solver_maps
+    rng = np.random.Generator(np.random.Philox(1717))
+    outcomes = set()
+    for den in (1, 3, 7, 21):
+        B = rng.normal(size=(nvars, nvars))
+        V = rng.integers(-3, 4, size=(2, nvars)).astype(float)
+        for C in (B.T @ B + np.eye(nvars), B + B.T, V.T @ V):
+            for mag in (F(1), F(2) ** 40, F(1, 3 * 2 ** 40)):
+                f = QuadraticForm(gs.model, [
+                    c * mag / den for c in gs.apply_to_gram(_dyadic_gram(C))])
+                b = np.array([float(c) for c in f.coefficients])
+                scale = math.ldexp(1.0, math.frexp(float(np.abs(b).max()))[1])
+                G0 = kernels.smat(A.T @ (AAt_inv @ (b / scale)), nvars)
+                for G in (C * float(mag / den) / scale, G0):
+                    want = _certificate_reference(gs, f, G, scale, 7)
+                    got = _certificate(gs, f, G, scale, 7)
+                    assert (got is None) == (want is None)
+                    outcomes.add(got is None)
+                    if want is not None:
+                        assert got.gram == want.gram
+                        assert got.min_eig == want.min_eig
+                        assert got.to_json() == want.to_json()
+    assert outcomes == {True, False}
+
+
+def test_newton_steps_on_veronese_2_5():
+    # k = 165: sigma(B^T B + I) certifies and its negative is Infeasible in
+    # a bounded number of steps (57 and 31 under damped steps alone)
+    gs = GramSlice(veronese_model(2, 5))
+    nvars = gs.model.n + 1
+    B = np.random.Generator(np.random.Philox(0)).normal(size=(nvars, nvars))
+    f = gs.apply_to_gram(_dyadic_gram(B.T @ B + np.eye(nvars)))
+    res = sos_check(QuadraticForm(gs.model, f), gs)
+    assert res.status == "Certificate" and res.iterations <= 25
+    res = sos_check(QuadraticForm(gs.model, [-c for c in f]), gs)
+    assert res.status == "Infeasible" and res.iterations <= 20
 
 
 _FUZZ_SLICES = [GramSlice(veronese_model(1, 3)), GramSlice(
