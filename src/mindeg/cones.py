@@ -3,11 +3,12 @@
 The degree-2 part of the coordinate ring is R_2 = Sym^2(R_1) / I_2. A form
 f in R_2 is a sum of squares iff some positive semidefinite Gram matrix G
 satisfies sigma(G) = f, where sigma maps a symmetric matrix over R_1 to its
-quadratic form in R_2. This module carries the exact Gram map, the SOS
-decision over it (a float log-det barrier in the quadric coordinates whose
-verdicts are proved exactly: a rational PSD Gram matrix, or a rational
-dual functional with a positive definite moment matrix), and the rational
-separating functionals built from point configurations on the variety.
+quadratic form in R_2. The model owns sigma (VarietyModel.columns). This
+module carries the solver's view of it (GramSlice), the SOS decision over
+it (a float log-det barrier in the quadric coordinates whose verdicts are
+proved exactly: a rational PSD Gram matrix, or a rational dual functional
+with a positive definite moment matrix), and the rational separating
+functionals built from point configurations on the variety.
 """
 
 from __future__ import annotations
@@ -23,51 +24,26 @@ from . import kernels
 from .errors import DegeneratePosition, InconsistentModel
 from .numerics import (_integer_row, exact_rank, is_positive_definite,
                        nullspace, solve_exact, to_float)
-from .variety import QuadraticForm, VarietyModel, _pair_index_map
+from .variety import QuadraticForm, VarietyModel
 
 
 class GramSlice:
-    """Exact map sigma, stored by its sparse columns: column c is the
-    {R_2 basis index: coefficient} of monomial pair c (i <= j, i-major).
-    Surjectivity and the vanishing of the quadric relations are verified
-    at construction."""
+    """The solver's view of the model's map sigma: its pairs and sparse
+    columns (built and checked once per model, VarietyModel.columns), with
+    the float matrices and the exact denominator that every sos_check on
+    the model shares."""
 
     def __init__(self, model: VarietyModel):
         self.model = model
-        nvars = model.n + 1
-        self.pairs, self.pair_index = _pair_index_map(nvars)
-        columns = [model.pair_vector(i, j) for i, j in self.pairs]
-        rows = [[0] * len(self.pairs) for _ in range(model.dim_r2)]
-        for c, col in enumerate(columns):
-            for s, coeff in col.items():
-                rows[s][c] = coeff
-        if exact_rank(rows) != model.dim_r2:
-            raise InconsistentModel("Gram map is not surjective onto R_2")
-        for terms in model.relation_terms():
-            image = {}
-            for pair, c in terms:
-                for s, coeff in columns[self.pair_index[pair]].items():
-                    image[s] = image.get(s, 0) + coeff * c
-            if any(v != 0 for v in image.values()):
-                raise InconsistentModel(
-                    "quadric relation does not lie in the Gram kernel")
-        self._columns = columns
+        self.pairs = model.pairs
+        self._columns = model.columns
         self._a_float = None
-
-    @functools.cached_property
-    def rep_pairs(self):
-        """One representative monomial pair per R_2 basis element."""
-        return _basis_rep_pairs(self.model)
 
     @functools.cached_property
     def sigma_den(self) -> int:
         """The lcm of the denominators of sigma's coefficients."""
         return math.lcm(*(c.denominator for col in self._columns
                           for c in col.values()))
-
-    @property
-    def kernel_dimension(self) -> int:
-        return len(self.pairs) - self.model.dim_r2
 
     def a_float(self) -> np.ndarray:
         """sigma in svec coordinates: A @ svec(G) equals the coefficient
@@ -107,21 +83,22 @@ class GramSlice:
                 out[s] += g if coeff == 1 else coeff * g
         return out
 
-    def moment_matrix(self, values):
-        """Exact sigma-transpose image of a rational functional:
-        M[i][j] = l(x_i x_j). A pair that is a basis monomial s (column
-        {s: 1}) reads l(s) itself; only reduced pairs sum Fractions."""
-        nvars = self.model.n + 1
-        M = [[None] * nvars for _ in range(nvars)]
-        for (i, j), col in zip(self.pairs, self._columns):
-            (s, coeff), *rest = col.items()
-            if not rest and coeff == 1:
-                m = values[s]
-            else:
-                m = sum((values[s] * coeff for s, coeff in col.items()),
-                        Fraction(0))
-            M[i][j] = M[j][i] = m
-        return M
+
+def _moment_matrix(model, values):
+    """Exact sigma-transpose image of a functional given by its values on
+    the R_2 basis: M[i][j] = l(x_i x_j). A pair whose column is {s: 1}
+    reads values[s] itself, so int values stay ints; only reduced pairs
+    sum Fractions."""
+    nvars = model.n + 1
+    M = [[None] * nvars for _ in range(nvars)]
+    for (i, j), col in zip(model.pairs, model.columns):
+        terms = list(col.items())
+        if len(terms) == 1 and terms[0][1] == 1:
+            m = values[terms[0][0]]
+        else:
+            m = sum((values[s] * coeff for s, coeff in terms), Fraction(0))
+        M[i][j] = M[j][i] = m
+    return M
 
 
 def _frac_json(v):
@@ -149,9 +126,8 @@ class DualFunctional:
         return sum((v * c for v, c in zip(self.values, form.coefficients)),
                    Fraction(0))
 
-    def moment_matrix(self, gram_slice: GramSlice | None = None):
-        gs = gram_slice if gram_slice is not None else GramSlice(self.model)
-        return gs.moment_matrix(self.values)
+    def moment_matrix(self):
+        return _moment_matrix(self.model, self.values)
 
     def to_json(self):
         return {"model": self.model.name, "exact": True,
@@ -198,7 +174,12 @@ _FAR_FROM_PSD = 2.0 ** -10
 def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
               budget: int = 1000) -> SosResult:
     """Decide whether the form is a sum of squares on the model, with an
-    exact proof either way; `budget` caps the Newton steps.
+    exact proof either way; `budget` caps the Newton steps. `gram_slice` is
+    a GramSlice of the form's model (or of one with the same R_2 basis),
+    to share its float matrices across calls; by default one is built from
+    form.model. The columns of sigma come from the model
+    (VarietyModel.columns), and _certificate puts residuals on its
+    representative pairs (VarietyModel.rep_pairs).
 
     The Gram slice is G0 + span{Q_i} (G0 least-norm, Q_i from solver_maps).
     Newton steps on -c t - log det S, S = G0 + sum y_i Q_i - t I, maximize
@@ -221,8 +202,7 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
     zero to the solve; the verdict stays exact, but such a form may end
     Undetermined.
     """
-    gs = gram_slice if isinstance(gram_slice, GramSlice) \
-        else GramSlice(form.model if gram_slice is None else gram_slice)
+    gs = gram_slice if gram_slice is not None else GramSlice(form.model)
     if gs.model is not form.model and gs.model.r2_basis != form.model.r2_basis:
         raise InconsistentModel("form and Gram slice use different models")
     nvars = gs.model.n + 1
@@ -332,7 +312,7 @@ def _certificate(gs, form, G, scale, steps):
     N = [[int(x) * u for x in row]
          for row in np.rint(G * math.ldexp(1.0, _GRID_BITS))]
     have = [int(x) for x in gs.apply_to_gram(N)]
-    for s, (i, j) in enumerate(gs.rep_pairs):
+    for s, (i, j) in enumerate(gs.model.rep_pairs):
         r = target[s] - have[s]
         if r:
             N[i][j] += r if i == j else r // 2
@@ -356,7 +336,7 @@ def _center_dual(gs, form, L, c, steps):
     fn = DualFunctional(gs.model, (AAt_inv @ (A @ kernels.svec(
         Linv.T @ Linv / c))).tolist())
     val = fn.apply(form)
-    M = fn.moment_matrix(gs)
+    M = fn.moment_matrix()
     if val >= 0 or not is_positive_definite(M):
         return None
     return SosResult("Infeasible", steps,
@@ -364,10 +344,9 @@ def _center_dual(gs, form, L, c, steps):
                      functional=fn, separation=float(val))
 
 
-def moment_psd(functional: DualFunctional,
-               gram_slice: GramSlice | None = None) -> float:
+def moment_psd(functional: DualFunctional) -> float:
     """Smallest eigenvalue of the exact moment matrix, in floats."""
-    M = to_float(functional.moment_matrix(gram_slice))
+    M = to_float(functional.moment_matrix())
     w, _ = kernels.symmetric_eigen(M)
     return float(w[0])
 
@@ -381,33 +360,18 @@ def _sup_normalize(point):
 
 
 def _check_on_variety(model, point):
-    for terms in model.relation_terms():
+    for terms in model.relations:
         if sum(c * point[i] * point[j] for (i, j), c in terms) != 0:
             raise InconsistentModel("point does not satisfy the quadric relations")
 
 
 def _check_on_variety_complex(model, a, b):
-    for terms in model.relation_terms():
+    for terms in model.relations:
         re = sum(c * (a[i] * a[j] - b[i] * b[j]) for (i, j), c in terms)
         im = sum(c * (a[i] * b[j] + a[j] * b[i]) for (i, j), c in terms)
         if re != 0 or im != 0:
             raise InconsistentModel(
                 "complex point does not satisfy the quadric relations")
-
-
-def _basis_rep_pairs(model):
-    """One representative monomial pair per R_2 basis element."""
-    if not model.is_toric:
-        return list(model.r2_basis)
-    reps = [None] * model.dim_r2
-    for i in range(model.n + 1):
-        for j in range(i, model.n + 1):
-            s = tuple(a + b for a, b in zip(model.r1_basis[i],
-                                            model.r1_basis[j]))
-            k = model._sum_index[s]
-            if reps[k] is None:
-                reps[k] = (i, j)
-    return reps
 
 
 def _unique_dependency(columns, ncols):
@@ -469,9 +433,8 @@ def _functional_from_points(model, pts, kappas=None):
         raise DegeneratePosition("need e+1 positive weights")
     inv = sum(lam[j] ** 2 / kappas[j] for j in range(e + 1))
     kappa_last = 1 / inv
-    reps = _basis_rep_pairs(model)
     values = []
-    for (i, j) in reps:
+    for (i, j) in model.rep_pairs:
         v = sum(kappas[t] * pts[t][i] * pts[t][j] for t in range(e + 1))
         v -= kappa_last * pts[e + 1][i] * pts[e + 1][j]
         values.append(v)
@@ -536,9 +499,8 @@ def separating_functional_complex(model: VarietyModel, real_points, a_point,
     c = 1 / sum(lam[j] ** 2 / kappas[j] for j in range(e))
     k1 = c / (1 + rho ** 2)
     k2 = rho * k1
-    reps = _basis_rep_pairs(model)
     values = []
-    for (i, j) in reps:
+    for (i, j) in model.rep_pairs:
         v = sum(kappas[t] * pts[t][i] * pts[t][j] for t in range(e))
         v -= k1 * (a_rot[i] * a_rot[j] - b_rot[i] * b_rot[j])
         v += k2 * (a_rot[i] * b_rot[j] + a_rot[j] * b_rot[i])
@@ -560,12 +522,11 @@ def interpolant_through_points(model: VarietyModel, points, targets):
     return g
 
 
-def pair_with_square(functional: DualFunctional, g,
-                     gram_slice: GramSlice | None = None):
+def pair_with_square(functional: DualFunctional, g):
     """Exact value l(g^2) via the moment matrix quadratic form, summed over
     ints: g and the functional's values are cleared to integers and the
     sum is divided once by the common denominator."""
-    M = functional.moment_matrix(gram_slice)
+    M = functional.moment_matrix()
     g = [Fraction(c) for c in g]
     gden = math.lcm(*(c.denominator for c in g))
     gi = [(i, c.numerator * (gden // c.denominator))
@@ -576,15 +537,13 @@ def pair_with_square(functional: DualFunctional, g,
     return Fraction(total, gden * gden * mden)
 
 
-def kernel_dimension(functional: DualFunctional,
-                     gram_slice: GramSlice | None = None) -> int:
+def kernel_dimension(functional: DualFunctional) -> int:
     """dim Ker of the moment matrix: its size minus its exact rank."""
-    M = functional.moment_matrix(gram_slice)
+    M = functional.moment_matrix()
     return len(M) - exact_rank(M)
 
 
-def extremality_check(functional: DualFunctional,
-                      gram_slice: GramSlice | None = None, kernel=None):
+def extremality_check(functional: DualFunctional, kernel=None):
     """Whether the functional spans an extremal ray of the dual cone of
     sums of squares: the space of functionals whose moment matrix kills
     Ker(M) must be one-dimensional. Returns (extremal, that dimension),
@@ -597,8 +556,7 @@ def extremality_check(functional: DualFunctional,
     that fails a check raises InconsistentModel. Any basis of Ker(M) gives
     the same conditions, and a basis with small entries is cheaper to
     eliminate than the reduced one."""
-    gs = gram_slice if gram_slice is not None else GramSlice(functional.model)
-    M = functional.moment_matrix(gs)
+    M = functional.moment_matrix()
     if kernel is None:
         kern = nullspace(M)
     else:
@@ -615,8 +573,9 @@ def extremality_check(functional: DualFunctional,
             raise InconsistentModel("kernel vectors do not span Ker M")
     if not kern:
         return False, 0
-    nvars = functional.model.n + 1
-    dim_r2 = functional.model.dim_r2
+    model = functional.model
+    nvars = model.n + 1
+    dim_r2 = model.dim_r2
     rows = []
     for k in kern:
         support = [(j, kj) for j, kj in enumerate(k) if kj != 0]
@@ -624,8 +583,7 @@ def extremality_check(functional: DualFunctional,
             # (M(l) k)_i = sum_j k_j l(x_i x_j), linear in l's values
             row = [0] * dim_r2
             for j, kj in support:
-                col = gs._columns[gs.pair_index[(i, j) if i <= j else (j, i)]]
-                for s, coeff in col.items():
+                for s, coeff in model.pair_vector(i, j).items():
                     row[s] += coeff * kj
             rows.append(row)
     dim = dim_r2 - exact_rank(rows)

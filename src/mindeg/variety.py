@@ -7,6 +7,7 @@ epsilon = C(e+1,2) - dim I_2 whose vanishing characterizes minimal degree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InconsistentModel, NotFullDimensional
-from .numerics import exact_rank, rref
+from .numerics import _echelon, exact_rank, rref
 from .polytope import (LatticePolytope, _int64_translate, is_k_normal,
                        lattice_points, normalized_volume, product_polytope,
                        simplex)
@@ -27,13 +28,24 @@ def _pair_index_map(nvars):
     return pairs, {p: s for s, p in enumerate(pairs)}
 
 
+def _position(i, j, nvars):
+    """Index of the pair (i, j), i <= j, in the i-major order."""
+    return i * (2 * nvars - i - 1) // 2 + j
+
+
 class VarietyModel:
     """A nondegenerate variety X in P^n presented by degree-1 coordinates and
     independent quadric relations. r1_basis entries are exponent tuples for
-    toric models and label strings for determinantal ones."""
+    toric models and label strings for determinantal ones.
+
+    The model owns the degree-2 map Sym^2(R_1) -> R_2: the pairs x_i x_j
+    (i <= j, i-major), the sparse R_2 column of each pair, the relations as
+    sparse terms and one representative pair per basis element. A toric
+    model keeps only the basis index of each pair's exponent sum
+    (pair_sums) until a reader asks for more."""
 
     def __init__(self, name, m, r1_basis, relations=None, toric_sums=None,
-                 degree=None, source_polytope=None):
+                 pair_sums=None, degree=None, source_polytope=None):
         self.name = name
         self.r1_basis = list(r1_basis)
         self.n = len(self.r1_basis) - 1
@@ -44,124 +56,100 @@ class VarietyModel:
         self.is_toric = toric_sums is not None
         self._degree = degree
         self._source_polytope = source_polytope
-        self._i2_pairs = None
-        self._relation_terms = None
+        self._pair_sums = pair_sums
         npairs = math.comb(self.n + 2, 2)
         if self.is_toric:
             self.r2_basis = toric_sums
-            self._sum_index = {s: i for i, s in enumerate(toric_sums)}
             self.dim_r2 = len(toric_sums)
             self.i2_count = npairs - self.dim_r2
-            self._pair_reduce = None
-        else:
-            pairs, pair_idx = _pair_index_map(self.n + 1)
-            rows = []
-            for rel in relations:
-                row = [Fraction(0)] * npairs
-                for p, c in rel.items():
-                    row[pair_idx[p]] += Fraction(c)
-                rows.append(row)
-            reduced, pivots = rref(rows)
-            if len(reduced) != len(rows):
-                # drop dependent relations, keeping an independent set
-                kept = []
-                for rel in relations:
-                    row = [Fraction(0)] * npairs
-                    for p, c in rel.items():
-                        row[pair_idx[p]] += Fraction(c)
-                    trial = kept + [row]
-                    if exact_rank(trial) == len(trial):
-                        kept.append(row)
-                rows = kept
-                reduced, pivots = rref(rows)
-            self.i2_count = len(reduced)
-            self.dim_r2 = npairs - self.i2_count
-            pivset = set(pivots)
-            free_pairs = [pairs[s] for s in range(npairs) if s not in pivset]
-            self.r2_basis = free_pairs
-            free_index = {pairs[s]: k for k, s in
-                          enumerate(s for s in range(npairs) if s not in pivset)}
-            # pivot monomial = -(tail of its reduced row) over free monomials
-            reduce_map = {}
-            for row, piv in zip(reduced, pivots):
-                vec = {}
-                for s in range(npairs):
-                    if s == piv or row[s] == 0:
-                        continue
-                    vec[free_index[pairs[s]]] = -row[s]
-                reduce_map[pairs[piv]] = vec
-            self._pair_reduce = reduce_map
-            self._free_index = free_index
-            self._i2_rows = rows
-        expected = npairs - self.i2_count
-        if self.dim_r2 != expected:
-            raise InconsistentModel("dim R_2 does not match relation count")
+            return
+        pairs, pair_idx = _pair_index_map(self.n + 1)
+        rows = []
+        for rel in relations:
+            row = [Fraction(0)] * npairs
+            for p, c in rel.items():
+                row[pair_idx[p]] += Fraction(c)
+            rows.append(row)
+        reduced, pivots = rref(rows)
+        if len(reduced) != len(rows):
+            # keep each relation independent of those before it: the pivot
+            # columns of the transposed rows
+            rows = [rows[k] for k in _echelon(list(zip(*rows)))[1]]
+        self.i2_count = len(reduced)
+        self.dim_r2 = npairs - self.i2_count
+        pivset = set(pivots)
+        free = [s for s in range(npairs) if s not in pivset]
+        self.r2_basis = [pairs[s] for s in free]
+        # a free pair is its own basis element; a pivot pair is minus the
+        # tail of its reduced row over the free pairs
+        cols = {s: {k: 1} for k, s in enumerate(free)}
+        for row, piv in zip(reduced, pivots):
+            cols[piv] = {k: -row[s] for k, s in enumerate(free) if row[s]}
+        self._columns = [cols[s] for s in range(npairs)]
+        self.relations = [tuple((pairs[s], c) for s, c in enumerate(row) if c)
+                          for row in rows]
 
-    # -- canonical representation of x_i x_j over the R_2 basis --
+    @functools.cached_property
+    def pairs(self):
+        """The monomial pairs (i, j), i <= j, in i-major order."""
+        return _pair_index_map(self.n + 1)[0]
+
+    @functools.cached_property
+    def rep_pairs(self):
+        """One pair per R_2 basis element, whose column is {s: 1}: on a
+        toric model the first pair with that exponent sum, on a labelled
+        one the free pair itself."""
+        if not self.is_toric:
+            return list(self.r2_basis)
+        first = np.unique(self._pair_sums, return_index=True)[1]
+        return [self.pairs[c] for c in first.tolist()]
+
+    @functools.cached_property
+    def relations(self):
+        """Each quadric relation as its nonzero ((i, j), coefficient) terms
+        over the pairs. A labelled model sets them at construction; a toric
+        model's are the binomials x_a - x_b, a the representative pair of a
+        sum and b each later pair with that sum, by sum and then pair."""
+        sums = self._pair_sums.tolist()
+        reps = self.rep_pairs
+        return [((reps[sums[c]], 1), (self.pairs[c], -1))
+                for c in np.argsort(self._pair_sums, kind="stable").tolist()
+                if self.pairs[c] != reps[sums[c]]]
+
+    @functools.cached_property
+    def columns(self):
+        """The sparse R_2 column {basis index: coefficient} of each pair,
+        checked exactly when first built: every representative pair's
+        column is {s: 1}, which makes the map onto R_2, and every relation
+        maps to zero."""
+        if self.is_toric:
+            cols = [{s: 1} for s in self._pair_sums.tolist()]
+        else:
+            cols = self._columns
+        nvars = self.n + 1
+        if any(cols[_position(i, j, nvars)] != {s: 1}
+               for s, (i, j) in enumerate(self.rep_pairs)):
+            raise InconsistentModel(
+                "a representative pair's column is not its unit vector")
+        for terms in self.relations:
+            image = {}
+            for (i, j), c in terms:
+                for s, coeff in cols[_position(i, j, nvars)].items():
+                    image[s] = image.get(s, 0) + coeff * c
+            if any(v != 0 for v in image.values()):
+                raise InconsistentModel(
+                    "quadric relation does not lie in the Gram kernel")
+        return cols
 
     def pair_vector(self, i, j):
-        """Sparse map basis_index -> coefficient representing x_i x_j in
-        R_2. A pair that is itself a basis monomial (every pair of a toric
+        """The column of x_i x_j: a sparse map basis_index -> coefficient
+        representing it in R_2, shared with the model (not to be mutated).
+        A pair that is itself a basis monomial (every pair of a toric
         model) maps to {its index: 1} with the int 1; a reduced pair of a
         determinantal model keeps the Fractions of its relation."""
         if i > j:
             i, j = j, i
-        if self.is_toric:
-            s = tuple(a + b for a, b in zip(self.r1_basis[i], self.r1_basis[j]))
-            return {self._sum_index[s]: 1}
-        if (i, j) in self._pair_reduce:
-            return dict(self._pair_reduce[(i, j)])
-        return {self._free_index[(i, j)]: 1}
-
-    def i2_pairs(self):
-        """Toric quadric relations as pairs of monomial pairs: each entry
-        ((i,j),(k,l)) stands for the binomial x_i x_j - x_k x_l."""
-        if not self.is_toric:
-            raise InconsistentModel("binomial relations exist only for toric models")
-        if self._i2_pairs is None:
-            groups = {}
-            for i in range(self.n + 1):
-                for j in range(i, self.n + 1):
-                    s = tuple(a + b for a, b in
-                              zip(self.r1_basis[i], self.r1_basis[j]))
-                    groups.setdefault(s, []).append((i, j))
-            rels = []
-            for s in sorted(groups):
-                members = sorted(groups[s])
-                rels.extend((members[0], other) for other in members[1:])
-            if len(rels) != self.i2_count:
-                raise InconsistentModel("binomial count mismatch")
-            self._i2_pairs = rels
-        return self._i2_pairs
-
-    def i2_rows(self):
-        """Relations as exact vectors over the x_i x_j coordinates (i <= j,
-        i-major order); used for rank checks and the Gram-map kernel."""
-        npairs = math.comb(self.n + 2, 2)
-        _, pair_idx = _pair_index_map(self.n + 1)
-        if self.is_toric:
-            rows = []
-            for a, b in self.i2_pairs():
-                row = [Fraction(0)] * npairs
-                row[pair_idx[a]] = Fraction(1)
-                row[pair_idx[b]] = Fraction(-1)
-                rows.append(row)
-            return rows
-        return [r[:] for r in self._i2_rows]
-
-    def relation_terms(self):
-        """Each quadric relation as its nonzero ((i, j), coeff) terms over
-        the monomial pairs i <= j; computed once per model."""
-        if self._relation_terms is None:
-            if self.is_toric:
-                self._relation_terms = [((a, 1), (b, -1))
-                                        for a, b in self.i2_pairs()]
-            else:
-                pairs, _ = _pair_index_map(self.n + 1)
-                self._relation_terms = [
-                    tuple((pairs[s], c) for s, c in enumerate(row) if c != 0)
-                    for row in self._i2_rows]
-        return self._relation_terms
+        return self.columns[_position(i, j, self.n + 1)]
 
     @property
     def degree(self):
@@ -191,29 +179,24 @@ class VarietyModel:
         if self.is_toric and self.i2_count > 2000:
             return out
         size = self.n + 1
-        _, pair_idx = _pair_index_map(size)
         mats = []
-        for row in self.i2_rows():
+        for terms in self.relations:
             mat = [[Fraction(0)] * size for _ in range(size)]
-            for (i, j), s in pair_idx.items():
-                c = row[s]
-                if c == 0:
-                    continue
+            for (i, j), c in terms:
                 if i == j:
-                    mat[i][i] = c
+                    mat[i][i] = Fraction(c)
                 else:
-                    mat[i][j] = c / 2
-                    mat[j][i] = c / 2
-            mats.append([str(mat[i][j]) for i in range(size) for j in range(size)])
+                    mat[i][j] = mat[j][i] = Fraction(c) / 2
+            mats.append([str(x) for row in mat for x in row])
         out["i2_basis"] = mats
         return out
 
     @classmethod
     def from_json(cls, obj):
-        """The model of to_json output: m a JSON integer, and r1_basis
-        distinct toric rows, lists of JSON integers of one length, or
-        string labels with i2_basis rows of nvars^2 strings or JSON
-        integers. Anything else raises ValueError."""
+        """The model of to_json output: r1_basis distinct toric rows, lists
+        of JSON integers of one length, with m their affine rank, or string
+        labels with i2_basis rows of nvars^2 strings or JSON integers and m
+        in 0..n. Anything else raises ValueError."""
         r1, m, flats = obj["r1_basis"], obj["m"], obj.get("i2_basis")
         if type(m) is not int or not isinstance(r1, list):
             raise ValueError("m must be a JSON integer, r1_basis a list")
@@ -223,6 +206,10 @@ class VarietyModel:
                     or len({tuple(u) for u in r1}) != len(r1):
                 raise ValueError("toric r1_basis rows must be distinct lists "
                                  "of JSON integers of one length")
+            rank = exact_rank([[a - b for a, b in zip(u, r1[0])] for u in r1])
+            if m != rank:
+                raise ValueError("m must be %d, the affine rank of the toric "
+                                 "r1_basis" % rank)
             return toric_model_from_points(obj.get("name", "toric"),
                                            [tuple(u) for u in r1], m)
         nvars = len(r1)
@@ -233,6 +220,8 @@ class VarietyModel:
                            for f in flats):
             raise ValueError("r1_basis labels must be strings, i2_basis rows "
                              "lists of nvars^2 strings or JSON integers")
+        if not 0 <= m < nvars:
+            raise ValueError("m must lie in 0..n for a labelled model")
         rels = []
         for flat in flats:
             rel = {}
@@ -268,20 +257,25 @@ class QuadraticForm:
 def toric_model_from_points(name, exponents, m):
     """The toric model of the exponents: the pairwise sums run in int64 on
     the exponents less the least one, which keeps their lexicographic
-    order, and twice it is added back in Python ints."""
+    order, and twice it is added back in Python ints. One lexsort gives
+    both the distinct sums and the basis index of each pair's sum."""
     pts = sorted(set(exponents))
     arr = _int64_translate(pts, pts[0], 2)
     i, j = np.triu_indices(len(arr))
     sums = arr[i] + arr[j]
-    # the distinct sums in lexicographic order: sort, then drop each row
-    # equal to its predecessor
-    sums = sums[np.lexsort(sums.T[::-1])]
+    order = np.lexsort(sums.T[::-1])
+    sums = sums[order]
+    # the distinct sums in lexicographic order: drop each sorted row equal
+    # to its predecessor
     keep = np.ones(len(sums), dtype=bool)
     keep[1:] = (sums[1:] != sums[:-1]).any(axis=1)
+    pair_sums = np.empty(len(sums), dtype=np.intp)
+    pair_sums[order] = np.cumsum(keep) - 1
     shift = [2 * c for c in pts[0]]
     toric_sums = [tuple(c + o for c, o in zip(row, shift))
                   for row in sums[keep].tolist()]
-    return VarietyModel(name, m, pts, toric_sums=toric_sums)
+    return VarietyModel(name, m, pts, toric_sums=toric_sums,
+                        pair_sums=pair_sums)
 
 
 def toric_model(Q: LatticePolytope) -> VarietyModel:

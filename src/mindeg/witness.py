@@ -33,9 +33,9 @@ import numpy as np
 
 from .cones import (
     DualFunctional,
-    GramSlice,
     _frac_json,
     _functional_from_points,
+    _moment_matrix,
     _normalized_on_variety,
     extremality_check,
     interpolant_through_points,
@@ -54,10 +54,19 @@ from .errors import (
 from .numerics import (_integer_row, exact_rank, in_row_span,
                        is_positive_definite, nullspace, residues, rref,
                        solve_exact)
-from .variety import QuadraticForm, veronese_model
+from .variety import QuadraticForm, epsilon, veronese_model
 
 # sphere samples per block of power tables in _SphereSamples
 _SAMPLE_BLOCK = 1 << 14
+# pipeline attempts, each with seeds derived from the caller's
+_MAX_RETRIES = 8
+# random draws of a line configuration, and of h0 from its vanishing space
+_MAX_DRAWS = 64
+# line coefficients are drawn from -_COEFF_BOUND..._COEFF_BOUND
+_COEFF_BOUND = 9
+# sphere samples this close to a selected point are left out of delta's
+# starting estimate
+_EXCLUSION_RADIUS = 0.1
 
 
 def _monomials(d):
@@ -196,7 +205,7 @@ def _functional_points(d):
             if not d + 1 <= i + j <= 2 * d - 3]
 
 
-def choose_hyperplanes(d, seed, max_draws=64, coeff_bound=9):
+def choose_hyperplanes(d, seed):
     """Two products of d random integer lines whose d^2 pairwise
     intersections are distinct exact points, and whose points
     _functional_points(d) have degree-d images tied by exactly one linear
@@ -208,8 +217,8 @@ def choose_hyperplanes(d, seed, max_draws=64, coeff_bound=9):
     rng = _rng(seed)
     exps = _monomials(d)
     chosen = _functional_points(d)
-    for _ in range(max_draws):
-        raw = rng.integers(-coeff_bound, coeff_bound + 1, size=(2 * d, 3))
+    for _ in range(_MAX_DRAWS):
+        raw = rng.integers(-_COEFF_BOUND, _COEFF_BOUND + 1, size=(2 * d, 3))
         if not raw.any(axis=1).all():
             continue
         lines = [_primitive([int(c) for c in row]) for row in raw]
@@ -232,14 +241,15 @@ def choose_hyperplanes(d, seed, max_draws=64, coeff_bound=9):
                 ProductForm(list(em), _line_product(em)),
                 pts)
     raise RetryExhausted(
-        "no valid line configuration in %d draws" % max_draws)
+        "no valid line configuration in %d draws" % _MAX_DRAWS)
 
 
-def fit_h0(points, selected, seed, h_forms=None, max_draws=64):
+def fit_h0(points, selected, seed, h_forms):
     """Degree-d form vanishing exactly at the selected points: drawn from
     the exact nullspace of their Veronese evaluation matrix, verified
-    nonvanishing at every non-selected point. With h_forms = (h1, h2)
-    given, also verifies span{h0, h1, h2} is the full vanishing space."""
+    nonvanishing at every non-selected point. The line products h_forms =
+    (h1, h2) are verified to vanish there too, and span{h0, h1, h2} to be
+    the full vanishing space."""
     d = math.isqrt(len(points))
     if d * d != len(points):
         raise InconsistentModel("point count is not a square")
@@ -256,7 +266,7 @@ def fit_h0(points, selected, seed, h_forms=None, max_draws=64):
                          for i in range(len(points)) if i not in set(selected)]
     rng = _rng(seed)
     h0 = None
-    for _ in range(max_draws):
+    for _ in range(_MAX_DRAWS):
         c = rng.integers(-4, 5, size=3)
         if not c.any():
             continue
@@ -273,16 +283,15 @@ def fit_h0(points, selected, seed, h_forms=None, max_draws=64):
     if h0 is None:
         raise RetryExhausted(
             "no combination avoided the unselected points in %d draws"
-            % max_draws)
-    if h_forms is not None:
-        h1, h2 = h_forms
-        v1 = _poly_to_vector(h1.coeffs, exps, d)
-        v2 = _poly_to_vector(h2.coeffs, exps, d)
-        if not (in_row_span(vanishing, v1) and in_row_span(vanishing, v2)):
-            raise InconsistentModel(
-                "line products do not vanish at the selected points")
-        if exact_rank([h0, v1, v2]) != 3:
-            raise DegenerateSpan("h0, h1, h2 do not span the vanishing space")
+            % _MAX_DRAWS)
+    h1, h2 = h_forms
+    v1 = _poly_to_vector(h1.coeffs, exps, d)
+    v2 = _poly_to_vector(h2.coeffs, exps, d)
+    if not (in_row_span(vanishing, v1) and in_row_span(vanishing, v2)):
+        raise InconsistentModel(
+            "line products do not vanish at the selected points")
+    if exact_rank([h0, v1, v2]) != 3:
+        raise DegenerateSpan("h0, h1, h2 do not span the vanishing space")
     return h0
 
 
@@ -317,7 +326,7 @@ def build_f(points, selected, prods):
     if quotient == 0:
         raise EmptyComplement(
             "every doubly-vanishing form is a combination of the h_i h_j")
-    eps = _quadratic_deficiency(d)
+    eps = epsilon(veronese_model(2, d))
     if quotient < eps or (d == 3 and quotient != 1):
         raise DegenerateSpan(
             "quotient dimension %d is degenerate (deficiency %d)"
@@ -331,12 +340,6 @@ def build_f(points, selected, prods):
     return [Fraction(c) for c in f], {"nullspace_dim": len(ns),
                                       "products_rank": rp,
                                       "quotient_dim": quotient}
-
-
-def _quadratic_deficiency(d):
-    n = (d + 2) * (d + 1) // 2 - 1
-    dim_r2 = (2 * d + 2) * (2 * d + 1) // 2
-    return dim_r2 - 3 * (n + 1) + 3
 
 
 def _eval_many(poly_items, powers):
@@ -492,8 +495,7 @@ def _outside(pts, centers, radius):
     return keep
 
 
-def delta_search(f_vec, h_polys, selected_points, samples=100000, seed=0,
-                 exclusion_radius=0.1):
+def delta_search(f_vec, h_polys, selected_points, samples=100000, seed=0):
     """Power-of-two rational delta with delta f + sum h_i^2 sampled
     nonnegative on the unit sphere (relative margin -1e-9).
 
@@ -510,7 +512,7 @@ def delta_search(f_vec, h_polys, selected_points, samples=100000, seed=0,
     result is bit for bit that of evaluating every sample.
     """
     sphere = _SphereSamples(f_vec, h_polys, samples, seed)
-    keep = _outside(sphere.pts, selected_points, exclusion_radius)
+    keep = _outside(sphere.pts, selected_points, _EXCLUSION_RADIUS)
     if not keep.any():
         keep[:] = True
     idx = np.flatnonzero(keep)
@@ -701,7 +703,7 @@ def certify_not_sos(report: WitnessReport) -> bool:
         return False
 
 
-def _dual_parts(report, gs, prods):
+def _dual_parts(report, model, prods):
     """(l2, l1, K): values on the degree-2d monomials of two functionals
     and a power of two K such that l = l2 + K l1 certifies that the witness
     is not a sum of squares (one step of facial reduction).
@@ -728,8 +730,8 @@ def _dual_parts(report, gs, prods):
     images = [_veronese_image(report.points[i], 2 * d, exps2)
               for i in report.selected]
     l1 = [sum(col) for col in zip(*images)]
-    M2 = gs.moment_matrix(l2)
-    M1 = gs.moment_matrix(l1)
+    M2 = _moment_matrix(model, l2)
+    M1 = _moment_matrix(model, l1)
     pivots = set(rref(hs)[1])
     free = [k for k in range(len(exps)) if k not in pivots]
     B = [[sum(M2[k][i] * h[i] for i in range(len(exps))) for k in free]
@@ -752,13 +754,13 @@ def _dual_parts(report, gs, prods):
     return l2, l1, Fraction(2) ** (top + 1)
 
 
-def _attach_dual(model, gs, report, prods):
+def _attach_dual(model, report, prods):
     """report.sos: the exact Infeasible verdict with its functional. No
     fallback: a functional that fails the exact check is a model error."""
-    l2, l1, K = _dual_parts(report, gs, prods)
+    l2, l1, K = _dual_parts(report, model, prods)
     fn = DualFunctional(model, [a + K * b for a, b in zip(l2, l1)])
     value = fn.apply(report.witness)
-    if value >= 0 or not is_positive_definite(fn.moment_matrix(gs)):
+    if value >= 0 or not is_positive_definite(fn.moment_matrix()):
         raise InconsistentModel("dual certificate failed the exact check")
     report.sos = {"status": "Infeasible", "separation": _frac_json(value),
                   "functional": fn.to_json()}
@@ -785,7 +787,7 @@ def certify_dual(report: WitnessReport) -> bool:
         return False
 
 
-def _attach_functional(model, gs, report):
+def _attach_functional(model, report):
     """Separating functional from the e+2 intersection points
     _functional_points(d), plus the exact pairing and kernel checks. The
     draw guarantees their unique all-nonzero relation (choose_hyperplanes),
@@ -799,16 +801,16 @@ def _attach_functional(model, gs, report):
     fn, info = _functional_from_points(model, images)
     targets = [info["lambdas"][j] / info["kappas"][j] for j in range(e + 1)]
     g = interpolant_through_points(model, info["points"][:e + 1], targets)
-    pairing = pair_with_square(fn, g, gs)
+    pairing = pair_with_square(fn, g)
     for h in report.h_vectors[1:]:
-        pairing += pair_with_square(fn, h, gs)
+        pairing += pair_with_square(fn, h)
     if pairing != 0:
         raise InconsistentModel(
             "functional fails to annihilate g^2 + h1^2 + h2^2")
     # g, h1 and h2 lie in Ker M by the pairing; extremality_check
     # verifies exactly that they are a basis of it
     kernel = [g] + list(report.h_vectors[1:])
-    extremal, pdim = extremality_check(fn, gs, kernel=kernel)
+    extremal, pdim = extremality_check(fn, kernel=kernel)
     kd = len(kernel)
     if extremal and kd != model.m + 1:
         raise InconsistentModel(
@@ -818,7 +820,7 @@ def _attach_functional(model, gs, report):
                               "kappas": info["kappas"],
                               "point_indices": idx}
     report.functional_checks = {
-        "moment_min_eig": moment_psd(fn, gs),
+        "moment_min_eig": moment_psd(fn),
         "pairing_is_zero": True,
         "kernel_dim": kd,
         "extremal": extremal,
@@ -838,8 +840,7 @@ def _default_selection(d, e):
     return [i for i in range(d * d) if i not in cells]
 
 
-def hilbert_witness(d=3, seed=0, samples=100000,
-                    max_retries=8) -> WitnessReport:
+def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
     """Full pipeline on the degree-d Veronese surface model. Steps that
     depend on the random draw retry with derived seeds; the final report
     carries the exact non-SOS certificate, sampling evidence for
@@ -853,9 +854,8 @@ def hilbert_witness(d=3, seed=0, samples=100000,
     if list(model.r1_basis) != exps or list(model.r2_basis) != exps2:
         raise InconsistentModel("model monomial order drifted")
     e = model.e
-    gs = GramSlice(model)
     last_err = None
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         ss = np.random.SeedSequence(int(seed), spawn_key=(attempt,))
         s_lines, s_h0, s_delta = ss.spawn(3)
         try:
@@ -872,7 +872,7 @@ def hilbert_witness(d=3, seed=0, samples=100000,
     else:
         raise RetryExhausted(
             "pipeline failed after %d attempts; last: %s"
-            % (max_retries, last_err))
+            % (_MAX_RETRIES, last_err))
 
     h_vectors = [h0,
                  _poly_to_vector(h1f.coeffs, exps, d),
@@ -905,6 +905,6 @@ def hilbert_witness(d=3, seed=0, samples=100000,
     }
     if not cert_valid:
         raise InconsistentModel("exact certificate failed to re-verify")
-    _attach_functional(model, gs, report)
-    _attach_dual(model, gs, report, prods)
+    _attach_functional(model, report)
+    _attach_dual(model, report, prods)
     return report

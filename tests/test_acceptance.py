@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mindeg.cones import (GramSlice, _basis_rep_pairs, extremality_check,
+from mindeg.cones import (GramSlice, extremality_check,
                           interpolant_through_points, kernel_dimension,
                           moment_psd, pair_with_square,
                           separating_functional_real, sos_check)
@@ -136,7 +136,6 @@ def test_criterion_6_witness_pipeline():
 def test_criterion_7_separating_functional():
     with criterion(7, "separating functional checks", 30):
         model = veronese_model(2, 3)
-        gs = GramSlice(model)
         rep = None
         for seed in range(10):
             cand = hilbert_witness(3, seed=seed, samples=2000)
@@ -147,7 +146,7 @@ def test_criterion_7_separating_functional():
         assert rep is not None, "no seed produced an extremal functional"
         fn = rep.functional
         assert fn.exact
-        assert moment_psd(fn, gs) >= -1e-8
+        assert moment_psd(fn) >= -1e-8
         # re-derive the functional from the recorded points and redo the
         # exact annihilation of g^2 + h1^2 + h2^2 from scratch
         exps = _monomials(3)
@@ -160,13 +159,13 @@ def test_criterion_7_separating_functional():
                    for j in range(e + 1)]
         g = interpolant_through_points(model, info["points"][:e + 1],
                                        targets)
-        pairing = pair_with_square(fn2, g, gs)
+        pairing = pair_with_square(fn2, g)
         for h in rep.h_vectors[1:]:
-            pairing += pair_with_square(fn2, h, gs)
+            pairing += pair_with_square(fn2, h)
         assert pairing == 0
-        extremal, _ = extremality_check(fn, gs)
+        extremal, _ = extremality_check(fn)
         assert extremal
-        assert kernel_dimension(fn, gs) == model.m + 1 == 3
+        assert kernel_dimension(fn) == model.m + 1 == 3
 
 
 # minimal-degree suite shared by criteria 8 and 10: model factory plus the
@@ -205,8 +204,8 @@ def _cone_samples(model, param_exps, count, rng):
 def _value_matrix(model, X):
     # one representative monomial pair per R_2 basis element; valid because
     # every row of X lies on the cone
-    reps = _basis_rep_pairs(model)
-    return np.stack([X[:, i] * X[:, j] for (i, j) in reps], axis=1)
+    return np.stack([X[:, i] * X[:, j] for (i, j) in model.rep_pairs],
+                    axis=1)
 
 
 def _exact_gram(C):

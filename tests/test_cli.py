@@ -417,14 +417,24 @@ _SCROLL = {"m": 1, "r1_basis": ["a", "b", "c"],
     dict(_SCROLL, i2_basis=[["0", "0", 1.0, "0", "-1", "0", "1", "0", "0"]]),
     dict(_SCROLL, i2_basis=[["1/0"] * 9]),
     dict(_SCROLL, i2_basis="0"),
+    {"m": 0, "r1_basis": [[0], [1], [2]]},
+    {"m": 1, "r1_basis": [[0, 0], [1, 0], [0, 1]]},
+    {"m": -1, "r1_basis": [[0], [1], [2]]},
+    dict(_SCROLL, m=-1),
+    dict(_SCROLL, m=-2),
+    dict(_SCROLL, m=3),
 ], ids=["float-row", "bool-row", "float-m", "bool-m", "duplicate-rows",
         "ragged-rows", "huge-exponent", "string-basis", "list-label",
-        "short-i2-row", "float-i2-entry", "zero-denominator", "string-i2"])
+        "short-i2-row", "float-i2-entry", "zero-denominator", "string-i2",
+        "toric-m-below-rank", "toric-m-below-plane", "toric-m-negative",
+        "labelled-m-negative", "labelled-m-minus-two",
+        "labelled-m-above-n"])
 @pytest.mark.parametrize("command", ["epsilon", "sos-check"])
 def test_model_json_rejects_malformed_input(capsys, command, blob):
     # a float must not be truncated ([[0], [1.7]] is not [[0], [1]]), a
-    # duplicate row must not change n, and a short i2_basis row must not
-    # index out of range
+    # duplicate row must not change n, a short i2_basis row must not index
+    # out of range, and m must be the affine rank of toric rows (0..n for
+    # labels): a wrong m once gave a wrong epsilon with exit 0
     if command == "sos-check":
         blob = {"model": blob, "coefficients": []}
     code, out, err = run(capsys, [command, "--input", json.dumps(blob)])

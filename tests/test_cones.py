@@ -15,7 +15,6 @@ from mindeg.cones import (
     DualFunctional,
     GramSlice,
     SosResult,
-    _basis_rep_pairs,
     _certificate,
     _sup_normalize,
     extremality_check,
@@ -33,7 +32,6 @@ from mindeg.polytope import LatticePolytope, simplex
 from mindeg.variety import (
     QuadraticForm,
     VarietyModel,
-    _pair_index_map,
     epsilon,
     scroll_model,
     toric_model,
@@ -59,35 +57,36 @@ def veronese_surface():
 def test_gram_slice_shapes():
     gs1 = GramSlice(veronese_model(1, 1))
     assert (gs1.model.dim_r2, len(gs1.pairs)) == (3, 3)
-    assert gs1.kernel_dimension == 0
+    assert gs1.model.i2_count == 0
     gst = GramSlice(veronese_model(1, 3))
     assert (gst.model.dim_r2, len(gst.pairs)) == (7, 10)
-    assert gst.kernel_dimension == 3
+    assert gst.model.i2_count == 3
 
 
 def test_gram_slice_shapes_surface(veronese_surface):
     _, gs = veronese_surface
     assert (gs.model.dim_r2, len(gs.pairs)) == (15, 21)
-    assert gs.kernel_dimension == 6
+    assert gs.model.i2_count == 6
 
 
 def test_gram_slice_quartic(quartic_gap):
     model, gs = quartic_gap
     assert epsilon(model) == 1
     assert (gs.model.dim_r2, len(gs.pairs)) == (8, 10)
-    assert gs.kernel_dimension == 2
+    assert gs.model.i2_count == 2
 
 
 @pytest.mark.parametrize("build", [lambda: veronese_model(2, 2),
                                    lambda: scroll_model([1, 2])],
                          ids=["toric", "determinantal"])
 def test_gram_slice_rejects_relation_outside_kernel(build):
-    model = build()
-    GramSlice(model)
-    terms = model.relation_terms()
+    GramSlice(build())
+    terms = build().relations
     (p, a), (q, b) = terms[0][:2]
     for bad in [(((0, 0), 1),), ((p, a), (q, -b))]:
-        model._relation_terms = terms + [bad]
+        # injected before the model's columns are first built and checked
+        model = build()
+        model.relations = terms + [bad]
         with pytest.raises(InconsistentModel):
             GramSlice(model)
 
@@ -193,10 +192,15 @@ def test_sos_result_json(quartic_gap):
 
 # -- soundness of the exact verdicts, re-checked with Fractions only -------
 
+def _pairs(nvars):
+    """The monomial pairs (i, j), i <= j, in i-major order."""
+    return [(i, j) for i in range(nvars) for j in range(i, nvars)]
+
+
 def _dense_sigma(model):
     """The dense exact sigma rows (R_2 basis x monomial pairs, i-major),
     built entry by entry from model.pair_vector."""
-    pairs, _ = _pair_index_map(model.n + 1)
+    pairs = _pairs(model.n + 1)
     rows = [[F(0)] * len(pairs) for _ in range(model.dim_r2)]
     for c, (i, j) in enumerate(pairs):
         for s, coeff in model.pair_vector(i, j).items():
@@ -207,7 +211,7 @@ def _dense_sigma(model):
 def _moment_from_sigma(gs, values):
     """M[i][j] = l(x_i x_j) from the dense exact sigma rows."""
     nvars = gs.model.n + 1
-    _, index = _pair_index_map(nvars)
+    index = {p: c for c, p in enumerate(_pairs(nvars))}
     sigma = _dense_sigma(gs.model)
     return [[sum((v * sigma[s][index[min(i, j), max(i, j)]]
                   for s, v in enumerate(values)), F(0))
@@ -235,7 +239,7 @@ def _exactly_positive_definite(M, semidefinite=False):
 def _sigma_exact(model, G):
     """sigma(G) from the dense exact sigma rows; an off-diagonal pair
     carries G[i][j] + G[j][i]."""
-    pairs, _ = _pair_index_map(model.n + 1)
+    pairs = _pairs(model.n + 1)
     sigma = _dense_sigma(model)
     g = [G[i][j] if i == j else G[i][j] + G[j][i] for i, j in pairs]
     return [sum((a * x for a, x in zip(row, g)), F(0)) for row in sigma]
@@ -318,7 +322,7 @@ def test_center_dual_route_is_exact(build):
     _assert_infeasible_reverifies(gs, neg, res)
     # the sparse moment matrix, on toric and determinantal models alike
     values = res.functional.values
-    assert gs.moment_matrix(values) == _moment_from_sigma(gs, values)
+    assert res.functional.moment_matrix() == _moment_from_sigma(gs, values)
     pos = QuadraticForm(model, gs.apply_to_gram(_dyadic_gram(C)))
     res = sos_check(pos, gs)
     assert res.status == "Certificate"
@@ -333,8 +337,7 @@ def test_negative_forms_are_exactly_infeasible(label, build, param_exps):
     nvars = model.n + 1
     rng = np.random.Generator(np.random.Philox(606))
     X = _cone_points(model, param_exps, 2000, rng)
-    pairs = _basis_rep_pairs(model)
-    R = np.stack([X[:, i] * X[:, j] for i, j in pairs], axis=1)
+    R = np.stack([X[:, i] * X[:, j] for i, j in model.rep_pairs], axis=1)
     sum_sq = gs.apply_to_gram([[F(int(i == j)) for j in range(nvars)]
                                for i in range(nvars)])
     for _ in range(2):
@@ -399,8 +402,7 @@ def test_stream_verdicts_reverify_exactly(label, build, param_exps):
     nvars = model.n + 1
     rng = np.random.Generator(np.random.Philox(608))
     X = _cone_points(model, param_exps, 2000, rng)
-    pairs = _basis_rep_pairs(model)
-    R = np.stack([X[:, i] * X[:, j] for i, j in pairs], axis=1)
+    R = np.stack([X[:, i] * X[:, j] for i, j in model.rep_pairs], axis=1)
     sum_sq = gs.apply_to_gram([[F(int(i == j)) for j in range(nvars)]
                                for i in range(nvars)])
     jobs = []
@@ -453,7 +455,7 @@ def _certificate_reference(gs, form, G, scale, steps):
          for row in np.rint(G * math.ldexp(1.0, _GRID_BITS))]
     have = gs.apply_to_gram(R)
     Ge = [[x * unit for x in row] for row in R]
-    for s, (i, j) in enumerate(_basis_rep_pairs(gs.model)):
+    for s, (i, j) in enumerate(gs.model.rep_pairs):
         r = form.coefficients[s] - have[s] * unit
         if r:
             Ge[i][j] += r if i == j else r / 2
@@ -567,13 +569,13 @@ QUARTIC_POINTS = [(1, 1, 1, 1), (1, 1, -1, 1), (1, 4, 8, 16), (1, 4, -8, 16)]
 
 
 def test_real_functional_frozen_weights(quartic_gap):
-    model, gs = quartic_gap
+    model, _ = quartic_gap
     fn, info = separating_functional_real(model, QUARTIC_POINTS)
     assert info["lambdas"] == [F(1, 2), F(-1, 2), F(-1)]
     assert info["kappas"] == [F(1), F(1), F(1), F(2, 3)]
     # l(x0^2) = 1 + 1 + 1/256 - (2/3)/256
     assert fn.values[0] == F(1537, 768)
-    assert moment_psd(fn, gs) >= -1e-9
+    assert moment_psd(fn) >= -1e-9
 
 
 def test_real_functional_annihilates_vanishing_square(quartic_gap):
@@ -581,36 +583,36 @@ def test_real_functional_annihilates_vanishing_square(quartic_gap):
     model, gs = quartic_gap
     fn, info = separating_functional_real(model, QUARTIC_POINTS)
     h = [F(4), F(-5), F(0), F(1)]
-    assert pair_with_square(fn, h, gs) == 0
+    assert pair_with_square(fn, h) == 0
     Gh = [[h[i] * h[j] for j in range(4)] for i in range(4)]
     fh = QuadraticForm(model, gs.apply_to_gram(Gh))
     assert fn.apply(fh) == 0
 
 
 def test_real_functional_interpolant_square(quartic_gap):
-    model, gs = quartic_gap
+    model, _ = quartic_gap
     fn, info = separating_functional_real(model, QUARTIC_POINTS)
     g = interpolant_through_points(model, info["points"][:3], info["lambdas"])
-    assert pair_with_square(fn, g, gs) == 0
+    assert pair_with_square(fn, g) == 0
 
 
 def test_real_functional_kernel_and_extremality(quartic_gap):
     # kernel dimension m + 1 = 2 and a one-dimensional perturbation space
-    model, gs = quartic_gap
+    model, _ = quartic_gap
     fn, _ = separating_functional_real(model, QUARTIC_POINTS)
-    assert kernel_dimension(fn, gs) == 2
-    assert extremality_check(fn, gs) == (True, 1)
+    assert kernel_dimension(fn) == 2
+    assert extremality_check(fn) == (True, 1)
 
 
 def test_real_functional_custom_kappas(quartic_gap):
-    model, gs = quartic_gap
+    model, _ = quartic_gap
     fn, info = separating_functional_real(
         model, QUARTIC_POINTS, kappas=[F(2), F(1), F(3)])
     # 1 / (lam1^2/2 + lam2^2/1 + lam3^2/3)
     assert info["kappas"][-1] == 1 / (F(1, 8) + F(1, 4) + F(1, 3))
-    assert moment_psd(fn, gs) >= -1e-9
+    assert moment_psd(fn) >= -1e-9
     h = [F(4), F(-5), F(0), F(1)]
-    assert pair_with_square(fn, h, gs) == 0
+    assert pair_with_square(fn, h) == 0
 
 
 def test_real_functional_degenerate_inputs(quartic_gap):
@@ -642,23 +644,23 @@ COMPLEX_B = (0, 0, -1, 0)
 
 def test_complex_functional_frozen_moment(quartic_gap):
     # points t = 1, -1 and the conjugate pair t = i, -i
-    model, gs = quartic_gap
+    model, _ = quartic_gap
     fn, info = separating_functional_complex(
         model, COMPLEX_REAL_PTS, COMPLEX_A, COMPLEX_B)
-    M = fn.moment_matrix(gs)
+    M = fn.moment_matrix()
     assert M == [[F(4), F(0), F(0), F(4)],
                  [F(0), F(4), F(0), F(0)],
                  [F(0), F(0), F(0), F(0)],
                  [F(4), F(0), F(0), F(4)]]
-    assert moment_psd(fn, gs) >= -1e-9
-    assert kernel_dimension(fn, gs) == 2
-    assert extremality_check(fn, gs) == (True, 1)
+    assert moment_psd(fn) >= -1e-9
+    assert kernel_dimension(fn) == 2
+    assert extremality_check(fn) == (True, 1)
     # t^4 - 1 vanishes at all four points of the configuration
-    assert pair_with_square(fn, [F(-1), F(0), F(0), F(1)], gs) == 0
+    assert pair_with_square(fn, [F(-1), F(0), F(0), F(1)]) == 0
 
 
 def test_complex_functional_rho(quartic_gap):
-    model, gs = quartic_gap
+    model, _ = quartic_gap
     fn, info = separating_functional_complex(
         model, COMPLEX_REAL_PTS, COMPLEX_A, COMPLEX_B, rho=F(1, 2))
     k1, k2 = info["kappas"][-2:]
@@ -667,9 +669,9 @@ def test_complex_functional_rho(quartic_gap):
     # harmonic constraint (k1^2 + k2^2)/k1 = 1/sum(lam^2/kappa)
     lam = info["lambdas"]
     assert (k1 ** 2 + k2 ** 2) / k1 == 1 / sum(l ** 2 for l in lam)
-    assert moment_psd(fn, gs) >= -1e-9
-    assert kernel_dimension(fn, gs) == 2
-    assert pair_with_square(fn, [F(-1), F(0), F(0), F(1)], gs) == 0
+    assert moment_psd(fn) >= -1e-9
+    assert kernel_dimension(fn) == 2
+    assert pair_with_square(fn, [F(-1), F(0), F(0), F(1)]) == 0
 
 
 def test_complex_functional_degenerate_inputs(quartic_gap):
@@ -693,21 +695,21 @@ def test_interpolant_inconsistent_conditions():
 
 def test_extremality_baselines():
     model = veronese_model(1, 1)
-    gs = GramSlice(model)
     ident = DualFunctional(model, [F(1), F(0), F(1)])
-    assert extremality_check(ident, gs) == (False, 0)
+    assert extremality_check(ident) == (False, 0)
     point_eval = DualFunctional(model, [F(1), F(0), F(0)])
-    assert extremality_check(point_eval, gs) == (True, 1)
+    assert extremality_check(point_eval) == (True, 1)
 
 
-def _extremality_dense_reference(functional, gs):
+def _extremality_dense_reference(functional):
     """extremality_check as it was: every entry of the dense sigma rows."""
-    M = functional.moment_matrix(gs)
+    M = functional.moment_matrix()
     kern = nullspace([row[:] for row in M])
     if not kern:
         return False, 0
     nvars = functional.model.n + 1
     sigma = _dense_sigma(functional.model)
+    index = {p: c for c, p in enumerate(_pairs(nvars))}
     rows = []
     for k in kern:
         for i in range(nvars):
@@ -717,16 +719,16 @@ def _extremality_dense_reference(functional, gs):
                 for j in range(nvars):
                     if k[j] != 0:
                         a, bb = (i, j) if i <= j else (j, i)
-                        c += sigma[s][gs.pair_index[(a, bb)]] * k[j]
+                        c += sigma[s][index[(a, bb)]] * k[j]
                 row.append(c)
             rows.append(row)
     dim = len(nullspace(rows, functional.model.dim_r2))
     return dim == 1, dim
 
 
-def _kernel_dimension_reference(functional, gs):
+def _kernel_dimension_reference(functional):
     """kernel_dimension as it was: the size of an exact nullspace."""
-    return len(nullspace(functional.moment_matrix(gs)))
+    return len(nullspace(functional.moment_matrix()))
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -734,7 +736,6 @@ def test_extremality_check_matches_dense_reference(d, quartic_gap):
     # sums of point evaluations on the plane Veronese: kernels of every
     # dimension from n down to 0
     model = veronese_model(2, d)
-    gs = GramSlice(model)
     rng = np.random.Generator(np.random.Philox(d))
     pts = rng.integers(-3, 4, size=(model.n + 2, 3))
     for count in range(1, len(pts) + 1, 2):
@@ -743,16 +744,16 @@ def test_extremality_check_matches_dense_reference(d, quartic_gap):
                       for x, y, z in pts[:count])
                   for (a, b) in model.r2_basis]
         fn = DualFunctional(model, values)
-        assert extremality_check(fn, gs) == \
-            _extremality_dense_reference(fn, gs)
-        assert kernel_dimension(fn, gs) == _kernel_dimension_reference(fn, gs)
+        assert extremality_check(fn) == \
+            _extremality_dense_reference(fn)
+        assert kernel_dimension(fn) == _kernel_dimension_reference(fn)
     # the witness pipeline's functional at seed 11
     rep = hilbert_witness(d, seed=11)
     fn = rep.functional
-    expected = _extremality_dense_reference(fn, gs)
-    assert extremality_check(fn, gs) == expected \
+    expected = _extremality_dense_reference(fn)
+    assert extremality_check(fn) == expected \
         == {3: (True, 1), 4: (False, 3)}[d]
-    assert kernel_dimension(fn, gs) == _kernel_dimension_reference(fn, gs) == 3
+    assert kernel_dimension(fn) == _kernel_dimension_reference(fn) == 3
     # the kernel basis the construction gives: the interpolant g, h1, h2
     info = rep.functional_info
     pts = [_sup_normalize(_veronese_image(rep.points[i], d, model.r1_basis))
@@ -761,22 +762,22 @@ def test_extremality_check_matches_dense_reference(d, quartic_gap):
         model, pts[:-1],
         [lam / kap for lam, kap in zip(info["lambdas"], info["kappas"])])
     h1, h2 = rep.h_vectors[1:]
-    assert extremality_check(fn, gs, kernel=[g, h1, h2]) == expected
+    assert extremality_check(fn, kernel=[g, h1, h2]) == expected
     mixed = [[a + b for a, b in zip(g, h1)], [3 * c for c in h2], g]
-    assert extremality_check(fn, gs, kernel=mixed) == expected
-    M = fn.moment_matrix(gs)
+    assert extremality_check(fn, kernel=mixed) == expected
+    M = fn.moment_matrix()
     i = max(range(len(M)), key=lambda k: M[k][k])
     outside = [int(k == i) for k in range(len(M))]
     for bad in ([g, h1, outside], [g, h1, h1], [g, h1],
                 [g, h1, list(h2) + [0]]):
         with pytest.raises(InconsistentModel):
-            extremality_check(fn, gs, kernel=bad)
-    model, gs = quartic_gap
+            extremality_check(fn, kernel=bad)
+    model, _ = quartic_gap
     for fn in (separating_functional_real(model, QUARTIC_POINTS)[0],
                separating_functional_complex(model, COMPLEX_REAL_PTS,
                                              COMPLEX_A, COMPLEX_B)[0]):
-        assert extremality_check(fn, gs) == \
-            _extremality_dense_reference(fn, gs)
+        assert extremality_check(fn) == \
+            _extremality_dense_reference(fn)
 
 
 def test_dual_functional_json(quartic_gap):

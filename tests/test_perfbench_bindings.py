@@ -1,28 +1,30 @@
 """The benchmark's tracer binds mindeg's layer functions by name; a rename
 or deletion in the package would make `perfbench/run.py --trace 1` fail
 with a KeyError. This test loads the tracer from its file and checks every
-binding it makes."""
+binding it makes, and runs one sos-stream job of the benchmark's workloads
+under it."""
 
 import importlib.util
 import inspect
 from pathlib import Path
 
 import mindeg
+import mindeg.cli  # noqa: F401  (the tracer binds mindeg.cli.main)
 from mindeg import cones
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  TRACER_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name,
+                                                  PERFBENCH / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_targets_resolve_and_restore():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     targets = tracer.targets(mindeg)
     originals = [vars(owner)[attr] for owner, attr, *_ in targets]
     with tracer.Installed(tracer.Tracer(), mindeg):
@@ -34,3 +36,19 @@ def test_tracer_targets_resolve_and_restore():
 def test_sos_check_keeps_its_budget_keyword():
     # the tracer reads the budget from sos_check's signature
     assert "budget" in inspect.signature(cones.sos_check).parameters
+
+
+def test_sos_stream_job_reports_its_layer_metrics():
+    # the workload reads gs.pairs, a_float() and apply_to_gram, the tracer
+    # gs.model and gs.pairs; a refactor that drops one fails here
+    tracer, workloads = _load("tracer"), _load("workloads")
+    spans = tracer.Tracer()
+    with tracer.Installed(spans, mindeg):
+        ctx = workloads.sos_setup()
+        jobs = workloads.sos_round(ctx, workloads.round_rng(0, "sos-stream",
+                                                            0))
+        res = workloads.sos_run(ctx, jobs[0])
+    assert workloads.sos_check_output(ctx, jobs[0], res) == []
+    metrics = tracer.layer_metrics(spans.spans, 0, 0.0)
+    assert metrics["cones.GramSlice.sigma_entries"] > 0
+    assert metrics["cones.sos_check.calls"] == 1

@@ -1,5 +1,6 @@
 """Variety models: dimensions, relation counts, quadratic deficiency."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -130,18 +131,30 @@ def test_pair_count_identity():
         assert m.dim_r2 + m.i2_count == math.comb(m.n + 2, 2)
 
 
+def _pairs(nvars):
+    """The monomial pairs (i, j), i <= j, in i-major order."""
+    return [(i, j) for i in range(nvars) for j in range(i, nvars)]
+
+
 def test_relations_are_independent():
     for m in [veronese_model(2, 2), veronese_model(1, 3),
               scroll_model([1, 2]), veronese_cone_model(5)]:
-        rows = m.i2_rows()
-        assert exact_rank([r[:] for r in rows]) == m.i2_count
+        index = {p: c for c, p in enumerate(_pairs(m.n + 1))}
+        rows = []
+        for terms in m.relations:
+            row = [0] * len(index)
+            for p, c in terms:
+                row[index[p]] = c
+            rows.append(row)
+        assert exact_rank(rows) == len(rows) == m.i2_count
 
 
 def test_toric_binomials():
     m = veronese_model(1, 3)
-    rels = m.i2_pairs()
+    rels = m.relations
     assert len(rels) == 3
-    for (i, j), (k, l) in rels:
+    for ((i, j), one), ((k, l), minus_one) in rels:
+        assert (one, minus_one) == (1, -1)
         a = tuple(x + y for x, y in zip(m.r1_basis[i], m.r1_basis[j]))
         b = tuple(x + y for x, y in zip(m.r1_basis[k], m.r1_basis[l]))
         assert a == b and (i, j) != (k, l)
@@ -219,3 +232,73 @@ def test_big_model_json_omits_relations():
     m = veronese_model(5, 4)
     assert m.i2_count > 2000
     assert "i2_basis" not in m.to_json()
+
+
+# SHA-256 of json.dumps(model.to_json(), sort_keys=True): the relations in
+# their order and the serialized model stay byte for byte as they were
+MODEL_JSON_SHA256 = {
+    "veronese(2,2)":
+        "22ee502a1a0b255e408727025ab9a27018b08d6c764af0f56c2b185822562b75",
+    "twisted-cubic":
+        "8078ae8acda97da6ef38e7f4dab7dd12078f4477ba19264eea6fa59748a0446f",
+    "scroll(1,2)":
+        "bd6183b3d2e306dbde07bb780263c959c7c1f550ac35a8ff90773f34f729d9f4",
+    "scroll(2,2)":
+        "070505be205eb06d490747326bf430d162382c46f18c9577e29e29c07664ad86",
+    "veronese_cone(5)":
+        "45f9371a4095084a3ff73ce0dc3bf37a39a7a806e1493f2bec6916ad7d82a594",
+    "lower-dimensional":
+        "89efeb18c2d63241f654d0317e478893ada9d9a056618a6d66ae15e7e9c7667b",
+}
+
+MODEL_FAMILIES = {
+    "veronese(2,2)": lambda: veronese_model(2, 2),
+    "twisted-cubic": lambda: veronese_model(1, 3),
+    "scroll(1,2)": lambda: scroll_model([1, 2]),
+    "scroll(2,2)": lambda: scroll_model([2, 2]),
+    "veronese_cone(5)": lambda: veronese_cone_model(5),
+    "lower-dimensional": lambda: toric_model(
+        LatticePolytope(3, [(0, 0, 1), (2, 0, 1), (0, 2, 1)])),
+    "scroll(0,2)": lambda: scroll_model([0, 2]),
+    "veronese_cone(7)": lambda: veronese_cone_model(7),
+    "segre_veronese(1,1;2,1)": lambda: segre_veronese_model([1, 1], [2, 1]),
+    "motzkin-support": lambda: toric_model(
+        LatticePolytope(2, [(0, 0), (2, 1), (1, 2), (1, 1)])),
+    "points": lambda: toric_model_from_points(
+        "t", [(3, -1), (0, 0), (1, 2), (2, 2), (-1, 1)], 2),
+    # 3 x0 x2 = 2 x1^2, listed twice: one relation is kept, and x0 x2
+    # reduces to 2/3 x1^2
+    "conic": lambda: VarietyModel.from_json(
+        {"m": 1, "r1_basis": ["a", "b", "c"],
+         "i2_basis": [["0", "0", "3/2", "0", "-2", "0", "3/2", "0", "0"]] * 2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_JSON_SHA256))
+def test_model_json_is_pinned(name):
+    blob = json.dumps(MODEL_FAMILIES[name]().to_json(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        MODEL_JSON_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_FAMILIES))
+def test_representative_pairs_have_unit_columns(name):
+    m = MODEL_FAMILIES[name]()
+    pairs = _pairs(m.n + 1)
+    assert m.pairs == pairs and len(m.columns) == len(pairs)
+    assert len(m.rep_pairs) == m.dim_r2
+    for s, (i, j) in enumerate(m.rep_pairs):
+        assert m.pair_vector(i, j) == {s: 1}
+    assert m.i2_count == len(m.relations)
+    if m.is_toric:
+        # every column is the unit vector of the pair's exponent sum, and
+        # the representative is the first pair with that sum
+        first = {}
+        for i, j in pairs:
+            s = m.r2_basis.index(tuple(
+                a + b for a, b in zip(m.r1_basis[i], m.r1_basis[j])))
+            assert m.pair_vector(i, j) == {s: 1}
+            first.setdefault(s, (i, j))
+        assert m.rep_pairs == [first[s] for s in range(m.dim_r2)]
+    else:
+        assert m.rep_pairs == m.r2_basis

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mindeg.witness
-from mindeg.cones import (DualFunctional, GramSlice, _functional_from_points,
+from mindeg.cones import (DualFunctional, _functional_from_points,
                           _normalized_on_variety, interpolant_through_points,
                           pair_with_square)
 from mindeg.errors import (
@@ -22,7 +22,7 @@ from mindeg.errors import (
     NoDeltaFound,
 )
 from mindeg.numerics import nullspace
-from mindeg.variety import QuadraticForm, _pair_index_map, veronese_model
+from mindeg.variety import QuadraticForm, epsilon, veronese_model
 from mindeg.witness import (
     _SAMPLE_BLOCK,
     ProductForm,
@@ -36,7 +36,6 @@ from mindeg.witness import (
     _monomials,
     _poly_mul,
     _poly_to_vector,
-    _quadratic_deficiency,
     _rng,
     _SphereSamples,
     _square_products,
@@ -115,17 +114,17 @@ def test_fit_h0_vanishing_pattern():
 def test_fit_h0_selection_errors():
     h1, h2, pts = choose_hyperplanes(3, seed=11)
     with pytest.raises(DegenerateSpan):
-        fit_h0(pts, [0, 1, 2], seed=1)
+        fit_h0(pts, [0, 1, 2], seed=1, h_forms=(h1, h2))
     with pytest.raises(InconsistentModel):
-        fit_h0(pts[:8], list(range(7)), seed=1)
+        fit_h0(pts[:8], list(range(7)), seed=1, h_forms=(h1, h2))
 
 
 def test_fit_h0_clustered_selection_degenerates():
     # the first twelve grid cells sit on three lines of the first product,
     # whose multiples inflate the vanishing space
-    _, _, pts = choose_hyperplanes(4, seed=1)
+    h1, h2, pts = choose_hyperplanes(4, seed=1)
     with pytest.raises(DegenerateSpan):
-        fit_h0(pts, list(range(12)), seed=1)
+        fit_h0(pts, list(range(12)), seed=1, h_forms=(h1, h2))
 
 
 def test_build_f_quotient_must_be_one_at_degree_three():
@@ -489,7 +488,7 @@ def test_pipeline_functional_checks(report):
     assert checks["kernel_dim"] == 3
     assert checks["extremal"] is True
     # the products R_1 span{g, h1, h2} satisfy only the 3 Koszul relations
-    assert checks["perturbation_dim"] == _quadratic_deficiency(3) == 1
+    assert checks["perturbation_dim"] == epsilon(veronese_model(2, 3)) == 1
     assert report.functional_info["point_indices"] == list(range(9))
 
 
@@ -573,13 +572,12 @@ def test_pipeline_degree_four():
     assert rep.sos["status"] == "Infeasible"
     assert certify_not_sos(rep) is True
     assert rep.functional_checks["perturbation_dim"] == \
-        _quadratic_deficiency(4) == 3
+        epsilon(veronese_model(2, 4)) == 3
 
 
 def test_pipeline_degree_five_carries_the_functional():
     rep = hilbert_witness(5, seed=1, samples=SAMPLES)
     model = veronese_model(2, 5)
-    gs = GramSlice(model)
     info = rep.functional_info
     assert info["point_indices"] == _functional_points(5)
     # the pairing l(g^2 + h1^2 + h2^2), redone from the recorded points
@@ -589,13 +587,13 @@ def test_pipeline_degree_five_carries_the_functional():
     g = interpolant_through_points(
         model, pts[:-1],
         [lam / kap for lam, kap in zip(info["lambdas"], info["kappas"])])
-    pairing = sum(pair_with_square(rep.functional, h, gs)
+    pairing = sum(pair_with_square(rep.functional, h)
                   for h in [g] + list(rep.h_vectors[1:]))
     assert pairing == 0
     checks = rep.functional_checks
     assert checks["pairing_is_zero"] is True
     assert checks["kernel_dim"] == 3
-    assert checks["perturbation_dim"] == _quadratic_deficiency(5) == 6
+    assert checks["perturbation_dim"] == epsilon(veronese_model(2, 5)) == 6
     assert certify_dual(rep) is True
 
 
@@ -652,7 +650,8 @@ def test_line_product_expansion():
 def _dense_sigma(model):
     """The dense exact sigma rows (R_2 basis x monomial pairs, i-major),
     built entry by entry from model.pair_vector."""
-    pairs, _ = _pair_index_map(model.n + 1)
+    nvars = model.n + 1
+    pairs = [(i, j) for i in range(nvars) for j in range(i, nvars)]
     rows = [[F(0)] * len(pairs) for _ in range(model.dim_r2)]
     for c, (i, j) in enumerate(pairs):
         for s, coeff in model.pair_vector(i, j).items():
@@ -660,11 +659,12 @@ def _dense_sigma(model):
     return rows
 
 
-def _moment_from_sigma(gs, values):
+def _moment_from_sigma(model, values):
     """M[i][j] = l(x_i x_j) from the dense exact sigma rows."""
-    nvars = gs.model.n + 1
-    _, index = _pair_index_map(nvars)
-    sigma = _dense_sigma(gs.model)
+    nvars = model.n + 1
+    index = {(i, j): c for c, (i, j) in enumerate(
+        (i, j) for i in range(nvars) for j in range(i, nvars))}
+    sigma = _dense_sigma(model)
     return [[sum((v * sigma[s][index[min(i, j), max(i, j)]]
                   for s, v in enumerate(values)), F(0))
              for j in range(nvars)] for i in range(nvars)]
@@ -692,11 +692,11 @@ def test_dual_certificate_exact(d, seed):
     assert set(sos) == {"status", "separation", "functional"}
     assert sos["status"] == "Infeasible"
     assert sos["functional"]["model"] == "veronese(%d,%d)" % (2, d)
-    gs = GramSlice(veronese_model(2, d))
+    model = veronese_model(2, d)
     values = [F(int(v["num"]), int(v["den"]))
               for v in sos["functional"]["values"]]
     w = [F(c) for c in blob["witness"]["coefficients"]]
-    assert len(values) == len(w) == gs.model.dim_r2
+    assert len(values) == len(w) == model.dim_r2
     value = sum((v * c for v, c in zip(values, w)), F(0))
     assert value < 0
     assert value == F(int(sos["separation"]["num"]),
@@ -704,7 +704,7 @@ def test_dual_certificate_exact(d, seed):
     # l(w) = -delta / 4 by construction
     assert value == -F(int(blob["delta"]["num"]),
                        int(blob["delta"]["den"])) / 4
-    assert _ldl_positive_definite(_moment_from_sigma(gs, values))
+    assert _ldl_positive_definite(_moment_from_sigma(model, values))
     assert certify_dual(witness_report_from_json(blob)) is True
 
 
@@ -725,7 +725,7 @@ def test_certify_dual_rejects_tampered_reports(report):
     exps = _monomials(3)
     prods = _square_products([_vector_to_poly(h, exps, 3)
                               for h in report.h_vectors], 3)
-    l2, _, K = _dual_parts(report, GramSlice(model), prods)
+    l2, _, K = _dual_parts(report, model, prods)
     assert K > 0
     assert certify_dual(with_values(
         DualFunctional(model, l2).to_json()["values"])) is False
