@@ -448,6 +448,19 @@ def test_model_json_accepts_the_scroll(capsys):
     assert json.loads(out)["epsilon"] == 0
 
 
+def test_sos_check_where_a_relation_kills_a_pair(capsys):
+    # x0 x1 = 0 leaves that pair an empty column, whose moment entry is 0;
+    # the moment matrix once failed to unpack it and exited 2
+    model = {"m": 1, "r1_basis": ["a", "b", "c"],
+             "i2_basis": [[0, 1, 0, 1, 0, 0, 0, 0, 0]]}
+    for sign, status in (("-1", "Infeasible"), ("1", "Certificate")):
+        blob = json.dumps({"model": model,
+                           "coefficients": [sign, "0", "0", "0", "0"]})
+        code, out, err = run(capsys, ["sos-check", "--input", blob])
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"]["status"] == status
+
+
 def test_sos_check_coefficients_must_be_a_list(capsys):
     # the string "121" once read as the coefficients [1, 2, 1]
     blob = json.dumps({"model": veronese_model(1, 2).to_json(),
