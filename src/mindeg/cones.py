@@ -558,7 +558,8 @@ def extremality_check(functional: DualFunctional, kernel=None):
     eliminate than the reduced one."""
     M = functional.moment_matrix()
     if kernel is None:
-        kern = nullspace(M)
+        # integer rows: the rank is the same and the products stay ints
+        kern = [_integer_row(k) for k in nullspace(M)]
     else:
         if any(len(k) != len(M) for k in kernel):
             raise InconsistentModel("kernel vector of the wrong length")
@@ -575,16 +576,8 @@ def extremality_check(functional: DualFunctional, kernel=None):
         return False, 0
     model = functional.model
     nvars = model.n + 1
-    dim_r2 = model.dim_r2
-    rows = []
-    for k in kern:
-        support = [(j, kj) for j, kj in enumerate(k) if kj != 0]
-        for i in range(nvars):
-            # (M(l) k)_i = sum_j k_j l(x_i x_j), linear in l's values
-            row = [0] * dim_r2
-            for j, kj in support:
-                for s, coeff in model.pair_vector(i, j).items():
-                    row[s] += coeff * kj
-            rows.append(row)
-    dim = dim_r2 - exact_rank(rows)
+    # (M(l) k)_i = l(x_i k), linear in l's values: its row is x_i k in R_2
+    rows = [model.product([int(j == i) for j in range(nvars)], k)
+            for k in kern for i in range(nvars)]
+    dim = model.dim_r2 - exact_rank(rows)
     return dim == 1, dim

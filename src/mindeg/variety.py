@@ -10,12 +10,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InconsistentModel, NotFullDimensional
+from .errors import InconsistentModel
 from .numerics import _echelon, exact_rank, rref
 from .polytope import (LatticePolytope, _int64_translate, is_k_normal,
                        lattice_points, normalized_volume, product_polytope,
@@ -141,15 +141,18 @@ class VarietyModel:
                     "quadric relation does not lie in the Gram kernel")
         return cols
 
-    def pair_vector(self, i, j):
-        """The column of x_i x_j: a sparse map basis_index -> coefficient
-        representing it in R_2, shared with the model (not to be mutated).
-        A pair that is itself a basis monomial (every pair of a toric
-        model) maps to {its index: 1} with the int 1; a reduced pair of a
-        determinantal model keeps the Fractions of its relation."""
-        if i > j:
-            i, j = j, i
-        return self.columns[_position(i, j, self.n + 1)]
+    def product(self, g, h):
+        """The R_2 coefficient vector of g h, for g and h given over
+        r1_basis: each pair x_i x_j adds g_i h_j + g_j h_i (g_i h_i on the
+        diagonal) times its column. Ints stay ints."""
+        out = [0] * self.dim_r2
+        for (i, j), col in zip(self.pairs, self.columns):
+            c = g[i] * h[i] if i == j else g[i] * h[j] + g[j] * h[i]
+            if c == 0:
+                continue
+            for s, coeff in col.items():
+                out[s] += c if coeff == 1 else coeff * c
+        return out
 
     @property
     def degree(self):
@@ -369,13 +372,10 @@ def scroll_model(d) -> VarietyModel:
 
 
 def epsilon(model: VarietyModel) -> int:
-    """Quadratic deficiency: C(e+1,2) - dim I_2, cross-checked against
-    dim R_2 - (m+1)(n+1) + C(m+1,2). Zero iff deg X = 1 + codim X."""
+    """Quadratic deficiency C(e+1,2) - dim I_2, zero iff deg X = 1 +
+    codim X. A negative value, more independent quadrics than C(e+1,2),
+    means a malformed model."""
     a = math.comb(model.e + 1, 2) - model.i2_count
-    b = model.dim_r2 - (model.m + 1) * (model.n + 1) + math.comb(model.m + 1, 2)
-    if a != b:
-        raise InconsistentModel(
-            "deficiency formulas disagree (%d vs %d); malformed relations" % (a, b))
     if a < 0:
         raise InconsistentModel("negative deficiency; relations overdetermined")
     return a

@@ -17,6 +17,11 @@ negative value on w (certify_dual), built from the same facts by one step
 of facial reduction. Nonnegativity is sampling evidence backed by the
 order-two vanishing at the selected points.
 
+Every form is an exact coefficient vector over the model's bases: the h_i
+over r1_basis (the degree-d monomials), f, w and the products over
+r2_basis (degree 2d). Every product h_i h_j is VarietyModel.product, read
+from the model's own pairs and columns.
+
 The sampling is a filter and refine: every sample gets a cheap float value
 with a proven error bound, and only the few samples that can decide a min
 or max are evaluated the defining way, so the reported numbers are bit for
@@ -51,7 +56,7 @@ from .errors import (
     NoDeltaFound,
     RetryExhausted,
 )
-from .numerics import (_integer_row, exact_rank, in_row_span,
+from .numerics import (_echelon, _integer_row, exact_rank, in_row_span,
                        is_positive_definite, nullspace, residues, rref,
                        solve_exact)
 from .variety import QuadraticForm, epsilon, veronese_model
@@ -130,59 +135,25 @@ def _value_and_partials(point, D, exps):
     return rows
 
 
-def _poly_mul(p, q):
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(i + j for i, j in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly_to_vector(p, exps, deg):
-    vec = [0] * len(exps)
-    index = {e: i for i, e in enumerate(exps)}
-    for (a, b, e), c in p.items():
-        if a + b + e != deg:
-            raise InconsistentModel("mixed-degree polynomial")
-        vec[index[(a, b)]] = c
-    return vec
-
-
-def _integral(c):
-    """c as an int when it is an integer, else as a Fraction."""
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _vector_to_poly(vec, exps, deg):
-    return {(a, b, deg - a - b): _integral(c)
-            for (a, b), c in zip(exps, vec) if c != 0}
-
-
 def _line_product(lines):
-    prod = {(0, 0, 0): 1}
-    for (a, b, c) in lines:
-        prod = _poly_mul(prod, {(1, 0, 0): int(a), (0, 1, 0): int(b),
-                                (0, 0, 1): int(c)})
-    return prod
+    """Coefficient vector over _monomials(len(lines)) of the product of the
+    lines (a, b, c), each the form a x + b y + c z. The terms are keyed by
+    their exponents of x and y; z takes the rest of the degree."""
+    prod = {(0, 0): 1}
+    for line in lines:
+        nxt = {}
+        for (i, j), v in prod.items():
+            for key, c in zip(((i + 1, j), (i, j + 1), (i, j)), line):
+                nxt[key] = nxt.get(key, 0) + c * v
+        prod = nxt
+    return [prod.get(e, 0) for e in _monomials(len(lines))]
 
 
-def _square_products(h_polys, d):
-    """Coefficient vectors of the products h_i h_j, i <= j, over the sorted
-    degree-2d monomials."""
-    exps2 = _monomials(2 * d)
-    return [_poly_to_vector(_poly_mul(h_polys[i], h_polys[j]), exps2, 2 * d)
-            for i in range(3) for j in range(i, 3)]
-
-
-@dataclass
-class ProductForm:
-    """Degree-d form given as a product of linear factors, with the
-    expanded coefficient dictionary over full exponent triples."""
-
-    factors: list
-    coeffs: dict
+def _square_products(model, hs):
+    """The R_2 vectors of the products h_i h_j, i <= j, i-major, of forms
+    given over model.r1_basis."""
+    return [model.product(hs[i], hs[j])
+            for i in range(len(hs)) for j in range(i, len(hs))]
 
 
 def _functional_points(d):
@@ -206,12 +177,12 @@ def _functional_points(d):
 
 
 def choose_hyperplanes(d, seed):
-    """Two products of d random integer lines whose d^2 pairwise
-    intersections are distinct exact points, and whose points
-    _functional_points(d) have degree-d images tied by exactly one linear
-    relation with every coefficient nonzero, so the configuration feeds
-    the separating-functional construction directly. Draws that fail are
-    rejected."""
+    """Two lists of d random integer lines and their d^2 distinct exact
+    intersection points, line i of the first meeting line j of the second
+    at index i*d + j. The points _functional_points(d) have degree-d
+    images tied by exactly one linear relation with every coefficient
+    nonzero, so the configuration feeds the separating-functional
+    construction directly. Draws that fail are rejected."""
     if d < 3:
         raise ValueError("need degree at least 3")
     rng = _rng(seed)
@@ -237,9 +208,7 @@ def choose_hyperplanes(d, seed):
         rel = nullspace(zip(*images))
         if len(rel) != 1 or any(c == 0 for c in rel[0]):
             continue
-        return (ProductForm(list(ell), _line_product(ell)),
-                ProductForm(list(em), _line_product(em)),
-                pts)
+        return ell, em, pts
     raise RetryExhausted(
         "no valid line configuration in %d draws" % _MAX_DRAWS)
 
@@ -248,8 +217,8 @@ def fit_h0(points, selected, seed, h_forms):
     """Degree-d form vanishing exactly at the selected points: drawn from
     the exact nullspace of their Veronese evaluation matrix, verified
     nonvanishing at every non-selected point. The line products h_forms =
-    (h1, h2) are verified to vanish there too, and span{h0, h1, h2} to be
-    the full vanishing space."""
+    (h1, h2), vectors over the degree-d monomials, are verified to vanish
+    there too, and span{h0, h1, h2} to be the full vanishing space."""
     d = math.isqrt(len(points))
     if d * d != len(points):
         raise InconsistentModel("point count is not a square")
@@ -285,12 +254,10 @@ def fit_h0(points, selected, seed, h_forms):
             "no combination avoided the unselected points in %d draws"
             % _MAX_DRAWS)
     h1, h2 = h_forms
-    v1 = _poly_to_vector(h1.coeffs, exps, d)
-    v2 = _poly_to_vector(h2.coeffs, exps, d)
-    if not (in_row_span(vanishing, v1) and in_row_span(vanishing, v2)):
+    if not (in_row_span(vanishing, h1) and in_row_span(vanishing, h2)):
         raise InconsistentModel(
             "line products do not vanish at the selected points")
-    if exact_rank([h0, v1, v2]) != 3:
+    if exact_rank([h0, h1, h2]) != 3:
         raise DegenerateSpan("h0, h1, h2 do not span the vanishing space")
     return h0
 
@@ -340,6 +307,13 @@ def build_f(points, selected, prods):
     return [Fraction(c) for c in f], {"nullspace_dim": len(ns),
                                       "products_rank": rp,
                                       "quotient_dim": quotient}
+
+
+def _float_terms(vec, deg):
+    """The nonzero terms ((a, b, deg - a - b), float c) of a coefficient
+    vector over _monomials(deg)."""
+    return [((a, b, deg - a - b), float(c))
+            for (a, b), c in zip(_monomials(deg), vec) if c != 0]
 
 
 def _eval_many(poly_items, powers):
@@ -396,20 +370,20 @@ class _SphereSamples:
     its distance from the defining value (_error_rate). The pass runs in
     blocks of _SAMPLE_BLOCK samples, so the power tables stay small."""
 
-    def __init__(self, f_vec, h_polys, samples, seed):
-        d = max(a + b + e for (a, b, e) in h_polys[0]) if h_polys[0] else 0
-        exps2 = _monomials(2 * d)
-        if len(exps2) != len(f_vec):
-            raise InconsistentModel("f length does not match degree 2d")
+    def __init__(self, f_vec, h_vectors, samples, seed):
+        # a degree-d vector has (d + 1)(d + 2) / 2 coefficients
+        d = (math.isqrt(8 * len(h_vectors[0]) + 1) - 3) // 2
+        if any(len(h) != len(_monomials(d)) for h in h_vectors) \
+                or len(f_vec) != len(_monomials(2 * d)):
+            raise InconsistentModel("h and f lengths do not match degrees "
+                                    "d and 2d")
         rng = _rng(seed)
         pts = rng.normal(size=(int(samples), 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         self.pts = pts
         self._top = 2 * d
-        self._f_items = [((a, b, 2 * d - a - b), float(c))
-                         for (a, b), c in zip(exps2, f_vec) if c != 0]
-        self._h_items = [[(e, float(c)) for e, c in hp.items()]
-                         for hp in h_polys]
+        self._f_items = _float_terms(f_vec, 2 * d)
+        self._h_items = [_float_terms(h, d) for h in h_vectors]
         self.err_f = _error_rate(len(self._f_items), 2 * d) * sum(
             abs(c) for _, c in self._f_items) + 2.0 ** -1000
         # h = sum v_i^2 over the three h_i = v_i, |v_i| <= C_i: the cheap
@@ -495,7 +469,7 @@ def _outside(pts, centers, radius):
     return keep
 
 
-def delta_search(f_vec, h_polys, selected_points, samples=100000, seed=0):
+def delta_search(f_vec, h_vectors, selected_points, samples=100000, seed=0):
     """Power-of-two rational delta with delta f + sum h_i^2 sampled
     nonnegative on the unit sphere (relative margin -1e-9).
 
@@ -511,7 +485,7 @@ def delta_search(f_vec, h_polys, selected_points, samples=100000, seed=0):
     every sample, and only the rest are evaluated the defining way, so the
     result is bit for bit that of evaluating every sample.
     """
-    sphere = _SphereSamples(f_vec, h_polys, samples, seed)
+    sphere = _SphereSamples(f_vec, h_vectors, samples, seed)
     keep = _outside(sphere.pts, selected_points, _EXCLUSION_RADIUS)
     if not keep.any():
         keep[:] = True
@@ -542,14 +516,10 @@ def sample_nonnegativity(report: "WitnessReport", samples=100000, seed=0,
     delta f + sum h_i^2 over fresh sphere samples. delta defaults to the
     report's accepted value. Returns {"min_value", "scale", "margin"},
     computed like delta_search's: cheap bounds, exact refine."""
-    d = report.d
-    exps = _monomials(d)
-    h_polys = [_vector_to_poly(v, exps, d) for v in report.h_vectors]
-    f_vec = list(report.f.coefficients)
     if delta is None:
         delta = report.delta
-    wmin, scale = _SphereSamples(f_vec, h_polys, samples,
-                                 seed).margin(float(delta))
+    wmin, scale = _SphereSamples(report.f.coefficients, report.h_vectors,
+                                 samples, seed).margin(float(delta))
     return {"min_value": wmin, "scale": scale,
             "margin": 0.0 if scale == 0.0 else wmin / scale}
 
@@ -662,12 +632,13 @@ def certify_not_sos(report: WitnessReport) -> bool:
     span{h0, h1, h2}; (b) f vanishes at the selected points but lies
     outside span{h_i h_j}; (c) the witness is delta f + h0^2 + h1^2 + h2^2
     with delta > 0. Any square decomposition of the witness would force its
-    squares into the span from (a), contradicting (b). Returns False
-    instead of raising on an invalid report."""
+    squares into the span from (a), contradicting (b). The forms are read
+    over the bases of a fresh veronese_model(2, d), which also forms the
+    products. Returns False instead of raising on an invalid report."""
     try:
         d = report.d
-        exps = _monomials(d)
-        exps2 = _monomials(2 * d)
+        model = veronese_model(2, d)
+        exps, exps2 = model.r1_basis, model.r2_basis
         rows = [_veronese_image(report.points[i], d, exps)
                 for i in report.selected]
         vanishing = nullspace(rows, ncols=len(exps))
@@ -679,8 +650,7 @@ def certify_not_sos(report: WitnessReport) -> bool:
         if any(any(r) for r in residues(vanishing, hs)) \
                 or exact_rank(hs) != 3:
             return False
-        prods = _square_products([_vector_to_poly(h, exps, d) for h in hs],
-                                 d)
+        prods = _square_products(model, hs)
         f = [Fraction(c) for c in report.f.coefficients]
         if len(f) != len(exps2) or all(c == 0 for c in f):
             return False
@@ -699,7 +669,8 @@ def certify_not_sos(report: WitnessReport) -> bool:
             if sum(c * v for c, v in zip(f, img2)) != 0:
                 return False
         return True
-    except (AttributeError, ValueError, IndexError, KeyError, TypeError):
+    except (MindegError, AttributeError, ValueError, IndexError, KeyError,
+            TypeError):
         return False
 
 
@@ -719,22 +690,21 @@ def _dual_parts(report, model, prods):
     computed in Fractions and K = 2^(b + 1), b the least integer with
     2^b >= bound."""
     d = report.d
-    exps = _monomials(d)
+    nvars = model.n + 1
     hs = report.h_vectors
     alpha = report.delta / 4
     targets = [alpha if i == j else 0 for i in range(3) for j in range(i, 3)]
     l2 = solve_exact(prods + [report.f.coefficients], targets + [-1])
     if l2 is None:
         raise InconsistentModel("f lies in the span of the h_i h_j")
-    exps2 = _monomials(2 * d)
-    images = [_veronese_image(report.points[i], 2 * d, exps2)
+    images = [_veronese_image(report.points[i], 2 * d, model.r2_basis)
               for i in report.selected]
     l1 = [sum(col) for col in zip(*images)]
     M2 = _moment_matrix(model, l2)
     M1 = _moment_matrix(model, l1)
-    pivots = set(rref(hs)[1])
-    free = [k for k in range(len(exps)) if k not in pivots]
-    B = [[sum(M2[k][i] * h[i] for i in range(len(exps))) for k in free]
+    pivots = set(_echelon(hs)[1])
+    free = [k for k in range(nvars) if k not in pivots]
+    B = [[sum(M2[k][i] * h[i] for i in range(nvars)) for k in free]
          for h in hs]
     n = len(free)
     aug = [[M1[k][l] for l in free] + [int(r == c) for c in range(n)]
@@ -794,10 +764,10 @@ def _attach_functional(model, report):
     and the functional's exact nullspace confirms it."""
     d = report.d
     e = model.e
-    exps = _monomials(d)
     idx = _functional_points(d)
     images = _normalized_on_variety(
-        model, [_veronese_image(report.points[i], d, exps) for i in idx])
+        model, [_veronese_image(report.points[i], d, model.r1_basis)
+                for i in idx])
     fn, info = _functional_from_points(model, images)
     targets = [info["lambdas"][j] / info["kappas"][j] for j in range(e + 1)]
     g = interpolant_through_points(model, info["points"][:e + 1], targets)
@@ -849,9 +819,8 @@ def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
     if d < 3:
         raise ValueError("need degree at least 3")
     model = veronese_model(2, d)
-    exps = _monomials(d)
-    exps2 = _monomials(2 * d)
-    if list(model.r1_basis) != exps or list(model.r2_basis) != exps2:
+    if list(model.r1_basis) != _monomials(d) \
+            or list(model.r2_basis) != _monomials(2 * d):
         raise InconsistentModel("model monomial order drifted")
     e = model.e
     last_err = None
@@ -859,11 +828,11 @@ def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
         ss = np.random.SeedSequence(int(seed), spawn_key=(attempt,))
         s_lines, s_h0, s_delta = ss.spawn(3)
         try:
-            h1f, h2f, points = choose_hyperplanes(d, s_lines)
+            ell, em, points = choose_hyperplanes(d, s_lines)
             selected = _default_selection(d, e)
-            h0 = fit_h0(points, selected, s_h0, h_forms=(h1f, h2f))
-            h_polys = [_vector_to_poly(h0, exps, d), h1f.coeffs, h2f.coeffs]
-            prods = _square_products(h_polys, d)
+            h1, h2 = _line_product(ell), _line_product(em)
+            hs = [fit_h0(points, selected, s_h0, h_forms=(h1, h2)), h1, h2]
+            prods = _square_products(model, hs)
             f_raw, stats = build_f(points, selected, prods)
             break
         except (DegeneratePosition, DegenerateSpan, EmptyComplement,
@@ -874,9 +843,6 @@ def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
             "pipeline failed after %d attempts; last: %s"
             % (_MAX_RETRIES, last_err))
 
-    h_vectors = [h0,
-                 _poly_to_vector(h1f.coeffs, exps, d),
-                 _poly_to_vector(h2f.coeffs, exps, d)]
     # prods[0], prods[3], prods[5] are h0^2, h1^2, h2^2
     h_sq = [a + b + c for a, b, c in zip(prods[0], prods[3], prods[5])]
     # scale f so its coefficient size matches the square part; delta then
@@ -884,14 +850,14 @@ def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
     ratio = max(abs(c) for c in h_sq) / max(abs(c) for c in f_raw)
     f_vec = [c * ratio for c in f_raw]
     delta, evidence = delta_search(
-        f_vec, h_polys, selected_points=[points[i] for i in selected],
+        f_vec, hs, selected_points=[points[i] for i in selected],
         samples=samples, seed=s_delta)
     evidence["f_scale"] = float(ratio)
     witness_coeffs = [delta * fc + hc for fc, hc in zip(f_vec, h_sq)]
     report = WitnessReport(
         d=d, seed=int(seed), attempt=attempt,
-        h1_factors=list(h1f.factors), h2_factors=list(h2f.factors),
-        h_vectors=h_vectors, points=list(points), selected=selected,
+        h1_factors=list(ell), h2_factors=list(em),
+        h_vectors=hs, points=list(points), selected=selected,
         f=QuadraticForm(model, f_vec), delta=delta,
         witness=QuadraticForm(model, witness_coeffs),
         stats=stats, certificate={}, nonneg_evidence=evidence)

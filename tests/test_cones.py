@@ -199,13 +199,11 @@ def _pairs(nvars):
 
 def _dense_sigma(model):
     """The dense exact sigma rows (R_2 basis x monomial pairs, i-major),
-    built entry by entry from model.pair_vector."""
-    pairs = _pairs(model.n + 1)
-    rows = [[F(0)] * len(pairs) for _ in range(model.dim_r2)]
-    for c, (i, j) in enumerate(pairs):
-        for s, coeff in model.pair_vector(i, j).items():
-            rows[s][c] = coeff
-    return rows
+    built column by column as model.product of two unit vectors."""
+    nvars = model.n + 1
+    unit = [[F(int(k == t)) for k in range(nvars)] for t in range(nvars)]
+    cols = [model.product(unit[i], unit[j]) for i, j in _pairs(nvars)]
+    return [list(row) for row in zip(*cols)]
 
 
 def _moment_from_sigma(gs, values):

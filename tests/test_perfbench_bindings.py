@@ -1,8 +1,8 @@
 """The benchmark's tracer binds mindeg's layer functions by name; a rename
 or deletion in the package would make `perfbench/run.py --trace 1` fail
 with a KeyError. This test loads the tracer from its file and checks every
-binding it makes, and runs one sos-stream job of the benchmark's workloads
-under it."""
+binding it makes, and runs one sos-stream job and one witness job of the
+benchmark's workloads under it."""
 
 import importlib.util
 import inspect
@@ -52,3 +52,19 @@ def test_sos_stream_job_reports_its_layer_metrics():
     metrics = tracer.layer_metrics(spans.spans, 0, 0.0)
     assert metrics["cones.GramSlice.sigma_entries"] > 0
     assert metrics["cones.sos_check.calls"] == 1
+
+
+def test_witness_job_passes_its_check_under_the_tracer():
+    # witness_check re-parses the report, re-certifies it and re-samples
+    # it through the witness API; a refactor that breaks one of those
+    # calls, or a stage the tracer times, fails here
+    tracer, workloads = _load("tracer"), _load("workloads")
+    jobs = workloads.witness_round({}, workloads.round_rng(0, "witness", 0))
+    job = next(j for j in jobs if j.payload[0] == 3)
+    spans = tracer.Tracer()
+    with tracer.Installed(spans, mindeg):
+        out = workloads.witness_run({}, job)
+    assert out[0] == 0
+    assert workloads.witness_check({}, job, out) == []
+    names = {span[tracer.NAME] for span in spans.spans}
+    assert {"witness.delta_search", "witness.certify_not_sos"} <= names

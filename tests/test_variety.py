@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mindeg.cones import GramSlice
 from mindeg.errors import InconsistentModel
 from mindeg.numerics import exact_rank
 from mindeg.polytope import LatticePolytope, simplex
@@ -160,12 +161,21 @@ def test_toric_binomials():
         assert a == b and (i, j) != (k, l)
 
 
+def _pair_product(m, i, j):
+    """The R_2 vector of x_i x_j: model.product of two unit vectors."""
+    unit = [[int(k == t) for k in range(m.n + 1)] for t in (i, j)]
+    return m.product(*unit)
+
+
+def _unit(m, s):
+    return [int(k == s) for k in range(m.dim_r2)]
+
+
 def test_pair_vector_toric_is_unit():
     m = veronese_model(2, 2)
-    v = m.pair_vector(0, 3)
-    assert len(v) == 1
-    ((idx, c),) = v.items()
-    assert c == 1
+    v = _pair_product(m, 0, 3)
+    (idx,) = [k for k, c in enumerate(v) if c != 0]
+    assert v == _unit(m, idx) and all(type(c) is int for c in v)
     s = tuple(a + b for a, b in zip(m.r1_basis[0], m.r1_basis[3]))
     assert m.r2_basis[idx] == s
 
@@ -173,8 +183,27 @@ def test_pair_vector_toric_is_unit():
 def test_pair_vector_determinantal_reduces():
     m = veronese_cone_model(5)
     # x0 x3 = x1^2 modulo the minors
-    v = m.pair_vector(0, 3)
-    assert {m.r2_basis[k]: c for k, c in v.items()} == {(1, 1): F(1)}
+    v = _pair_product(m, 0, 3)
+    assert {m.r2_basis[k]: c for k, c in enumerate(v) if c} == {(1, 1): F(1)}
+    assert _pair_product(m, 3, 0) == v
+
+
+@pytest.mark.parametrize("build", [lambda: veronese_cone_model(5),
+                                   lambda: scroll_model([1, 2]),
+                                   lambda: scroll_model([2, 2])])
+def test_product_matches_gram_map_on_labelled_models(build):
+    # g h is sigma of the symmetric Gram matrix (g h^T + h g^T) / 2; these
+    # models have reduced pairs, whose columns carry Fractions
+    m = build()
+    gs = GramSlice(m)
+    rng = np.random.Generator(np.random.Philox(m.n))
+    for _ in range(5):
+        g, h = ([int(c) for c in rng.integers(-5, 6, m.n + 1)]
+                for _ in range(2))
+        G = [[F(g[i] * h[j] + h[i] * g[j], 2) for j in range(m.n + 1)]
+             for i in range(m.n + 1)]
+        assert m.product(g, h) == gs.apply_to_gram(G)
+        assert m.product(g, h) == m.product(h, g)
 
 
 def test_lower_dimensional_toric_input():
@@ -192,8 +221,8 @@ def test_reembedding_matches_dilate():
 
 
 def test_epsilon_detects_malformed_model():
-    # a fabricated relation that is not a quadric of the variety skews the
-    # two counts differently
+    # a fabricated relation that is not a quadric of the variety: two
+    # independent quadrics on a curve in P^2, whose C(e+1, 2) is 1
     m = VarietyModel("bogus", 1, ["x0", "x1", "x2"],
                      relations=[{(0, 2): F(1), (1, 1): F(-1)},
                                 {(0, 1): F(1)}])
@@ -288,7 +317,7 @@ def test_representative_pairs_have_unit_columns(name):
     assert m.pairs == pairs and len(m.columns) == len(pairs)
     assert len(m.rep_pairs) == m.dim_r2
     for s, (i, j) in enumerate(m.rep_pairs):
-        assert m.pair_vector(i, j) == {s: 1}
+        assert _pair_product(m, i, j) == _unit(m, s)
     assert m.i2_count == len(m.relations)
     if m.is_toric:
         # every column is the unit vector of the pair's exponent sum, and
@@ -297,7 +326,7 @@ def test_representative_pairs_have_unit_columns(name):
         for i, j in pairs:
             s = m.r2_basis.index(tuple(
                 a + b for a, b in zip(m.r1_basis[i], m.r1_basis[j])))
-            assert m.pair_vector(i, j) == {s: 1}
+            assert _pair_product(m, i, j) == _unit(m, s)
             first.setdefault(s, (i, j))
         assert m.rep_pairs == [first[s] for s in range(m.dim_r2)]
     else:

@@ -25,7 +25,6 @@ from mindeg.numerics import nullspace
 from mindeg.variety import QuadraticForm, epsilon, veronese_model
 from mindeg.witness import (
     _SAMPLE_BLOCK,
-    ProductForm,
     _default_selection,
     _double_vanishing_rows,
     _dual_parts,
@@ -34,13 +33,10 @@ from mindeg.witness import (
     _functional_points,
     _line_product,
     _monomials,
-    _poly_mul,
-    _poly_to_vector,
     _rng,
     _SphereSamples,
     _square_products,
     _value_and_partials,
-    _vector_to_poly,
     _veronese_image,
     build_f,
     certify_dual,
@@ -62,6 +58,38 @@ def report():
     return hilbert_witness(3, seed=SEED, samples=SAMPLES)
 
 
+def _poly_mul(p, q):
+    """Reference product of two ternary forms given as dicts from exponent
+    triples to coefficients."""
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            key = tuple(i + j for i, j in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _poly(vec, deg):
+    """The dict form of a coefficient vector over _monomials(deg)."""
+    return {(a, b, deg - a - b): c
+            for (a, b), c in zip(_monomials(deg), vec) if c != 0}
+
+
+def _vector(poly, deg):
+    """The coefficient vector over _monomials(deg) of a dict form."""
+    return [poly.get((a, b, deg - a - b), 0) for (a, b) in _monomials(deg)]
+
+
+SPHERE = {(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1)}
+SPHERE_CUBE = _poly_mul(_poly_mul(SPHERE, SPHERE), SPHERE)
+
+
+def _line_products(d, seed):
+    """choose_hyperplanes with its two line lists multiplied out."""
+    ell, em, pts = choose_hyperplanes(d, seed=seed)
+    return _line_product(ell), _line_product(em), pts
+
+
 def test_default_selection_frozen():
     assert _default_selection(3, 7) == [1, 2, 3, 5, 6, 7, 8]
     assert _default_selection(4, 12) == [1, 2, 3, 4, 6, 7, 8, 9,
@@ -72,8 +100,8 @@ def test_default_selection_frozen():
 
 
 def test_choose_hyperplanes_structure():
-    h1, h2, pts = choose_hyperplanes(3, seed=11)
-    assert len(h1.factors) == 3 and len(h2.factors) == 3
+    ell, em, pts = choose_hyperplanes(3, seed=11)
+    assert len(ell) == 3 and len(em) == 3
     assert len(pts) == 9 and len(set(pts)) == 9
     # primitive integer triples with positive leading entry
     for p in pts:
@@ -81,7 +109,7 @@ def test_choose_hyperplanes_structure():
         assert next(c for c in p if c != 0) > 0
     # each point lies on one line of each product
     for idx, p in enumerate(pts):
-        li, mj = h1.factors[idx // 3], h2.factors[idx % 3]
+        li, mj = ell[idx // 3], em[idx % 3]
         assert sum(a * b for a, b in zip(li, p)) == 0
         assert sum(a * b for a, b in zip(mj, p)) == 0
 
@@ -89,8 +117,7 @@ def test_choose_hyperplanes_structure():
 def test_choose_hyperplanes_deterministic():
     a = choose_hyperplanes(3, seed=11)
     b = choose_hyperplanes(3, seed=11)
-    assert a[0].factors == b[0].factors
-    assert a[2] == b[2]
+    assert a == b
 
 
 def test_choose_hyperplanes_rejects_small_degree():
@@ -99,7 +126,7 @@ def test_choose_hyperplanes_rejects_small_degree():
 
 
 def test_fit_h0_vanishing_pattern():
-    h1, h2, pts = choose_hyperplanes(3, seed=11)
+    h1, h2, pts = _line_products(3, 11)
     selected = _default_selection(3, 7)
     h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
     exps = _monomials(3)
@@ -112,7 +139,7 @@ def test_fit_h0_vanishing_pattern():
 
 
 def test_fit_h0_selection_errors():
-    h1, h2, pts = choose_hyperplanes(3, seed=11)
+    h1, h2, pts = _line_products(3, 11)
     with pytest.raises(DegenerateSpan):
         fit_h0(pts, [0, 1, 2], seed=1, h_forms=(h1, h2))
     with pytest.raises(InconsistentModel):
@@ -122,18 +149,16 @@ def test_fit_h0_selection_errors():
 def test_fit_h0_clustered_selection_degenerates():
     # the first twelve grid cells sit on three lines of the first product,
     # whose multiples inflate the vanishing space
-    h1, h2, pts = choose_hyperplanes(4, seed=1)
+    h1, h2, pts = _line_products(4, 1)
     with pytest.raises(DegenerateSpan):
         fit_h0(pts, list(range(12)), seed=1, h_forms=(h1, h2))
 
 
 def test_build_f_quotient_must_be_one_at_degree_three():
-    h1, h2, pts = choose_hyperplanes(3, seed=11)
+    h1, h2, pts = _line_products(3, 11)
     selected = _default_selection(3, 7)
     h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
-    exps = _monomials(3)
-    polys = [_vector_to_poly(h0, exps, 3), h1.coeffs, h2.coeffs]
-    prods = _square_products(polys, 3)
+    prods = _square_products(veronese_model(2, 3), [h0, h1, h2])
     f, stats = build_f(pts, selected, prods)
     assert stats == {"nullspace_dim": 7, "products_rank": 6,
                      "quotient_dim": 1}
@@ -218,55 +243,43 @@ def test_double_vanishing_rows_match_fraction_reference(d, seed):
 
 
 def test_delta_search_zero_f_accepts_first_candidate():
-    h1, h2, pts = choose_hyperplanes(3, seed=11)
+    h1, h2, pts = _line_products(3, 11)
     selected = _default_selection(3, 7)
     h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
-    exps = _monomials(3)
-    polys = [_vector_to_poly(h0, exps, 3), h1.coeffs, h2.coeffs]
     zero = [F(0)] * len(_monomials(6))
-    delta, ev = delta_search(zero, polys, [pts[i] for i in selected],
+    delta, ev = delta_search(zero, [h0, h1, h2], [pts[i] for i in selected],
                              samples=2000, seed=3)
     assert delta == F(1)
     assert ev["min_value"] >= 0
 
 
 def test_delta_search_planted_negative_shrinks_and_terminates():
-    h1, h2, pts = choose_hyperplanes(3, seed=11)
+    h1, h2, pts = _line_products(3, 11)
     selected = _default_selection(3, 7)
     h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
-    exps = _monomials(3)
-    exps2 = _monomials(6)
-    polys = [_vector_to_poly(h0, exps, 3), h1.coeffs, h2.coeffs]
-    h0_poly = polys[0]
-    planted = _poly_to_vector(
-        {k: -64 * v for k, v in _poly_mul(h0_poly, h0_poly).items()},
-        exps2, 6)
-    delta, ev = delta_search(planted, polys, [pts[i] for i in selected],
+    planted = [-64 * c for c in veronese_model(2, 3).product(h0, h0)]
+    delta, ev = delta_search(planted, [h0, h1, h2],
+                             [pts[i] for i in selected],
                              samples=2000, seed=3)
     assert F(0) < delta <= F(1)
     assert ev["margin"] >= -1e-9
 
 
 def test_delta_search_hopeless_f_raises():
-    h1, h2, pts = choose_hyperplanes(3, seed=11)
+    h1, h2, pts = _line_products(3, 11)
     selected = _default_selection(3, 7)
     h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
-    exps = _monomials(3)
-    exps2 = _monomials(6)
-    polys = [_vector_to_poly(h0, exps, 3), h1.coeffs, h2.coeffs]
     # -(2^80)(x^2+y^2+z^2)^3: dwarfs the squares even at delta = 2^-60
-    sphere = {(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1)}
-    cube = _poly_mul(_poly_mul(sphere, sphere), sphere)
-    hopeless = _poly_to_vector(
-        {k: -(2 ** 80) * v for k, v in cube.items()}, exps2, 6)
+    hopeless = [-(2 ** 80) * c for c in _vector(SPHERE_CUBE, 6)]
     with pytest.raises(NoDeltaFound):
-        delta_search(hopeless, polys, [pts[i] for i in selected],
+        delta_search(hopeless, [h0, h1, h2], [pts[i] for i in selected],
                      samples=2000, seed=3)
 
 
-def _sphere_values_reference(f_vec, h_polys, samples, seed):
+def _sphere_values_reference(f_vec, h_vectors, samples, seed):
     """The per-monomial loop that recomputed every coordinate power."""
-    d = max(a + b + e for (a, b, e) in h_polys[0])
+    d = next(k for k in range(len(h_vectors[0]))
+             if len(_monomials(k)) == len(h_vectors[0]))
     rng = _rng(seed)
     pts = rng.normal(size=(int(samples), 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -278,12 +291,10 @@ def _sphere_values_reference(f_vec, h_polys, samples, seed):
             total += float(c) * X ** a * Y ** b * Z ** e
         return total
 
-    f_items = [((a, b, 2 * d - a - b), c)
-               for (a, b), c in zip(_monomials(2 * d), f_vec) if c != 0]
-    f_vals = eval_many(f_items)
+    f_vals = eval_many(_poly(f_vec, 2 * d).items())
     h_sq = np.zeros_like(X)
-    for hp in h_polys:
-        h_sq += eval_many(list(hp.items())) ** 2
+    for h in h_vectors:
+        h_sq += eval_many(_poly(h, d).items()) ** 2
     return pts, f_vals, h_sq
 
 
@@ -293,12 +304,11 @@ def test_sphere_values_bit_identical_to_loop_reference(d):
     f_vec = [F(int(n), int(q)) for n, q in zip(
         rng.integers(-50, 51, len(_monomials(2 * d))),
         rng.integers(1, 9, len(_monomials(2 * d))))]
-    h_polys = [_vector_to_poly([F(int(c)) for c in
-                                rng.integers(-9, 10, len(_monomials(d)))],
-                               _monomials(d), d) for _ in range(3)]
+    h_vectors = [[F(int(c)) for c in rng.integers(-9, 10, len(_monomials(d)))]
+                 for _ in range(3)]
     samples = 2 * _SAMPLE_BLOCK + 77
-    want = _sphere_values_reference(f_vec, h_polys, samples, seed=5)
-    got = _SphereSamples(f_vec, h_polys, samples, seed=5)
+    want = _sphere_values_reference(f_vec, h_vectors, samples, seed=5)
+    got = _SphereSamples(f_vec, h_vectors, samples, seed=5)
     assert np.array_equal(got.pts, want[0])
     # a scattered subset first, so later blocks mix cached and new rows
     some = np.sort(rng.choice(samples, 999, replace=False))
@@ -311,10 +321,10 @@ def test_sphere_values_bit_identical_to_loop_reference(d):
     assert np.abs(got.h - want[2]).max() <= got.err_h / 2 ** 8
 
 
-def _delta_search_reference(f_vec, h_polys, selected_points, samples=100000,
-                            seed=0, exclusion_radius=0.1):
+def _delta_search_reference(f_vec, h_vectors, selected_points,
+                            samples=100000, seed=0, exclusion_radius=0.1):
     """delta_search as it was, evaluating every sample the defining way."""
-    pts, f_vals, h_sq = _sphere_values_reference(f_vec, h_polys, samples,
+    pts, f_vals, h_sq = _sphere_values_reference(f_vec, h_vectors, samples,
                                                  seed)
     keep = np.ones(len(pts), dtype=bool)
     for p in selected_points:
@@ -350,13 +360,11 @@ def _delta_search_reference(f_vec, h_polys, selected_points, samples=100000,
 def _sample_nonnegativity_reference(report, samples=100000, seed=0,
                                     delta=None):
     """sample_nonnegativity as it was, on every sample."""
-    d = report.d
-    exps = _monomials(d)
-    h_polys = [_vector_to_poly(v, exps, d) for v in report.h_vectors]
     f_vec = list(report.f.coefficients)
     if delta is None:
         delta = report.delta
-    _, f_vals, h_sq = _sphere_values_reference(f_vec, h_polys, samples, seed)
+    _, f_vals, h_sq = _sphere_values_reference(f_vec, report.h_vectors,
+                                               samples, seed)
     df = float(delta) * f_vals
     w = df + h_sq
     scale = float((np.abs(df) + h_sq).max())
@@ -370,10 +378,10 @@ class _Captured(Exception):
 
 
 def _pipeline_delta_input(d, seed):
-    """The (f_vec, h_polys, selected points, seed) that hilbert_witness
+    """The (f_vec, h_vectors, selected points, seed) that hilbert_witness
     hands to delta_search; the pipeline stops there."""
-    def capture(f_vec, h_polys, selected_points, samples, seed):
-        raise _Captured(f_vec, h_polys, selected_points, seed)
+    def capture(f_vec, h_vectors, selected_points, samples, seed):
+        raise _Captured(f_vec, h_vectors, selected_points, seed)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mindeg.witness, "delta_search", capture)
@@ -383,44 +391,38 @@ def _pipeline_delta_input(d, seed):
 
 
 def _toy_inputs(kind):
-    h1, h2, pts = choose_hyperplanes(3, seed=11)
+    h1, h2, pts = _line_products(3, 11)
     selected = _default_selection(3, 7)
     h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
-    polys = [_vector_to_poly(h0, _monomials(3), 3), h1.coeffs, h2.coeffs]
-    exps2 = _monomials(6)
-    sphere = {(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1)}
-    cube = _poly_mul(_poly_mul(sphere, sphere), sphere)
+    h0_poly = _poly(h0, 3)
     f = {"zero": {},
          "planted": {k: -64 * v for k, v in
-                     _poly_mul(polys[0], polys[0]).items()},
-         "hopeless": {k: -(2 ** 80) * v for k, v in cube.items()}}[kind]
-    return (_poly_to_vector(f, exps2, 6), polys,
-            [pts[i] for i in selected], 3)
+                     _poly_mul(h0_poly, h0_poly).items()},
+         "hopeless": {k: -(2 ** 80) * v
+                      for k, v in SPHERE_CUBE.items()}}[kind]
+    return _vector(f, 6), [h0, h1, h2], [pts[i] for i in selected], 3
 
 
 def _near_tie_inputs():
     """f = -(x^2+y^2+z^2)^3 and h_i = x_i (x^2+y^2+z^2): on the sphere
     f = -1 and sum h_i^2 = 1 up to rounding, so every sample is close to
     every extremum and the cheap and defining argmins differ."""
-    sphere = {(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1)}
-    cube = _poly_mul(_poly_mul(sphere, sphere), sphere)
-    f_vec = _poly_to_vector({k: -v for k, v in cube.items()},
-                            _monomials(6), 6)
-    h_polys = [_poly_mul({unit: F(1)}, sphere)
-               for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    return f_vec, h_polys, [(1, 2, 3)]
+    f_vec = [-c for c in _vector(SPHERE_CUBE, 6)]
+    h_vectors = [_vector(_poly_mul({unit: F(1)}, SPHERE), 3)
+                 for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    return f_vec, h_vectors, [(1, 2, 3)]
 
 
-def _same_delta_search(f_vec, h_polys, selected, samples, seed):
+def _same_delta_search(f_vec, h_vectors, selected, samples, seed):
     try:
-        want = _delta_search_reference(f_vec, h_polys, selected,
+        want = _delta_search_reference(f_vec, h_vectors, selected,
                                        samples=samples, seed=seed)
     except NoDeltaFound:
         with pytest.raises(NoDeltaFound):
-            delta_search(f_vec, h_polys, selected, samples=samples,
+            delta_search(f_vec, h_vectors, selected, samples=samples,
                          seed=seed)
         return
-    delta, evidence = delta_search(f_vec, h_polys, selected,
+    delta, evidence = delta_search(f_vec, h_vectors, selected,
                                    samples=samples, seed=seed)
     assert delta == want[0]
     # dict equality compares every float with ==
@@ -433,16 +435,16 @@ def _same_delta_search(f_vec, h_polys, selected, samples, seed):
 def test_delta_search_matches_reference(source, samples):
     if "-" in source:
         d, seed = (int(t) for t in source.split("-"))
-        f_vec, h_polys, selected, s_delta = _pipeline_delta_input(d, seed)
+        f_vec, h_vectors, selected, s_delta = _pipeline_delta_input(d, seed)
     else:
-        f_vec, h_polys, selected, s_delta = _toy_inputs(source)
-    _same_delta_search(f_vec, h_polys, selected, samples, s_delta)
+        f_vec, h_vectors, selected, s_delta = _toy_inputs(source)
+    _same_delta_search(f_vec, h_vectors, selected, samples, s_delta)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_delta_search_matches_reference_near_tie(seed):
-    f_vec, h_polys, selected = _near_tie_inputs()
-    _same_delta_search(f_vec, h_polys, selected, 40000, seed)
+    f_vec, h_vectors, selected = _near_tie_inputs()
+    _same_delta_search(f_vec, h_vectors, selected, 40000, seed)
 
 
 @pytest.mark.parametrize("samples", [1, 77, 2 * _SAMPLE_BLOCK + 77])
@@ -452,15 +454,27 @@ def test_sample_nonnegativity_matches_reference(report, samples):
                                    delta=delta)
         assert got == _sample_nonnegativity_reference(
             report, samples=samples, seed=123, delta=delta)
-    f_vec, h_polys, _ = _near_tie_inputs()
-    tie = replace(report, h_vectors=[_poly_to_vector(hp, _monomials(3), 3)
-                                     for hp in h_polys],
+    f_vec, h_vectors, _ = _near_tie_inputs()
+    tie = replace(report, h_vectors=h_vectors,
                   f=QuadraticForm(veronese_model(2, 3), f_vec))
     for seed in range(3):
         got = sample_nonnegativity(tie, samples=samples, seed=seed,
                                    delta=F(1))
         assert got == _sample_nonnegativity_reference(
             tie, samples=samples, seed=seed, delta=F(1))
+
+
+@pytest.mark.parametrize("d,seed", [(3, s) for s in range(12)]
+                         + [(4, 0), (4, 1)])
+def test_sample_nonnegativity_reproduces_pipeline_evidence(d, seed):
+    # the pipeline's own sample seed and delta: the re-check must sum the
+    # same terms in the same order as delta_search did
+    rep = hilbert_witness(d, seed=seed)
+    s_delta = np.random.SeedSequence(
+        seed, spawn_key=(rep.attempt,)).spawn(3)[2]
+    got = sample_nonnegativity(rep, samples=100000, seed=s_delta)
+    assert got == {k: rep.nonneg_evidence[k]
+                   for k in ("min_value", "scale", "margin")}
 
 
 def test_pipeline_frozen_seed(report):
@@ -526,11 +540,7 @@ def test_frac_json_roundtrip(v):
 
 def test_certify_rejects_tampered_reports(report):
     model = veronese_model(2, 3)
-    exps = _monomials(3)
-    exps2 = _monomials(6)
-    h0_sq = _poly_to_vector(
-        _poly_mul(_vector_to_poly(report.h_vectors[0], exps, 3),
-                  _vector_to_poly(report.h_vectors[0], exps, 3)), exps2, 6)
+    h0_sq = model.product(report.h_vectors[0], report.h_vectors[0])
     inside = replace(report, f=QuadraticForm(model, h0_sq))
     assert certify_not_sos(inside) is False
     short = replace(report, selected=report.selected[:-1])
@@ -543,8 +553,7 @@ def test_certify_rejects_tampered_reports(report):
     longer = replace(report, h_vectors=[list(h) + [F(5)]
                                         for h in report.h_vectors])
     assert certify_not_sos(longer) is False
-    h_polys = [_vector_to_poly(h, exps, 3) for h in report.h_vectors]
-    squares = [_poly_to_vector(_poly_mul(h, h), exps2, 6) for h in h_polys]
+    squares = [model.product(h, h) for h in report.h_vectors]
     sum_sq = [a + b + c for a, b, c in zip(*squares)]
     assert certify_not_sos(replace(
         report, delta=F(0), witness=QuadraticForm(model, sum_sq))) is False
@@ -639,24 +648,48 @@ def test_functional_points_are_the_scan_choice_at_degree_four():
 def test_line_product_expansion():
     prod = _line_product([(1, 0, -1), (0, 1, -1)])
     # (x - z)(y - z) = xy - xz - yz + z^2
-    assert prod == {(1, 1, 0): F(1), (1, 0, 1): F(-1),
-                    (0, 1, 1): F(-1), (0, 0, 2): F(1)}
-    pf = ProductForm([(1, 0, -1)], _line_product([(1, 0, -1)]))
-    assert pf.coeffs == {(1, 0, 0): F(1), (0, 0, 1): F(-1)}
+    assert prod == _vector({(1, 1, 0): 1, (1, 0, 1): -1,
+                            (0, 1, 1): -1, (0, 0, 2): 1}, 2)
+    assert prod == [1, -1, 0, -1, 1, 0]
+    assert _line_product([(1, 0, -1)]) == [-1, 0, 1]
+    # against the dict expansion, and ints stay ints
+    rng = np.random.Generator(np.random.Philox(3))
+    for d in (3, 4, 5):
+        lines = [tuple(int(c) for c in row)
+                 for row in rng.integers(-9, 10, size=(d, 3))]
+        want = {(0, 0, 0): 1}
+        for a, b, c in lines:
+            want = _poly_mul(want, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
+        got = _line_product(lines)
+        assert got == _vector(want, d)
+        assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_product_matches_polynomial_expansion(d):
+    model = veronese_model(2, d)
+    rng = np.random.Generator(np.random.Philox(d))
+    size = len(_monomials(d))
+    for _ in range(5):
+        g, h = ([int(c) for c in rng.integers(-9, 10, size)]
+                for _ in range(2))
+        got = model.product(g, h)
+        assert got == _vector(_poly_mul(_poly(g, d), _poly(h, d)), 2 * d)
+        assert all(type(c) is int for c in got)
+        gq = [F(c, 3) for c in g]
+        assert model.product(gq, h) == [F(c, 3) for c in got]
 
 
 # -- the exact dual certificate, re-checked from the JSON with Fractions ----
 
 def _dense_sigma(model):
     """The dense exact sigma rows (R_2 basis x monomial pairs, i-major),
-    built entry by entry from model.pair_vector."""
+    built column by column as model.product of two unit vectors."""
     nvars = model.n + 1
-    pairs = [(i, j) for i in range(nvars) for j in range(i, nvars)]
-    rows = [[F(0)] * len(pairs) for _ in range(model.dim_r2)]
-    for c, (i, j) in enumerate(pairs):
-        for s, coeff in model.pair_vector(i, j).items():
-            rows[s][c] = coeff
-    return rows
+    unit = [[F(int(k == t)) for k in range(nvars)] for t in range(nvars)]
+    cols = [model.product(unit[i], unit[j])
+            for i in range(nvars) for j in range(i, nvars)]
+    return [list(row) for row in zip(*cols)]
 
 
 def _moment_from_sigma(model, values):
@@ -722,16 +755,13 @@ def test_certify_dual_rejects_tampered_reports(report):
     assert F(int(vals[0]["num"]), int(vals[0]["den"])) > 0
     vals[0] = dict(vals[0], num=str(-int(vals[0]["num"])))
     assert certify_dual(with_values(vals)) is False
-    exps = _monomials(3)
-    prods = _square_products([_vector_to_poly(h, exps, 3)
-                              for h in report.h_vectors], 3)
+    prods = _square_products(model, report.h_vectors)
     l2, _, K = _dual_parts(report, model, prods)
     assert K > 0
     assert certify_dual(with_values(
         DualFunctional(model, l2).to_json()["values"])) is False
-    h0 = _vector_to_poly(report.h_vectors[0], exps, 3)
-    h0_sq = QuadraticForm(model, _poly_to_vector(_poly_mul(h0, h0),
-                                                 _monomials(6), 6))
+    h0 = report.h_vectors[0]
+    h0_sq = QuadraticForm(model, model.product(h0, h0))
     assert certify_dual(replace(report, witness=h0_sq)) is False
     assert certify_dual(with_values(good["values"][:-1])) is False
     assert certify_dual(replace(report, sos=None)) is False
