@@ -37,7 +37,7 @@ class LatticePolytope:
     """Convex hull of integer points. The stored vertex list is reduced to
     the extreme points and sorted, so equal polytopes compare equal."""
 
-    def __init__(self, ambient_rank: int, points, _vertices_trusted=False):
+    def __init__(self, ambient_rank: int, points):
         if ambient_rank <= 0:
             raise ValueError("ambient rank must be positive")
         pts = []
@@ -56,9 +56,7 @@ class LatticePolytope:
         self.dim, self._W, W_inv = saturation_chart(diffs, ambient_rank)
         self._sat_basis = W_inv[:self.dim]
         self._facets = [] if self.dim == 0 else None
-        # trusted callers (e.g. products of vertex sets) pass points already
-        # known extreme, skipping the hull of the whole point set
-        self.vertices = tuple(pts) if _vertices_trusted else self._extreme_points(pts)
+        self.vertices = self._extreme_points(pts)
         self._point_cache = {}
         self._simplices = None
 
@@ -812,7 +810,5 @@ def higashitani_simplex(m: int, k: int) -> LatticePolytope:
 
 
 def product_polytope(P: LatticePolytope, R: LatticePolytope) -> LatticePolytope:
-    # every product of a P-vertex and an R-vertex is extreme in P x R
-    verts = [p + r for p in P.vertices for r in R.vertices]
-    return LatticePolytope(P.ambient_rank + R.ambient_rank, verts,
-                           _vertices_trusted=True)
+    return LatticePolytope(P.ambient_rank + R.ambient_rank,
+                           [p + r for p in P.vertices for r in R.vertices])

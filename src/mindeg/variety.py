@@ -266,7 +266,8 @@ def toric_model_from_points(name, exponents, m):
     arr = _int64_translate(pts, pts[0], 2)
     i, j = np.triu_indices(len(arr))
     sums = arr[i] + arr[j]
-    order = np.lexsort(sums.T[::-1])
+    # rows of length 0 (a point, P^0) have one pair and no key to sort by
+    order = np.lexsort(sums.T[::-1]) if sums.shape[1] else np.arange(1)
     sums = sums[order]
     # the distinct sums in lexicographic order: drop each sorted row equal
     # to its predecessor

@@ -21,11 +21,6 @@ Every form is an exact coefficient vector over the model's bases: the h_i
 over r1_basis (the degree-d monomials), f, w and the products over
 r2_basis (degree 2d). Every product h_i h_j is VarietyModel.product, read
 from the model's own pairs and columns.
-
-The sampling is a filter and refine: every sample gets a cheap float value
-with a proven error bound, and only the few samples that can decide a min
-or max are evaluated the defining way, so the reported numbers are bit for
-bit those of evaluating every sample the defining way.
 """
 
 from __future__ import annotations
@@ -326,10 +321,6 @@ def _eval_many(poly_items, powers):
     return total
 
 
-def _pow_table(x, top):
-    return [x ** k for k in range(top + 1)]
-
-
 def _product_table(x, top):
     table = [np.ones_like(x), x]
     while len(table) <= top:
@@ -337,38 +328,13 @@ def _product_table(x, top):
     return table[:top + 1]
 
 
-def _error_rate(terms, degree):
-    """Bound, relative to the coefficient l1 norm C, on the distance between
-    the two float evaluations of a polynomial with the given term count and
-    degree at a unit vector, where every monomial is at most 1.
-
-    With u = 2^-53: the defining value takes three pow calls per term, at
-    most 4 ulp = 8u each (numpy's vectorized pow measures under 0.7 ulp on
-    the sphere), plus the coefficient's rounding and three products: 28u.
-    The cheap value builds powers by repeated multiplication, at most
-    degree - 1 roundings per term, plus the coefficient and three products:
-    (degree + 3)u. Summing the terms in order costs (terms - 1)u C on each
-    side. So the two values lie within (2 terms + degree + 29)u C. Another
-    8u C pays for rounding the compared expression mult f + h and its
-    cutoff. The factor 2^10 is slack over the whole derivation, which drops
-    second-order terms. Underflow costs at most 2^-1074 per operation, far
-    below the 2^-1000 that the callers add.
-    """
-    return 2.0 ** 10 * (2 * terms + degree + 37) * 2.0 ** -53
-
-
 class _SphereSamples:
-    """Seeded unit-sphere samples with the values of f and of
-    h = sum h_i^2, evaluated in two ways.
-
-    The defining values are those of the per-monomial loop: coordinate
-    powers by x ** k, then sum c X^a Y^b Z^e term by term. Every operation
-    is elementwise, so a sample's value does not depend on the samples
-    that share its block. They are computed only where a min or max can
-    hinge on them, and cached by index. Every sample instead gets a cheap
-    value, with powers by repeated multiplication, and err_f, err_h bound
-    its distance from the defining value (_error_rate). The pass runs in
-    blocks of _SAMPLE_BLOCK samples, so the power tables stay small."""
+    """Seeded unit-sphere samples with the float values of f and of
+    h = sum h_i^2: coordinate powers by repeated multiplication, then
+    sum c X^a Y^b Z^e term by term in monomial order. Every operation is
+    elementwise, so a sample's value does not depend on the samples that
+    share its block. The pass runs in blocks of _SAMPLE_BLOCK samples, so
+    the power tables stay small."""
 
     def __init__(self, f_vec, h_vectors, samples, seed):
         # a degree-d vector has (d + 1)(d + 2) / 2 coefficients
@@ -384,72 +350,27 @@ class _SphereSamples:
         self._top = 2 * d
         self._f_items = _float_terms(f_vec, 2 * d)
         self._h_items = [_float_terms(h, d) for h in h_vectors]
-        self.err_f = _error_rate(len(self._f_items), 2 * d) * sum(
-            abs(c) for _, c in self._f_items) + 2.0 ** -1000
-        # h = sum v_i^2 over the three h_i = v_i, |v_i| <= C_i: the cheap
-        # and defining h differ by at most sum |v~_i - v_i| (|v~_i| + |v_i|)
-        # <= sum 2 rate_i C_i^2, whose 16u C_i^2 beyond the first-order
-        # terms pay for the squares, their sum and the comparison
-        self.err_h = sum(2 * _error_rate(len(items), d)
-                         * sum(abs(c) for _, c in items) ** 2
-                         for items in self._h_items) + 2.0 ** -1000
         n = len(pts)
         self.f = np.empty(n)
         self.h = np.empty(n)
         for s in range(0, n, _SAMPLE_BLOCK):
             block = slice(s, s + _SAMPLE_BLOCK)
-            self.f[block], self.h[block] = self._values(pts[block],
-                                                        _product_table)
-        self._exact_f = np.empty(n)
-        self._exact_h = np.empty(n)
-        self._known = np.zeros(n, dtype=bool)
+            self.f[block], self.h[block] = self._values(pts[block])
 
-    def _values(self, rows, table):
-        powers = [table(rows[:, i], self._top) for i in range(3)]
+    def _values(self, rows):
+        """(f, h) on the rows of one block; its power tables are freed
+        when it returns, before the next block builds its own."""
+        powers = [_product_table(rows[:, i], self._top) for i in range(3)]
         f = _eval_many(self._f_items, powers)
         h = np.zeros(len(rows))
         for items in self._h_items:
             h += _eval_many(items, powers) ** 2
         return f, h
 
-    def exact(self, idx):
-        """Defining values (f, h) at the sample indices idx."""
-        todo = idx[~self._known[idx]]
-        for s in range(0, len(todo), _SAMPLE_BLOCK):
-            part = todo[s:s + _SAMPLE_BLOCK]
-            self._exact_f[part], self._exact_h[part] = self._values(
-                self.pts[part], _pow_table)
-            self._known[part] = True
-        return self._exact_f[idx], self._exact_h[idx]
-
-    def extremum(self, op, bound, idx=None, largest=False):
-        """Min (max if largest) of the elementwise op(f, h) over the
-        samples idx (all if None), on the defining values.
-
-        op on the cheap values lies within bound of op on the defining
-        values, sample by sample, so the sample that holds the extremum
-        has a cheap value within 2 bound of the cheap extremum. Only the
-        samples within that distance are evaluated the defining way; a
-        NaN comparison keeps its sample."""
-        if idx is None:
-            cheap = op(self.f, self.h)
-        else:
-            cheap = op(self.f[idx], self.h[idx])
-        if largest:
-            near = ~(cheap < cheap.max() - 2 * bound)
-        else:
-            near = ~(cheap > cheap.min() + 2 * bound)
-        near = np.flatnonzero(near)
-        vals = op(*self.exact(near if idx is None else idx[near]))
-        return float(vals.max() if largest else vals.min())
-
     def margin(self, mult):
         """(min of mult f + h, max of |mult f| + h) over all samples."""
-        bound = abs(mult) * self.err_f + self.err_h
-        wmin = self.extremum(lambda f, h: mult * f + h, bound)
-        scale = self.extremum(lambda f, h: np.abs(mult * f) + h, bound,
-                              largest=True)
-        return wmin, scale
+        return (float((mult * self.f + self.h).min()),
+                float((np.abs(mult * self.f) + self.h).max()))
 
 
 def _outside(pts, centers, radius):
@@ -480,22 +401,18 @@ def delta_search(f_vec, h_vectors, selected_points, samples=100000, seed=0):
     values convert exactly between float and Fraction, so the accepted
     delta is the tested delta.
 
-    Every reported number is a min or max of per-sample floats. A cheap
-    evaluation with a proven error bound (_SphereSamples) rules out almost
-    every sample, and only the rest are evaluated the defining way, so the
-    result is bit for bit that of evaluating every sample.
+    Every reported number is a min or max of the per-sample floats of
+    _SphereSamples, evaluated once.
     """
     sphere = _SphereSamples(f_vec, h_vectors, samples, seed)
     keep = _outside(sphere.pts, selected_points, _EXCLUSION_RADIUS)
     if not keep.any():
         keep[:] = True
-    idx = np.flatnonzero(keep)
-    sup_f = sphere.extremum(lambda f, h: np.abs(f), sphere.err_f, idx,
-                            largest=True)
+    sup_f = float(np.abs(sphere.f[keep]).max())
     if sup_f == 0.0:
         estimate = 1.0
     else:
-        estimate = sphere.extremum(lambda f, h: h, sphere.err_h, idx) / sup_f
+        estimate = float(sphere.h[keep].min()) / sup_f
     k0 = 10 if estimate <= 0 else min(10, math.floor(math.log2(estimate)))
     for k in range(k0, -61, -1):
         wmin, scale = sphere.margin(math.ldexp(1.0, k))
@@ -515,7 +432,7 @@ def sample_nonnegativity(report: "WitnessReport", samples=100000, seed=0,
     """Independent sampling re-check of the witness: relative margin of
     delta f + sum h_i^2 over fresh sphere samples. delta defaults to the
     report's accepted value. Returns {"min_value", "scale", "margin"},
-    computed like delta_search's: cheap bounds, exact refine."""
+    computed as delta_search computes its margin."""
     if delta is None:
         delta = report.delta
     wmin, scale = _SphereSamples(report.f.coefficients, report.h_vectors,
@@ -726,14 +643,14 @@ def _dual_parts(report, model, prods):
 
 def _attach_dual(model, report, prods):
     """report.sos: the exact Infeasible verdict with its functional. No
-    fallback: a functional that fails the exact check is a model error."""
+    fallback: a report that fails certify_dual is a model error."""
     l2, l1, K = _dual_parts(report, model, prods)
     fn = DualFunctional(model, [a + K * b for a, b in zip(l2, l1)])
-    value = fn.apply(report.witness)
-    if value >= 0 or not is_positive_definite(fn.moment_matrix()):
-        raise InconsistentModel("dual certificate failed the exact check")
-    report.sos = {"status": "Infeasible", "separation": _frac_json(value),
+    report.sos = {"status": "Infeasible",
+                  "separation": _frac_json(fn.apply(report.witness)),
                   "functional": fn.to_json()}
+    if not certify_dual(report):
+        raise InconsistentModel("dual certificate failed the exact check")
 
 
 def certify_dual(report: WitnessReport) -> bool:

@@ -540,6 +540,37 @@ def test_classify_single_point_exit_0(capsys):
     assert rep["classification"]["family"] == "ImageOfModel"
 
 
+POINT_MODELS = [{"ambient_rank": 1, "vertices": [[3]]},
+                {"ambient_rank": 3, "vertices": [[1, -2, 5]]},
+                {"m": 0, "r1_basis": [[]]}]
+
+
+@pytest.mark.parametrize("blob", POINT_MODELS)
+def test_epsilon_of_a_point_is_p0(capsys, blob):
+    # the model of one point is P^0: a single pair x_0 x_0, no relation
+    code, out, err = run(capsys, ["epsilon", "--input", json.dumps(blob)])
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert (rep["n"], rep["m"], rep["e"]) == (0, 0, 0)
+    assert (rep["dim_r2"], rep["i2_count"], rep["epsilon"]) == (1, 0, 0)
+    assert rep["minimal_degree"] is True
+
+
+@pytest.mark.parametrize("blob", POINT_MODELS)
+@pytest.mark.parametrize("coeff,status,gram", [
+    (1, "Certificate", [[{"num": "1", "den": "1"}]]),
+    (-1, "Infeasible", None),
+    (0, "Certificate", [[{"num": "0", "den": "1"}]])])
+def test_sos_check_on_a_point(capsys, blob, coeff, status, gram):
+    code, out, err = run(capsys, ["sos-check", "--input", json.dumps(
+        {"model": blob, "coefficients": [coeff]})])
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["dim_r2"] == 1
+    assert rep["result"]["status"] == status
+    assert rep["result"]["gram"] == gram
+
+
 _COORD = st.one_of(st.integers(-3, 3), st.integers(-3, 3),
                    st.integers(-3, 3), st.floats(allow_nan=False),
                    st.booleans(), st.none(), st.text(max_size=2))
