@@ -5,8 +5,7 @@ Newton polytope, with machine-checkable certificates on both sides.
 
 from .cones import (DualFunctional, GramSlice, SosResult, extremality_check,
                     interpolant_through_points, kernel_dimension, moment_psd,
-                    pair_with_square, separating_functional_complex,
-                    separating_functional_real, sos_check)
+                    pair_with_square, separating_functional_real, sos_check)
 from .errors import (DegeneratePosition, DegenerateSpan, DimensionMismatch,
                      EmptyComplement, InconsistentModel, MindegError,
                      NoDeltaFound, NonConvergence, NotFullDimensional,
@@ -21,8 +20,7 @@ from .polytope import (ClassificationReport, HStar, LatticePolytope,
 from .variety import (QuadraticForm, VarietyModel, epsilon,
                       is_minimal_degree, scroll_model, segre_veronese_model,
                       toric_model, toric_model_from_points,
-                      veronese_cone_model, veronese_model,
-                      veronese_reembedding)
+                      veronese_cone_model, veronese_model)
 from .witness import (WitnessReport, build_f, certify_dual, certify_not_sos,
                       choose_hyperplanes, delta_search, fit_h0,
                       hilbert_witness, sample_nonnegativity,
@@ -46,8 +44,7 @@ __all__ = [
     "normalized_volume", "pair_with_square", "polytope_degree",
     "pyramid_over_twice_simplex", "real_density", "reeve_simplex",
     "sample_nonnegativity", "scroll_model", "segre_veronese_model",
-    "separating_functional_complex", "separating_functional_real", "simplex",
-    "sos_check", "sublattice_index", "toric_model", "toric_model_from_points",
-    "veronese_cone_model", "veronese_model", "veronese_reembedding",
-    "witness_report_from_json",
+    "separating_functional_real", "simplex", "sos_check", "sublattice_index",
+    "toric_model", "toric_model_from_points", "veronese_cone_model",
+    "veronese_model", "witness_report_from_json",
 ]

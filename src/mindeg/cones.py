@@ -365,16 +365,7 @@ def _check_on_variety(model, point):
             raise InconsistentModel("point does not satisfy the quadric relations")
 
 
-def _check_on_variety_complex(model, a, b):
-    for terms in model.relations:
-        re = sum(c * (a[i] * a[j] - b[i] * b[j]) for (i, j), c in terms)
-        im = sum(c * (a[i] * b[j] + a[j] * b[i]) for (i, j), c in terms)
-        if re != 0 or im != 0:
-            raise InconsistentModel(
-                "complex point does not satisfy the quadric relations")
-
-
-def _unique_dependency(columns, ncols):
+def _unique_dependency(columns):
     """The one-dimensional exact relation among the given column vectors,
     scaled so its last coordinate is 1. All coordinates must be nonzero."""
     rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
@@ -389,13 +380,13 @@ def _unique_dependency(columns, ncols):
     return [c / last for c in lam]
 
 
-def separating_functional_real(model: VarietyModel, points, kappas=None):
+def separating_functional_real(model: VarietyModel, points):
     """Rational functional in Sos* \\ Pos* from e+2 real points on the
     affine cone whose evaluations satisfy a unique linear relation.
 
     Points are sup-norm normalized. With the relation scaled so the last
-    coefficient is 1, the weight on the last point is the harmonic value
-    kappa = 1 / sum(lambda_j^2 / kappa_j), which makes the functional
+    coefficient is 1, the first e+1 points have weight 1 and the last the
+    harmonic value kappa = 1 / sum(lambda_j^2), which makes the functional
     nonnegative on squares with the last square entering negatively.
     Returns (functional, info) with the relation and weights in info.
     """
@@ -403,7 +394,7 @@ def separating_functional_real(model: VarietyModel, points, kappas=None):
     if len(points) != e + 2:
         raise DegeneratePosition("need exactly e+2 = %d points" % (e + 2))
     pts = _normalized_on_variety(model, points)
-    return _functional_from_points(model, pts, kappas)
+    return _functional_from_points(model, pts)
 
 
 def _normalized_on_variety(model, points):
@@ -421,97 +412,24 @@ def _normalized_on_variety(model, points):
     return pts
 
 
-def _functional_from_points(model, pts, kappas=None):
+def _functional_from_points(model, pts):
     """separating_functional_real on e+2 points already normalized and
     checked by _normalized_on_variety."""
     e = model.e
-    lam = _unique_dependency(pts, e + 2)
-    if kappas is None:
-        kappas = [Fraction(1)] * (e + 1)
-    kappas = [Fraction(k) for k in kappas]
-    if len(kappas) != e + 1 or any(k <= 0 for k in kappas):
-        raise DegeneratePosition("need e+1 positive weights")
-    inv = sum(lam[j] ** 2 / kappas[j] for j in range(e + 1))
-    kappa_last = 1 / inv
+    lam = _unique_dependency(pts)
+    kappa_last = 1 / sum(lam[j] ** 2 for j in range(e + 1))
     values = []
     for (i, j) in model.rep_pairs:
-        v = sum(kappas[t] * pts[t][i] * pts[t][j] for t in range(e + 1))
+        v = sum(pts[t][i] * pts[t][j] for t in range(e + 1))
         v -= kappa_last * pts[e + 1][i] * pts[e + 1][j]
         values.append(v)
     fn = DualFunctional(model, values)
-    info = {"lambdas": lam[:e + 1], "kappas": kappas + [kappa_last],
-            "points": pts}
+    info = {"lambdas": lam[:e + 1],
+            "kappas": [Fraction(1)] * (e + 1) + [kappa_last], "points": pts}
     return fn, info
 
 
-def separating_functional_complex(model: VarietyModel, real_points, a_point,
-                                  b_point, kappas=None, rho=0):
-    """Variant of the real construction when only e real points are
-    available and a conjugate pair a ± b i on the cone completes the
-    dependency.
-
-    The raw dependency 0 = sum lambda_j p_j + alpha a + beta b is turned
-    into 0 = sum lambda_j' p_j* + a'* by replacing the pair with the
-    representative (a' + b' i) = mu (a + b i), mu = (alpha - beta i)/2,
-    which keeps all data rational. With c = 1 / sum(lambda_j'^2 / kappa_j),
-    the pair weights solve (k1^2 + k2^2) / k1 = c, parameterized by the
-    ratio rho = k2 / k1; the functional subtracts k1 ((a'*)^2 - (b'*)^2)
-    and adds k2 (2 a'* b'*).
-    """
-    e = model.e
-    if len(real_points) != e:
-        raise DegeneratePosition("need exactly e = %d real points" % e)
-    pts = _normalized_on_variety(model, real_points)
-    a = [Fraction(c) for c in a_point]
-    b = [Fraction(c) for c in b_point]
-    mx = max(max(abs(v) for v in a), max(abs(v) for v in b))
-    if mx == 0:
-        raise DegeneratePosition("zero vector cannot represent a point")
-    a = [v / mx for v in a]
-    b = [v / mx for v in b]
-    if all(v == 0 for v in b):
-        raise DegeneratePosition("imaginary part is zero; use the real form")
-    _check_on_variety_complex(model, a, b)
-    # raw real dependency among p_1..p_e, a, b
-    rows = [[col[i] for col in pts + [a, b]] for i in range(model.n + 1)]
-    ns = nullspace(rows)
-    if len(ns) != 1:
-        raise DegeneratePosition(
-            "points admit %d linear relations, need exactly 1" % len(ns))
-    raw = ns[0]
-    alpha, beta = raw[e], raw[e + 1]
-    if alpha == 0 and beta == 0:
-        raise DegeneratePosition("complex pair drops out of the relation")
-    if any(c == 0 for c in raw[:e]):
-        raise DegeneratePosition("a point drops out of the unique relation")
-    # rotate the representative so the pair's coefficient becomes 1
-    a_rot = [(alpha * ai + beta * bi) / 2 for ai, bi in zip(a, b)]
-    b_rot = [(-beta * ai + alpha * bi) / 2 for ai, bi in zip(a, b)]
-    if all(v == 0 for v in b_rot):
-        raise DegeneratePosition("rotated pair is real; use the real form")
-    lam = [c / 2 for c in raw[:e]]
-    if kappas is None:
-        kappas = [Fraction(1)] * e
-    kappas = [Fraction(k) for k in kappas]
-    if len(kappas) != e or any(k <= 0 for k in kappas):
-        raise DegeneratePosition("need e positive weights")
-    rho = Fraction(rho)
-    c = 1 / sum(lam[j] ** 2 / kappas[j] for j in range(e))
-    k1 = c / (1 + rho ** 2)
-    k2 = rho * k1
-    values = []
-    for (i, j) in model.rep_pairs:
-        v = sum(kappas[t] * pts[t][i] * pts[t][j] for t in range(e))
-        v -= k1 * (a_rot[i] * a_rot[j] - b_rot[i] * b_rot[j])
-        v += k2 * (a_rot[i] * b_rot[j] + a_rot[j] * b_rot[i])
-        values.append(v)
-    fn = DualFunctional(model, values)
-    info = {"lambdas": lam, "kappas": kappas + [k1, k2],
-            "points": pts, "a": a_rot, "b": b_rot}
-    return fn, info
-
-
-def interpolant_through_points(model: VarietyModel, points, targets):
+def interpolant_through_points(points, targets):
     """Exact linear form g in R_1 with g(p_j) = target_j; the system is
     underdetermined in general and any solution serves."""
     rows = [[Fraction(c) for c in p] for p in points]

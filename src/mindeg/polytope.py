@@ -216,8 +216,8 @@ def _scan_box(Q: LatticePolytope, k: int):
     return verts.min(axis=0), verts.max(axis=0)
 
 
-def _scan_dilate(Q: LatticePolytope, k: int, strict: bool):
-    """Chart coordinates of the lattice points of kQ (strict: interior)."""
+def _scan_dilate(Q: LatticePolytope, k: int):
+    """Chart coordinates of the lattice points of kQ."""
     lo, hi = _scan_box(Q, k)
     planes = Q.facets()
     A = np.array([a for a, _ in planes], dtype=np.int64)
@@ -225,8 +225,7 @@ def _scan_dilate(Q: LatticePolytope, k: int, strict: bool):
     found = []
     for grid in _box_candidates(lo, hi):
         vals = grid @ A.T
-        mask = (vals < b) if strict else (vals <= b)
-        keep = grid[mask.all(axis=1)]
+        keep = grid[(vals <= b).all(axis=1)]
         if len(keep):
             found.append(keep)
     if not found:
@@ -247,18 +246,9 @@ def lattice_points(Q: LatticePolytope, k: int):
     elif Q.dim == 0:
         result = {tuple(k * c for c in Q.vertices[0])}
     else:
-        result = {Q._lift(x, k) for x in _scan_dilate(Q, k, strict=False)}
+        result = {Q._lift(x, k) for x in _scan_dilate(Q, k)}
     Q._point_cache[k] = frozenset(result)
     return result
-
-
-def interior_lattice_point_count(Q: LatticePolytope, k: int) -> int:
-    """Number of lattice points strictly inside kQ (relative interior)."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if Q.dim == 0:
-        return 1
-    return len(_scan_dilate(Q, k, strict=True))
 
 
 @dataclass(frozen=True)
@@ -463,8 +453,8 @@ def real_density(Q: LatticePolytope) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle routes (used by --oracle and by the test suite; the
-# primary lattice_points path above never calls these).
+# Independent oracle routes: the --oracle checks, and normalized_volume for
+# VarietyModel.degree. The primary lattice_points path never calls these.
 
 
 def triangulate(Q: LatticePolytope):
@@ -545,18 +535,6 @@ def lattice_point_count_oracle(Q: LatticePolytope, k: int) -> int:
             if contains_point_oracle(Q, p, k):
                 count += 1
     return count
-
-
-def _polytope_degree_oracle(Q: LatticePolytope) -> int:
-    """polytope_degree from the interior lattice points of each dilate."""
-    m = Q.dim
-    empty_up_to = 0
-    for k in range(1, m + 1):
-        if interior_lattice_point_count(Q, k) == 0:
-            empty_up_to = k
-        else:
-            break
-    return m - empty_up_to
 
 
 def k_normal_oracle(Q: LatticePolytope, k: int):

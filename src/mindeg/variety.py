@@ -196,13 +196,16 @@ class VarietyModel:
 
     @classmethod
     def from_json(cls, obj):
-        """The model of to_json output: r1_basis distinct toric rows, lists
-        of JSON integers of one length, with m their affine rank, or string
-        labels with i2_basis rows of nvars^2 strings or JSON integers and m
-        in 0..n. Anything else raises ValueError."""
+        """The model of to_json output: an optional string name, r1_basis
+        distinct toric rows, lists of JSON integers of one length, with m
+        their affine rank, or distinct string labels with i2_basis rows of
+        nvars^2 strings or JSON integers and m in 0..n. Anything else raises
+        ValueError."""
         r1, m, flats = obj["r1_basis"], obj["m"], obj.get("i2_basis")
         if type(m) is not int or not isinstance(r1, list):
             raise ValueError("m must be a JSON integer, r1_basis a list")
+        if not isinstance(obj.get("name", ""), str):
+            raise ValueError("name must be a JSON string")
         if r1 and isinstance(r1[0], list):
             if not all(isinstance(u, list) and len(u) == len(r1[0])
                        and all(type(c) is int for c in u) for u in r1) \
@@ -217,12 +220,14 @@ class VarietyModel:
                                            [tuple(u) for u in r1], m)
         nvars = len(r1)
         if not all(isinstance(u, str) for u in r1) \
+                or len(set(r1)) != nvars \
                 or not isinstance(flats, list) \
                 or not all(isinstance(f, list) and len(f) == nvars * nvars
                            and all(type(c) in (int, str) for c in f)
                            for f in flats):
-            raise ValueError("r1_basis labels must be strings, i2_basis rows "
-                             "lists of nvars^2 strings or JSON integers")
+            raise ValueError("r1_basis labels must be distinct strings, "
+                             "i2_basis rows lists of nvars^2 strings or JSON "
+                             "integers")
         if not 0 <= m < nvars:
             raise ValueError("m must lie in 0..n for a labelled model")
         rels = []
@@ -384,11 +389,3 @@ def epsilon(model: VarietyModel) -> int:
 
 def is_minimal_degree(model: VarietyModel) -> bool:
     return epsilon(model) == 0
-
-
-def veronese_reembedding(Q: LatticePolytope, d: int) -> LatticePolytope:
-    """The dilate dQ, whose toric model captures degree-2d forms on X_Q."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    return LatticePolytope(Q.ambient_rank,
-                           [tuple(d * c for c in v) for v in Q.vertices])

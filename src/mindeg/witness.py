@@ -686,8 +686,8 @@ def _attach_functional(model, report):
         model, [_veronese_image(report.points[i], d, model.r1_basis)
                 for i in idx])
     fn, info = _functional_from_points(model, images)
-    targets = [info["lambdas"][j] / info["kappas"][j] for j in range(e + 1)]
-    g = interpolant_through_points(model, info["points"][:e + 1], targets)
+    # unit weights: g(p_j) = lambda_j / kappa_j = lambda_j
+    g = interpolant_through_points(info["points"][:e + 1], info["lambdas"])
     pairing = pair_with_square(fn, g)
     for h in report.h_vectors[1:]:
         pairing += pair_with_square(fn, h)

@@ -157,8 +157,7 @@ def test_criterion_7_separating_functional():
         e = model.e
         targets = [info["lambdas"][j] / info["kappas"][j]
                    for j in range(e + 1)]
-        g = interpolant_through_points(model, info["points"][:e + 1],
-                                       targets)
+        g = interpolant_through_points(info["points"][:e + 1], targets)
         pairing = pair_with_square(fn2, g)
         for h in rep.h_vectors[1:]:
             pairing += pair_with_square(fn2, h)

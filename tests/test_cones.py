@@ -22,7 +22,6 @@ from mindeg.cones import (
     kernel_dimension,
     moment_psd,
     pair_with_square,
-    separating_functional_complex,
     separating_functional_real,
     sos_check,
 )
@@ -590,7 +589,7 @@ def test_real_functional_annihilates_vanishing_square(quartic_gap):
 def test_real_functional_interpolant_square(quartic_gap):
     model, _ = quartic_gap
     fn, info = separating_functional_real(model, QUARTIC_POINTS)
-    g = interpolant_through_points(model, info["points"][:3], info["lambdas"])
+    g = interpolant_through_points(info["points"][:3], info["lambdas"])
     assert pair_with_square(fn, g) == 0
 
 
@@ -602,17 +601,6 @@ def test_real_functional_kernel_and_extremality(quartic_gap):
     assert extremality_check(fn) == (True, 1)
 
 
-def test_real_functional_custom_kappas(quartic_gap):
-    model, _ = quartic_gap
-    fn, info = separating_functional_real(
-        model, QUARTIC_POINTS, kappas=[F(2), F(1), F(3)])
-    # 1 / (lam1^2/2 + lam2^2/1 + lam3^2/3)
-    assert info["kappas"][-1] == 1 / (F(1, 8) + F(1, 4) + F(1, 3))
-    assert moment_psd(fn) >= -1e-9
-    h = [F(4), F(-5), F(0), F(1)]
-    assert pair_with_square(fn, h) == 0
-
-
 def test_real_functional_degenerate_inputs(quartic_gap):
     model, _ = quartic_gap
     with pytest.raises(DegeneratePosition):
@@ -620,11 +608,6 @@ def test_real_functional_degenerate_inputs(quartic_gap):
     with pytest.raises(InconsistentModel):
         separating_functional_real(
             model, [(1, 1, 2, 1)] + QUARTIC_POINTS[1:])
-    with pytest.raises(DegeneratePosition):
-        separating_functional_real(model, QUARTIC_POINTS,
-                                   kappas=[F(1), F(-1), F(1)])
-    with pytest.raises(DegeneratePosition):
-        separating_functional_real(model, QUARTIC_POINTS, kappas=[F(1)])
 
 
 def test_real_functional_needs_a_dependency():
@@ -635,60 +618,9 @@ def test_real_functional_needs_a_dependency():
         separating_functional_real(model, pts)
 
 
-COMPLEX_REAL_PTS = [(1, 1, 1, 1), (1, 1, -1, 1)]
-COMPLEX_A = (1, -1, 0, 1)
-COMPLEX_B = (0, 0, -1, 0)
-
-
-def test_complex_functional_frozen_moment(quartic_gap):
-    # points t = 1, -1 and the conjugate pair t = i, -i
-    model, _ = quartic_gap
-    fn, info = separating_functional_complex(
-        model, COMPLEX_REAL_PTS, COMPLEX_A, COMPLEX_B)
-    M = fn.moment_matrix()
-    assert M == [[F(4), F(0), F(0), F(4)],
-                 [F(0), F(4), F(0), F(0)],
-                 [F(0), F(0), F(0), F(0)],
-                 [F(4), F(0), F(0), F(4)]]
-    assert moment_psd(fn) >= -1e-9
-    assert kernel_dimension(fn) == 2
-    assert extremality_check(fn) == (True, 1)
-    # t^4 - 1 vanishes at all four points of the configuration
-    assert pair_with_square(fn, [F(-1), F(0), F(0), F(1)]) == 0
-
-
-def test_complex_functional_rho(quartic_gap):
-    model, _ = quartic_gap
-    fn, info = separating_functional_complex(
-        model, COMPLEX_REAL_PTS, COMPLEX_A, COMPLEX_B, rho=F(1, 2))
-    k1, k2 = info["kappas"][-2:]
-    assert (k1, k2) == (F(32, 5), F(16, 5))
-    assert k2 / k1 == F(1, 2)
-    # harmonic constraint (k1^2 + k2^2)/k1 = 1/sum(lam^2/kappa)
-    lam = info["lambdas"]
-    assert (k1 ** 2 + k2 ** 2) / k1 == 1 / sum(l ** 2 for l in lam)
-    assert moment_psd(fn) >= -1e-9
-    assert kernel_dimension(fn) == 2
-    assert pair_with_square(fn, [F(-1), F(0), F(0), F(1)]) == 0
-
-
-def test_complex_functional_degenerate_inputs(quartic_gap):
-    model, _ = quartic_gap
-    with pytest.raises(DegeneratePosition):
-        separating_functional_complex(
-            model, COMPLEX_REAL_PTS, COMPLEX_A, (0, 0, 0, 0))
-    with pytest.raises(DegeneratePosition):
-        separating_functional_complex(
-            model, [COMPLEX_REAL_PTS[0]], COMPLEX_A, COMPLEX_B)
-    with pytest.raises(InconsistentModel):
-        separating_functional_complex(
-            model, COMPLEX_REAL_PTS, (1, -1, 1, 1), COMPLEX_B)
-
-
 def test_interpolant_inconsistent_conditions():
-    model = veronese_model(1, 1)
     with pytest.raises(DegeneratePosition):
-        interpolant_through_points(model, [(1, 0), (2, 0)], [F(1), F(5)])
+        interpolant_through_points([(1, 0), (2, 0)], [F(1), F(5)])
 
 
 def test_extremality_baselines():
@@ -757,7 +689,7 @@ def test_extremality_check_matches_dense_reference(d, quartic_gap):
     pts = [_sup_normalize(_veronese_image(rep.points[i], d, model.r1_basis))
            for i in info["point_indices"]]
     g = interpolant_through_points(
-        model, pts[:-1],
+        pts[:-1],
         [lam / kap for lam, kap in zip(info["lambdas"], info["kappas"])])
     h1, h2 = rep.h_vectors[1:]
     assert extremality_check(fn, kernel=[g, h1, h2]) == expected
@@ -771,11 +703,8 @@ def test_extremality_check_matches_dense_reference(d, quartic_gap):
         with pytest.raises(InconsistentModel):
             extremality_check(fn, kernel=bad)
     model, _ = quartic_gap
-    for fn in (separating_functional_real(model, QUARTIC_POINTS)[0],
-               separating_functional_complex(model, COMPLEX_REAL_PTS,
-                                             COMPLEX_A, COMPLEX_B)[0]):
-        assert extremality_check(fn) == \
-            _extremality_dense_reference(fn)
+    fn = separating_functional_real(model, QUARTIC_POINTS)[0]
+    assert extremality_check(fn) == _extremality_dense_reference(fn)
 
 
 def test_dual_functional_json(quartic_gap):

@@ -18,13 +18,11 @@ from mindeg.polytope import (CAYLEY, DENSE, IMAGE_OF_MODEL, NOT_DENSE,
                              SparsePolynomial, amgm_witness,
                              cayley_polytope_of_segments, classify,
                              contains_point_oracle, h_star,
-                             higashitani_simplex, interior_lattice_point_count,
-                             is_k_normal, k_normal_oracle,
+                             higashitani_simplex, is_k_normal, k_normal_oracle,
                              lattice_point_count_oracle, lattice_points,
                              normalized_volume, polytope_degree,
-                             product_polytope, _polytope_degree_oracle,
-                             _box_candidates, _recognize_family,
-                             _scan_box,
+                             product_polytope, _box_candidates,
+                             _recognize_family, _scan_box,
                              _supporting_hyperplanes,
                              pyramid_over_twice_simplex, real_density,
                              reeve_simplex, simplex, sublattice_index)
@@ -225,6 +223,32 @@ def test_first_coefficient_is_point_count():
         assert h1 == len(lattice_points(Q, 1)) - (Q.dim + 1)
 
 
+def _interior_lattice_point_count(Q, k):
+    """Reference count of the lattice points strictly inside kQ (relative
+    interior): the box scan of lattice_points with strict facet
+    inequalities."""
+    if Q.dim == 0:
+        return 1
+    lo, hi = _scan_box(Q, k)
+    planes = Q.facets()
+    A = np.array([a for a, _ in planes], dtype=np.int64)
+    b = np.array([bb for _, bb in planes], dtype=np.int64) * k
+    return sum(int((grid @ A.T < b).all(axis=1).sum())
+               for grid in _box_candidates(lo, hi))
+
+
+def _polytope_degree_oracle(Q):
+    """polytope_degree from the interior lattice points of each dilate."""
+    m = Q.dim
+    empty_up_to = 0
+    for k in range(1, m + 1):
+        if _interior_lattice_point_count(Q, k) == 0:
+            empty_up_to = k
+        else:
+            break
+    return m - empty_up_to
+
+
 def test_ehrhart_polynomiality_and_reciprocity():
     # interpolate L from values 0..m, then check it predicts dilates m+1,
     # m+2 and counts interior points of kQ via (-1)^m L(-k)
@@ -246,7 +270,7 @@ def test_ehrhart_polynomiality_and_reciprocity():
         for k in (m + 1, m + 2):
             assert L(k) == len(lattice_points(Q, k))
         for k in (1, 2, 3):
-            assert (-1) ** m * L(-k) == interior_lattice_point_count(Q, k)
+            assert (-1) ** m * L(-k) == _interior_lattice_point_count(Q, k)
 
 
 def test_hstar_sum_is_normalized_volume():
@@ -330,7 +354,7 @@ def test_scan_box_bounds_int64_exactly():
         _scan_box(tri, 3)
     huge = LatticePolytope(1, [(0,), (10 ** 30,)])
     for count in (lambda: lattice_points(huge, 1),
-                  lambda: interior_lattice_point_count(huge, 1),
+                  lambda: _interior_lattice_point_count(huge, 1),
                   lambda: lattice_point_count_oracle(huge, 1),
                   lambda: h_star(huge)):
         with pytest.raises(ValueError, match="2\\^62"):
@@ -348,7 +372,7 @@ def test_box_scan_chunks_match_one_block(monkeypatch, box):
     grid = np.concatenate(list(_box_candidates(lo, hi)))
     whole = LatticePolytope(m, box)
     want = ([lattice_points(whole, k) for k in (1, 2)],
-            [interior_lattice_point_count(whole, k) for k in (1, 2)],
+            [_interior_lattice_point_count(whole, k) for k in (1, 2)],
             h_star(whole))
     monkeypatch.setattr(mindeg.polytope, "_SCAN_CHUNK", 3)
     chunks = list(_box_candidates(lo, hi))
@@ -356,7 +380,7 @@ def test_box_scan_chunks_match_one_block(monkeypatch, box):
     assert np.array_equal(np.concatenate(chunks), grid)
     Q = LatticePolytope(m, box)
     assert ([lattice_points(Q, k) for k in (1, 2)],
-            [interior_lattice_point_count(Q, k) for k in (1, 2)],
+            [_interior_lattice_point_count(Q, k) for k in (1, 2)],
             h_star(Q)) == want
 
 

@@ -11,12 +11,12 @@ import pytest
 from mindeg.cones import GramSlice
 from mindeg.errors import InconsistentModel
 from mindeg.numerics import exact_rank
-from mindeg.polytope import LatticePolytope, simplex
+from mindeg.polytope import LatticePolytope
 from mindeg.variety import (QuadraticForm, VarietyModel, epsilon,
                             is_minimal_degree, scroll_model,
                             segre_veronese_model, toric_model,
                             toric_model_from_points, veronese_cone_model,
-                            veronese_model, veronese_reembedding)
+                            veronese_model)
 
 F = Fraction
 
@@ -211,13 +211,6 @@ def test_lower_dimensional_toric_input():
     m = toric_model(Q)
     assert (m.n, m.m, m.e) == (5, 2, 3)
     assert epsilon(m) == 0
-
-
-def test_reembedding_matches_dilate():
-    Q = simplex(2, 1)
-    assert veronese_reembedding(Q, 3) == simplex(2, 3)
-    with pytest.raises(ValueError):
-        veronese_reembedding(Q, 0)
 
 
 def test_epsilon_detects_malformed_model():

@@ -594,7 +594,7 @@ def test_pipeline_degree_five_carries_the_functional():
         model, [_veronese_image(rep.points[i], 5, model.r1_basis)
                 for i in info["point_indices"]])
     g = interpolant_through_points(
-        model, pts[:-1],
+        pts[:-1],
         [lam / kap for lam, kap in zip(info["lambdas"], info["kappas"])])
     pairing = sum(pair_with_square(rep.functional, h)
                   for h in [g] + list(rep.h_vectors[1:]))
