@@ -14,9 +14,8 @@ from .polytope import (ClassificationReport, HStar, LatticePolytope,
                        SparsePolynomial, amgm_witness,
                        cayley_polytope_of_segments, classify, h_star,
                        higashitani_simplex, is_k_normal, lattice_points,
-                       normalized_volume, polytope_degree,
-                       pyramid_over_twice_simplex, real_density,
-                       reeve_simplex, simplex, sublattice_index)
+                       polytope_degree, pyramid_over_twice_simplex,
+                       real_density, reeve_simplex, simplex, sublattice_index)
 from .variety import (QuadraticForm, VarietyModel, epsilon,
                       is_minimal_degree, scroll_model, segre_veronese_model,
                       toric_model, toric_model_from_points,
@@ -41,10 +40,9 @@ __all__ = [
     "h_star", "higashitani_simplex",
     "hilbert_witness", "interpolant_through_points", "is_k_normal",
     "is_minimal_degree", "kernel_dimension", "lattice_points", "moment_psd",
-    "normalized_volume", "pair_with_square", "polytope_degree",
-    "pyramid_over_twice_simplex", "real_density", "reeve_simplex",
-    "sample_nonnegativity", "scroll_model", "segre_veronese_model",
-    "separating_functional_real", "simplex", "sos_check", "sublattice_index",
-    "toric_model", "toric_model_from_points", "veronese_cone_model",
-    "veronese_model", "witness_report_from_json",
+    "pair_with_square", "polytope_degree", "pyramid_over_twice_simplex",
+    "real_density", "reeve_simplex", "sample_nonnegativity", "scroll_model",
+    "segre_veronese_model", "separating_functional_real", "simplex",
+    "sos_check", "sublattice_index", "toric_model", "toric_model_from_points",
+    "veronese_cone_model", "veronese_model", "witness_report_from_json",
 ]

@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -15,6 +14,7 @@ from .cones import sos_check
 from .errors import DimensionMismatch, InconsistentModel, MindegError
 from .polytope import (
     LatticePolytope,
+    _hstar_from_counts,
     amgm_witness,
     classify,
     h_star,
@@ -99,13 +99,6 @@ def _polytope(blob) -> LatticePolytope:
         raise UsageError("invalid polytope JSON: %s" % ex)
 
 
-def _hstar_brute_force(Q: LatticePolytope):
-    m = Q.dim
-    L = [1] + [lattice_point_count_oracle(Q, k) for k in range(1, m + 1)]
-    return [sum((-1) ** i * math.comb(m + 1, i) * L[j - i]
-                for i in range(j + 1)) for j in range(m + 1)]
-
-
 def _cmd_hstar(args):
     Q = _polytope(_load_input(args.input))
     hs = h_star(Q)
@@ -113,7 +106,8 @@ def _cmd_hstar(args):
            "hstar_degree": hs.degree, "h2": hs.h2,
            "polytope_degree": hs.degree}
     if args.oracle:
-        brute = _hstar_brute_force(Q)
+        brute = _hstar_from_counts([lattice_point_count_oracle(Q, k)
+                                    for k in range(Q.dim + 1)])
         matches = brute == list(hs.coefficients)
         rep["oracle"] = {"coefficients": brute, "matches": matches}
         if not matches:

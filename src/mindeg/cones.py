@@ -114,9 +114,6 @@ class DualFunctional:
     model: VarietyModel
     values: list
 
-    # every functional is exact; the flag is part of the JSON form
-    exact = True
-
     def __post_init__(self):
         if len(self.values) != self.model.dim_r2:
             raise InconsistentModel("value count must equal dim R_2")
@@ -359,12 +356,6 @@ def _sup_normalize(point):
     return [v / mx for v in vals]
 
 
-def _check_on_variety(model, point):
-    for terms in model.relations:
-        if sum(c * point[i] * point[j] for (i, j), c in terms) != 0:
-            raise InconsistentModel("point does not satisfy the quadric relations")
-
-
 def _unique_dependency(columns):
     """The one-dimensional exact relation among the given column vectors,
     scaled so its last coordinate is 1. All coordinates must be nonzero."""
@@ -388,18 +379,11 @@ def separating_functional_real(model: VarietyModel, points):
     coefficient is 1, the first e+1 points have weight 1 and the last the
     harmonic value kappa = 1 / sum(lambda_j^2), which makes the functional
     nonnegative on squares with the last square entering negatively.
-    Returns (functional, info) with the relation and weights in info.
+    Returns (functional, info) with the relation, weights and points in info.
     """
     e = model.e
     if len(points) != e + 2:
         raise DegeneratePosition("need exactly e+2 = %d points" % (e + 2))
-    pts = _normalized_on_variety(model, points)
-    return _functional_from_points(model, pts)
-
-
-def _normalized_on_variety(model, points):
-    """Sup-norm normalized copies of points checked to lie on the affine
-    cone of the model."""
     raw = [[c if isinstance(c, int) else Fraction(c) for c in p]
            for p in points]
     pts = [_sup_normalize(p) for p in raw]
@@ -408,14 +392,10 @@ def _normalized_on_variety(model, points):
             raise DegeneratePosition("point length must be n+1")
         # the relations are homogeneous: the raw point (integer when the
         # input is) satisfies them iff its normalization does
-        _check_on_variety(model, p)
-    return pts
-
-
-def _functional_from_points(model, pts):
-    """separating_functional_real on e+2 points already normalized and
-    checked by _normalized_on_variety."""
-    e = model.e
+        if any(sum(c * p[i] * p[j] for (i, j), c in terms)
+               for terms in model.relations):
+            raise InconsistentModel(
+                "point does not satisfy the quadric relations")
     lam = _unique_dependency(pts)
     kappa_last = 1 / sum(lam[j] ** 2 for j in range(e + 1))
     values = []
@@ -441,18 +421,17 @@ def interpolant_through_points(points, targets):
 
 
 def pair_with_square(functional: DualFunctional, g):
-    """Exact value l(g^2) via the moment matrix quadratic form, summed over
-    ints: g and the functional's values are cleared to integers and the
-    sum is divided once by the common denominator."""
-    M = functional.moment_matrix()
+    """Exact value l(g^2): g is cleared to integers, its square taken in
+    R_2 by VarietyModel.product, and the dot product with the functional's
+    values summed over ints and divided once by the common denominator."""
     g = [Fraction(c) for c in g]
     gden = math.lcm(*(c.denominator for c in g))
-    gi = [(i, c.numerator * (gden // c.denominator))
-          for i, c in enumerate(g) if c]
-    terms = [(a * b, M[i][j]) for i, a in gi for j, b in gi]
-    mden = math.lcm(*(m.denominator for _, m in terms))
-    total = sum(ab * m.numerator * (mden // m.denominator) for ab, m in terms)
-    return Fraction(total, gden * gden * mden)
+    gi = [c.numerator * (gden // c.denominator) for c in g]
+    vals = functional.values
+    vden = math.lcm(*(v.denominator for v in vals))
+    total = sum(v.numerator * (vden // v.denominator) * c
+                for v, c in zip(vals, functional.model.product(gi, gi)) if c)
+    return Fraction(total, gden * gden * vden)
 
 
 def kernel_dimension(functional: DualFunctional) -> int:

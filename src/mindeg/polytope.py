@@ -55,7 +55,6 @@ class LatticePolytope:
         diffs = [[c - b for c, b in zip(p, self._base)] for p in pts[1:]]
         self.dim, self._W, W_inv = saturation_chart(diffs, ambient_rank)
         self._sat_basis = W_inv[:self.dim]
-        self._facets = [] if self.dim == 0 else None
         self.vertices = self._extreme_points(pts)
         self._point_cache = {}
         self._simplices = None
@@ -85,6 +84,7 @@ class LatticePolytope:
 
     def _extreme_points(self, pts):
         if self.dim == 0:
+            self._facets = []
             return tuple(pts[:1])
         proj = [self._proj(p) for p in pts]
         self._facets = _supporting_hyperplanes(proj, self.dim)
@@ -97,8 +97,6 @@ class LatticePolytope:
     def facets(self):
         """The facets as primitive integer inequalities a.x <= b in chart
         coordinates, sorted; exactly one per facet."""
-        if self._facets is None:
-            self._facets = _supporting_hyperplanes(self.proj_vertices, self.dim)
         return self._facets
 
     def __eq__(self, other):
@@ -275,9 +273,6 @@ class HStar:
     def h2(self) -> int:
         return self.coefficients[2] if len(self.coefficients) > 2 else 0
 
-    def sum(self) -> int:
-        return sum(self.coefficients)
-
     def to_json(self):
         return {"coefficients": list(self.coefficients)}
 
@@ -287,15 +282,19 @@ def h_star(Q: LatticePolytope) -> HStar:
 
     Lower-dimensional input is projected to exact full-dimensional
     coordinates on its affine lattice span first (the chart does this)."""
-    m = Q.dim
-    L = [len(lattice_points(Q, k)) for k in range(m + 1)]
-    coeffs = []
-    for j in range(m + 1):
-        v = sum((-1) ** i * math.comb(m + 1, i) * L[j - i] for i in range(j + 1))
-        coeffs.append(v)
+    coeffs = _hstar_from_counts(
+        [len(lattice_points(Q, k)) for k in range(Q.dim + 1)])
     if coeffs[0] != 1 or any(c < 0 for c in coeffs):
         raise NotFullDimensional("Ehrhart counts are inconsistent; chart failed")
     return HStar(tuple(coeffs))
+
+
+def _hstar_from_counts(L):
+    """h*_0 .. h*_m from the lattice point counts L(0) .. L(m) of the
+    dilates of an m-dimensional polytope."""
+    m = len(L) - 1
+    return [sum((-1) ** i * math.comb(m + 1, i) * L[j - i]
+                for i in range(j + 1)) for j in range(m + 1)]
 
 
 def polytope_degree(Q: LatticePolytope) -> int:
@@ -453,8 +452,8 @@ def real_density(Q: LatticePolytope) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle routes: the --oracle checks, and normalized_volume for
-# VarietyModel.degree. The primary lattice_points path never calls these.
+# Independent oracle routes for the --oracle checks. The primary
+# lattice_points path never calls these.
 
 
 def triangulate(Q: LatticePolytope):
@@ -486,20 +485,6 @@ def _triangulate_rec(Q: LatticePolytope):
         for simplex in _triangulate_rec(F):
             out.append([v0] + list(simplex))
     return out
-
-
-def normalized_volume(Q: LatticePolytope) -> int:
-    """m! * vol(Q) w.r.t. the lattice of the affine span, via triangulation.
-    Independent of the Ehrhart counting route."""
-    if Q.dim == 0:
-        return 1
-    total = 0
-    for simplex in triangulate(Q):
-        proj = [Q._proj(v) for v in simplex]
-        base = proj[0]
-        rows = [[c - b for c, b in zip(p, base)] for p in proj[1:]]
-        total += lattice_index(rows)
-    return total
 
 
 def contains_point_oracle(Q: LatticePolytope, p, k: int = 1) -> bool:

@@ -17,9 +17,8 @@ import numpy as np
 
 from .errors import InconsistentModel
 from .numerics import _echelon, exact_rank, rref
-from .polytope import (LatticePolytope, _int64_translate, is_k_normal,
-                       lattice_points, normalized_volume, product_polytope,
-                       simplex)
+from .polytope import (LatticePolytope, _int64_translate, lattice_points,
+                       product_polytope, simplex)
 
 
 def _pair_index_map(nvars):
@@ -45,7 +44,7 @@ class VarietyModel:
     (pair_sums) until a reader asks for more."""
 
     def __init__(self, name, m, r1_basis, relations=None, toric_sums=None,
-                 pair_sums=None, degree=None, source_polytope=None):
+                 pair_sums=None):
         self.name = name
         self.r1_basis = list(r1_basis)
         self.n = len(self.r1_basis) - 1
@@ -54,8 +53,6 @@ class VarietyModel:
         if self.e < 0:
             raise InconsistentModel("dim X exceeds ambient dimension")
         self.is_toric = toric_sums is not None
-        self._degree = degree
-        self._source_polytope = source_polytope
         self._pair_sums = pair_sums
         npairs = math.comb(self.n + 2, 2)
         if self.is_toric:
@@ -154,18 +151,6 @@ class VarietyModel:
                 out[s] += c if coeff == 1 else coeff * c
         return out
 
-    @property
-    def degree(self):
-        """deg X when derivable: closed form for determinantal families,
-        normalized volume for toric models from a 2-normal polytope."""
-        if self._degree is not None:
-            return self._degree
-        if self.is_toric and self._source_polytope is not None:
-            Q = self._source_polytope
-            if is_k_normal(Q, 2)[0]:
-                self._degree = normalized_volume(Q)
-        return self._degree
-
     def __repr__(self):
         return "VarietyModel(%s: n=%d, m=%d, e=%d, dim R2=%d, |I2|=%d)" % (
             self.name, self.n, self.m, self.e, self.dim_r2, self.i2_count)
@@ -196,16 +181,21 @@ class VarietyModel:
 
     @classmethod
     def from_json(cls, obj):
-        """The model of to_json output: an optional string name, r1_basis
-        distinct toric rows, lists of JSON integers of one length, with m
-        their affine rank, or distinct string labels with i2_basis rows of
-        nvars^2 strings or JSON integers and m in 0..n. Anything else raises
-        ValueError."""
+        """The model of to_json output: an optional string name and JSON
+        integer n = len(r1_basis) - 1, and r1_basis distinct toric rows,
+        lists of JSON integers of one length, with m their affine rank, or
+        distinct string labels with m in 0..n. i2_basis (_relations) gives
+        a labelled model's relations, and must span a toric model's I_2
+        when given. Anything else raises ValueError."""
         r1, m, flats = obj["r1_basis"], obj["m"], obj.get("i2_basis")
         if type(m) is not int or not isinstance(r1, list):
             raise ValueError("m must be a JSON integer, r1_basis a list")
         if not isinstance(obj.get("name", ""), str):
             raise ValueError("name must be a JSON string")
+        nvars = len(r1)
+        n = obj.get("n", nvars - 1)
+        if type(n) is not int or n != nvars - 1:
+            raise ValueError("n must be len(r1_basis) - 1 = %d" % (nvars - 1))
         if r1 and isinstance(r1[0], list):
             if not all(isinstance(u, list) and len(u) == len(r1[0])
                        and all(type(c) is int for c in u) for u in r1) \
@@ -216,32 +206,41 @@ class VarietyModel:
             if m != rank:
                 raise ValueError("m must be %d, the affine rank of the toric "
                                  "r1_basis" % rank)
-            return toric_model_from_points(obj.get("name", "toric"),
-                                           [tuple(u) for u in r1], m)
-        nvars = len(r1)
-        if not all(isinstance(u, str) for u in r1) \
-                or len(set(r1)) != nvars \
-                or not isinstance(flats, list) \
-                or not all(isinstance(f, list) and len(f) == nvars * nvars
-                           and all(type(c) in (int, str) for c in f)
-                           for f in flats):
-            raise ValueError("r1_basis labels must be distinct strings, "
-                             "i2_basis rows lists of nvars^2 strings or JSON "
-                             "integers")
+            model = toric_model_from_points(obj.get("name", "toric"),
+                                            [tuple(u) for u in r1], m)
+            if flats is not None:
+                # the rows span I_2: rank i2_count, with or without its own
+                rels = _relations(flats, nvars) \
+                    + [dict(terms) for terms in model.relations]
+                rows = [[r.get(p, 0) for p in model.pairs] for r in rels]
+                if not exact_rank(rows[:len(flats)]) == exact_rank(rows) \
+                        == model.i2_count:
+                    raise ValueError("i2_basis must span the model's I_2")
+            return model
+        if not all(isinstance(u, str) for u in r1) or len(set(r1)) != nvars:
+            raise ValueError("r1_basis labels must be distinct strings")
         if not 0 <= m < nvars:
             raise ValueError("m must lie in 0..n for a labelled model")
-        rels = []
-        for flat in flats:
-            rel = {}
-            for i in range(nvars):
-                for j in range(i, nvars):
-                    a = Fraction(flat[i * nvars + j])
-                    if i != j:
-                        a = a + Fraction(flat[j * nvars + i])
-                    if a != 0:
-                        rel[(i, j)] = rel.get((i, j), Fraction(0)) + a
-            rels.append({k: v for k, v in rel.items() if v != 0})
-        return cls(obj.get("name", "model"), m, r1, relations=rels)
+        return cls(obj.get("name", "model"), m, r1,
+                   relations=_relations(flats, nvars))
+
+
+def _relations(flats, nvars):
+    """The quadrics x^T A x of i2_basis rows, flattened nvars x nvars
+    matrices A of strings or JSON integers (else ValueError), as their
+    nonzero coefficients {(i, j): A_ij + A_ji, or A_ii}, i <= j."""
+    if not isinstance(flats, list) or not all(
+            isinstance(f, list) and len(f) == nvars * nvars
+            and all(type(c) in (int, str) for c in f) for f in flats):
+        raise ValueError("i2_basis rows must be lists of nvars^2 strings or "
+                         "JSON integers")
+    rels = []
+    for flat in flats:
+        A = [Fraction(c) for c in flat]
+        rel = {(i, j): A[i * nvars + j] + (A[j * nvars + i] if i != j else 0)
+               for i, j in _pair_index_map(nvars)[0]}
+        rels.append({p: c for p, c in rel.items() if c})
+    return rels
 
 
 @dataclass
@@ -295,9 +294,7 @@ def toric_model(Q: LatticePolytope) -> VarietyModel:
         exps = [Q._proj(p) for p in pts]
     else:
         exps = pts
-    model = toric_model_from_points("toric", exps, Q.dim)
-    model._source_polytope = Q
-    return model
+    return toric_model_from_points("toric", exps, Q.dim)
 
 
 def veronese_model(n: int, d: int) -> VarietyModel:
@@ -343,8 +340,7 @@ def veronese_cone_model(n: int) -> VarietyModel:
             if rel:
                 rels.append(rel)
     labels = ["x%d" % i for i in range(n + 1)]
-    return VarietyModel("veronese_cone(%d)" % n, n - 3, labels,
-                        relations=rels, degree=4)
+    return VarietyModel("veronese_cone(%d)" % n, n - 3, labels, relations=rels)
 
 
 def scroll_model(d) -> VarietyModel:
@@ -374,7 +370,7 @@ def scroll_model(d) -> VarietyModel:
         if rel:
             rels.append(rel)
     return VarietyModel("scroll(%s)" % ",".join(map(str, d)), len(d), labels,
-                        relations=rels, degree=sum(d))
+                        relations=rels)
 
 
 def epsilon(model: VarietyModel) -> int:

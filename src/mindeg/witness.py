@@ -34,13 +34,12 @@ import numpy as np
 from .cones import (
     DualFunctional,
     _frac_json,
-    _functional_from_points,
     _moment_matrix,
-    _normalized_on_variety,
     extremality_check,
     interpolant_through_points,
     moment_psd,
     pair_with_square,
+    separating_functional_real,
 )
 from .errors import (
     DegeneratePosition,
@@ -114,13 +113,13 @@ def _veronese_image(point, d, exps):
     return [px[a] * py[b] * pz[d - a - b] for (a, b) in exps]
 
 
-def _value_and_partials(point, D, exps):
-    """Four rows over the degree-D monomials of exps: their values at point
-    and their partial derivatives along x, y and z there. The partials
-    d/dx_k x^e = e_k x^(e - u_k) are read from the degree-(D - 1) image."""
+def _partials(point, D, exps):
+    """Three rows over the degree-D monomials of exps: their partial
+    derivatives along x, y and z at point, d/dx_k x^e = e_k x^(e - u_k),
+    read from the degree-(D - 1) image."""
     low_exps = _monomials(D - 1)
     low = dict(zip(low_exps, _veronese_image(point, D - 1, low_exps)))
-    rows = [_veronese_image(point, D, exps)]
+    rows = []
     for k, (da, db) in enumerate(((1, 0), (0, 1), (0, 0))):
         row = []
         for (a, b) in exps:
@@ -257,13 +256,6 @@ def fit_h0(points, selected, seed, h_forms):
     return h0
 
 
-def _double_vanishing_rows(points, selected, d, exps2):
-    """Value and the three partial derivatives at each selected point: the
-    degree-2d forms with a double zero there are their nullspace."""
-    return [row for i in selected
-            for row in _value_and_partials(points[i], 2 * d, exps2)]
-
-
 def build_f(points, selected, prods):
     """Degree-2d form with double zeros at the selected points, outside
     the span of the pairwise products h_i h_j, given as their coefficient
@@ -278,7 +270,10 @@ def build_f(points, selected, prods):
     if d * d != len(points):
         raise InconsistentModel("point count is not a square")
     exps2 = _monomials(2 * d)
-    rows = _double_vanishing_rows(points, selected, d, exps2)
+    # F has a double zero at p iff its partials vanish there: by Euler's
+    # relation sum_k p_k dF/dx_k (p) = 2d F(p), so F(p) = 0 follows
+    rows = [row for i in selected
+            for row in _partials(points[i], 2 * d, exps2)]
     ns = nullspace(rows, ncols=len(exps2))
     rp = exact_rank(prods)
     if exact_rank(prods + ns) != len(ns):
@@ -682,10 +677,9 @@ def _attach_functional(model, report):
     d = report.d
     e = model.e
     idx = _functional_points(d)
-    images = _normalized_on_variety(
+    fn, info = separating_functional_real(
         model, [_veronese_image(report.points[i], d, model.r1_basis)
                 for i in idx])
-    fn, info = _functional_from_points(model, images)
     # unit weights: g(p_j) = lambda_j / kappa_j = lambda_j
     g = interpolant_through_points(info["points"][:e + 1], info["lambdas"])
     pairing = pair_with_square(fn, g)

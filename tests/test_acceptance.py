@@ -145,7 +145,7 @@ def test_criterion_7_separating_functional():
                 break
         assert rep is not None, "no seed produced an extremal functional"
         fn = rep.functional
-        assert fn.exact
+        assert fn.to_json()["exact"] is True
         assert moment_psd(fn) >= -1e-8
         # re-derive the functional from the recorded points and redo the
         # exact annihilation of g^2 + h1^2 + h2^2 from scratch

@@ -426,20 +426,27 @@ _SCROLL = {"m": 1, "r1_basis": ["a", "b", "c"],
     {"m": 1, "r1_basis": [[0], [1], [2]], "name": [1, 2]},
     dict(_SCROLL, name=7),
     {"m": 1, "r1_basis": ["a", "a", "b"], "i2_basis": []},
+    {"m": 1, "n": 7, "r1_basis": [[0], [1], [2]]},
+    {"m": 1, "r1_basis": [[0], [1], [2]],
+     "i2_basis": [[1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0, 0, 0, 0]]},
+    {"m": 1, "n": "x", "r1_basis": ["a", "b", "c"], "i2_basis": []},
 ], ids=["float-row", "bool-row", "float-m", "bool-m", "duplicate-rows",
         "ragged-rows", "huge-exponent", "string-basis", "list-label",
         "short-i2-row", "float-i2-entry", "zero-denominator", "string-i2",
         "toric-m-below-rank", "toric-m-below-plane", "toric-m-negative",
         "labelled-m-negative", "labelled-m-minus-two",
         "labelled-m-above-n", "toric-list-name", "labelled-int-name",
-        "duplicate-labels"])
+        "duplicate-labels", "toric-wrong-n", "toric-foreign-i2",
+        "labelled-string-n"])
 @pytest.mark.parametrize("command", ["epsilon", "sos-check"])
 def test_model_json_rejects_malformed_input(capsys, command, blob):
     # a float must not be truncated ([[0], [1.7]] is not [[0], [1]]), a
     # duplicate row must not change n, a short i2_basis row must not index
     # out of range, and m must be the affine rank of toric rows (0..n for
     # labels): a wrong m once gave a wrong epsilon with exit 0. A non-string
-    # name was once echoed as the model, and repeated labels were accepted
+    # name was once echoed as the model, and repeated labels were accepted;
+    # an n that is not len(r1_basis) - 1 and a toric i2_basis outside the
+    # model's I_2 were once ignored
     if command == "sos-check":
         blob = {"model": blob, "coefficients": []}
     code, out, err = run(capsys, [command, "--input", json.dumps(blob)])

@@ -121,7 +121,8 @@ def test_sos_check_motzkin_infeasible():
     assert res.status == "Infeasible"
     assert res.separation <= -1e-7
     assert res.min_eig >= -1e-8
-    assert res.functional is not None and res.functional.exact
+    assert res.functional is not None
+    assert res.functional.to_json()["exact"] is True
     val = res.functional.apply(f)
     assert isinstance(val, F) and val < 0
     assert _exactly_positive_definite(_moment_from_sigma(

@@ -11,7 +11,7 @@ import pytest
 from mindeg.cones import GramSlice
 from mindeg.errors import InconsistentModel
 from mindeg.numerics import exact_rank
-from mindeg.polytope import LatticePolytope
+from mindeg.polytope import LatticePolytope, h_star, simplex
 from mindeg.variety import (QuadraticForm, VarietyModel, epsilon,
                             is_minimal_degree, scroll_model,
                             segre_veronese_model, toric_model,
@@ -26,19 +26,21 @@ def test_veronese_surface():
     assert (m.n, m.m, m.e) == (5, 2, 3)
     assert m.dim_r2 == 15 and m.i2_count == 6
     assert epsilon(m) == 0 and is_minimal_degree(m)
-    assert m.degree == 4
+    # deg X = 1 + codim X: the sum of h* is the normalized volume of 2Δ_2
+    assert sum(h_star(simplex(2, 2)).coefficients) == m.e + 1 == 4
 
 
 def test_twisted_cubic():
     m = veronese_model(1, 3)
     assert (m.n, m.m, m.e) == (3, 1, 2)
     assert m.i2_count == 3 and epsilon(m) == 0
-    assert m.degree == 3
+    assert sum(h_star(simplex(1, 3)).coefficients) == m.e + 1 == 3
 
 
 def test_projective_space_has_no_relations():
     m = veronese_model(3, 1)
-    assert m.i2_count == 0 and epsilon(m) == 0 and m.degree == 1
+    assert m.i2_count == 0 and epsilon(m) == 0
+    assert sum(h_star(simplex(3, 1)).coefficients) == m.e + 1 == 1
 
 
 def test_veronese_deficiency_values():
@@ -49,6 +51,9 @@ def test_veronese_deficiency_values():
                 - (n + 1) * math.comb(n + d, d) + math.comb(n + 1, 2))
         assert epsilon(m) == want
     assert epsilon(veronese_model(2, 3)) == 1
+    # epsilon > 0 and deg X = 9 > 1 + codim X = 8
+    m = veronese_model(2, 3)
+    assert sum(h_star(simplex(2, 3)).coefficients) == 9 != m.e + 1 == 8
     assert epsilon(veronese_model(3, 2)) == 1
     assert epsilon(veronese_model(2, 4)) == 3
 
@@ -56,10 +61,10 @@ def test_veronese_deficiency_values():
 def test_veronese_cone():
     m = veronese_cone_model(5)
     assert (m.n, m.m, m.e) == (5, 2, 3)
-    assert m.i2_count == 6 and epsilon(m) == 0 and m.degree == 4
+    assert m.i2_count == 6 and epsilon(m) == 0
     m7 = veronese_cone_model(7)
     assert (m7.m, m7.e) == (4, 3)
-    assert m7.i2_count == 6 and epsilon(m7) == 0 and m7.degree == 4
+    assert m7.i2_count == 6 and epsilon(m7) == 0
     with pytest.raises(ValueError):
         veronese_cone_model(4)
 
@@ -67,14 +72,14 @@ def test_veronese_cone():
 def test_scrolls():
     s = scroll_model([1, 2])
     assert (s.n, s.m, s.e) == (4, 2, 2)
-    assert s.i2_count == 3 and epsilon(s) == 0 and s.degree == 3
+    assert s.i2_count == 3 and epsilon(s) == 0
     s = scroll_model([2, 2])
     assert (s.n, s.m, s.e) == (5, 2, 3)
-    assert s.i2_count == 6 and epsilon(s) == 0 and s.degree == 4
+    assert s.i2_count == 6 and epsilon(s) == 0
     # leading zero degrees are cone directions contributing a free variable
     s = scroll_model([0, 2])
     assert (s.n, s.m, s.e) == (3, 2, 1)
-    assert s.i2_count == 1 and epsilon(s) == 0 and s.degree == 2
+    assert s.i2_count == 1 and epsilon(s) == 0
     with pytest.raises(ValueError):
         scroll_model([2, 1])
     with pytest.raises(ValueError):
@@ -85,7 +90,6 @@ def test_scroll_matches_segre():
     s = scroll_model([1, 1])
     sv = segre_veronese_model([1, 1], [1, 1])
     assert (s.n, s.m, s.i2_count) == (sv.n, sv.m, sv.i2_count) == (3, 2, 1)
-    assert s.degree == sv.degree == 2
 
 
 def test_segre_veronese_examples():
@@ -248,6 +252,20 @@ def test_model_json_roundtrip_determinantal():
     assert (m2.n, m2.m, m2.dim_r2, m2.i2_count) == (m.n, m.m, m.dim_r2,
                                                     m.i2_count)
     assert epsilon(m2) == 0
+
+
+def test_toric_model_json_checks_its_relations():
+    # any basis of I_2 is accepted; rows outside I_2, or too few to span
+    # it, are not (x0 x2 - x1^2 spans I_2 of the conic)
+    blob = {"m": 1, "n": 2, "r1_basis": [[0], [1], [2]]}
+    conic = ["0", "0", "1/2", "0", "-1", "0", "1/2", "0", "0"]
+    assert VarietyModel.from_json(dict(blob, i2_basis=[conic])).i2_count == 1
+    twice = [str(2 * F(c)) for c in conic]
+    assert VarietyModel.from_json(
+        dict(blob, i2_basis=[twice, conic])).i2_count == 1
+    for rows in ([], [["1"] + ["0"] * 8], [conic, ["1"] + ["0"] * 8]):
+        with pytest.raises(ValueError):
+            VarietyModel.from_json(dict(blob, i2_basis=rows))
 
 
 def test_big_model_json_omits_relations():

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mindeg.witness
-from mindeg.cones import (DualFunctional, _functional_from_points,
-                          _normalized_on_variety, interpolant_through_points,
-                          pair_with_square)
+from mindeg.cones import (DualFunctional, _sup_normalize,
+                          interpolant_through_points, pair_with_square,
+                          separating_functional_real)
 from mindeg.errors import (
     DegeneratePosition,
     DegenerateSpan,
@@ -26,17 +26,16 @@ from mindeg.variety import QuadraticForm, epsilon, veronese_model
 from mindeg.witness import (
     _SAMPLE_BLOCK,
     _default_selection,
-    _double_vanishing_rows,
     _dual_parts,
     _frac_from_json,
     _frac_json,
     _functional_points,
     _line_product,
     _monomials,
+    _partials,
     _rng,
     _SphereSamples,
     _square_products,
-    _value_and_partials,
     _veronese_image,
     build_f,
     certify_dual,
@@ -187,7 +186,7 @@ def _value_and_partials_reference(point, D, exps2):
 
 
 def _double_vanishing_rows_reference(points, selected, d, exps2):
-    """_double_vanishing_rows as it was: value plus two partials per point,
+    """build_f's rows as they once were: value plus two partials per point,
     the partial along the largest coordinate dropped (homogeneity)."""
     rows = []
     for i in selected:
@@ -218,21 +217,37 @@ def _double_zero_at_reference(vec, exps2, deg, point):
     return val == 0 and all(g == 0 for g in grad)
 
 
+@pytest.mark.parametrize("d", range(3, 7))
+def test_partials_satisfy_euler_relation(d):
+    # sum_k p_k (partial row k) = 2d (value row) at every point, so the
+    # value row adds nothing to build_f's rows
+    exps2 = _monomials(2 * d)
+    rng = np.random.Generator(np.random.Philox(d))
+    points = [tuple(int(c) for c in row)
+              for row in rng.integers(-9, 10, size=(8, 3))]
+    points += [(0, 0, 1), (1, 0, 0), (0, -2, 3)]
+    for p in points:
+        value = _veronese_image(p, 2 * d, exps2)
+        grads = _partials(p, 2 * d, exps2)
+        assert [sum(pk * row[s] for pk, row in zip(p, grads))
+                for s in range(len(exps2))] == [2 * d * v for v in value]
+
+
 @pytest.mark.parametrize("d,seed", [(3, 1), (4, 1), (5, 0)])
 def test_double_vanishing_rows_match_fraction_reference(d, seed):
     f_vec, _, sel_pts, _ = _pipeline_delta_input(d, seed)
     exps2 = _monomials(2 * d)
     idx = list(range(len(sel_pts)))
-    rows = _double_vanishing_rows(sel_pts, idx, d, exps2)
+    # build_f's rows: the three partials at each selected point
+    rows = [row for p in sel_pts for row in _partials(p, 2 * d, exps2)]
     assert nullspace(rows, ncols=len(exps2)) == nullspace(
         _double_vanishing_rows_reference(sel_pts, idx, d, exps2),
         ncols=len(exps2))
     perturbed = list(f_vec)
     perturbed[0] += 1
-    for k, p in enumerate(sel_pts):
-        mine = _value_and_partials(p, 2 * d, exps2)
-        assert mine == rows[4 * k:4 * k + 4]
-        assert mine == _value_and_partials_reference(p, 2 * d, exps2)
+    for p in sel_pts:
+        mine = _partials(p, 2 * d, exps2)
+        assert mine == _value_and_partials_reference(p, 2 * d, exps2)[1:]
         for vec, want in ((f_vec, True), (perturbed, None)):
             verdict = all(sum(c * v for c, v in zip(vec, row)) == 0
                           for row in mine)
@@ -590,9 +605,8 @@ def test_pipeline_degree_five_carries_the_functional():
     info = rep.functional_info
     assert info["point_indices"] == _functional_points(5)
     # the pairing l(g^2 + h1^2 + h2^2), redone from the recorded points
-    pts = _normalized_on_variety(
-        model, [_veronese_image(rep.points[i], 5, model.r1_basis)
-                for i in info["point_indices"]])
+    pts = [_sup_normalize(_veronese_image(rep.points[i], 5, model.r1_basis))
+           for i in info["point_indices"]]
     g = interpolant_through_points(
         pts[:-1],
         [lam / kap for lam, kap in zip(info["lambdas"], info["kappas"])])
@@ -611,13 +625,12 @@ def _functional_scan_reference(model, points, max_subsets=60):
     images admit a unique relation with every coefficient nonzero; None
     when max_subsets subsets fail."""
     d = math.isqrt(len(points))
-    images = _normalized_on_variety(
-        model, [_veronese_image(p, d, model.r1_basis) for p in points])
+    images = [_veronese_image(p, d, model.r1_basis) for p in points]
     for idx in itertools.islice(
             itertools.combinations(range(len(points)), model.e + 2),
             max_subsets):
         try:
-            _functional_from_points(model, [images[i] for i in idx])
+            separating_functional_real(model, [images[i] for i in idx])
         except DegeneratePosition:
             continue
         return list(idx)
