@@ -233,11 +233,8 @@ def main(argv=None) -> int:
         return int(ex.code) if ex.code else 0
     try:
         report = _COMMANDS[args.command](args)
-    except UsageError as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError,
-            DimensionMismatch) as ex:
+    except (UsageError, json.JSONDecodeError, OSError, KeyError, TypeError,
+            ValueError, DimensionMismatch) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
     except MindegError as ex:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NonConvergence
 
-BACKEND = "numpy"
+BACKEND = "numpy"  # perfbench/run.py records it with each run
 
 
 @functools.lru_cache(maxsize=64)

