@@ -22,8 +22,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DegeneratePosition, InconsistentModel
-from .numerics import (_integer_row, exact_rank, is_positive_definite,
-                       nullspace, solve_exact, to_float)
+from .numerics import (_frac_json, _integer_row, exact_rank,
+                       is_positive_definite, nullspace, solve_exact, to_float)
 from .variety import QuadraticForm, VarietyModel
 
 
@@ -99,11 +99,6 @@ def _moment_matrix(model, values):
             m = sum((values[s] * coeff for s, coeff in terms), Fraction(0))
         M[i][j] = M[j][i] = m
     return M
-
-
-def _frac_json(v):
-    v = Fraction(v)
-    return {"num": str(v.numerator), "den": str(v.denominator)}
 
 
 @dataclass
@@ -421,17 +416,9 @@ def interpolant_through_points(points, targets):
 
 
 def pair_with_square(functional: DualFunctional, g):
-    """Exact value l(g^2): g is cleared to integers, its square taken in
-    R_2 by VarietyModel.product, and the dot product with the functional's
-    values summed over ints and divided once by the common denominator."""
-    g = [Fraction(c) for c in g]
-    gden = math.lcm(*(c.denominator for c in g))
-    gi = [c.numerator * (gden // c.denominator) for c in g]
-    vals = functional.values
-    vden = math.lcm(*(v.denominator for v in vals))
-    total = sum(v.numerator * (vden // v.denominator) * c
-                for v, c in zip(vals, functional.model.product(gi, gi)) if c)
-    return Fraction(total, gden * gden * vden)
+    """Exact value l(g^2), with g^2 taken in R_2 by VarietyModel.product."""
+    model = functional.model
+    return functional.apply(QuadraticForm(model, model.product(g, g)))
 
 
 def kernel_dimension(functional: DualFunctional) -> int:

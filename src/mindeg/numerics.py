@@ -295,9 +295,19 @@ integer_diagonalize = saturation_chart
 
 
 # ---------------------------------------------------------------------------
-# Float / rational bridge.
+# Float / rational bridge, and the exact JSON form of a rational.
 
 
 def to_float(rows) -> np.ndarray:
     return np.array([[float(e) for e in r] for r in rows], dtype=np.float64)
+
+
+def _frac_json(v):
+    """The rational v as the exact string pair {"num", "den"}."""
+    v = Fraction(v)
+    return {"num": str(v.numerator), "den": str(v.denominator)}
+
+
+def _frac_from_json(blob):
+    return Fraction(int(blob["num"]), int(blob["den"]))
 

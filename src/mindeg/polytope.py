@@ -18,13 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentModel, NotFullDimensional
-from .numerics import (_integer_row, exact_rank, lattice_index, nullspace,
-                       saturation_chart, solve_exact)
+from .numerics import (_frac_from_json, _frac_json, _integer_row, exact_rank,
+                       lattice_index, nullspace, saturation_chart,
+                       solve_exact)
 
 DENSE = "Dense"
 NOT_DENSE = "NotDense"
 
-# chunk bound for numpy box scans, keeps peak memory modest
+# points per block of the numpy box scans and sumsets, which keeps peak
+# memory modest
 _SCAN_CHUNK = 1 << 21
 
 
@@ -227,8 +229,7 @@ def _scan_dilate(Q: LatticePolytope, k: int):
         keep = grid[(vals <= b).all(axis=1)]
         if len(keep):
             found.append(keep)
-    allpts = np.concatenate(found, axis=0)
-    return [tuple(int(c) for c in row) for row in allpts]
+    return np.concatenate(found, axis=0).tolist()
 
 
 def lattice_points(Q: LatticePolytope, k: int):
@@ -324,17 +325,13 @@ def _iterated_sumset(pts1, k):
     least = pts1[0]
     base = _int64_translate(pts1, least, k)
     acc = base
+    # blocks of rows of acc whose sums with base number about _SCAN_CHUNK
+    step = max(1, _SCAN_CHUNK // len(base))
     for _ in range(k - 1):
-        if len(acc) * len(base) <= 4_000_000:
-            sums = (acc[:, None, :] + base[None, :, :]).reshape(-1, base.shape[1])
-            acc = np.unique(sums, axis=0)
-        else:
-            blocks = []
-            step = max(1, 4_000_000 // len(base))
-            for s in range(0, len(acc), step):
-                part = (acc[s:s + step, None, :] + base[None, :, :]).reshape(-1, base.shape[1])
-                blocks.append(np.unique(part, axis=0))
-            acc = np.unique(np.concatenate(blocks, axis=0), axis=0)
+        blocks = [np.unique((acc[s:s + step, None, :] + base[None, :, :])
+                            .reshape(-1, base.shape[1]), axis=0)
+                  for s in range(0, len(acc), step)]
+        acc = np.unique(np.concatenate(blocks, axis=0), axis=0)
     shift = [k * c for c in least]
     return {tuple(c + o for c, o in zip(row, shift)) for row in acc.tolist()}
 
@@ -364,28 +361,13 @@ class SparsePolynomial:
         self.terms = clean
 
     def to_json(self):
-        items = sorted(self.terms.items())
-        return {"terms": [{"exp": list(e),
-                           "num": str(c.numerator),
-                           "den": str(c.denominator)} for e, c in items]}
+        return {"terms": [{"exp": list(e), **_frac_json(c)}
+                          for e, c in sorted(self.terms.items())]}
 
     @classmethod
     def from_json(cls, obj) -> "SparsePolynomial":
-        terms = {}
-        for t in obj["terms"]:
-            e = tuple(int(c) for c in t["exp"])
-            terms[e] = Fraction(int(t["num"]), int(t["den"]))
-        return cls(terms)
-
-    def evaluate(self, z) -> Fraction:
-        """Exact evaluation at a rational torus point (all coords nonzero)."""
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = Fraction(1)
-            for zi, ei in zip(z, e):
-                v *= Fraction(zi) ** ei
-            total += c * v
-        return total
+        return cls({tuple(int(c) for c in t["exp"]): _frac_from_json(t)
+                    for t in obj["terms"]})
 
 
 def amgm_witness(Q: LatticePolytope):

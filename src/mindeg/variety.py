@@ -327,24 +327,32 @@ def segre_veronese_model(dims, degrees) -> VarietyModel:
     return model
 
 
+def _minor_relations(M):
+    """The nonzero 2x2 minors x_M[r1][c1] x_M[r2][c2] - x_M[r1][c2]
+    x_M[r2][c1] of a matrix M of variable indices, as {(i, j): coefficient},
+    i <= j: row pairs r1 < r2, then column pairs c1 < c2, in
+    itertools.combinations order."""
+    rels = []
+    for r1, r2 in itertools.combinations(range(len(M)), 2):
+        for c1, c2 in itertools.combinations(range(len(M[0])), 2):
+            rel = {}
+            for (a, b), sign in (((M[r1][c1], M[r2][c2]), 1),
+                                 ((M[r1][c2], M[r2][c1]), -1)):
+                key = (min(a, b), max(a, b))
+                rel[key] = rel.get(key, Fraction(0)) + sign
+            rel = {k: v for k, v in rel.items() if v != 0}
+            if rel:
+                rels.append(rel)
+    return rels
+
+
 def veronese_cone_model(n: int) -> VarietyModel:
     """Cone over the Veronese surface in P^5, cut out by the 2x2 minors of
     the generic symmetric 3x3 matrix in x_0..x_5; x_6..x_n are cone
     variables."""
     if n < 5:
         raise ValueError("need n >= 5")
-    sym = [[0, 1, 2], [1, 3, 4], [2, 4, 5]]
-    rels = []
-    for r1_, r2_ in itertools.combinations(range(3), 2):
-        for c1, c2 in itertools.combinations(range(3), 2):
-            rel = {}
-            for (a, b), sign in (((sym[r1_][c1], sym[r2_][c2]), 1),
-                                 ((sym[r1_][c2], sym[r2_][c1]), -1)):
-                key = (min(a, b), max(a, b))
-                rel[key] = rel.get(key, Fraction(0)) + sign
-            rel = {k: v for k, v in rel.items() if v != 0}
-            if rel:
-                rels.append(rel)
+    rels = _minor_relations([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
     labels = ["x%d" % i for i in range(n + 1)]
     return VarietyModel("veronese_cone(%d)" % n, n - 3, labels, relations=rels)
 
@@ -365,16 +373,8 @@ def scroll_model(d) -> VarietyModel:
             var[(i, j)] = len(labels)
             labels.append("x%d_%d" % (i, j))
     columns = [(i, j) for i, di in enumerate(d) for j in range(di)]
-    rels = []
-    for (i1, j1), (i2, j2) in itertools.combinations(columns, 2):
-        rel = {}
-        for (a, b), sign in (((var[(i1, j1)], var[(i2, j2 + 1)]), 1),
-                             ((var[(i1, j1 + 1)], var[(i2, j2)]), -1)):
-            key = (min(a, b), max(a, b))
-            rel[key] = rel.get(key, Fraction(0)) + sign
-        rel = {k: v for k, v in rel.items() if v != 0}
-        if rel:
-            rels.append(rel)
+    rels = _minor_relations([[var[(i, j + t)] for i, j in columns]
+                             for t in (0, 1)])
     return VarietyModel("scroll(%s)" % ",".join(map(str, d)), len(d), labels,
                         relations=rels)
 

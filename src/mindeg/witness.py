@@ -33,7 +33,6 @@ import numpy as np
 
 from .cones import (
     DualFunctional,
-    _frac_json,
     _moment_matrix,
     extremality_check,
     interpolant_through_points,
@@ -49,9 +48,9 @@ from .errors import (
     NoDeltaFound,
     RetryExhausted,
 )
-from .numerics import (_echelon, _integer_row, exact_rank, in_row_span,
-                       is_positive_definite, nullspace, residues, rref,
-                       solve_exact)
+from .numerics import (_echelon, _frac_from_json, _frac_json, _integer_row,
+                       exact_rank, in_row_span, is_positive_definite,
+                       nullspace, residues, rref, solve_exact)
 from .variety import QuadraticForm, epsilon, veronese_model
 
 # sphere samples per block of power tables in _SphereSamples
@@ -98,17 +97,19 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
+def _powers(c, top):
+    """[1, c, c c, ..] up to c^top, by repeated multiplication: exact ints
+    for an int c, elementwise for a float array."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * c)
+    return out
+
+
 def _veronese_image(point, d, exps):
     """Values of the degree-d monomials (a, b, d - a - b) of exps at point:
-    ints at an integer point. One power table per coordinate, built by
-    repeated multiplication."""
-    tables = []
-    for c in point:
-        powers = [1]
-        for _ in range(d):
-            powers.append(powers[-1] * c)
-        tables.append(powers)
-    px, py, pz = tables
+    ints at an integer point."""
+    px, py, pz = (_powers(c, d) for c in point)
     return [px[a] * py[b] * pz[d - a - b] for (a, b) in exps]
 
 
@@ -230,11 +231,10 @@ def fit_h0(points, selected, seed, h_forms):
         c = rng.integers(-4, 5, size=3)
         if not c.any():
             continue
-        cand = [sum(int(c[k]) * vanishing[k][j] for k in range(3))
-                for j in range(len(exps))]
-        if all(v == 0 for v in cand):
-            continue
-        cand = list(_primitive(cand))
+        # c is nonzero and the vanishing basis independent: cand is nonzero
+        cand = list(_primitive([sum(int(c[k]) * vanishing[k][j]
+                                    for k in range(3))
+                                for j in range(len(exps))]))
         vals = [sum(a * b for a, b in zip(cand, img))
                 for img in unselected_images]
         if all(v != 0 for v in vals):
@@ -285,9 +285,8 @@ def build_f(points, selected, prods):
         raise DegenerateSpan(
             "quotient dimension %d is degenerate (deficiency %d)"
             % (quotient, eps))
-    f = next((w for w in residues(prods, ns) if any(w)), None)
-    if f is None:
-        raise EmptyComplement("nullspace basis reduced to zero")
+    # quotient > 0: some vector of ns lies outside span(prods)
+    f = next(w for w in residues(prods, ns) if any(w))
     # the products lie in span(ns) by the rank check, so f, a residue of a
     # vector of ns modulo them, lies in span(ns) too: every row kills it
     return [Fraction(c) for c in _primitive(f)], {
@@ -306,17 +305,11 @@ def _eval_many(poly_items, powers):
     """Float values of a sparse ternary polynomial at sample arrays, given
     their power tables: powers[i][k] is coordinate i to the k-th power."""
     PX, PY, PZ = powers
-    total = np.zeros_like(PX[0])
+    # PX[0] is the int 1; PX[1] is the sample array
+    total = np.zeros_like(PX[1])
     for (a, b, e), c in poly_items:
         total += c * PX[a] * PY[b] * PZ[e]
     return total
-
-
-def _product_table(x, top):
-    table = [np.ones_like(x), x]
-    while len(table) <= top:
-        table.append(table[-1] * x)
-    return table[:top + 1]
 
 
 class _SphereSamples:
@@ -351,7 +344,7 @@ class _SphereSamples:
     def _values(self, rows):
         """(f, h) on the rows of one block; its power tables are freed
         when it returns, before the next block builds its own."""
-        powers = [_product_table(rows[:, i], self._top) for i in range(3)]
+        powers = [_powers(rows[:, i], self._top) for i in range(3)]
         f = _eval_many(self._f_items, powers)
         h = np.zeros(len(rows))
         for items in self._h_items:
@@ -359,9 +352,13 @@ class _SphereSamples:
         return f, h
 
     def margin(self, mult):
-        """(min of mult f + h, max of |mult f| + h) over all samples."""
-        return (float((mult * self.f + self.h).min()),
-                float((np.abs(mult * self.f) + self.h).max()))
+        """{"min_value", "scale", "margin"}: the min of mult f + h and the
+        max of |mult f| + h over all samples, and their ratio (0.0 when
+        the scale is 0)."""
+        wmin = float((mult * self.f + self.h).min())
+        scale = float((np.abs(mult * self.f) + self.h).max())
+        return {"min_value": wmin, "scale": scale,
+                "margin": 0.0 if scale == 0.0 else wmin / scale}
 
 
 def _outside(pts, centers, radius):
@@ -406,14 +403,12 @@ def delta_search(f_vec, h_vectors, selected_points, samples=100000, seed=0):
         estimate = float(sphere.h[keep].min()) / sup_f
     k0 = 10 if estimate <= 0 else min(10, math.floor(math.log2(estimate)))
     for k in range(k0, -61, -1):
-        wmin, scale = sphere.margin(math.ldexp(1.0, k))
-        if scale == 0.0 or wmin >= -1e-9 * scale:
-            evidence = {"samples": int(samples),
-                        "excluded": int((~keep).sum()),
-                        "delta_estimate": estimate,
-                        "min_value": wmin,
-                        "scale": scale,
-                        "margin": 0.0 if scale == 0.0 else wmin / scale}
+        evidence = sphere.margin(math.ldexp(1.0, k))
+        if evidence["scale"] == 0.0 \
+                or evidence["min_value"] >= -1e-9 * evidence["scale"]:
+            evidence.update(samples=int(samples),
+                            excluded=int((~keep).sum()),
+                            delta_estimate=estimate)
             return Fraction(2) ** k, evidence
     raise NoDeltaFound("halving reached 2^-60 without a nonnegative sample")
 
@@ -423,10 +418,8 @@ def sample_nonnegativity(report: "WitnessReport", samples=100000, seed=0):
     report.delta f + sum h_i^2 over fresh sphere samples. Returns
     {"min_value", "scale", "margin"}, computed as delta_search computes its
     margin."""
-    wmin, scale = _SphereSamples(report.f.coefficients, report.h_vectors,
-                                 samples, seed).margin(float(report.delta))
-    return {"min_value": wmin, "scale": scale,
-            "margin": 0.0 if scale == 0.0 else wmin / scale}
+    return _SphereSamples(report.f.coefficients, report.h_vectors,
+                          samples, seed).margin(float(report.delta))
 
 
 @dataclass
@@ -469,23 +462,17 @@ class WitnessReport:
             "stats": dict(self.stats),
             "certificate": dict(self.certificate),
             "nonneg_evidence": dict(self.nonneg_evidence),
-            "functional": None if self.functional is None
-                else self.functional.to_json(),
-            "functional_info": None if self.functional_info is None else {
+            "functional": self.functional.to_json(),
+            "functional_info": {
                 "lambdas": [_frac_json(v)
                             for v in self.functional_info["lambdas"]],
                 "kappas": [_frac_json(v)
                            for v in self.functional_info["kappas"]],
                 "point_indices": list(self.functional_info["point_indices"]),
             },
-            "functional_checks": None if self.functional_checks is None
-                else dict(self.functional_checks),
-            "sos": None if self.sos is None else dict(self.sos),
+            "functional_checks": dict(self.functional_checks),
+            "sos": dict(self.sos),
         }
-
-
-def _frac_from_json(blob):
-    return Fraction(int(blob["num"]), int(blob["den"]))
 
 
 def witness_report_from_json(blob):
@@ -493,19 +480,7 @@ def witness_report_from_json(blob):
     output."""
     d = int(blob["d"])
     model = veronese_model(2, d)
-    fn = None
-    if blob["functional"] is not None:
-        vals = [_frac_from_json(v) for v in blob["functional"]["values"]]
-        fn = DualFunctional(model, vals)
-    info = None
-    if blob["functional_info"] is not None:
-        info = {
-            "lambdas": [_frac_from_json(v)
-                        for v in blob["functional_info"]["lambdas"]],
-            "kappas": [_frac_from_json(v)
-                       for v in blob["functional_info"]["kappas"]],
-            "point_indices": list(blob["functional_info"]["point_indices"]),
-        }
+    info = blob["functional_info"]
     return WitnessReport(
         d=d,
         seed=int(blob["seed"]),
@@ -523,11 +498,15 @@ def witness_report_from_json(blob):
         stats=dict(blob["stats"]),
         certificate=dict(blob["certificate"]),
         nonneg_evidence=dict(blob["nonneg_evidence"]),
-        functional=fn,
-        functional_info=info,
-        functional_checks=None if blob["functional_checks"] is None
-            else dict(blob["functional_checks"]),
-        sos=None if blob["sos"] is None else dict(blob["sos"]),
+        functional=DualFunctional(model, [
+            _frac_from_json(v) for v in blob["functional"]["values"]]),
+        functional_info={
+            "lambdas": [_frac_from_json(v) for v in info["lambdas"]],
+            "kappas": [_frac_from_json(v) for v in info["kappas"]],
+            "point_indices": list(info["point_indices"]),
+        },
+        functional_checks=dict(blob["functional_checks"]),
+        sos=dict(blob["sos"]),
     )
 
 

@@ -289,6 +289,12 @@ MODEL_JSON_SHA256 = {
         "45f9371a4095084a3ff73ce0dc3bf37a39a7a806e1493f2bec6916ad7d82a594",
     "lower-dimensional":
         "89efeb18c2d63241f654d0317e478893ada9d9a056618a6d66ae15e7e9c7667b",
+    "scroll(0,2)":
+        "072be1714b2f0fc7c614e23b13794acee47796d3a60a1dceb0090e73a9ddc75a",
+    "veronese_cone(7)":
+        "5cbdcdf69385bba2027e3d15a46204eebc35b8147eec066efd3706da1956d91c",
+    "scroll(1,1,3)":
+        "5804a5779b8be5f34dc0c3af159594dda214bf606b19d07fab0208b02b7e9b09",
 }
 
 MODEL_FAMILIES = {
@@ -301,6 +307,7 @@ MODEL_FAMILIES = {
         LatticePolytope(3, [(0, 0, 1), (2, 0, 1), (0, 2, 1)])),
     "scroll(0,2)": lambda: scroll_model([0, 2]),
     "veronese_cone(7)": lambda: veronese_cone_model(7),
+    "scroll(1,1,3)": lambda: scroll_model([1, 1, 3]),
     "segre_veronese(1,1;2,1)": lambda: segre_veronese_model([1, 1], [2, 1]),
     "motzkin-support": lambda: toric_model(
         LatticePolytope(2, [(0, 0), (2, 1), (1, 2), (1, 1)])),
