@@ -10,6 +10,7 @@ exact coordinates on the saturated difference lattice of the affine span.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,14 +20,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, InconsistentModel, NotFullDimensional
 from .numerics import (_frac_from_json, _frac_json, _integer_row, exact_rank,
-                       lattice_index, nullspace, saturation_chart,
+                       lattice_index, nullspace, rref, saturation_chart,
                        solve_exact)
 
 DENSE = "Dense"
 NOT_DENSE = "NotDense"
 
-# points per block of the numpy box scans and sumsets, which keeps peak
-# memory modest
+# points (prefix rows in the row scan) per block of the numpy scans and
+# sumsets, which keeps peak memory modest
 _SCAN_CHUNK = 1 << 21
 
 
@@ -58,7 +59,7 @@ class LatticePolytope:
         self.dim, self._W, W_inv = saturation_chart(diffs, ambient_rank)
         self._sat_basis = W_inv[:self.dim]
         self.vertices = self._extreme_points(pts)
-        self._point_cache = {}
+        self._rows = {}
         self._simplices = None
 
     # -- exact chart between ambient coords and Z^dim on the affine span --
@@ -73,14 +74,21 @@ class LatticePolytope:
             return None
         return tuple(full[:self.dim])
 
-    def _lift(self, x, k: int = 1):
-        out = [k * b for b in self._base]
-        for i, xi in enumerate(x):
-            for j in range(self.ambient_rank):
-                out[j] += xi * self._sat_basis[i][j]
-        return tuple(out)
+    def _lift(self, rows, k: int = 1):
+        """Ambient tuples k*base + x B of the int64 chart rows x, B the basis
+        of the saturated difference lattice, by one matrix product: in int64
+        when no coordinate can reach 2^63, else exactly over Python ints."""
+        shift = [k * b for b in self._base]
+        big = int(np.abs(rows).max(initial=0))
+        reach = max(abs(s) + big * sum(abs(r[j]) for r in self._sat_basis)
+                    for j, s in enumerate(shift))
+        dtype = np.int64 if reach < 2 ** 63 else object
+        B = np.array(self._sat_basis, dtype=dtype).reshape(
+            self.dim, self.ambient_rank)
+        out = rows.astype(dtype) @ B + np.array(shift, dtype=dtype)
+        return list(map(tuple, out.tolist()))
 
-    @property
+    @functools.cached_property
     def proj_vertices(self):
         return [self._proj(v) for v in self.vertices]
 
@@ -194,13 +202,13 @@ def _box_candidates(lo, hi):
     """Integer grid of the box [lo, hi] in lexicographic order, yielded as
     int64 arrays in chunks of about _SCAN_CHUNK points along the first
     axis."""
-    ranges = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-    first, rest = ranges[0], ranges[1:]
-    per_slice = math.prod(len(r) for r in rest)
-    step = max(1, _SCAN_CHUNK // max(1, per_slice))
-    for s in range(0, len(first), step):
-        yield np.stack(np.meshgrid(first[s:s + step], *rest, indexing="ij"),
-                       axis=-1).reshape(-1, len(ranges))
+    shape = [int(h - l) + 1 for l, h in zip(lo, hi)]
+    step = max(1, _SCAN_CHUNK // math.prod(shape[1:]))
+    for s in range(0, shape[0], step):
+        grid = np.indices([min(step, shape[0] - s)] + shape[1:],
+                          dtype=np.int64).reshape(len(shape), -1).T + lo
+        grid[:, 0] += s
+        yield grid
 
 
 def _scan_box(Q: LatticePolytope, k: int):
@@ -216,37 +224,67 @@ def _scan_box(Q: LatticePolytope, k: int):
     return verts.min(axis=0), verts.max(axis=0)
 
 
-def _scan_dilate(Q: LatticePolytope, k: int):
-    """Chart coordinates of the lattice points of kQ, k >= 1 and dim Q >= 1,
-    so that k times a vertex passes the scan and at least one point does."""
+def _scan_rows(Q: LatticePolytope, k: int):
+    """The lattice points of kQ, k >= 1 and dim Q >= 1, row by row: blocks
+    (prefix, lo, width) over the chart box of the first dim - 1 coordinates
+    in lexicographic order; row i holds prefix[i] + (t,) for
+    lo[i] <= t < lo[i] + width[i].
+
+    A facet a.x <= k b bounds t above (a_m > 0) or -t (a_m < 0) by the
+    floor of (k b - a'.x') / |a_m|; one with a_m = 0 only tests the prefix.
+    This stays in int64: with C = coordinate * k and l = |a|_1 <= 2^62 / C
+    (the box check), |k b| <= l C and |a'.x'| <= (l - |a_m|) C, and the
+    bounds are clipped next to the box, of span <= 2^62, before they meet."""
     lo, hi = _scan_box(Q, k)
-    planes = Q.facets()
-    A = np.array([a for a, _ in planes], dtype=np.int64)
-    b = np.array([bb for _, bb in planes], dtype=np.int64) * k
-    found = []
-    for grid in _box_candidates(lo, hi):
-        vals = grid @ A.T
-        keep = grid[(vals <= b).all(axis=1)]
-        if len(keep):
-            found.append(keep)
-    return np.concatenate(found, axis=0).tolist()
+    # the facets with a_m > 0, then a_m = 0, then a_m < 0
+    planes = sorted(Q.facets(), key=lambda p: -np.sign(p[0][-1]))
+    last = np.array([a[-1] for a, _ in planes], dtype=np.int64)
+    up, down = np.count_nonzero(last > 0), np.count_nonzero(last >= 0)
+    A = np.array([a[:-1] for a, _ in planes], dtype=np.int64).T
+    kb = np.array([b for _, b in planes], dtype=np.int64) * k
+    prefixes = (_box_candidates(lo[:-1], hi[:-1]) if Q.dim > 1
+                else [np.zeros((1, 0), dtype=np.int64)])
+    for prefix in prefixes:
+        vals = prefix @ A
+        top = ((kb[:up] - vals[:, :up]) // last[:up]).min(axis=1)
+        top = np.clip(top, lo[-1] - 1, hi[-1])
+        bottom = -((kb[down:] - vals[:, down:]) // -last[down:]).min(axis=1)
+        bottom = np.clip(bottom, lo[-1], hi[-1] + 1)
+        width = np.maximum(top - bottom + 1, 0)
+        width *= (vals[:, up:down] <= kb[up:down]).all(axis=1)
+        yield prefix, bottom, width
+
+
+def _chart_rows(Q: LatticePolytope, k: int):
+    """The chart coordinates of (kQ) ∩ M, read-only int64 rows in
+    lexicographic order, listed once per k from the row scan."""
+    rows = Q._rows.get(k)
+    if rows is None:
+        rows = np.zeros((1, Q.dim), dtype=np.int64)
+        if k and Q.dim:
+            # the j-th point of a row (from 0) has last coordinate lo + j
+            rows = np.concatenate([np.column_stack((
+                np.repeat(prefix, width, axis=0),
+                np.repeat(lo + width - np.cumsum(width), width)
+                + np.arange(width.sum()))) for prefix, lo, width in
+                _scan_rows(Q, k)])
+        rows.flags.writeable = False
+        Q._rows[k] = rows
+    return rows
+
+
+def _lattice_point_count(Q: LatticePolytope, k: int) -> int:
+    """|(kQ) ∩ M|, k >= 1 and dim Q >= 1: the sum of the row widths, in
+    Python ints, without listing a point."""
+    return sum(sum(width[width > 0].tolist()) for _, _, width in
+               _scan_rows(Q, k))
 
 
 def lattice_points(Q: LatticePolytope, k: int):
     """The set (kQ) ∩ M in ambient coordinates; k = 0 gives {origin}."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    cached = Q._point_cache.get(k)
-    if cached is not None:
-        return set(cached)
-    if k == 0:
-        result = {(0,) * Q.ambient_rank}
-    elif Q.dim == 0:
-        result = {tuple(k * c for c in Q.vertices[0])}
-    else:
-        result = {Q._lift(x, k) for x in _scan_dilate(Q, k)}
-    Q._point_cache[k] = frozenset(result)
-    return result
+    return set(Q._lift(_chart_rows(Q, k), k))
 
 
 @dataclass(frozen=True)
@@ -283,7 +321,7 @@ def h_star(Q: LatticePolytope) -> HStar:
     Lower-dimensional input is projected to exact full-dimensional
     coordinates on its affine lattice span first (the chart does this)."""
     coeffs = _hstar_from_counts(
-        [len(lattice_points(Q, k)) for k in range(Q.dim + 1)])
+        [1] + [_lattice_point_count(Q, k) for k in range(1, Q.dim + 1)])
     if coeffs[0] != 1 or any(c < 0 for c in coeffs):
         raise NotFullDimensional("Ehrhart counts are inconsistent; chart failed")
     return HStar(tuple(coeffs))
@@ -328,12 +366,28 @@ def _iterated_sumset(pts1, k):
     # blocks of rows of acc whose sums with base number about _SCAN_CHUNK
     step = max(1, _SCAN_CHUNK // len(base))
     for _ in range(k - 1):
-        blocks = [np.unique((acc[s:s + step, None, :] + base[None, :, :])
-                            .reshape(-1, base.shape[1]), axis=0)
+        blocks = [_lex_unique((acc[s:s + step, None, :] + base[None, :, :])
+                              .reshape(-1, base.shape[1]))[0]
                   for s in range(0, len(acc), step)]
-        acc = np.unique(np.concatenate(blocks, axis=0), axis=0)
+        acc = _lex_unique(np.concatenate(blocks, axis=0))[0]
     shift = [k * c for c in least]
     return {tuple(c + o for c, o in zip(row, shift)) for row in acc.tolist()}
+
+
+def _lex_unique(rows):
+    """np.unique(rows, axis=0, return_inverse=True) of a 2-d int64 array by
+    one lexsort: the distinct rows in lexicographic order, and the index
+    of each row's distinct row."""
+    # rows of length 0 (a point, P^0) have no key to sort by: all are equal
+    order = (np.lexsort(rows.T[::-1]) if rows.shape[1]
+             else np.arange(len(rows)))
+    rows = rows[order]
+    # drop each sorted row equal to its predecessor
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(keep) - 1
+    return rows[keep], inverse
 
 
 def _int64_translate(pts, least, k):
@@ -385,14 +439,15 @@ def amgm_witness(Q: LatticePolytope):
     combo = None
     for size in range(1, m + 2):
         for subset in itertools.combinations(range(len(doubled)), size):
-            cols = [doubled[i] for i in subset]
-            rows = [[Fraction(cols[j][i]) for j in range(size)] for i in range(n)]
-            rows.append([Fraction(1)] * size)
-            if exact_rank(rows) != size:
-                continue  # affinely dependent; a smaller support exists
-            rhs = [Fraction(c) for c in u] + [Fraction(1)]
-            sol = solve_exact(rows, rhs)
-            if sol is None or any(c < 0 for c in sol):
+            # [points | u] over ones: a pivot in each point column, none in u's
+            rows = [[doubled[j][i] for j in subset] + [u[i]]
+                    for i in range(n)]
+            rows.append([1] * (size + 1))
+            red, pivots = rref(rows)
+            if pivots != list(range(size)):
+                continue  # affinely dependent or u off their affine span
+            sol = [row[-1] for row in red]
+            if any(c < 0 for c in sol):
                 continue
             combo = (subset, sol)
             break
@@ -414,13 +469,11 @@ def amgm_witness(Q: LatticePolytope):
 def sublattice_index(Q: LatticePolytope) -> int:
     """Index of the lattice generated by {u - u0 : u in Q ∩ M} in the lattice
     of the affine span of Q. Equals |det| of the difference lattice."""
-    pts = sorted(lattice_points(Q, 1))
-    proj = [Q._proj(p) for p in pts]
-    base = proj[0]
-    diffs = [[c - b for c, b in zip(p, base)] for p in proj[1:]]
     if Q.dim == 0:
         return 1
-    return lattice_index(diffs)
+    # the chart origin is the least vertex, a point of Q ∩ M, so the
+    # differences generate the lattice of the chart rows themselves
+    return lattice_index(_chart_rows(Q, 1).tolist())
 
 
 def real_density(Q: LatticePolytope) -> str:
@@ -485,15 +538,12 @@ def contains_point_oracle(Q: LatticePolytope, p, k: int = 1) -> bool:
 
 def lattice_point_count_oracle(Q: LatticePolytope, k: int) -> int:
     """Brute-force count of (kQ) ∩ M via the membership oracle."""
-    if k == 0:
-        return 1
-    if Q.dim == 0:
+    if k == 0 or Q.dim == 0:
         return 1
     lo, hi = _scan_box(Q, k)
     count = 0
     for grid in _box_candidates(lo, hi):
-        for row in grid:
-            p = Q._lift(tuple(int(c) for c in row), k)
+        for p in Q._lift(grid, k):
             if contains_point_oracle(Q, p, k):
                 count += 1
     return count

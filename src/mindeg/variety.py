@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InconsistentModel
 from .numerics import _echelon, exact_rank, rref
-from .polytope import (LatticePolytope, _int64_translate, lattice_points,
-                       product_polytope, simplex)
+from .polytope import (LatticePolytope, _chart_rows, _int64_translate,
+                       _lex_unique, product_polytope, simplex)
 
 
 def _pair_index_map(nvars):
@@ -275,19 +275,10 @@ def toric_model_from_points(name, exponents, m):
     pts = sorted(set(exponents))
     arr = _int64_translate(pts, pts[0], 2)
     i, j = np.triu_indices(len(arr))
-    sums = arr[i] + arr[j]
-    # rows of length 0 (a point, P^0) have one pair and no key to sort by
-    order = np.lexsort(sums.T[::-1]) if sums.shape[1] else np.arange(1)
-    sums = sums[order]
-    # the distinct sums in lexicographic order: drop each sorted row equal
-    # to its predecessor
-    keep = np.ones(len(sums), dtype=bool)
-    keep[1:] = (sums[1:] != sums[:-1]).any(axis=1)
-    pair_sums = np.empty(len(sums), dtype=np.intp)
-    pair_sums[order] = np.cumsum(keep) - 1
+    sums, pair_sums = _lex_unique(arr[i] + arr[j])
     shift = [2 * c for c in pts[0]]
     toric_sums = [tuple(c + o for c, o in zip(row, shift))
-                  for row in sums[keep].tolist()]
+                  for row in sums.tolist()]
     return VarietyModel(name, m, pts, toric_sums=toric_sums,
                         pair_sums=pair_sums)
 
@@ -295,11 +286,10 @@ def toric_model_from_points(name, exponents, m):
 def toric_model(Q: LatticePolytope) -> VarietyModel:
     """Projective toric variety of the polytope: coordinates indexed by
     Q ∩ M, quadric relations the degree-2 binomials of the monoid ring."""
-    pts = sorted(lattice_points(Q, 1))
-    if Q.dim < Q.ambient_rank:
-        exps = [Q._proj(p) for p in pts]
-    else:
-        exps = pts
+    rows = _chart_rows(Q, 1)
+    # a full-dimensional Q keeps its ambient exponents
+    exps = (Q._lift(rows) if Q.dim == Q.ambient_rank
+            else map(tuple, rows.tolist()))
     return toric_model_from_points("toric", exps, Q.dim)
 
 

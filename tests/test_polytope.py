@@ -4,10 +4,11 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mindeg.polytope
@@ -21,8 +22,9 @@ from mindeg.polytope import (CAYLEY, DENSE, IMAGE_OF_MODEL, NOT_DENSE,
                              higashitani_simplex, is_k_normal, k_normal_oracle,
                              lattice_point_count_oracle, lattice_points,
                              polytope_degree, product_polytope,
-                             triangulate, _box_candidates,
-                             _recognize_family, _scan_box,
+                             triangulate, _box_candidates, _chart_rows,
+                             _lattice_point_count, _lex_unique,
+                             _recognize_family, _scan_box, _scan_rows,
                              _supporting_hyperplanes,
                              pyramid_over_twice_simplex, real_density,
                              reeve_simplex, simplex, sublattice_index)
@@ -240,16 +242,8 @@ def test_first_coefficient_is_point_count():
 
 def _interior_lattice_point_count(Q, k):
     """Reference count of the lattice points strictly inside kQ (relative
-    interior): the box scan of lattice_points with strict facet
-    inequalities."""
-    if Q.dim == 0:
-        return 1
-    lo, hi = _scan_box(Q, k)
-    planes = Q.facets()
-    A = np.array([a for a, _ in planes], dtype=np.int64)
-    b = np.array([bb for _, bb in planes], dtype=np.int64) * k
-    return sum(int((grid @ A.T < b).all(axis=1).sum())
-               for grid in _box_candidates(lo, hi))
+    interior): the box scan with strict facet inequalities."""
+    return len(_box_scan_reference(Q, k, strict=True))
 
 
 def _polytope_degree_oracle(Q):
@@ -356,6 +350,31 @@ def test_polytope_degree_is_the_interior_point_degree():
         assert polytope_degree(Q) == _polytope_degree_oracle(Q), Q.vertices
 
 
+def _rows_at(Q, k, prefixes):
+    """(lo, width) of the row scan of kQ over the given prefix rows only:
+    the int64 arithmetic at chosen rows of a box too large to scan."""
+    with mock.patch.object(mindeg.polytope, "_box_candidates",
+                           lambda lo, hi: [np.array(prefixes,
+                                                    dtype=np.int64)]):
+        (_, lo, width), = _scan_rows(Q, k)
+    return lo.tolist(), width.tolist()
+
+
+def _row_reference(Q, k, prefix):
+    """(lo, width) of the points prefix + (t,) of kQ, in Python ints; lo is
+    None when the row is empty."""
+    lo, hi = -math.inf, math.inf
+    for a, b in Q.facets():
+        r = k * b - sum(ai * xi for ai, xi in zip(a, prefix))
+        if a[-1] > 0:
+            hi = min(hi, r // a[-1])
+        elif a[-1] < 0:
+            lo = max(lo, -(r // -a[-1]))
+        elif r < 0:
+            return None, 0
+    return (lo, hi - lo + 1) if hi >= lo else (None, 0)
+
+
 def test_scan_box_bounds_int64_exactly():
     # |coordinate| * k * (largest l1 facet-normal norm) <= 2^62; the
     # segment's facet normals are +-1, the triangle's reach l1 norm 2
@@ -374,6 +393,149 @@ def test_scan_box_bounds_int64_exactly():
                   lambda: h_star(huge)):
         with pytest.raises(ValueError, match="2\\^62"):
             count()
+    # the row scan at the limit: one row of 2^62 + 1 points, counted
+    assert _rows_at(seg, 2, [[]]) == ([0], [2 ** 62 + 1])
+    assert _lattice_point_count(seg, 2) == 2 ** 62 + 1
+    # rows of the doubled triangle, whose hypotenuse has l1 norm 2
+    rows = [[0], [1], [2 ** 61 - 1], [2 ** 61]]
+    assert _rows_at(tri, 2, rows) == ([0] * 4, [2 ** 61 + 1, 2 ** 61, 2, 1])
+    # a rectangle whose facet x_1 <= 2^62 has a_m = 0 and meets the limit
+    rect = LatticePolytope(2, [(0, 0), (2 ** 62, 0), (0, 1), (2 ** 62, 1)])
+    assert any(a == (1, 0) and b == 2 ** 62 for a, b in rect.facets())
+    rows = [[0], [1], [2 ** 62 - 1], [2 ** 62]]
+    assert _rows_at(rect, 1, rows) == ([0] * 4, [2] * 4)
+    for Q, k in ((seg, 2), (tri, 2), (rect, 1)):
+        lo, hi = _scan_box(Q, k)
+        corners = [list(c) for c in itertools.product(*zip(lo[:-1], hi[:-1]))]
+        got = _rows_at(Q, k, corners)
+        want = [_row_reference(Q, k, c) for c in corners]
+        assert got[1] == [w for _, w in want]
+        assert [g for g, (_, w) in zip(got[0], want) if w] == \
+            [r for r, w in want if w]
+    # the count is a Python int past int64: four rows of 2^62 + 1 points
+    tall = LatticePolytope(2, [(0, 0), (3, 0), (0, 2 ** 62), (3, 2 ** 62)])
+    assert _lattice_point_count(tall, 1) == 4 * (2 ** 62 + 1)
+
+
+@pytest.mark.parametrize("x", [2 ** 62 - 1, 2 ** 62, 10 ** 30])
+def test_lift_is_exact_past_int64(x):
+    # a primitive segment has chart rows 0..k, whatever its ambient length;
+    # at x = 2^62 the doubled point (2^63, 2) no longer fits in int64
+    Q = LatticePolytope(2, [(0, 0), (x, 1)])
+    assert lattice_points(Q, 2) == {(0, 0), (x, 1), (2 * x, 2)}
+    far = LatticePolytope(2, [(x, 0), (x, 1), (x + 1, 0)])
+    assert lattice_points(far, 2) == {(2 * x + i, j) for i in range(3)
+                                      for j in range(3 - i)}
+
+
+def _sheared(Q):
+    """Q under the unimodular map x -> (x1 - 2 x3, x1 + x2, x3, x4, ...)."""
+    return LatticePolytope(Q.ambient_rank, [
+        (v[0] - 2 * v[2], v[1] + v[0]) + v[2:] for v in Q.vertices])
+
+
+def _box_scan_reference(Q, k, strict=False):
+    """Chart coordinates of the lattice points of kQ (of its relative
+    interior if strict) by the box scan that the row scan replaced: every
+    point of the chart box tested against every facet, in lexicographic
+    order."""
+    if k == 0 or Q.dim == 0:
+        return [(0,) * Q.dim]
+    lo, hi = _scan_box(Q, k)
+    planes = Q.facets()
+    A = np.array([a for a, _ in planes], dtype=np.int64)
+    b = np.array([bb for _, bb in planes], dtype=np.int64) * k
+    inside = np.less if strict else np.less_equal
+    return [tuple(row) for grid in _box_candidates(lo, hi)
+            for row in grid[inside(grid @ A.T, b).all(axis=1)].tolist()]
+
+
+def _lift_reference(Q, x, k):
+    """Ambient coordinates of the chart point x of kQ, in Python ints."""
+    return tuple(k * b + sum(xi * row[j] for xi, row in zip(x, Q._sat_basis))
+                 for j, b in enumerate(Q._base))
+
+
+@st.composite
+def _scan_input(draw):
+    """A polytope of dimension m <= n in Z^n, n <= 4, given by points of
+    Z^m under a chain of shears x_i += q x_j of Z^n and a translation, and
+    a _SCAN_CHUNK (None: the default) that may split the prefix box."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n))
+    pts = draw(st.lists(st.tuples(*[st.integers(0, 3 if m < 3 else 1)] * m),
+                        min_size=1, max_size=7))
+    pts = [list(p) + [0] * (n - m) for p in pts]
+    for i, j, q in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1),
+            st.integers(-2, 2)), max_size=2)):
+        if i != j:
+            for p in pts:
+                p[i] += q * p[j]
+    t = draw(st.tuples(*[st.integers(-4, 4)] * n))
+    Q = LatticePolytope(n, [tuple(c + s for c, s in zip(p, t)) for p in pts])
+    return Q, draw(st.sampled_from([None, 1, 2, 3, 5]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_scan_input())
+@example((LatticePolytope(4, [(1, -1, 0, 2), (1, 0, 1, 2), (2, -1, 1, 3),
+                             (5, 3, 5, 3)]), 2))
+@example((_sheared(cayley_polytope_of_segments([1, 2, 2])), 1))
+def test_row_scan_matches_box_scan(case):
+    # the same points in the same order, the same count, and the same
+    # ambient points, with the prefix box split when the chunk is small
+    Q, chunk = case
+    if Q.dim:
+        lo, hi = _scan_box(Q, 3)
+        assume(math.prod(int(h - l) + 1 for l, h in zip(lo, hi)) <= 30000)
+    with mock.patch.object(mindeg.polytope, "_SCAN_CHUNK",
+                           chunk or mindeg.polytope._SCAN_CHUNK):
+        for k in (1, 2, 3):
+            want = _box_scan_reference(Q, k)
+            assert [tuple(r) for r in _chart_rows(Q, k).tolist()] == want
+            assert not Q.dim or _lattice_point_count(Q, k) == len(want)
+            assert lattice_points(Q, k) == {_lift_reference(Q, x, k)
+                                            for x in want}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda w: st.lists(
+    st.lists(st.integers(-3, 3), min_size=w, max_size=w),
+    min_size=1, max_size=40).map(lambda rows: (rows, w))))
+@example(([[]], 0))
+@example(([[], [], []], 0))
+def test_lex_unique_matches_numpy_unique(case):
+    # rows of width 0 (the exponents of P^0) are all one row
+    rows, width = case
+    arr = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    got, inverse = _lex_unique(arr)
+    want, want_inverse = np.unique(arr, axis=0, return_inverse=True)
+    assert np.array_equal(got, want)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
+    assert np.array_equal(got[inverse], arr)
+
+
+def test_h_star_never_lists_or_lifts(monkeypatch):
+    corpus = _corpus() + [higashitani_simplex(5, 3),
+                          LatticePolytope(3, [(0, 0, 1), (2, 0, 1),
+                                              (0, 2, 1)]),
+                          LatticePolytope(2, [(3, 1)])]
+    want = [h_star(Q) for Q in corpus]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("h_star listed or lifted a lattice point")
+
+    monkeypatch.setattr(LatticePolytope, "_lift", refuse)
+    monkeypatch.setattr(mindeg.polytope, "lattice_points", refuse)
+    monkeypatch.setattr(mindeg.polytope, "_chart_rows", refuse)
+    assert [h_star(LatticePolytope(Q.ambient_rank, Q.vertices))
+            for Q in corpus] == want
+    # closed forms: L(k) = (3000k + 1)(3000k + 2)/2 and 3*10^6 k + 1
+    big = LatticePolytope(2, [(0, 0), (3000, 0), (0, 3000)])
+    assert h_star(big).coefficients == (1, 4504498, 4495501)
+    seg = LatticePolytope(1, [(0,), (3 * 10 ** 6,)])
+    assert h_star(seg).coefficients == (1, 2999999)
 
 
 @pytest.mark.parametrize("box", [[(0,), (7,)],
@@ -511,12 +673,6 @@ def _assert_model_map(Q, mp):
     assert sorted(map(apply, target.vertices)) == list(Q.vertices)
     assert {apply(p) for p in lattice_points(target, 1)} \
         == lattice_points(Q, 1)
-
-
-def _sheared(Q):
-    """Q under the unimodular map x -> (x1 - 2 x3, x1 + x2, x3, x4, ...)."""
-    return LatticePolytope(Q.ambient_rank, [
-        (v[0] - 2 * v[2], v[1] + v[0]) + v[2:] for v in Q.vertices])
 
 
 def test_classification_families():
