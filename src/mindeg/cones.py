@@ -237,21 +237,19 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
         # halve while S is not positive definite in floats or the objective
         # falls by less than _ARMIJO * s * dec, but never below the damped
         # step 1 / (1 + sqrt(dec)); that one is taken whenever S keeps its
-        # Cholesky factor, and halved only while it does not
+        # Cholesky factor, and halved at most 60 times while it does not
         floor = 1.0 / (1.0 + math.sqrt(dec)) if dec >= 0 else 0.0
-        s, Ln = (1.0 if dec > 0 else floor), None
+        s, tries = (1.0 if dec > 0 else floor), 60
         obj = _objective(c, z, L)
-        while s > floor:
+        while tries:
             Ln = _factor(at(z + s * step))
-            if Ln is not None and _objective(c, z + s * step, Ln) \
-                    <= obj - _ARMIJO * s * dec:
+            if Ln is not None and (s <= floor or _objective(
+                    c, z + s * step, Ln) <= obj - _ARMIJO * s * dec):
                 break
-            s, Ln = max(0.5 * s, floor), None
-        for _ in range(0 if Ln is not None else 60):
-            Ln = _factor(at(z + s * step))
-            if Ln is not None:
-                break
-            s *= 0.5
+            if s > floor:
+                s = max(0.5 * s, floor)
+            else:
+                s, tries = 0.5 * s, tries - 1
         if Ln is not None:
             z, L = z + s * step, Ln
         if z[-1] > 0 and z[-1] >= 2.0 * tried:

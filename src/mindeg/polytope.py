@@ -10,7 +10,6 @@ exact coordinates on the saturated difference lattice of the affine span.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentModel, NotFullDimensional
-from .numerics import (_frac_from_json, _frac_json, _integer_row, exact_rank,
+from .numerics import (_echelon, _frac_from_json, _frac_json, _integer_row,
                        lattice_index, nullspace, rref, saturation_chart,
                        solve_exact)
 
@@ -88,21 +87,24 @@ class LatticePolytope:
         out = rows.astype(dtype) @ B + np.array(shift, dtype=dtype)
         return list(map(tuple, out.tolist()))
 
-    @functools.cached_property
-    def proj_vertices(self):
-        return [self._proj(v) for v in self.vertices]
-
     def _extreme_points(self, pts):
+        """The vertices of the sorted pts; sets _facets and proj_vertices."""
         if self.dim == 0:
-            self._facets = []
+            self._facets, self.proj_vertices = [], [()]
             return tuple(pts[:1])
         proj = [self._proj(p) for p in pts]
-        self._facets = _supporting_hyperplanes(proj, self.dim)
-        active = [{k for k, (a, b) in enumerate(self._facets) if _dot(a, x) == b}
-                  for x in proj]
-        # p is a vertex iff no other point lies on every facet through p
-        return tuple(p for p, z in zip(pts, active)
-                     if sum(z <= y for y in active) == 1)
+        hull = _supporting_hyperplanes(proj, self.dim)
+        self._facets = [(a, b) for a, b, _ in hull]
+        # p is a vertex iff no other point lies on every facet through p:
+        # the AND of the incidences of those facets is p's own bit
+        meet = [(1 << len(pts)) - 1] * len(pts)
+        for _, _, z in hull:
+            for i in range(len(pts)):
+                if z >> i & 1:
+                    meet[i] &= z
+        keep = [i for i, z in enumerate(meet) if z == 1 << i]
+        self.proj_vertices = [proj[i] for i in keep]
+        return tuple(pts[i] for i in keep)
 
     def facets(self):
         """The facets as primitive integer inequalities a.x <= b in chart
@@ -141,7 +143,8 @@ class LatticePolytope:
 
 def _supporting_hyperplanes(proj_points, m):
     """The facets of the hull of points that affinely span R^m, as sorted
-    primitive integer (normal, rhs) pairs with a.x <= b.
+    triples (normal, rhs, incidence): primitive integer a.x <= b, and the
+    bitmask of the input points on the facet.
 
     Exact double description (Motzkin et al. 1953; Fukuda & Prodon 1996):
     start from the facets of a simplex on m+1 of the points, then add one
@@ -149,17 +152,17 @@ def _supporting_hyperplanes(proj_points, m):
     far that lie on it. Facets with p strictly outside are dropped, and each
     adjacent pair (outside, inside) is combined into a facet through p;
     adjacency is the combinatorial test: the two incidence sets share at
-    least m-1 points and no third facet contains their intersection."""
+    least m-1 points and no third facet contains their intersection.
+
+    The masks end exact for every input point: each added point sets its
+    bit on every kept facet through it, and a new facet's inequality is a
+    positive combination of its two parents', so its hyperplane meets the
+    old hull exactly in their ridge: its mask zo & zi | 1 << i is exact."""
     pts = list(proj_points)
     base = pts[0]
-    chosen, diffs = [0], []
-    for i in range(1, len(pts)):
-        d = [c - b for c, b in zip(pts[i], base)]
-        if exact_rank(diffs + [d]) > len(diffs):
-            chosen.append(i)
-            diffs.append(d)
-            if len(diffs) == m:
-                break
+    # pivot columns: the first points affinely independent of those before
+    _, pivots = _echelon([[p[j] - base[j] for p in pts[1:]] for j in range(m)])
+    chosen = [0] + [c + 1 for c in pivots]
     facets = []  # (normal, rhs, incidence bitmask)
     for k in chosen:
         on = [pts[i] for i in chosen if i != k]
@@ -191,7 +194,7 @@ def _supporting_hyperplanes(proj_points, m):
                 new.append(([e // g for e in a], _dot(a, p) // g, z | 1 << i))
         facets = [(a, b, z | 1 << i if sk == 0 else z)
                   for (a, b, z), sk in zip(facets, s) if sk <= 0] + new
-    return sorted((tuple(a), b) for a, b, _ in facets)
+    return sorted((tuple(a), b, z) for a, b, z in facets)
 
 
 def _dot(a, x):
@@ -343,35 +346,37 @@ def polytope_degree(Q: LatticePolytope) -> int:
 
 def is_k_normal(Q: LatticePolytope, k: int):
     """True iff every point of (kQ) ∩ M is a sum of k points of Q ∩ M.
-    On failure also returns the lex-smallest unreachable point."""
+    On failure also returns the lex-smallest unreachable point. The sums of
+    Q's chart rows lie in kQ, so equal counts mean k-normal; the chart's
+    lex order is not the ambient one, so every missing row is lifted."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    pts1 = sorted(lattice_points(Q, 1))
-    target = lattice_points(Q, k)
-    reach = _iterated_sumset(pts1, k)
-    missing = target - reach
-    if not missing:
+    rows = _chart_rows(Q, 1)
+    target = _chart_rows(Q, k)
+    reach = _iterated_sumset(rows, k)
+    if len(reach) == len(target):
         return True, None
-    return False, min(missing)
+    # reach is inside target: a row met once is missing
+    merged, inverse = _lex_unique(np.concatenate([reach, target]))
+    return False, min(Q._lift(merged[np.bincount(inverse) == 1], k))
 
 
-def _iterated_sumset(pts1, k):
-    """The k-fold sums of the lex-sorted points pts1, as a set of tuples.
-    The int64 sums run on the points less the least one, pts1[0], which k
-    times over is added back in Python ints; ValueError unless k times
-    every coordinate difference stays inside int64."""
-    least = pts1[0]
-    base = _int64_translate(pts1, least, k)
-    acc = base
-    # blocks of rows of acc whose sums with base number about _SCAN_CHUNK
-    step = max(1, _SCAN_CHUNK // len(base))
+def _iterated_sumset(rows, k):
+    """The distinct k-fold sums of Q's int64 chart rows, lex-sorted. Call
+    it after _chart_rows(Q, k): a point of Q has |x_j| <= coord, the largest
+    |vertex coordinate| in the chart, so a sum of j <= k rows has |entry|
+    <= k * coord <= 2^62, as the scan check of kQ asks k * coord * l <= 2^62
+    for the l1 norm l >= 1 of a facet normal."""
+    acc = rows
+    # blocks of rows of acc whose sums with rows number about _SCAN_CHUNK;
+    # each shape is given in full, as the rows of a point have width 0
+    step = max(1, _SCAN_CHUNK // len(rows))
     for _ in range(k - 1):
-        blocks = [_lex_unique((acc[s:s + step, None, :] + base[None, :, :])
-                              .reshape(-1, base.shape[1]))[0]
-                  for s in range(0, len(acc), step)]
+        blocks = [_lex_unique((block[:, None, :] + rows).reshape(
+                      len(block) * len(rows), rows.shape[1]))[0]
+                  for block in np.split(acc, range(step, len(acc), step))]
         acc = _lex_unique(np.concatenate(blocks, axis=0))[0]
-    shift = [k * c for c in least]
-    return {tuple(c + o for c, o in zip(row, shift)) for row in acc.tolist()}
+    return acc
 
 
 def _lex_unique(rows):
@@ -390,13 +395,12 @@ def _lex_unique(rows):
     return rows[keep], inverse
 
 
-def _int64_translate(pts, least, k):
-    """The int64 array of pts - least. ValueError unless k * |coordinate|
-    < 2^63 for every difference, so that sums of k rows stay in int64."""
+def _int64_translate(pts, least):
+    """The int64 array of pts - least. ValueError unless 2 * |coordinate|
+    < 2^63 for every difference, so that sums of two rows stay in int64."""
     diffs = [[c - o for c, o in zip(p, least)] for p in pts]
-    if k * max((abs(c) for d in diffs for c in d), default=0) >= 2 ** 63:
-        raise ValueError("sums of %d lattice points exceed the int64 range"
-                         % k)
+    if 2 * max((abs(c) for d in diffs for c in d), default=0) >= 2 ** 63:
+        raise ValueError("sums of 2 lattice points exceed the int64 range")
     return np.array(diffs, dtype=np.int64)
 
 
@@ -437,7 +441,8 @@ def amgm_witness(Q: LatticePolytope):
     n = Q.ambient_rank
     m = Q.dim
     combo = None
-    for size in range(1, m + 2):
+    # u is not in Q + Q while every 2v is, so no single vertex holds u
+    for size in range(2, m + 2):
         for subset in itertools.combinations(range(len(doubled)), size):
             # [points | u] over ones: a pivot in each point column, none in u's
             rows = [[doubled[j][i] for j in subset] + [u[i]]
@@ -499,14 +504,13 @@ def _triangulate_rec(Q: LatticePolytope):
         return [[Q.vertices[0]]]
     if len(Q.vertices) == Q.dim + 1:
         return [list(Q.vertices)]
-    v0 = Q.vertices[0]
-    x0 = Q._proj(v0)
+    v0, x0 = Q.vertices[0], Q.proj_vertices[0]
     out = []
     for a, b in Q.facets():
-        if sum(ai * xi for ai, xi in zip(a, x0)) == b:
+        if _dot(a, x0) == b:
             continue
-        face_pts = [v for v in Q.vertices
-                    if sum(ai * xi for ai, xi in zip(a, Q._proj(v))) == b]
+        face_pts = [v for v, x in zip(Q.vertices, Q.proj_vertices)
+                    if _dot(a, x) == b]
         if len(face_pts) < Q.dim:
             continue  # supporting hyperplane of a lower-dimensional face
         F = LatticePolytope(Q.ambient_rank, face_pts)
@@ -723,9 +727,10 @@ def _verified_map(Q: LatticePolytope, segments, cols, t):
     """The model_map of x -> A x + t, A with columns cols, from the Cayley
     polytope of the given segments (the pyramid over twice a triangle when
     segments is None) into Q's chart, or None unless A is unimodular and the
-    map sends the family polytope's vertices and lattice points exactly onto
-    Q's. The map is returned in ambient coordinates: `matrix` (ambient_rank
-    x dim) and `translation`."""
+    map sends the family polytope's vertices exactly onto Q's. Then it sends
+    the lattice points onto Q's too: a unimodular A and an integral t make
+    x -> A x + t a bijection of the chart lattice. The map is returned in
+    ambient coordinates: `matrix` (ambient_rank x dim) and `translation`."""
     try:
         if lattice_index(cols) != 1:
             return None
@@ -737,19 +742,14 @@ def _verified_map(Q: LatticePolytope, segments, cols, t):
     else:
         target = cayley_polytope_of_segments(segments)
         mp = {"family": CAYLEY, "segments": segments}
+    A = list(zip(*cols))
+    if sorted(tuple(_dot(row, p) + s for row, s in zip(A, t))
+              for p in target.vertices) != sorted(Q.proj_vertices):
+        return None
     # chart to ambient: q = base_Q + x B with x = A p + t
     B = list(zip(*Q._sat_basis))
     mp["matrix"] = [[_dot(row, c) for c in cols] for row in B]
     mp["translation"] = [b + _dot(row, t) for b, row in zip(Q._base, B)]
-
-    def apply(p):
-        return tuple(_dot(row, p) + s
-                     for row, s in zip(mp["matrix"], mp["translation"]))
-
-    if sorted(map(apply, target.vertices)) != list(Q.vertices) \
-            or sorted(map(apply, lattice_points(target, 1))) \
-            != sorted(lattice_points(Q, 1)):
-        return None
     return mp
 
 

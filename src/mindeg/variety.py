@@ -273,7 +273,7 @@ def toric_model_from_points(name, exponents, m):
     order, and twice it is added back in Python ints. One lexsort gives
     both the distinct sums and the basis index of each pair's sum."""
     pts = sorted(set(exponents))
-    arr = _int64_translate(pts, pts[0], 2)
+    arr = _int64_translate(pts, pts[0])
     i, j = np.triu_indices(len(arr))
     sums, pair_sums = _lex_unique(arr[i] + arr[j])
     shift = [2 * c for c in pts[0]]

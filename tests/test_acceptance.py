@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mindeg.polytope
 from mindeg.cones import (GramSlice, extremality_check,
                           interpolant_through_points, kernel_dimension,
                           moment_psd, pair_with_square,
@@ -110,6 +111,26 @@ def test_criterion_5_degree_one_equivalence(corpus):
             cond_c = all(hs.coefficients[j] == 0 for j in range(2, m + 1))
             named = classify(Q).family in (CAYLEY, PYRAMID)
             assert cond_a == cond_b == cond_c == named, Q.vertices
+
+
+def test_normality_classify_and_amgm_never_list(corpus, monkeypatch):
+    # the acceptance corpus, and two polytopes that are not 2-normal,
+    # answer from chart rows alone; lattice_points serves the oracles
+    polytopes = corpus + [reeve_simplex(5), LatticePolytope(4, [
+        (-8, 3, -9, 11), (-3, 3, -3, 1), (-2, 0, 3, 1), (0, 0, 0, 0)])]
+
+    def answers():
+        return [(is_k_normal(Q, 2), classify(Q), amgm_witness(Q))
+                for Q in polytopes]
+
+    want = answers()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice points listed")
+
+    monkeypatch.setattr(mindeg.polytope, "lattice_points", refuse)
+    assert answers() == want
+    assert sum(w is not None for _, _, w in want) == 2
 
 
 def test_criterion_6_witness_pipeline():

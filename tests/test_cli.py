@@ -499,9 +499,11 @@ def test_hstar_segment_in_chunks(capsys, monkeypatch):
     assert rep["polytope_degree"] == rep["hstar_degree"] == 1
 
 
-@pytest.mark.parametrize("command", ["hstar", "epsilon"])
+@pytest.mark.parametrize("command", ["hstar", "normal", "classify", "amgm",
+                                     "epsilon"])
 def test_coordinates_beyond_int64_exit_2(capsys, command):
-    # once an uncaught OverflowError from the int64 box scan
+    # once an uncaught OverflowError from the int64 box scan; the sums
+    # behind normal, classify and amgm stop at the same scan of kQ
     code, out, err = run(capsys, [command, "--input",
                                   json.dumps(HUGE_SEGMENT)])
     assert code == 2 and out == ""
@@ -537,14 +539,17 @@ def test_far_translated_gap_keeps_its_missing_point(capsys):
     assert json.loads(out)["missing_point"] == [2 * FAR + 1, 1, 1]
 
 
-@pytest.mark.parametrize("x,code", [(2 ** 62 - 1, 0), (2 ** 62, 2)])
-def test_sumset_at_the_int64_edge(capsys, x, code):
-    # a primitive segment: two lattice points, whose sum leaves int64 at
-    # x = 2^62
+@pytest.mark.parametrize("x", [2 ** 62 - 1, 2 ** 62, 10 ** 30])
+def test_sumset_at_the_int64_edge(capsys, x):
+    # a primitive segment: two lattice points, whose ambient sum leaves
+    # int64 from x = 2^62, while the sums run on the chart rows 0, 1, 2
     blob = {"ambient_rank": 2, "vertices": [[0, 0], [x, 1]]}
-    got, out, err = run(capsys, ["normal", "--input", json.dumps(blob)])
-    assert got == code and "Traceback" not in err
-    assert code == 0 or "int64" in err and out == ""
+    code, out, err = run(capsys, ["normal", "--oracle", "--input",
+                                  json.dumps(blob)])
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["k_normal"] is True and rep["missing_point"] is None
+    assert rep["oracle"]["matches"] is True
 
 
 def test_classify_single_point_exit_0(capsys):

@@ -213,6 +213,8 @@ def test_invariants_under_unimodular_maps(pair):
     assert Q.dim == P.dim
     assert h_star(Q) == h_star(P)
     assert is_k_normal(Q, 2)[0] == is_k_normal(P, 2)[0]
+    assert is_k_normal(P, 2) == k_normal_oracle(P, 2)
+    assert is_k_normal(Q, 2) == k_normal_oracle(Q, 2)
     assert sublattice_index(Q) == sublattice_index(P)
     assert normalized_volume(Q) == normalized_volume(P)
     assert classify(Q).family == classify(P).family
@@ -629,6 +631,21 @@ def _evaluate(f, z):
     return total
 
 
+def test_missing_point_is_the_ambient_least():
+    # dimension 3 in Z^4: 2Q misses two lattice points, and the chart's lex
+    # order puts the other one first
+    Q = LatticePolytope(4, [(-8, 3, -9, 11), (-3, 3, -3, 1), (-2, 0, 3, 1),
+                            (0, 0, 0, 0)])
+    assert Q.dim == 3
+    pts = lattice_points(Q, 1)
+    sums = {tuple(a + b for a, b in zip(p, q)) for p in pts for q in pts}
+    missing = lattice_points(Q, 2) - sums
+    assert len(missing) == 2
+    assert min(missing, key=lambda p: Q._proj(p, 2)) == (-7, 4, -7, 7)
+    assert is_k_normal(Q, 2) == k_normal_oracle(Q, 2) \
+        == (False, (-7, 3, -6, 8))
+
+
 def test_amgm_none_when_two_normal():
     assert amgm_witness(simplex(2, 2)) is None
     square = product_polytope(LatticePolytope(1, [(0,), (1,)]),
@@ -952,7 +969,8 @@ def _on(plane, x):
 def _check_hull_against_reference(Q, points):
     """Facets and vertices of Q, built from `points`, agree with the subset
     scan: the facets are its planes whose incident points have affine rank
-    m - 1, and the vertices are the points whose incident planes have rank m."""
+    m - 1, with the bitmask of those points, and the vertices are the points
+    whose incident planes have rank m."""
     m = Q.dim
     proj = [Q._proj(p) for p in sorted(set(points))]
     ref = _subset_scan_reference(proj, m)
@@ -960,12 +978,15 @@ def _check_hull_against_reference(Q, points):
     for plane in ref:
         on = [x for x in proj if _on(plane, x)]
         if exact_rank([[c - b for c, b in zip(x, on[0])] for x in on[1:]]) == m - 1:
-            facets.append(plane)
+            # the incidence bits by evaluating the plane at every point
+            facets.append(plane + (sum(1 << i for i, x in enumerate(proj)
+                                       if _on(plane, x)),))
     assert _supporting_hyperplanes(proj, m) == facets
-    assert Q.facets() == facets
+    assert Q.facets() == [(a, b) for a, b, _ in facets]
     vertices = [p for p, x in zip(sorted(set(points)), proj)
                 if exact_rank([list(a) for a, b in ref if _on((a, b), x)]) == m]
     assert Q.vertices == tuple(vertices)
+    assert Q.proj_vertices == [Q._proj(v) for v in vertices]
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,6 +1,7 @@
-"""The package source keeps no dead private helpers: every module-level name
-that starts with an underscore is used somewhere in src/mindeg besides its
-own definition. Read with ast alone, without importing the package."""
+"""The package source keeps no dead private helpers and no unused imports:
+every module-level name that starts with an underscore is used somewhere in
+src/mindeg besides its own definition, and every name a module imports is
+used in that module. Read with ast alone, without importing the package."""
 
 import ast
 from pathlib import Path
@@ -54,4 +55,32 @@ def test_every_private_module_name_is_used():
                                        own if other is tree else set()))
                        for other in trees.values()):
                 unused.append("%s:%d %s" % (module, node.lineno, name))
+    assert unused == []
+
+
+def _imported_names(tree):
+    """(name bound in the module, line) of each import, without
+    `from __future__ import ...`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0],
+                       node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports to re-export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in _imported_names(tree)
+                   if name not in loaded]
     assert unused == []
