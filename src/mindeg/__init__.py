@@ -8,8 +8,7 @@ from .cones import (DualFunctional, GramSlice, SosResult, extremality_check,
                     pair_with_square, separating_functional_real, sos_check)
 from .errors import (DegeneratePosition, DegenerateSpan, DimensionMismatch,
                      EmptyComplement, InconsistentModel, MindegError,
-                     NoDeltaFound, NonConvergence, NotFullDimensional,
-                     RetryExhausted)
+                     NoDeltaFound, NonConvergence, RetryExhausted)
 from .polytope import (ClassificationReport, HStar, LatticePolytope,
                        SparsePolynomial, amgm_witness,
                        cayley_polytope_of_segments, classify, h_star,
@@ -31,8 +30,8 @@ __all__ = [
     "ClassificationReport", "DegeneratePosition", "DegenerateSpan",
     "DimensionMismatch", "DualFunctional", "EmptyComplement", "GramSlice",
     "HStar", "InconsistentModel", "LatticePolytope", "MindegError",
-    "NoDeltaFound", "NonConvergence", "NotFullDimensional", "QuadraticForm",
-    "RetryExhausted", "SosResult", "SparsePolynomial",
+    "NoDeltaFound", "NonConvergence", "QuadraticForm", "RetryExhausted",
+    "SosResult", "SparsePolynomial",
     "VarietyModel", "WitnessReport", "amgm_witness", "build_f",
     "cayley_polytope_of_segments", "certify_dual", "certify_not_sos",
     "choose_hyperplanes",

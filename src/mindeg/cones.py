@@ -29,7 +29,7 @@ from .variety import QuadraticForm, VarietyModel
 
 class GramSlice:
     """The solver's view of the model's map sigma: its pairs and sparse
-    columns (built and checked once per model, VarietyModel.columns), with
+    columns (built once per model, VarietyModel.columns), with
     the float matrices and the exact denominator that every sos_check on
     the model shares."""
 

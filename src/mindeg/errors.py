@@ -18,10 +18,6 @@ class DimensionMismatch(MindegError):
     """Vectors/points of inconsistent length were mixed."""
 
 
-class NotFullDimensional(MindegError):
-    """A polytope operation required a full-dimensional polytope."""
-
-
 class InconsistentModel(MindegError):
     """A variety model's stored invariants disagree with each other."""
 

@@ -196,11 +196,6 @@ def residues(rows, vectors):
     return out
 
 
-def in_row_span(rows, v) -> bool:
-    """Exact membership of v in the row span of `rows`."""
-    return not any(residues(rows, [v])[0])
-
-
 # ---------------------------------------------------------------------------
 # Integer lattice normal forms.
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, InconsistentModel, NotFullDimensional
+from .errors import DimensionMismatch, InconsistentModel
 from .numerics import (_echelon, _frac_from_json, _frac_json, _integer_row,
                        lattice_index, nullspace, rref, saturation_chart,
                        solve_exact)
@@ -163,12 +163,18 @@ def _supporting_hyperplanes(proj_points, m):
     # pivot columns: the first points affinely independent of those before
     _, pivots = _echelon([[p[j] - base[j] for p in pts[1:]] for j in range(m)])
     chosen = [0] + [c + 1 for c in pivots]
+    # E^-1, E the rows w_k - w_0 for the simplex's vertices w, from the one
+    # nullspace {(E^-1 y, y)} of [E | -I]: its k-th column is normal to the
+    # facet opposite w_k, minus the sum of its columns to the one opposite w_0
+    cols = [v[:m] for v in nullspace([
+        [c - b for c, b in zip(pts[k], base)] + [-int(r == t) for t in range(m)]
+        for r, k in enumerate(chosen[1:])])]
+    normals = [[-sum(c) for c in zip(*cols)]] + cols
     facets = []  # (normal, rhs, incidence bitmask)
-    for k in chosen:
-        on = [pts[i] for i in chosen if i != k]
-        ker = nullspace([[c - b for c, b in zip(p, on[0])] for p in on[1:]], m)
-        a = _integer_row(ker[0])
-        b = _dot(a, on[0])
+    for k, normal in zip(chosen, normals):
+        on = chosen[1] if k == 0 else 0
+        a = _integer_row(normal)
+        b = _dot(a, pts[on])
         if _dot(a, pts[k]) > b:
             a, b = [-e for e in a], -b
         facets.append((a, b, sum(1 << i for i in chosen if i != k)))
@@ -323,11 +329,8 @@ def h_star(Q: LatticePolytope) -> HStar:
 
     Lower-dimensional input is projected to exact full-dimensional
     coordinates on its affine lattice span first (the chart does this)."""
-    coeffs = _hstar_from_counts(
-        [1] + [_lattice_point_count(Q, k) for k in range(1, Q.dim + 1)])
-    if coeffs[0] != 1 or any(c < 0 for c in coeffs):
-        raise NotFullDimensional("Ehrhart counts are inconsistent; chart failed")
-    return HStar(tuple(coeffs))
+    return HStar(tuple(_hstar_from_counts(
+        [1] + [_lattice_point_count(Q, k) for k in range(1, Q.dim + 1)])))
 
 
 def _hstar_from_counts(L):

@@ -49,8 +49,8 @@ from .errors import (
     RetryExhausted,
 )
 from .numerics import (_echelon, _frac_from_json, _frac_json, _integer_row,
-                       exact_rank, in_row_span, is_positive_definite,
-                       nullspace, residues, rref, solve_exact)
+                       exact_rank, is_positive_definite, nullspace, residues,
+                       rref, solve_exact)
 from .variety import QuadraticForm, epsilon, veronese_model
 
 # sphere samples per block of power tables in _SphereSamples
@@ -66,10 +66,9 @@ _COEFF_BOUND = 9
 _EXCLUSION_RADIUS = 0.1
 
 
-def _monomials(d):
-    """Exponent pairs (a, b), a + b <= d, in the model's sorted order; the
-    implied third exponent is d - a - b."""
-    return sorted((a, b) for a in range(d + 1) for b in range(d + 1 - a))
+def _degree(model):
+    """d of veronese_model(2, d), whose sorted r1_basis ends with (d, 0)."""
+    return model.r1_basis[-1][0]
 
 
 def _rng(seed):
@@ -116,23 +115,21 @@ def _veronese_image(point, d, exps):
 def _partials(point, D, exps):
     """Three rows over the degree-D monomials of exps: their partial
     derivatives along x, y and z at point, d/dx_k x^e = e_k x^(e - u_k),
-    read from the degree-(D - 1) image."""
-    low_exps = _monomials(D - 1)
-    low = dict(zip(low_exps, _veronese_image(point, D - 1, low_exps)))
-    rows = []
-    for k, (da, db) in enumerate(((1, 0), (0, 1), (0, 0))):
-        row = []
-        for (a, b) in exps:
-            ek = (a, b, D - a - b)[k]
-            row.append(ek * low[(a - da, b - db)] if ek else 0)
-        rows.append(row)
+    from the coordinate powers up to D - 1."""
+    px, py, pz = (_powers(c, D - 1) for c in point)
+    rows = [[], [], []]
+    for (a, b) in exps:
+        c = D - a - b
+        rows[0].append(a * px[a - 1] * py[b] * pz[c] if a else 0)
+        rows[1].append(b * px[a] * py[b - 1] * pz[c] if b else 0)
+        rows[2].append(c * px[a] * py[b] * pz[c - 1] if c else 0)
     return rows
 
 
-def _line_product(lines):
-    """Coefficient vector over _monomials(len(lines)) of the product of the
-    lines (a, b, c), each the form a x + b y + c z. The terms are keyed by
-    their exponents of x and y; z takes the rest of the degree."""
+def _line_product(lines, exps):
+    """Coefficient vector over the exponent pairs exps of the product of
+    the lines (a, b, c), each the form a x + b y + c z. The terms are keyed
+    by their exponents of x and y; z takes the rest of the degree."""
     prod = {(0, 0): 1}
     for line in lines:
         nxt = {}
@@ -140,7 +137,7 @@ def _line_product(lines):
             for key, c in zip(((i + 1, j), (i, j + 1), (i, j)), line):
                 nxt[key] = nxt.get(key, 0) + c * v
         prod = nxt
-    return [prod.get(e, 0) for e in _monomials(len(lines))]
+    return [prod.get(e, 0) for e in exps]
 
 
 def _square_products(model, hs):
@@ -170,17 +167,18 @@ def _functional_points(d):
             if not d + 1 <= i + j <= 2 * d - 3]
 
 
-def choose_hyperplanes(d, seed):
-    """Two lists of d random integer lines and their d^2 distinct exact
-    intersection points, line i of the first meeting line j of the second
-    at index i*d + j. The points _functional_points(d) have degree-d
-    images tied by exactly one linear relation with every coefficient
-    nonzero, so the configuration feeds the separating-functional
-    construction directly. Draws that fail are rejected."""
+def choose_hyperplanes(model, seed):
+    """Two lists of d random integer lines of model = veronese_model(2, d)
+    and their d^2 distinct exact intersection points, line i of the first
+    meeting line j of the second at index i*d + j. The points
+    _functional_points(d) have images tied by exactly one linear relation
+    with every coefficient nonzero, so the configuration feeds the
+    separating-functional construction directly. Draws that fail are
+    rejected."""
+    d = _degree(model)
     if d < 3:
         raise ValueError("need degree at least 3")
     rng = _rng(seed)
-    exps = _monomials(d)
     chosen = _functional_points(d)
     for _ in range(_MAX_DRAWS):
         raw = rng.integers(-_COEFF_BOUND, _COEFF_BOUND + 1, size=(2 * d, 3))
@@ -196,7 +194,8 @@ def choose_hyperplanes(d, seed):
             continue
         # one relation gives the chosen images rank e + 1, and so all d^2:
         # h1 and h2 are independent and vanish on every image
-        images = [_veronese_image(pts[i], d, exps) for i in chosen]
+        images = [_veronese_image(pts[i], d, model.r1_basis)
+                  for i in chosen]
         rel = nullspace(zip(*images))
         if len(rel) != 1 or any(c == 0 for c in rel[0]):
             continue
@@ -205,17 +204,16 @@ def choose_hyperplanes(d, seed):
         "no valid line configuration in %d draws" % _MAX_DRAWS)
 
 
-def fit_h0(points, selected, seed, h_forms):
-    """Degree-d form vanishing exactly at the selected points: drawn from
-    the exact nullspace of their Veronese evaluation matrix, verified
-    nonvanishing at every non-selected point. The line products h_forms =
-    (h1, h2), vectors over the degree-d monomials, are verified to vanish
-    there too, and span{h0, h1, h2} to be the full vanishing space."""
-    d = math.isqrt(len(points))
-    if d * d != len(points):
-        raise InconsistentModel("point count is not a square")
-    exps = _monomials(d)
-    e = (d + 2) * (d + 1) // 2 - 3
+def fit_h0(model, points, selected, seed):
+    """Form over model.r1_basis vanishing exactly at the selected points:
+    drawn from the exact nullspace of their Veronese evaluation matrix,
+    verified nonvanishing at every non-selected point.
+
+    With the line products h1 and h2 it spans that nullspace: they vanish
+    at every grid point, are independent (distinct primitive lines), and
+    h0 is not in their span, being nonzero at the unselected points where
+    they vanish. certify_not_sos checks both facts again."""
+    d, exps, e = _degree(model), model.r1_basis, model.e
     if len(selected) != e or len(set(selected)) != e:
         raise DegenerateSpan("need %d distinct selected indices" % e)
     rows = [_veronese_image(points[i], d, exps) for i in selected]
@@ -244,34 +242,25 @@ def fit_h0(points, selected, seed, h_forms):
         raise RetryExhausted(
             "no combination avoided the unselected points in %d draws"
             % _MAX_DRAWS)
-    h1, h2 = h_forms
-    if not (in_row_span(vanishing, h1) and in_row_span(vanishing, h2)):
-        raise InconsistentModel(
-            "line products do not vanish at the selected points")
-    if exact_rank([h0, h1, h2]) != 3:
-        raise DegenerateSpan("h0, h1, h2 do not span the vanishing space")
     return h0
 
 
-def build_f(points, selected, prods):
-    """Degree-2d form with double zeros at the selected points, outside
-    the span of the pairwise products h_i h_j, given as their coefficient
-    vectors over the sorted degree-2d monomials (_square_products).
+def build_f(model, points, selected, prods):
+    """Form over model.r2_basis with double zeros at the selected points,
+    outside the span of the pairwise products h_i h_j, given as their
+    vectors over the same basis (_square_products).
 
-    Returns (coefficient vector over the sorted degree-2d monomials,
-    stats dict with nullspace/product-span/quotient dimensions). The
-    quotient dimension must be at least the quadratic deficiency of the
-    model, and exactly 1 for d = 3 where f is unique up to scale.
+    Returns (coefficient vector over model.r2_basis, stats dict with
+    nullspace/product-span/quotient dimensions). The quotient dimension
+    must be at least the quadratic deficiency of the model, and exactly 1
+    for d = 3 where f is unique up to scale.
     """
-    d = math.isqrt(len(points))
-    if d * d != len(points):
-        raise InconsistentModel("point count is not a square")
-    exps2 = _monomials(2 * d)
+    d, exps2 = _degree(model), model.r2_basis
     # F has a double zero at p iff its partials vanish there: by Euler's
     # relation sum_k p_k dF/dx_k (p) = 2d F(p), so F(p) = 0 follows
     rows = [row for i in selected
             for row in _partials(points[i], 2 * d, exps2)]
-    ns = nullspace(rows, ncols=len(exps2))
+    ns = nullspace(rows, ncols=model.dim_r2)
     rp = exact_rank(prods)
     if exact_rank(prods + ns) != len(ns):
         raise InconsistentModel(
@@ -280,7 +269,7 @@ def build_f(points, selected, prods):
     if quotient == 0:
         raise EmptyComplement(
             "every doubly-vanishing form is a combination of the h_i h_j")
-    eps = epsilon(veronese_model(2, d))
+    eps = epsilon(model)
     if quotient < eps or (d == 3 and quotient != 1):
         raise DegenerateSpan(
             "quotient dimension %d is degenerate (deficiency %d)"
@@ -294,11 +283,11 @@ def build_f(points, selected, prods):
         "quotient_dim": quotient}
 
 
-def _float_terms(vec, deg):
+def _float_terms(vec, exps, deg):
     """The nonzero terms ((a, b, deg - a - b), float c) of a coefficient
-    vector over _monomials(deg)."""
+    vector over the degree-deg exponent pairs exps."""
     return [((a, b, deg - a - b), float(c))
-            for (a, b), c in zip(_monomials(deg), vec) if c != 0]
+            for (a, b), c in zip(exps, vec) if c != 0]
 
 
 def _eval_many(poly_items, powers):
@@ -320,20 +309,20 @@ class _SphereSamples:
     share its block. The pass runs in blocks of _SAMPLE_BLOCK samples, so
     the power tables stay small."""
 
-    def __init__(self, f_vec, h_vectors, samples, seed):
-        # a degree-d vector has (d + 1)(d + 2) / 2 coefficients
-        d = (math.isqrt(8 * len(h_vectors[0]) + 1) - 3) // 2
-        if any(len(h) != len(_monomials(d)) for h in h_vectors) \
-                or len(f_vec) != len(_monomials(2 * d)):
-            raise InconsistentModel("h and f lengths do not match degrees "
-                                    "d and 2d")
+    def __init__(self, model, f_vec, h_vectors, samples, seed):
+        d = _degree(model)
+        if any(len(h) != len(model.r1_basis) for h in h_vectors) \
+                or len(f_vec) != model.dim_r2:
+            raise InconsistentModel("h and f lengths do not match the "
+                                    "model's bases")
         rng = _rng(seed)
         pts = rng.normal(size=(int(samples), 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         self.pts = pts
         self._top = 2 * d
-        self._f_items = _float_terms(f_vec, 2 * d)
-        self._h_items = [_float_terms(h, d) for h in h_vectors]
+        self._f_items = _float_terms(f_vec, model.r2_basis, 2 * d)
+        self._h_items = [_float_terms(h, model.r1_basis, d)
+                         for h in h_vectors]
         n = len(pts)
         self.f = np.empty(n)
         self.h = np.empty(n)
@@ -378,7 +367,8 @@ def _outside(pts, centers, radius):
     return keep
 
 
-def delta_search(f_vec, h_vectors, selected_points, samples=100000, seed=0):
+def delta_search(model, f_vec, h_vectors, selected_points, samples=100000,
+                 seed=0):
     """Power-of-two rational delta with delta f + sum h_i^2 sampled
     nonnegative on the unit sphere (relative margin -1e-9).
 
@@ -392,7 +382,7 @@ def delta_search(f_vec, h_vectors, selected_points, samples=100000, seed=0):
     Every reported number is a min or max of the per-sample floats of
     _SphereSamples, evaluated once.
     """
-    sphere = _SphereSamples(f_vec, h_vectors, samples, seed)
+    sphere = _SphereSamples(model, f_vec, h_vectors, samples, seed)
     keep = _outside(sphere.pts, selected_points, _EXCLUSION_RADIUS)
     if not keep.any():
         keep[:] = True
@@ -417,9 +407,10 @@ def sample_nonnegativity(report: "WitnessReport", samples=100000, seed=0):
     """Independent sampling re-check of the witness: relative margin of
     report.delta f + sum h_i^2 over fresh sphere samples. Returns
     {"min_value", "scale", "margin"}, computed as delta_search computes its
-    margin."""
-    return _SphereSamples(report.f.coefficients, report.h_vectors,
-                          samples, seed).margin(float(report.delta))
+    margin, over the bases of the model of report.f."""
+    return _SphereSamples(report.f.model, report.f.coefficients,
+                          report.h_vectors, samples, seed).margin(
+                              float(report.delta))
 
 
 @dataclass
@@ -698,12 +689,13 @@ def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
         ss = np.random.SeedSequence(int(seed), spawn_key=(attempt,))
         s_lines, s_h0, s_delta = ss.spawn(3)
         try:
-            ell, em, points = choose_hyperplanes(d, s_lines)
+            ell, em, points = choose_hyperplanes(model, s_lines)
             selected = _default_selection(d, e)
-            h1, h2 = _line_product(ell), _line_product(em)
-            hs = [fit_h0(points, selected, s_h0, h_forms=(h1, h2)), h1, h2]
+            hs = [fit_h0(model, points, selected, s_h0),
+                  _line_product(ell, model.r1_basis),
+                  _line_product(em, model.r1_basis)]
             prods = _square_products(model, hs)
-            f_raw, stats = build_f(points, selected, prods)
+            f_raw, stats = build_f(model, points, selected, prods)
             break
         except (DegeneratePosition, DegenerateSpan, EmptyComplement,
                 RetryExhausted) as ex:
@@ -720,7 +712,7 @@ def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
     ratio = max(abs(c) for c in h_sq) / max(abs(c) for c in f_raw)
     f_vec = [c * ratio for c in f_raw]
     delta, evidence = delta_search(
-        f_vec, hs, selected_points=[points[i] for i in selected],
+        model, f_vec, hs, selected_points=[points[i] for i in selected],
         samples=samples, seed=s_delta)
     evidence["f_scale"] = float(ratio)
     witness_coeffs = [delta * fc + hc for fc, hc in zip(f_vec, h_sq)]

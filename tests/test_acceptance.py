@@ -25,7 +25,7 @@ from mindeg.polytope import (CAYLEY, PYRAMID, LatticePolytope, amgm_witness,
 from mindeg.variety import (QuadraticForm, epsilon, is_minimal_degree,
                             scroll_model, segre_veronese_model, toric_model,
                             veronese_model)
-from mindeg.witness import (_monomials, _veronese_image, certify_not_sos,
+from mindeg.witness import (_veronese_image, certify_not_sos,
                             hilbert_witness, sample_nonnegativity)
 from test_cones import (_assert_certificate_reverifies,
                         _assert_infeasible_reverifies)
@@ -170,8 +170,7 @@ def test_criterion_7_separating_functional():
         assert moment_psd(fn) >= -1e-8
         # re-derive the functional from the recorded points and redo the
         # exact annihilation of g^2 + h1^2 + h2^2 from scratch
-        exps = _monomials(3)
-        pts = [_veronese_image(rep.points[i], 3, exps)
+        pts = [_veronese_image(rep.points[i], 3, model.r1_basis)
                for i in rep.functional_info["point_indices"]]
         fn2, info = separating_functional_real(model, pts)
         assert fn2.values == fn.values

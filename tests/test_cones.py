@@ -75,21 +75,6 @@ def test_gram_slice_quartic(quartic_gap):
     assert gs.model.i2_count == 2
 
 
-@pytest.mark.parametrize("build", [lambda: veronese_model(2, 2),
-                                   lambda: scroll_model([1, 2])],
-                         ids=["toric", "determinantal"])
-def test_gram_slice_rejects_relation_outside_kernel(build):
-    GramSlice(build())
-    terms = build().relations
-    (p, a), (q, b) = terms[0][:2]
-    for bad in [(((0, 0), 1),), ((p, a), (q, -b))]:
-        # injected before the model's columns are first built and checked
-        model = build()
-        model.relations = terms + [bad]
-        with pytest.raises(InconsistentModel):
-            GramSlice(model)
-
-
 def test_apply_to_gram_matches_float_route(veronese_surface):
     _, gs = veronese_surface
     rng = np.random.Generator(np.random.Philox(9))

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindeg.kernels import project_psd, symmetric_eigen
-from mindeg.numerics import (exact_rank, in_row_span, is_positive_definite,
-                             lattice_index, nullspace, rref, saturation_chart,
+from mindeg.numerics import (exact_rank, is_positive_definite, lattice_index,
+                             nullspace, residues, rref, saturation_chart,
                              solve_exact, to_float)
 
 F = Fraction
@@ -144,14 +144,14 @@ def test_rref_matches_fraction_reference(rows):
         null = nullspace(rows)
         assert null == ref_null
         assert all(type(e) is Fraction for v in null for e in v)
-        assert in_row_span(rows, rows[-1])
+        assert not any(residues(rows, [rows[-1]])[0])
         # a unit vector at a non-pivot column: every row-span vector that
         # is zero at all pivot columns is zero
         free = [c for c in range(len(rows[0])) if c not in ref_pivots]
         if free:
             unit = [0] * len(rows[0])
             unit[free[-1]] = 1
-            assert not in_row_span(rows, unit)
+            assert any(residues(rows, [unit])[0])
     assert rows == before
 
 
@@ -248,9 +248,10 @@ def test_solve_exact_inconsistent():
 
 
 def test_in_row_span():
+    # a vector lies in the row span iff its residue is zero
     A = _mat([[1, 0, 1], [0, 1, 1]])
-    assert in_row_span(A, [F(2), F(3), F(5)])
-    assert not in_row_span(A, [F(0), F(0), F(1)])
+    inside, outside = residues(A, [[F(2), F(3), F(5)], [F(0), F(0), F(1)]])
+    assert not any(inside) and any(outside)
 
 
 def test_rank_transpose_invariance():
@@ -295,7 +296,7 @@ def test_saturation_chart(rows, n):
     assert exact_rank(basis + rows) == dim
     for u in itertools.product(range(-2, 3), repeat=n):
         x = [sum(u[i] * W[i][j] for i in range(n)) for j in range(n)]
-        assert in_row_span(rows, u) == (not any(x[dim:]))
+        assert any(residues(rows, [u])[0]) == any(x[dim:])
         if not any(x[dim:]):
             assert list(u) == [sum(x[i] * basis[i][j] for i in range(dim))
                                for j in range(n)]

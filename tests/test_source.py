@@ -1,7 +1,8 @@
 """The package source keeps no dead private helpers and no unused imports:
 every module-level name that starts with an underscore is used somewhere in
-src/mindeg besides its own definition, and every name a module imports is
-used in that module. Read with ast alone, without importing the package."""
+src/mindeg besides its own definition, every name a module imports is used
+in that module, and the package exports exactly what __init__.py imports.
+Read with ast alone, without importing the package."""
 
 import ast
 from pathlib import Path
@@ -84,3 +85,14 @@ def test_every_imported_name_is_used():
                    for name, line in _imported_names(tree)
                    if name not in loaded]
     assert unused == []
+
+
+def test_all_is_what_init_imports():
+    # a name deleted from a module cannot linger in __all__, nor an import
+    # stay unexported
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {name for name, _ in _imported_names(tree)}
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["__all__"]]
+    assert set(exported) == imported and len(exported) == len(imported)

@@ -337,6 +337,12 @@ def test_representative_pairs_have_unit_columns(name):
     for s, (i, j) in enumerate(m.rep_pairs):
         assert _pair_product(m, i, j) == _unit(m, s)
     assert m.i2_count == len(m.relations)
+    # every relation maps to zero: I_2 lies in the kernel of the columns
+    for terms in m.relations:
+        image = [0] * m.dim_r2
+        for (i, j), c in terms:
+            image = [a + c * b for a, b in zip(image, _pair_product(m, i, j))]
+        assert not any(image), terms
     if m.is_toric:
         # every column is the unit vector of the pair's exponent sum, and
         # the representative is the first pair with that sum

@@ -21,7 +21,7 @@ from mindeg.errors import (
     InconsistentModel,
     NoDeltaFound,
 )
-from mindeg.numerics import nullspace
+from mindeg.numerics import exact_rank, nullspace
 from mindeg.variety import QuadraticForm, epsilon, veronese_model
 from mindeg.witness import (
     _SAMPLE_BLOCK,
@@ -32,7 +32,6 @@ from mindeg.witness import (
     _frac_json,
     _functional_points,
     _line_product,
-    _monomials,
     _partials,
     _primitive,
     _rng,
@@ -71,14 +70,18 @@ def _poly_mul(p, q):
 
 
 def _poly(vec, deg):
-    """The dict form of a coefficient vector over _monomials(deg)."""
+    """The dict form of a coefficient vector over the degree-deg exponent
+    pairs of the model's basis."""
     return {(a, b, deg - a - b): c
-            for (a, b), c in zip(_monomials(deg), vec) if c != 0}
+            for (a, b), c in zip(veronese_model(2, deg).r1_basis, vec)
+            if c != 0}
 
 
 def _vector(poly, deg):
-    """The coefficient vector over _monomials(deg) of a dict form."""
-    return [poly.get((a, b, deg - a - b), 0) for (a, b) in _monomials(deg)]
+    """The coefficient vector over the model's degree-deg basis of a dict
+    form."""
+    return [poly.get((a, b, deg - a - b), 0)
+            for (a, b) in veronese_model(2, deg).r1_basis]
 
 
 SPHERE = {(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1)}
@@ -86,9 +89,12 @@ SPHERE_CUBE = _poly_mul(_poly_mul(SPHERE, SPHERE), SPHERE)
 
 
 def _line_products(d, seed):
-    """choose_hyperplanes with its two line lists multiplied out."""
-    ell, em, pts = choose_hyperplanes(d, seed=seed)
-    return _line_product(ell), _line_product(em), pts
+    """veronese_model(2, d), and choose_hyperplanes on it with its two line
+    lists multiplied out."""
+    model = veronese_model(2, d)
+    ell, em, pts = choose_hyperplanes(model, seed=seed)
+    return (model, _line_product(ell, model.r1_basis),
+            _line_product(em, model.r1_basis), pts)
 
 
 def test_default_selection_frozen():
@@ -101,7 +107,7 @@ def test_default_selection_frozen():
 
 
 def test_choose_hyperplanes_structure():
-    ell, em, pts = choose_hyperplanes(3, seed=11)
+    ell, em, pts = choose_hyperplanes(veronese_model(2, 3), seed=11)
     assert len(ell) == 3 and len(em) == 3
     assert len(pts) == 9 and len(set(pts)) == 9
     # primitive integer triples with positive leading entry
@@ -116,8 +122,8 @@ def test_choose_hyperplanes_structure():
 
 
 def test_choose_hyperplanes_deterministic():
-    a = choose_hyperplanes(3, seed=11)
-    b = choose_hyperplanes(3, seed=11)
+    a = choose_hyperplanes(veronese_model(2, 3), seed=11)
+    b = choose_hyperplanes(veronese_model(2, 3), seed=11)
     assert a == b
 
 
@@ -131,25 +137,16 @@ def test_distinct_primitive_lines_meet_in_a_point(a, b):
     assert _cross(a, b) != (0, 0, 0)
 
 
-@pytest.mark.parametrize("d", range(3, 8))
-def test_veronese_bases_are_the_witness_monomial_order(d):
-    # the witness reads vectors over _monomials(d) and _monomials(2d) as
-    # vectors over the model's bases
-    model = veronese_model(2, d)
-    assert list(model.r1_basis) == _monomials(d)
-    assert list(model.r2_basis) == _monomials(2 * d)
-
-
 def test_choose_hyperplanes_rejects_small_degree():
     with pytest.raises(ValueError):
-        choose_hyperplanes(2, seed=0)
+        choose_hyperplanes(veronese_model(2, 2), seed=0)
 
 
 def test_fit_h0_vanishing_pattern():
-    h1, h2, pts = _line_products(3, 11)
+    model, h1, h2, pts = _line_products(3, 11)
     selected = _default_selection(3, 7)
-    h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
-    exps = _monomials(3)
+    h0 = fit_h0(model, pts, selected, seed=1)
+    exps = model.r1_basis
     for i in range(9):
         val = sum(a * b for a, b in zip(h0, _veronese_image(pts[i], 3, exps)))
         if i in selected:
@@ -159,31 +156,56 @@ def test_fit_h0_vanishing_pattern():
 
 
 def test_fit_h0_selection_errors():
-    h1, h2, pts = _line_products(3, 11)
+    model, _, _, pts = _line_products(3, 11)
     with pytest.raises(DegenerateSpan):
-        fit_h0(pts, [0, 1, 2], seed=1, h_forms=(h1, h2))
-    with pytest.raises(InconsistentModel):
-        fit_h0(pts[:8], list(range(7)), seed=1, h_forms=(h1, h2))
+        fit_h0(model, pts, [0, 1, 2], seed=1)
 
 
 def test_fit_h0_clustered_selection_degenerates():
     # the first twelve grid cells sit on three lines of the first product,
     # whose multiples inflate the vanishing space
-    h1, h2, pts = _line_products(4, 1)
+    model, _, _, pts = _line_products(4, 1)
     with pytest.raises(DegenerateSpan):
-        fit_h0(pts, list(range(12)), seed=1, h_forms=(h1, h2))
+        fit_h0(model, pts, list(range(12)), seed=1)
+
+
+@pytest.mark.parametrize("d,seed", [(d, s) for d in (3, 4, 5) for s in (0, 1)])
+def test_line_products_span_the_vanishing_space(d, seed):
+    # the facts fit_h0 relies on without checking: h1 and h2 vanish at all
+    # d^2 grid points, and h0, h1, h2 are independent
+    drawn = []
+
+    def record(*args, **kwargs):
+        drawn.append(choose_hyperplanes(*args, **kwargs))
+        return drawn[-1]
+
+    def stop(model, hs):
+        raise _Captured(model, hs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mindeg.witness, "choose_hyperplanes", record)
+        mp.setattr(mindeg.witness, "_square_products", stop)
+        with pytest.raises(_Captured) as caught:
+            hilbert_witness(d, seed=seed)
+    model, hs = caught.value.args
+    points = drawn[-1][2]
+    assert len(points) == d * d
+    for p in points:
+        image = _veronese_image(p, d, model.r1_basis)
+        assert [sum(c * v for c, v in zip(h, image)) for h in hs[1:]] == [0, 0]
+    assert exact_rank(hs) == 3
 
 
 def test_build_f_quotient_must_be_one_at_degree_three():
-    h1, h2, pts = _line_products(3, 11)
+    model, h1, h2, pts = _line_products(3, 11)
     selected = _default_selection(3, 7)
-    h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
-    prods = _square_products(veronese_model(2, 3), [h0, h1, h2])
-    f, stats = build_f(pts, selected, prods)
+    h0 = fit_h0(model, pts, selected, seed=1)
+    prods = _square_products(model, [h0, h1, h2])
+    f, stats = build_f(model, pts, selected, prods)
     assert stats == {"nullspace_dim": 7, "products_rank": 6,
                      "quotient_dim": 1}
     with pytest.raises(DegenerateSpan):
-        build_f(pts, selected[:6], prods)
+        build_f(model, pts, selected[:6], prods)
 
 
 def _value_and_partials_reference(point, D, exps2):
@@ -242,7 +264,7 @@ def _double_zero_at_reference(vec, exps2, deg, point):
 def test_partials_satisfy_euler_relation(d):
     # sum_k p_k (partial row k) = 2d (value row) at every point, so the
     # value row adds nothing to build_f's rows
-    exps2 = _monomials(2 * d)
+    exps2 = veronese_model(2, d).r2_basis
     rng = np.random.Generator(np.random.Philox(d))
     points = [tuple(int(c) for c in row)
               for row in rng.integers(-9, 10, size=(8, 3))]
@@ -256,8 +278,8 @@ def test_partials_satisfy_euler_relation(d):
 
 @pytest.mark.parametrize("d,seed", [(3, 1), (4, 1), (5, 0)])
 def test_double_vanishing_rows_match_fraction_reference(d, seed):
-    f_vec, _, sel_pts, _ = _pipeline_delta_input(d, seed)
-    exps2 = _monomials(2 * d)
+    model, f_vec, _, sel_pts, _ = _pipeline_delta_input(d, seed)
+    exps2 = model.r2_basis
     idx = list(range(len(sel_pts)))
     # build_f's rows: the three partials at each selected point
     rows = [row for p in sel_pts for row in _partials(p, 2 * d, exps2)]
@@ -282,16 +304,16 @@ def test_double_vanishing_rows_match_fraction_reference(d, seed):
 def test_build_f_doubly_vanishes_at_the_selected_points(d, seed):
     # the rank check puts the products in span(ns), so f, a residue of a
     # vector of ns modulo them, is killed by every row of build_f's system
-    def stop(points, selected, prods):
-        raise _Captured(points, selected,
-                        build_f(points, selected, prods)[0])
+    def stop(model, points, selected, prods):
+        raise _Captured(model, points, selected,
+                        build_f(model, points, selected, prods)[0])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mindeg.witness, "build_f", stop)
         with pytest.raises(_Captured) as caught:
             hilbert_witness(d, seed=seed)
-    points, selected, f = caught.value.args
-    exps2 = _monomials(2 * d)
+    model, points, selected, f = caught.value.args
+    exps2 = model.r2_basis
     rows = [row for i in selected
             for row in _partials(points[i], 2 * d, exps2)]
     assert any(f)
@@ -299,22 +321,22 @@ def test_build_f_doubly_vanishes_at_the_selected_points(d, seed):
 
 
 def test_delta_search_zero_f_accepts_first_candidate():
-    h1, h2, pts = _line_products(3, 11)
+    model, h1, h2, pts = _line_products(3, 11)
     selected = _default_selection(3, 7)
-    h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
-    zero = [F(0)] * len(_monomials(6))
-    delta, ev = delta_search(zero, [h0, h1, h2], [pts[i] for i in selected],
-                             samples=2000, seed=3)
+    h0 = fit_h0(model, pts, selected, seed=1)
+    zero = [F(0)] * model.dim_r2
+    delta, ev = delta_search(model, zero, [h0, h1, h2],
+                             [pts[i] for i in selected], samples=2000, seed=3)
     assert delta == F(1)
     assert ev["min_value"] >= 0
 
 
 def test_delta_search_planted_negative_shrinks_and_terminates():
-    h1, h2, pts = _line_products(3, 11)
+    model, h1, h2, pts = _line_products(3, 11)
     selected = _default_selection(3, 7)
-    h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
-    planted = [-64 * c for c in veronese_model(2, 3).product(h0, h0)]
-    delta, ev = delta_search(planted, [h0, h1, h2],
+    h0 = fit_h0(model, pts, selected, seed=1)
+    planted = [-64 * c for c in model.product(h0, h0)]
+    delta, ev = delta_search(model, planted, [h0, h1, h2],
                              [pts[i] for i in selected],
                              samples=2000, seed=3)
     assert F(0) < delta <= F(1)
@@ -322,21 +344,21 @@ def test_delta_search_planted_negative_shrinks_and_terminates():
 
 
 def test_delta_search_hopeless_f_raises():
-    h1, h2, pts = _line_products(3, 11)
+    model, h1, h2, pts = _line_products(3, 11)
     selected = _default_selection(3, 7)
-    h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
+    h0 = fit_h0(model, pts, selected, seed=1)
     # -(2^80)(x^2+y^2+z^2)^3: dwarfs the squares even at delta = 2^-60
     hopeless = [-(2 ** 80) * c for c in _vector(SPHERE_CUBE, 6)]
     with pytest.raises(NoDeltaFound):
-        delta_search(hopeless, [h0, h1, h2], [pts[i] for i in selected],
-                     samples=2000, seed=3)
+        delta_search(model, hopeless, [h0, h1, h2],
+                     [pts[i] for i in selected], samples=2000, seed=3)
 
 
 def _sphere_values_reference(f_vec, h_vectors, samples, seed):
     """The per-monomial loop that recomputes every coordinate power, each
     by repeated multiplication."""
     d = next(k for k in range(len(h_vectors[0]))
-             if len(_monomials(k)) == len(h_vectors[0]))
+             if math.comb(k + 2, 2) == len(h_vectors[0]))
     rng = _rng(seed)
     pts = rng.normal(size=(int(samples), 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -363,15 +385,16 @@ def _sphere_values_reference(f_vec, h_vectors, samples, seed):
 
 @pytest.mark.parametrize("d", [3, 4, 6])
 def test_sphere_values_bit_identical_to_loop_reference(d):
+    model = veronese_model(2, d)
     rng = np.random.Generator(np.random.Philox(d))
     f_vec = [F(int(n), int(q)) for n, q in zip(
-        rng.integers(-50, 51, len(_monomials(2 * d))),
-        rng.integers(1, 9, len(_monomials(2 * d))))]
-    h_vectors = [[F(int(c)) for c in rng.integers(-9, 10, len(_monomials(d)))]
+        rng.integers(-50, 51, model.dim_r2), rng.integers(1, 9, model.dim_r2))]
+    h_vectors = [[F(int(c))
+                  for c in rng.integers(-9, 10, len(model.r1_basis))]
                  for _ in range(3)]
     samples = 2 * _SAMPLE_BLOCK + 77
     want = _sphere_values_reference(f_vec, h_vectors, samples, seed=5)
-    got = _SphereSamples(f_vec, h_vectors, samples, seed=5)
+    got = _SphereSamples(model, f_vec, h_vectors, samples, seed=5)
     assert np.array_equal(got.pts, want[0])
     assert np.array_equal(got.f, want[1])
     assert np.array_equal(got.h, want[2])
@@ -434,10 +457,10 @@ class _Captured(Exception):
 
 
 def _pipeline_delta_input(d, seed):
-    """The (f_vec, h_vectors, selected points, seed) that hilbert_witness
-    hands to delta_search; the pipeline stops there."""
-    def capture(f_vec, h_vectors, selected_points, samples, seed):
-        raise _Captured(f_vec, h_vectors, selected_points, seed)
+    """The (model, f_vec, h_vectors, selected points, seed) that
+    hilbert_witness hands to delta_search; the pipeline stops there."""
+    def capture(model, f_vec, h_vectors, selected_points, samples, seed):
+        raise _Captured(model, f_vec, h_vectors, selected_points, seed)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mindeg.witness, "delta_search", capture)
@@ -447,16 +470,16 @@ def _pipeline_delta_input(d, seed):
 
 
 def _toy_inputs(kind):
-    h1, h2, pts = _line_products(3, 11)
+    model, h1, h2, pts = _line_products(3, 11)
     selected = _default_selection(3, 7)
-    h0 = fit_h0(pts, selected, seed=1, h_forms=(h1, h2))
+    h0 = fit_h0(model, pts, selected, seed=1)
     h0_poly = _poly(h0, 3)
     f = {"zero": {},
          "planted": {k: -64 * v for k, v in
                      _poly_mul(h0_poly, h0_poly).items()},
          "hopeless": {k: -(2 ** 80) * v
                       for k, v in SPHERE_CUBE.items()}}[kind]
-    return _vector(f, 6), [h0, h1, h2], [pts[i] for i in selected], 3
+    return model, _vector(f, 6), [h0, h1, h2], [pts[i] for i in selected], 3
 
 
 def _near_tie_inputs():
@@ -469,16 +492,16 @@ def _near_tie_inputs():
     return f_vec, h_vectors, [(1, 2, 3)]
 
 
-def _same_delta_search(f_vec, h_vectors, selected, samples, seed):
+def _same_delta_search(model, f_vec, h_vectors, selected, samples, seed):
     try:
         want = _delta_search_reference(f_vec, h_vectors, selected,
                                        samples=samples, seed=seed)
     except NoDeltaFound:
         with pytest.raises(NoDeltaFound):
-            delta_search(f_vec, h_vectors, selected, samples=samples,
+            delta_search(model, f_vec, h_vectors, selected, samples=samples,
                          seed=seed)
         return
-    delta, evidence = delta_search(f_vec, h_vectors, selected,
+    delta, evidence = delta_search(model, f_vec, h_vectors, selected,
                                    samples=samples, seed=seed)
     assert delta == want[0]
     # dict equality compares every float with ==
@@ -491,16 +514,17 @@ def _same_delta_search(f_vec, h_vectors, selected, samples, seed):
 def test_delta_search_matches_reference(source, samples):
     if "-" in source:
         d, seed = (int(t) for t in source.split("-"))
-        f_vec, h_vectors, selected, s_delta = _pipeline_delta_input(d, seed)
+        inputs = _pipeline_delta_input(d, seed)
     else:
-        f_vec, h_vectors, selected, s_delta = _toy_inputs(source)
-    _same_delta_search(f_vec, h_vectors, selected, samples, s_delta)
+        inputs = _toy_inputs(source)
+    _same_delta_search(*inputs[:4], samples, inputs[4])
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_delta_search_matches_reference_near_tie(seed):
     f_vec, h_vectors, selected = _near_tie_inputs()
-    _same_delta_search(f_vec, h_vectors, selected, 40000, seed)
+    _same_delta_search(veronese_model(2, 3), f_vec, h_vectors, selected,
+                       40000, seed)
 
 
 @pytest.mark.parametrize("samples", [1, 77, 2 * _SAMPLE_BLOCK + 77])
@@ -695,18 +719,21 @@ def test_functional_points_are_the_scan_choice_at_degree_four():
     # _functional_points(4) in combinations order
     model = veronese_model(2, 4)
     for seed in range(40):
-        _, _, pts = choose_hyperplanes(4, seed)
+        _, _, pts = choose_hyperplanes(model, seed)
         assert _functional_scan_reference(model, pts) == \
             _functional_points(4), seed
 
 
 def test_line_product_expansion():
-    prod = _line_product([(1, 0, -1), (0, 1, -1)])
+    def basis(d):
+        return veronese_model(2, d).r1_basis
+
+    prod = _line_product([(1, 0, -1), (0, 1, -1)], basis(2))
     # (x - z)(y - z) = xy - xz - yz + z^2
     assert prod == _vector({(1, 1, 0): 1, (1, 0, 1): -1,
                             (0, 1, 1): -1, (0, 0, 2): 1}, 2)
     assert prod == [1, -1, 0, -1, 1, 0]
-    assert _line_product([(1, 0, -1)]) == [-1, 0, 1]
+    assert _line_product([(1, 0, -1)], basis(1)) == [-1, 0, 1]
     # against the dict expansion, and ints stay ints
     rng = np.random.Generator(np.random.Philox(3))
     for d in (3, 4, 5):
@@ -715,7 +742,7 @@ def test_line_product_expansion():
         want = {(0, 0, 0): 1}
         for a, b, c in lines:
             want = _poly_mul(want, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
-        got = _line_product(lines)
+        got = _line_product(lines, basis(d))
         assert got == _vector(want, d)
         assert all(type(c) is int for c in got)
 
@@ -724,7 +751,7 @@ def test_line_product_expansion():
 def test_product_matches_polynomial_expansion(d):
     model = veronese_model(2, d)
     rng = np.random.Generator(np.random.Philox(d))
-    size = len(_monomials(d))
+    size = len(model.r1_basis)
     for _ in range(5):
         g, h = ([int(c) for c in rng.integers(-9, 10, size)]
                 for _ in range(2))
