@@ -147,6 +147,30 @@ def solve_exact(rows, rhs):
     return x
 
 
+def _fraction_free_solve(rows, k):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the integer
+    matrix [A | B], A its first k columns: (D, out) with D the last pivot,
+    out[:k] = [D I | D X] and out[k:] = [0 | R], or None if A has rank
+    below k. X solves A X = B on the pivot rows, and R = 0 iff the columns
+    of B lie in the column span of A; a square A gives D X = D A^-1 B,
+    D = ±det A. After the step on column c every entry is a minor of order
+    c + 1 of the input (Sylvester's identity), so each division by the
+    previous pivot is exact. Input is not mutated."""
+    rows, prev = list(rows), 1
+    for c in range(k):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        prow = rows[c]
+        p = prow[c]
+        rows = [prow if i == c else
+                [(p * x - row[c] * y) // prev for x, y in zip(row, prow)]
+                for i, row in enumerate(rows)]
+        prev = p
+    return prev, rows
+
+
 def is_positive_definite(rows, semidefinite=False) -> bool:
     """Exact positive definiteness of a symmetric rational matrix (symmetry
     is assumed, and only the upper triangle is read). Fraction-free LDL^T

@@ -18,9 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentModel
-from .numerics import (_echelon, _frac_from_json, _frac_json, _integer_row,
-                       lattice_index, nullspace, rref, saturation_chart,
-                       solve_exact)
+from .numerics import (_echelon, _frac_from_json, _frac_json,
+                       _fraction_free_solve, _integer_row, lattice_index,
+                       nullspace, saturation_chart, solve_exact)
 
 DENSE = "Dense"
 NOT_DENSE = "NotDense"
@@ -434,44 +434,55 @@ class SparsePolynomial:
 def amgm_witness(Q: LatticePolytope):
     """For a non-2-normal Q: f = sum r_i z^(2 v_i) - (sum r_i) z^u with u the
     lex-smallest point of (2Q) ∩ M that is not a sum of two points of Q ∩ M,
-    and r the cleared denominators of the sparsest exact convex combination
+    and r the cleared denominators of an exact convex combination
     u = sum c_i (2 v_i). Nonnegative on the real torus by weighted AM-GM.
-    Returns None when Q is 2-normal."""
+    Returns None when Q is 2-normal.
+
+    The combination is the sparsest one, and among those the first subset
+    of Q's sorted vertices in lexicographic order: subsets of sizes 2 to
+    dim + 1 are tested in turn, each by one integer elimination in chart
+    coordinates (_convex_weights). The chart is an affine isomorphism, so
+    it keeps affine independence and barycentric coordinates."""
     ok, u = is_k_normal(Q, 2)
     if ok:
         return None
-    doubled = [tuple(2 * c for c in v) for v in Q.vertices]
-    n = Q.ambient_rank
-    m = Q.dim
-    combo = None
+    x = Q._proj(u, 2)
+    doubled = [tuple(2 * c for c in v) for v in Q.proj_vertices]
     # u is not in Q + Q while every 2v is, so no single vertex holds u
-    for size in range(2, m + 2):
+    for size in range(2, Q.dim + 2):
         for subset in itertools.combinations(range(len(doubled)), size):
-            # [points | u] over ones: a pivot in each point column, none in u's
-            rows = [[doubled[j][i] for j in subset] + [u[i]]
-                    for i in range(n)]
-            rows.append([1] * (size + 1))
-            red, pivots = rref(rows)
-            if pivots != list(range(size)):
-                continue  # affinely dependent or u off their affine span
-            sol = [row[-1] for row in red]
-            if any(c < 0 for c in sol):
-                continue
-            combo = (subset, sol)
-            break
-        if combo:
-            break
-    if combo is None:
-        raise ValueError("no convex combination found; u outside 2Q?")
-    subset, sol = combo
-    lcm = math.lcm(*(c.denominator for c in sol))
-    r = [int(c * lcm) for c in sol]
-    terms = {}
-    for i, ri in zip(subset, r):
-        if ri:
-            terms[doubled[i]] = terms.get(doubled[i], Fraction(0)) + ri
-    terms[u] = -Fraction(sum(r))
-    return SparsePolynomial(terms)
+            r = _convex_weights([doubled[j] for j in subset], x)
+            if r is not None:
+                terms = {tuple(2 * c for c in Q.vertices[j]): rj
+                         for j, rj in zip(subset, r)}
+                terms[u] = -sum(r)
+                return SparsePolynomial(terms)
+    raise ValueError("no convex combination found; u outside 2Q?")
+
+
+def _convex_weights(points, x):
+    """Coprime integers r >= 0 with sum(r) x = sum r_j points[j], or None
+    when the points are affinely dependent, x is off their affine span or
+    a barycentric coordinate of x is negative. One fraction-free
+    elimination of [p_j - p_0 | x - p_0] gives D and D times the
+    coordinates of x on p_1, ..., p_k."""
+    p0, k = points[0], len(points) - 1
+    solved = _fraction_free_solve(
+        [[p[i] - p0[i] for p in points[1:]] + [x[i] - p0[i]]
+         for i in range(len(x))], k)
+    if solved is None:
+        return None
+    D, rows = solved
+    if any(row[k] for row in rows[k:]):
+        return None
+    lam = [row[k] for row in rows[:k]]
+    r = [D - sum(lam)] + lam
+    if D < 0:
+        r = [-c for c in r]
+    if any(c < 0 for c in r):
+        return None
+    g = math.gcd(*r)
+    return [c // g for c in r]
 
 
 def sublattice_index(Q: LatticePolytope) -> int:

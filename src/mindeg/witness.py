@@ -48,9 +48,9 @@ from .errors import (
     NoDeltaFound,
     RetryExhausted,
 )
-from .numerics import (_echelon, _frac_from_json, _frac_json, _integer_row,
-                       exact_rank, is_positive_definite, nullspace, residues,
-                       rref, solve_exact)
+from .numerics import (_echelon, _frac_from_json, _frac_json,
+                       _fraction_free_solve, _integer_row, exact_rank,
+                       is_positive_definite, nullspace, residues, solve_exact)
 from .variety import QuadraticForm, epsilon, veronese_model
 
 # sphere samples per block of power tables in _SphereSamples
@@ -254,6 +254,10 @@ def build_f(model, points, selected, prods):
     nullspace/product-span/quotient dimensions). The quotient dimension
     must be at least the quadratic deficiency of the model, and exactly 1
     for d = 3 where f is unique up to scale.
+
+    The products lie in span(ns), which the quotient dimension relies on:
+    h0 vanishes at the selected points and h1, h2 at every grid point, so
+    each h_i h_j vanishes there to order two.
     """
     d, exps2 = _degree(model), model.r2_basis
     # F has a double zero at p iff its partials vanish there: by Euler's
@@ -262,9 +266,6 @@ def build_f(model, points, selected, prods):
             for row in _partials(points[i], 2 * d, exps2)]
     ns = nullspace(rows, ncols=model.dim_r2)
     rp = exact_rank(prods)
-    if exact_rank(prods + ns) != len(ns):
-        raise InconsistentModel(
-            "a product h_i h_j misses a double zero at a selected point")
     quotient = len(ns) - rp
     if quotient == 0:
         raise EmptyComplement(
@@ -276,8 +277,8 @@ def build_f(model, points, selected, prods):
             % (quotient, eps))
     # quotient > 0: some vector of ns lies outside span(prods)
     f = next(w for w in residues(prods, ns) if any(w))
-    # the products lie in span(ns) by the rank check, so f, a residue of a
-    # vector of ns modulo them, lies in span(ns) too: every row kills it
+    # the products lie in span(ns), so f, a residue of a vector of ns
+    # modulo them, lies in span(ns) too: every row kills it
     return [Fraction(c) for c in _primitive(f)], {
         "nullspace_dim": len(ns), "products_rank": rp,
         "quotient_dim": quotient}
@@ -562,8 +563,10 @@ def _dual_parts(report, model, prods):
     basis (h0, h1, h2, unit vectors u) the moment matrix of l is
     [[alpha I, B], [B^T, C + K P]] with P > 0, positive definite once
     K > bound = tr(P^-1 B^T B) / alpha + |C|_inf tr(P^-1). The bound is
-    computed in Fractions and K = 2^(b + 1), b the least integer with
-    2^b >= bound."""
+    computed over integers and K = 2^(b + 1), b the least integer with
+    2^b >= bound: with l2 = L / den, L integer, den B and den C are
+    integer, and one fraction-free elimination of [P | den B^T | I] gives
+    D P^-1 den B^T and D P^-1, so only the bound itself is a Fraction."""
     d = report.d
     nvars = model.n + 1
     hs = report.h_vectors
@@ -575,23 +578,28 @@ def _dual_parts(report, model, prods):
     images = [_veronese_image(report.points[i], 2 * d, model.r2_basis)
               for i in report.selected]
     l1 = [sum(col) for col in zip(*images)]
-    M2 = _moment_matrix(model, l2)
+    den = math.lcm(*(c.denominator for c in l2))
+    M2 = _moment_matrix(model, [c.numerator * (den // c.denominator)
+                                for c in l2])
     M1 = _moment_matrix(model, l1)
     pivots = set(_echelon(hs)[1])
     free = [k for k in range(nvars) if k not in pivots]
-    B = [[sum(M2[k][i] * h[i] for i in range(nvars)) for k in free]
-         for h in hs]
     n = len(free)
-    aug = [[M1[k][l] for l in free] + [int(r == c) for c in range(n)]
+    # row r: [P | den B^T | I] at free[r]
+    aug = [[M1[k][l] for l in free]
+           + [sum(M2[k][i] * h[i] for i in range(nvars)) for h in hs]
+           + [int(r == c) for c in range(n)]
            for r, k in enumerate(free)]
-    red, pivs = rref(aug)
-    if pivs != list(range(n)):
+    solved = _fraction_free_solve(aug, n)
+    if solved is None:
         raise InconsistentModel("point moments are singular off the h_i")
-    P_inv = [row[n:] for row in red]
-    c_norm = max(sum(abs(M2[k][l]) for l in free) for k in free)
-    bound = (sum(row[r] * P_inv[r][c] * row[c]
-                 for row in B for r in range(n) for c in range(n)) / alpha
-             + c_norm * sum(P_inv[r][r] for r in range(n)))
+    D, red = solved
+    # den^2 D tr(P^-1 B^T B), D tr(P^-1) and den |C|_inf
+    s1 = sum(a[c] * b[c] for a, b in zip(aug, red) for c in range(n, n + 3))
+    s2 = sum(red[r][n + 3 + r] for r in range(n))
+    cn = max(sum(abs(M2[k][l]) for l in free) for k in free)
+    bound = Fraction(s1 * alpha.denominator + cn * s2 * den * alpha.numerator,
+                     den * den * D * alpha.numerator)
     # the least b with 2^b >= bound is top or top + 1
     top = bound.numerator.bit_length() - bound.denominator.bit_length()
     if Fraction(2) ** top < bound:

@@ -674,6 +674,62 @@ def test_amgm_reeve_exact():
         assert _evaluate(f, z) >= 0
 
 
+def _amgm_reference(Q):
+    """amgm_witness as it once was: for each subset of the doubled sorted
+    vertices, sizes 2 to dim + 1 in lexicographic order, one Fraction rref
+    of [2 v_j | u] over a row of ones in ambient coordinates; the first
+    subset with a pivot in each point column, none in u's, and nonnegative
+    coordinates gives the combination."""
+    ok, u = is_k_normal(Q, 2)
+    if ok:
+        return None
+    doubled = [tuple(2 * c for c in v) for v in Q.vertices]
+    n = Q.ambient_rank
+    for size in range(2, Q.dim + 2):
+        for subset in itertools.combinations(range(len(doubled)), size):
+            rows = [[doubled[j][i] for j in subset] + [u[i]]
+                    for i in range(n)]
+            rows.append([1] * (size + 1))
+            red, pivots = rref(rows)
+            if pivots != list(range(size)):
+                continue
+            sol = [row[-1] for row in red]
+            if any(c < 0 for c in sol):
+                continue
+            lcm = math.lcm(*(c.denominator for c in sol))
+            terms = {doubled[j]: c * lcm for j, c in zip(subset, sol) if c}
+            terms[u] = -sum(terms.values())
+            return SparsePolynomial(terms)
+    raise AssertionError("no convex combination")
+
+
+@st.composite
+def _amgm_input(draw):
+    """A polytope of dimension at most m, m in 3..5 (every lattice polygon
+    is normal), pushed into Z^n, n <= m + 2 (`_push`), and translated by 0
+    or 10^30, so that the ambient coordinates leave int64."""
+    m = draw(st.integers(3, 5))
+    hi = 4 if m == 3 else 2
+    pts = draw(st.lists(st.tuples(*[st.integers(0, hi)] * m),
+                        min_size=m + 1, max_size=m + 4))
+    Q = _push(draw, m, pts)
+    t = draw(st.sampled_from([0, 10 ** 30]))
+    return LatticePolytope(Q.ambient_rank,
+                           [tuple(c + t for c in v) for v in Q.vertices])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_amgm_input())
+@example(reeve_simplex(5))
+@example(LatticePolytope(4, [(-8, 3, -9, 11), (-3, 3, -3, 1), (-2, 0, 3, 1),
+                             (0, 0, 0, 0)]))
+def test_amgm_matches_the_ambient_rref_reference(Q):
+    # the integer search in chart coordinates returns the reference's
+    # witness: the same subset and the same weights
+    assume(not is_k_normal(Q, 2)[0])
+    assert amgm_witness(Q).to_json() == _amgm_reference(Q).to_json()
+
+
 def _assert_model_map(Q, mp):
     """model_map, applied in Q's ambient coordinates, sends the family
     polytope's vertices and lattice points exactly onto Q's."""

@@ -302,20 +302,23 @@ def test_double_vanishing_rows_match_fraction_reference(d, seed):
 
 @pytest.mark.parametrize("d,seed", [(d, s) for d in (3, 4, 5) for s in (0, 1)])
 def test_build_f_doubly_vanishes_at_the_selected_points(d, seed):
-    # the rank check puts the products in span(ns), so f, a residue of a
-    # vector of ns modulo them, is killed by every row of build_f's system
+    # each h_i h_j vanishes doubly at the selected points, so the products
+    # lie in span(ns) and f, a residue of a vector of ns modulo them, is
+    # killed by every row of build_f's system
     def stop(model, points, selected, prods):
-        raise _Captured(model, points, selected,
+        raise _Captured(model, points, selected, prods,
                         build_f(model, points, selected, prods)[0])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mindeg.witness, "build_f", stop)
         with pytest.raises(_Captured) as caught:
             hilbert_witness(d, seed=seed)
-    model, points, selected, f = caught.value.args
+    model, points, selected, prods, f = caught.value.args
     exps2 = model.r2_basis
     rows = [row for i in selected
             for row in _partials(points[i], 2 * d, exps2)]
+    assert all(sum(c * v for c, v in zip(p, row)) == 0
+               for p in prods for row in rows)
     assert any(f)
     assert all(sum(c * v for c, v in zip(f, row)) == 0 for row in rows)
 
