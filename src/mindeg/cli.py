@@ -34,8 +34,9 @@ from .variety import (
 from .witness import hilbert_witness
 
 
-# largest --samples that witness accepts: the sample search holds about
-# 100 bytes per sample, so the ceiling keeps a run near 1 GB
+# largest --samples that witness accepts: the sample search keeps 17
+# bytes per sample and one block of them, so the ceiling keeps a run near
+# 200 MB
 MAX_SAMPLES = 10 ** 7
 
 

@@ -26,6 +26,7 @@ from the model's own pairs and columns.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,8 +54,9 @@ from .numerics import (_echelon, _frac_from_json, _frac_json,
                        is_positive_definite, nullspace, residues, solve_exact)
 from .variety import QuadraticForm, epsilon, veronese_model
 
-# sphere samples per block of power tables in _SphereSamples
-_SAMPLE_BLOCK = 1 << 14
+# sphere samples per block in _SphereSamples: one block's points, power
+# tables and scratch arrays live at a time, beside 17 bytes per sample
+_SAMPLE_BLOCK = 1 << 13
 # pipeline attempts, each with seeds derived from the caller's
 _MAX_RETRIES = 8
 # random draws of a line configuration, and of h0 from its vanishing space
@@ -97,8 +99,7 @@ def _cross(u, v):
 
 
 def _powers(c, top):
-    """[1, c, c c, ..] up to c^top, by repeated multiplication: exact ints
-    for an int c, elementwise for a float array."""
+    """[1, c, c c, ..] up to c^top, by repeated multiplication."""
     out = [1]
     for _ in range(top):
         out.append(out[-1] * c)
@@ -291,62 +292,94 @@ def _float_terms(vec, exps, deg):
             for (a, b), c in zip(exps, vec) if c != 0]
 
 
-def _eval_many(poly_items, powers):
-    """Float values of a sparse ternary polynomial at sample arrays, given
-    their power tables: powers[i][k] is coordinate i to the k-th power."""
-    PX, PY, PZ = powers
-    # PX[0] is the int 1; PX[1] is the sample array
-    total = np.zeros_like(PX[1])
-    for (a, b, e), c in poly_items:
-        total += c * PX[a] * PY[b] * PZ[e]
-    return total
+def _blocks(n):
+    """Consecutive slices of at most _SAMPLE_BLOCK samples covering
+    range(n)."""
+    return [slice(s, min(s + _SAMPLE_BLOCK, n))
+            for s in range(0, n, _SAMPLE_BLOCK)]
+
+
+def _powers_into(c, out):
+    """[1, c, c c, ..] as _powers builds it for a float array, with c^k
+    written into out[k - 1], one row of out per power."""
+    out[0] = c
+    for k in range(1, len(out)):
+        np.multiply(out[k - 1], c, out=out[k])
+    return [1, *out]
+
+
+def _eval_into(total, term, poly_items, powers):
+    """Float values of a sparse ternary polynomial on one block, written
+    into total, given its power tables: powers[i][k] is coordinate i to the
+    k-th power. term is scratch of the same length; each term is
+    c * X^a * Y^b * Z^e, multiplied left to right."""
+    total.fill(0.0)
+    for exps, c in poly_items:
+        # a zeroth power is the int 1: leaving it out changes no bit
+        first, *rest = [P[k] for P, k in zip(powers, exps) if k]
+        np.multiply(c, first, out=term)
+        for factor in rest:
+            term *= factor
+        total += term
 
 
 class _SphereSamples:
-    """Seeded unit-sphere samples with the float values of f and of
-    h = sum h_i^2: coordinate powers by repeated multiplication, then
-    sum c X^a Y^b Z^e term by term in monomial order. Every operation is
-    elementwise, so a sample's value does not depend on the samples that
-    share its block. The pass runs in blocks of _SAMPLE_BLOCK samples, so
-    the power tables stay small."""
+    """Seeded unit-sphere samples, streamed one block of _SAMPLE_BLOCK at a
+    time: each block is drawn, normalized, evaluated and masked, and only
+    the float values of f and of h = sum h_i^2 and the mask keep of the
+    samples outside _EXCLUSION_RADIUS of every +-center outlive it, 17
+    bytes per sample. Values come from coordinate powers by repeated
+    multiplication, then sum c X^a Y^b Z^e term by term in monomial order,
+    in place in the block's buffers. Consecutive draws from one Generator
+    equal one large draw, and every float operation acts on one sample, so
+    no value depends on the block size."""
 
-    def __init__(self, model, f_vec, h_vectors, samples, seed):
+    def __init__(self, model, f_vec, h_vectors, samples, seed, centers=()):
         d = _degree(model)
         if any(len(h) != len(model.r1_basis) for h in h_vectors) \
                 or len(f_vec) != model.dim_r2:
             raise InconsistentModel("h and f lengths do not match the "
                                     "model's bases")
         rng = _rng(seed)
-        pts = rng.normal(size=(int(samples), 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        self.pts = pts
-        self._top = 2 * d
-        self._f_items = _float_terms(f_vec, model.r2_basis, 2 * d)
-        self._h_items = [_float_terms(h, model.r1_basis, d)
-                         for h in h_vectors]
-        n = len(pts)
+        f_items = _float_terms(f_vec, model.r2_basis, 2 * d)
+        h_items = [_float_terms(h, model.r1_basis, d) for h in h_vectors]
+        n = int(samples)
         self.f = np.empty(n)
         self.h = np.empty(n)
-        for s in range(0, n, _SAMPLE_BLOCK):
-            block = slice(s, s + _SAMPLE_BLOCK)
-            self.f[block], self.h[block] = self._values(pts[block])
-
-    def _values(self, rows):
-        """(f, h) on the rows of one block; its power tables are freed
-        when it returns, before the next block builds its own."""
-        powers = [_powers(rows[:, i], self._top) for i in range(3)]
-        f = _eval_many(self._f_items, powers)
-        h = np.zeros(len(rows))
-        for items in self._h_items:
-            h += _eval_many(items, powers) ** 2
-        return f, h
+        self.keep = np.empty(n, dtype=bool)
+        # one block's buffers, reused by every block
+        width = min(n, _SAMPLE_BLOCK)
+        tables = np.empty((3, 2 * d, width))
+        term_buf, hi_buf = np.empty(width), np.empty(width)
+        for block in _blocks(n):
+            m = block.stop - block.start
+            term, hi = term_buf[:m], hi_buf[:m]
+            rows = rng.normal(size=(m, 3))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            powers = [_powers_into(rows[:, i], tables[i, :, :m])
+                      for i in range(3)]
+            _eval_into(self.f[block], term, f_items, powers)
+            h = self.h[block]
+            h.fill(0.0)
+            for items in h_items:
+                _eval_into(hi, term, items, powers)
+                hi *= hi
+                h += hi
+            self.keep[block] = _outside(rows, centers, _EXCLUSION_RADIUS)
 
     def margin(self, mult):
         """{"min_value", "scale", "margin"}: the min of mult f + h and the
         max of |mult f| + h over all samples, and their ratio (0.0 when
-        the scale is 0)."""
-        wmin = float((mult * self.f + self.h).min())
-        scale = float((np.abs(mult * self.f) + self.h).max())
+        the scale is 0), taken block by block."""
+        mins, maxs = [], []
+        for block in _blocks(len(self.f)):
+            w = mult * self.f[block]
+            a = np.abs(w)
+            w += self.h[block]
+            a += self.h[block]
+            mins.append(w.min())
+            maxs.append(a.max())
+        wmin, scale = float(np.min(mins)), float(np.max(maxs))
         return {"min_value": wmin, "scale": scale,
                 "margin": 0.0 if scale == 0.0 else wmin / scale}
 
@@ -383,22 +416,25 @@ def delta_search(model, f_vec, h_vectors, selected_points, samples=100000,
     Every reported number is a min or max of the per-sample floats of
     _SphereSamples, evaluated once.
     """
-    sphere = _SphereSamples(model, f_vec, h_vectors, samples, seed)
-    keep = _outside(sphere.pts, selected_points, _EXCLUSION_RADIUS)
+    sphere = _SphereSamples(model, f_vec, h_vectors, samples, seed,
+                            centers=selected_points)
+    keep = sphere.keep
     if not keep.any():
         keep[:] = True
-    sup_f = float(np.abs(sphere.f[keep]).max())
+    # sup |f| is max(max f, -min f); masked reductions copy nothing
+    sup_f = float(max(np.max(sphere.f, where=keep, initial=-np.inf),
+                      -np.min(sphere.f, where=keep, initial=np.inf)))
     if sup_f == 0.0:
         estimate = 1.0
     else:
-        estimate = float(sphere.h[keep].min()) / sup_f
+        estimate = float(np.min(sphere.h, where=keep, initial=np.inf)) / sup_f
     k0 = 10 if estimate <= 0 else min(10, math.floor(math.log2(estimate)))
     for k in range(k0, -61, -1):
         evidence = sphere.margin(math.ldexp(1.0, k))
         if evidence["scale"] == 0.0 \
                 or evidence["min_value"] >= -1e-9 * evidence["scale"]:
             evidence.update(samples=int(samples),
-                            excluded=int((~keep).sum()),
+                            excluded=len(keep) - int(np.count_nonzero(keep)),
                             delta_estimate=estimate)
             return Fraction(2) ** k, evidence
     raise NoDeltaFound("halving reached 2^-60 without a nonnegative sample")
@@ -550,44 +586,47 @@ def certify_not_sos(report: WitnessReport) -> bool:
         return False
 
 
-def _dual_parts(report, model, prods):
-    """(l2, l1, K): values on the degree-2d monomials of two functionals
-    and a power of two K such that l = l2 + K l1 certifies that the witness
-    is not a sum of squares (one step of facial reduction).
+def _point_sum(model, points):
+    """Values on model.r2_basis of the sum of the evaluations at the
+    integer points: integers."""
+    d = _degree(model)
+    images = [_veronese_image(p, 2 * d, model.r2_basis) for p in points]
+    return [sum(col) for col in zip(*images)]
 
-    prods are the h_i h_j as _square_products gives them. l1 sums the
-    evaluations at the selected points: integer valued, zero on f and on
-    every h_i h_j, with a PSD moment matrix whose kernel is
-    span{h0, h1, h2}. l2 solves l2(h_i h_j) = alpha [i = j], l2(f) = -1
-    with alpha = delta / 4, so l(witness) = -delta / 4 for every K. In the
-    basis (h0, h1, h2, unit vectors u) the moment matrix of l is
-    [[alpha I, B], [B^T, C + K P]] with P > 0, positive definite once
-    K > bound = tr(P^-1 B^T B) / alpha + |C|_inf tr(P^-1). The bound is
-    computed over integers and K = 2^(b + 1), b the least integer with
-    2^b >= bound: with l2 = L / den, L integer, den B and den C are
-    integer, and one fraction-free elimination of [P | den B^T | I] gives
-    D P^-1 den B^T and D P^-1, so only the bound itself is a Fraction."""
-    d = report.d
+
+def _numerators(values):
+    """(L, den): rational values (ints or Fractions) = L / den, L integer,
+    den their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _shift_bound(model, hs, l1, L, den, alpha):
+    """(P, bound) for l = l2 + K l1, where l2 = L / den with L integer,
+    the h_i are integer and l1 kills them, and l2(h_i h_j) = alpha [i = j].
+    In the basis (h0, h1, h2, unit vectors u off the pivot columns of the
+    h_i) the moment matrix of l is [[alpha I, B], [B^T, C + K P]], P the
+    moment matrix of l1 on the u. It is positive definite once P > 0 and
+    K > bound = tr(P^-1 B^T B) / alpha + |C|_inf tr(P^-1): the Schur
+    complement C + K P - B^T B / alpha is then positive definite, since
+    P^-1/2 B^T B P^-1/2 has norm at most its trace and P^-1/2 C P^-1/2 at
+    most |C|_inf tr(P^-1).
+
+    den B and den C are integer, and one fraction-free elimination of
+    [P | den B^T | I] gives D P^-1 den B^T and D P^-1, so only the bound
+    itself is a Fraction. Raises InconsistentModel when the h_i are
+    dependent or P is singular."""
     nvars = model.n + 1
-    hs = report.h_vectors
-    alpha = report.delta / 4
-    targets = [alpha if i == j else 0 for i in range(3) for j in range(i, 3)]
-    l2 = solve_exact(prods + [report.f.coefficients], targets + [-1])
-    if l2 is None:
-        raise InconsistentModel("f lies in the span of the h_i h_j")
-    images = [_veronese_image(report.points[i], 2 * d, model.r2_basis)
-              for i in report.selected]
-    l1 = [sum(col) for col in zip(*images)]
-    den = math.lcm(*(c.denominator for c in l2))
-    M2 = _moment_matrix(model, [c.numerator * (den // c.denominator)
-                                for c in l2])
+    M2 = _moment_matrix(model, L)
     M1 = _moment_matrix(model, l1)
     pivots = set(_echelon(hs)[1])
+    if len(pivots) != 3:
+        raise InconsistentModel("the h_i are linearly dependent")
     free = [k for k in range(nvars) if k not in pivots]
     n = len(free)
+    P = [[M1[k][l] for l in free] for k in free]
     # row r: [P | den B^T | I] at free[r]
-    aug = [[M1[k][l] for l in free]
-           + [sum(M2[k][i] * h[i] for i in range(nvars)) for h in hs]
+    aug = [P[r] + [sum(M2[k][i] * h[i] for i in range(nvars)) for h in hs]
            + [int(r == c) for c in range(n)]
            for r, k in enumerate(free)]
     solved = _fraction_free_solve(aug, n)
@@ -598,8 +637,32 @@ def _dual_parts(report, model, prods):
     s1 = sum(a[c] * b[c] for a, b in zip(aug, red) for c in range(n, n + 3))
     s2 = sum(red[r][n + 3 + r] for r in range(n))
     cn = max(sum(abs(M2[k][l]) for l in free) for k in free)
-    bound = Fraction(s1 * alpha.denominator + cn * s2 * den * alpha.numerator,
-                     den * den * D * alpha.numerator)
+    return P, Fraction(
+        s1 * alpha.denominator + cn * s2 * den * alpha.numerator,
+        den * den * D * alpha.numerator)
+
+
+def _dual_parts(report, model, prods):
+    """(l2, l1, K): values on the degree-2d monomials of two functionals
+    and a power of two K such that l = l2 + K l1 certifies that the witness
+    is not a sum of squares (one step of facial reduction).
+
+    prods are the h_i h_j as _square_products gives them. l1 sums the
+    evaluations at the selected points: integer valued, zero on f and on
+    every h_i h_j, with a PSD moment matrix whose kernel is
+    span{h0, h1, h2}. l2 solves l2(h_i h_j) = alpha [i = j], l2(f) = -1
+    with alpha = delta / 4, so l(witness) = -delta / 4 for every K.
+    K = 2^(b + 1), b the least integer with 2^b >= _shift_bound's bound, so
+    the moment matrix of l is positive definite and K / 4 lies below the
+    bound."""
+    alpha = report.delta / 4
+    targets = [alpha if i == j else 0 for i in range(3) for j in range(i, 3)]
+    l2 = solve_exact(prods + [report.f.coefficients], targets + [-1])
+    if l2 is None:
+        raise InconsistentModel("f lies in the span of the h_i h_j")
+    l1 = _point_sum(model, [report.points[i] for i in report.selected])
+    _, bound = _shift_bound(model, report.h_vectors, l1, *_numerators(l2),
+                            alpha)
     # the least b with 2^b >= bound is top or top + 1
     top = bound.numerator.bit_length() - bound.denominator.bit_length()
     if Fraction(2) ** top < bound:
@@ -608,23 +671,35 @@ def _dual_parts(report, model, prods):
 
 
 def _attach_dual(model, report, prods):
-    """report.sos: the exact Infeasible verdict with its functional. No
-    fallback: a report that fails certify_dual is a model error."""
+    """report.sos: the exact Infeasible verdict with its functional and K.
+    No fallback: a report that fails certify_dual is a model error."""
     l2, l1, K = _dual_parts(report, model, prods)
     fn = DualFunctional(model, [a + K * b for a, b in zip(l2, l1)])
     report.sos = {"status": "Infeasible",
                   "separation": _frac_json(fn.apply(report.witness)),
-                  "functional": fn.to_json()}
+                  "functional": fn.to_json(),
+                  "K": _frac_json(K)}
     if not certify_dual(report):
         raise InconsistentModel("dual certificate failed the exact check")
 
 
 def certify_dual(report: WitnessReport) -> bool:
-    """Exact re-verification of report.sos from the JSON fields alone: the
-    functional, rebuilt on veronese_model(2, d), has a positive definite
-    moment matrix and a negative value on the witness, so the witness is
-    not a sum of squares. Returns False instead of raising on a malformed
-    or tampered report."""
+    """Exact re-verification of report.sos from the report's fields alone.
+    The functional l, rebuilt on veronese_model(2, d), and K = sos["K"]
+    must satisfy five facts:
+
+    1. l1, the sum of the evaluations at the selected points, kills each
+       h_i: every h_i vanishes at every selected point.
+    2. l2 = l - K l1 has l2(h_i h_j) = alpha [i = j] with alpha > 0.
+    3. P, the moment matrix of l1 off the pivot columns of the h_i, is
+       positive definite (Bareiss on small integers).
+    4. K exceeds _shift_bound's bound.
+    5. l(witness) < 0.
+
+    By 1 to 4 the moment matrix of l is positive definite (_shift_bound),
+    so by 5 the witness is not a sum of squares. The h_i and the points
+    must be integer. Returns False instead of raising on a malformed or
+    tampered report."""
     try:
         model = veronese_model(2, report.d)
         blob = report.sos["functional"]
@@ -632,9 +707,34 @@ def certify_dual(report: WitnessReport) -> bool:
             return False
         fn = DualFunctional(model, [_frac_from_json(v)
                                     for v in blob["values"]])
+        K = _frac_from_json(report.sos["K"])
         witness = QuadraticForm(model, list(report.witness.coefficients))
-        return (fn.apply(witness) < 0
-                and is_positive_definite(fn.moment_matrix()))
+        if fn.apply(witness) >= 0:
+            return False
+        exps = model.r1_basis
+        hs = [_numerators(h) for h in report.h_vectors]
+        if len(hs) != 3 or any(den != 1 or len(h) != len(exps)
+                               for h, den in hs):
+            return False
+        hs = [h for h, _ in hs]
+        points = [[operator.index(c) for c in report.points[i]]
+                  for i in report.selected]
+        for p in points:
+            image = _veronese_image(p, report.d, exps)
+            if any(sum(a * b for a, b in zip(h, image)) for h in hs):
+                return False
+        l1 = _point_sum(model, points)
+        # l2 = l - K l1 = L / den
+        (*L, kden), den = _numerators(fn.values + [K])
+        L = [a - kden * b for a, b in zip(L, l1)]
+        # den l2(h_i h_j), i <= j: the diagonal sits at 0, 3 and 5
+        gram = [sum(a * b for a, b in zip(L, p))
+                for p in _square_products(model, hs)]
+        g = gram[0]
+        if g <= 0 or gram != [g, 0, 0, g, 0, g]:
+            return False
+        P, bound = _shift_bound(model, hs, l1, L, den, Fraction(g, den))
+        return is_positive_definite(P) and K > bound
     except (MindegError, AttributeError, ValueError, IndexError, KeyError,
             TypeError, ZeroDivisionError):
         return False

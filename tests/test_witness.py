@@ -27,11 +27,13 @@ from mindeg.witness import (
     _SAMPLE_BLOCK,
     _cross,
     _default_selection,
+    _EXCLUSION_RADIUS,
     _dual_parts,
     _frac_from_json,
     _frac_json,
     _functional_points,
     _line_product,
+    _outside,
     _partials,
     _primitive,
     _rng,
@@ -397,8 +399,12 @@ def test_sphere_values_bit_identical_to_loop_reference(d):
                  for _ in range(3)]
     samples = 2 * _SAMPLE_BLOCK + 77
     want = _sphere_values_reference(f_vec, h_vectors, samples, seed=5)
-    got = _SphereSamples(model, f_vec, h_vectors, samples, seed=5)
-    assert np.array_equal(got.pts, want[0])
+    centers = [(1, 0, 0), (2, -3, 5), (0, 1, 1)]
+    got = _SphereSamples(model, f_vec, h_vectors, samples, seed=5,
+                         centers=centers)
+    keep = _outside(want[0], centers, _EXCLUSION_RADIUS)
+    assert not keep.all()
+    assert np.array_equal(got.keep, keep)
     assert np.array_equal(got.f, want[1])
     assert np.array_equal(got.h, want[2])
 
@@ -807,7 +813,7 @@ def test_dual_certificate_exact(d, seed):
     blob = json.loads(json.dumps(
         hilbert_witness(d, seed=seed, samples=SAMPLES).to_json()))
     sos = blob["sos"]
-    assert set(sos) == {"status", "separation", "functional"}
+    assert set(sos) == {"status", "separation", "functional", "K"}
     assert sos["status"] == "Infeasible"
     assert sos["functional"]["model"] == "veronese(%d,%d)" % (2, d)
     model = veronese_model(2, d)
@@ -841,7 +847,7 @@ def test_certify_dual_rejects_tampered_reports(report):
     vals[0] = dict(vals[0], num=str(-int(vals[0]["num"])))
     assert certify_dual(with_values(vals)) is False
     prods = _square_products(model, report.h_vectors)
-    l2, _, K = _dual_parts(report, model, prods)
+    l2, l1, K = _dual_parts(report, model, prods)
     assert K > 0
     assert certify_dual(with_values(
         DualFunctional(model, l2).to_json()["values"])) is False
@@ -851,6 +857,24 @@ def test_certify_dual_rejects_tampered_reports(report):
     assert certify_dual(with_values(good["values"][:-1])) is False
     assert certify_dual(replace(report, sos=None)) is False
     assert certify_dual(replace(report, witness=None)) is False
+    # K / 4 lies below the bound, though l2 + (K / 4) l1 is built as before
+    quarter = [a + K / 4 * b for a, b in zip(l2, l1)]
+    assert certify_dual(replace(report, sos=dict(
+        report.sos, K=_frac_json(K / 4),
+        functional=DualFunctional(model, quarter).to_json()))) is False
+    assert certify_dual(replace(report, sos={
+        k: v for k, v in report.sos.items() if k != "K"})) is False
+    # h0 is nonzero at every unselected point
+    moved = list(report.selected)
+    moved[0] = next(i for i in range(len(report.points))
+                    if i not in report.selected)
+    assert certify_dual(replace(report, selected=moved)) is False
+    # h1 + x^3 no longer vanishes at a selected point
+    assert any(report.points[i][0] for i in report.selected)
+    h1 = list(report.h_vectors[1])
+    h1[model.r1_basis.index((3, 0))] += 1
+    assert certify_dual(replace(report, h_vectors=[
+        report.h_vectors[0], h1, report.h_vectors[2]])) is False
 
 
 def test_pipeline_rejects_a_dual_that_fails_certify_dual(monkeypatch):
