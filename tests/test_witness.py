@@ -517,7 +517,7 @@ def _same_delta_search(model, f_vec, h_vectors, selected, samples, seed):
     assert evidence == want[1]
 
 
-@pytest.mark.parametrize("samples", [1, 77, 2 * _SAMPLE_BLOCK + 77])
+@pytest.mark.parametrize("samples", [1, 77, 4 * _SAMPLE_BLOCK + 77])
 @pytest.mark.parametrize("source", ["3-1", "3-7", "3-11", "4-1", "zero",
                                     "planted", "hopeless"])
 def test_delta_search_matches_reference(source, samples):
@@ -536,7 +536,7 @@ def test_delta_search_matches_reference_near_tie(seed):
                        40000, seed)
 
 
-@pytest.mark.parametrize("samples", [1, 77, 2 * _SAMPLE_BLOCK + 77])
+@pytest.mark.parametrize("samples", [1, 77, 4 * _SAMPLE_BLOCK + 77])
 def test_sample_nonnegativity_matches_reference(report, samples):
     for delta in (report.delta, report.delta / 2, report.delta * F(3, 7),
                   F(1)):
