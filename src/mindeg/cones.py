@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DegeneratePosition, InconsistentModel
-from .numerics import (_frac_json, _integer_row, exact_rank,
+from .numerics import (_frac_json, _integer_row, _numerators, exact_rank,
                        is_positive_definite, nullspace, solve_exact, to_float)
 from .variety import QuadraticForm, VarietyModel
 
@@ -391,12 +391,18 @@ def separating_functional_real(model: VarietyModel, points):
                 "point does not satisfy the quadric relations")
     lam = _unique_dependency(pts)
     kappa_last = 1 / sum(lam[j] ** 2 for j in range(e + 1))
-    values = []
-    for (i, j) in model.rep_pairs:
-        v = sum(pts[t][i] * pts[t][j] for t in range(e + 1))
-        v -= kappa_last * pts[e + 1][i] * pts[e + 1][j]
-        values.append(v)
-    fn = DualFunctional(model, values)
+    # point t is P_t / den_t with P_t integer; the value on x_i x_j is
+    # sum_t w_t P_t[i] P_t[j] / D over one common denominator D, with
+    # w_t = D / den_t^2, less kappa_last on the last point
+    ints, dens = zip(*map(_numerators, pts))
+    sq = [den * den for den in dens]
+    sq[-1] *= kappa_last.denominator
+    D = math.lcm(*sq)
+    weights = [D // s for s in sq]
+    weights[-1] *= -kappa_last.numerator
+    fn = DualFunctional(model, [
+        Fraction(sum(w * P[i] * P[j] for w, P in zip(weights, ints)), D)
+        for (i, j) in model.rep_pairs])
     info = {"lambdas": lam[:e + 1],
             "kappas": [Fraction(1)] * (e + 1) + [kappa_last], "points": pts}
     return fn, info

@@ -39,6 +39,13 @@ def _integer_row(r):
     return _primitive([v.numerator * (den // v.denominator) for v in vals])
 
 
+def _numerators(values):
+    """(L, den): rational values (ints or Fractions) = L / den, L integer,
+    den their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _eliminate(row, prow, c):
     """row with column c cleared by the pivot row prow, kept primitive."""
     g = math.gcd(prow[c], row[c])
@@ -81,6 +88,41 @@ def _back_substitute(mat, pivots):
             if mat[i][c]:
                 mat[i] = _eliminate(mat[i], mat[k], c)
     return mat
+
+
+def _kernel_vector(mat, pivots, fc, ncols):
+    """The kernel vector of the echelon rows (mat, pivots) that is zero at
+    every free column but the free column fc: the primitive integer
+    multiple, positive at fc, of the reduced-echelon nullspace vector of
+    fc. Back-substitutes that one vector from the last pivot upward, in
+    integers: row k fixes the entry at its pivot from the entries after
+    it, and the vector is rescaled so that entry is an integer. Only the
+    nonzero entries, at fc and at later pivots, are read and rescaled."""
+    v = {fc: 1}
+    for row, c in zip(reversed(mat), reversed(pivots)):
+        s = sum(row[j] * x for j, x in v.items())
+        if not s:
+            continue
+        g = math.gcd(s, row[c])
+        a = row[c] // g
+        if a != 1:
+            v = {j: x * a for j, x in v.items()}
+        v[c] = -s // g
+    g = math.gcd(*v.values()) if v[fc] > 0 else -math.gcd(*v.values())
+    out = [0] * ncols
+    for j, x in v.items():
+        out[j] = x // g
+    return out
+
+
+def _residue(v, mat, pivots):
+    """The integer row v reduced modulo the echelon rows (mat, pivots):
+    primitive, zero at every pivot column, zero exactly when v lies in
+    their span."""
+    for prow, c in zip(mat, pivots):
+        if v[c]:
+            v = _eliminate(v, prow, c)
+    return v
 
 
 def rref(rows):
@@ -210,14 +252,7 @@ def residues(rows, vectors):
     the reduction by the Fraction RREF, the unique such vector in v + span.
     """
     mat, pivots = _echelon(rows)
-    out = []
-    for v in vectors:
-        v = _integer_row(v)
-        for prow, c in zip(mat, pivots):
-            if v[c]:
-                v = _eliminate(v, prow, c)
-        out.append(v)
-    return out
+    return [_residue(_integer_row(v), mat, pivots) for v in vectors]
 
 
 # ---------------------------------------------------------------------------

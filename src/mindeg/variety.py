@@ -272,11 +272,13 @@ def toric_model(Q: LatticePolytope) -> VarietyModel:
 
 
 def veronese_model(n: int, d: int) -> VarietyModel:
+    """The toric model of d times the standard n-simplex, built from its
+    lattice points {e in N^n : |e| <= d} without a polytope."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    model = toric_model(simplex(n, d))
-    model.name = "veronese(%d,%d)" % (n, d)
-    return model
+    exps = [e for e in itertools.product(range(d + 1), repeat=n)
+            if sum(e) <= d]
+    return toric_model_from_points("veronese(%d,%d)" % (n, d), exps, n)
 
 
 def segre_veronese_model(dims, degrees) -> VarietyModel:

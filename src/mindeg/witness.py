@@ -50,13 +50,16 @@ from .errors import (
     RetryExhausted,
 )
 from .numerics import (_echelon, _frac_from_json, _frac_json,
-                       _fraction_free_solve, _integer_row, exact_rank,
+                       _fraction_free_solve, _integer_row, _kernel_vector,
+                       _numerators, _residue, exact_rank,
                        is_positive_definite, nullspace, residues, solve_exact)
 from .variety import QuadraticForm, epsilon, veronese_model
 
 # sphere samples per block in _SphereSamples: one block's points, power
 # tables and scratch arrays live at a time, beside 17 bytes per sample
 _SAMPLE_BLOCK = 1 << 13
+# samples per product against all centers in _outside
+_CENTER_BLOCK = 1 << 11
 # pipeline attempts, each with seeds derived from the caller's
 _MAX_RETRIES = 8
 # random draws of a line configuration, and of h0 from its vanishing space
@@ -256,18 +259,26 @@ def build_f(model, points, selected, prods):
     must be at least the quadratic deficiency of the model, and exactly 1
     for d = 3 where f is unique up to scale.
 
-    The products lie in span(ns), which the quotient dimension relies on:
-    h0 vanishes at the selected points and h1, h2 at every grid point, so
-    each h_i h_j vanishes there to order two.
+    The double-zero rows and the products are each eliminated forward
+    once: their ranks give the dimensions, and f is the first residue
+    modulo the products, over the free columns in order, of the
+    reduced-echelon nullspace vector of that column, each back-substituted
+    alone (_kernel_vector). The vector of a free column is unique, so f is
+    the one read off the whole reduced nullspace.
+
+    The products lie in the nullspace, which the quotient dimension relies
+    on: h0 vanishes at the selected points and h1, h2 at every grid point,
+    so each h_i h_j vanishes there to order two.
     """
-    d, exps2 = _degree(model), model.r2_basis
+    d, exps2, ncols = _degree(model), model.r2_basis, model.dim_r2
     # F has a double zero at p iff its partials vanish there: by Euler's
     # relation sum_k p_k dF/dx_k (p) = 2d F(p), so F(p) = 0 follows
     rows = [row for i in selected
             for row in _partials(points[i], 2 * d, exps2)]
-    ns = nullspace(rows, ncols=model.dim_r2)
-    rp = exact_rank(prods)
-    quotient = len(ns) - rp
+    mat, pivots = _echelon(rows)
+    pmat, ppivots = _echelon(prods)
+    ns_dim, rp = ncols - len(pivots), len(ppivots)
+    quotient = ns_dim - rp
     if quotient == 0:
         raise EmptyComplement(
             "every doubly-vanishing form is a combination of the h_i h_j")
@@ -276,12 +287,18 @@ def build_f(model, points, selected, prods):
         raise DegenerateSpan(
             "quotient dimension %d is degenerate (deficiency %d)"
             % (quotient, eps))
-    # quotient > 0: some vector of ns lies outside span(prods)
-    f = next(w for w in residues(prods, ns) if any(w))
-    # the products lie in span(ns), so f, a residue of a vector of ns
-    # modulo them, lies in span(ns) too: every row kills it
+    # quotient > 0: some nullspace vector lies outside span(prods)
+    pivset = set(pivots)
+    for fc in range(ncols):
+        if fc not in pivset:
+            f = _residue(_kernel_vector(mat, pivots, fc, ncols), pmat,
+                         ppivots)
+            if any(f):
+                break
+    # the products lie in the nullspace, so f, a residue of a nullspace
+    # vector modulo them, lies in it too: every row kills it
     return [Fraction(c) for c in _primitive(f)], {
-        "nullspace_dim": len(ns), "products_rank": rp,
+        "nullspace_dim": ns_dim, "products_rank": rp,
         "quotient_dim": quotient}
 
 
@@ -299,13 +316,12 @@ def _blocks(n):
             for s in range(0, n, _SAMPLE_BLOCK)]
 
 
-def _powers_into(c, out):
-    """[1, c, c c, ..] as _powers builds it for a float array, with c^k
-    written into out[k - 1], one row of out per power."""
-    out[0] = c
-    for k in range(1, len(out)):
-        np.multiply(out[k - 1], c, out=out[k])
-    return [1, *out]
+def _powers_into(table):
+    """[1, c, c c, ..] as _powers builds it for the float array c in
+    table[0], with c^k written into table[k - 1], one row per power."""
+    for k in range(1, len(table)):
+        np.multiply(table[k - 1], table[0], out=table[k])
+    return [1, *table]
 
 
 def _eval_into(total, term, poly_items, powers):
@@ -323,16 +339,32 @@ def _eval_into(total, term, poly_items, powers):
         total += term
 
 
+def _sample_count(samples):
+    """samples as an int; ValueError unless it is an integer >= 1."""
+    try:
+        n = operator.index(samples)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise ValueError("samples must be an integer >= 1, got %r"
+                         % (samples,))
+    return n
+
+
 class _SphereSamples:
     """Seeded unit-sphere samples, streamed one block of _SAMPLE_BLOCK at a
     time: each block is drawn, normalized, evaluated and masked, and only
     the float values of f and of h = sum h_i^2 and the mask keep of the
     samples outside _EXCLUSION_RADIUS of every +-center outlive it, 17
-    bytes per sample. Values come from coordinate powers by repeated
-    multiplication, then sum c X^a Y^b Z^e term by term in monomial order,
-    in place in the block's buffers. Consecutive draws from one Generator
-    equal one large draw, and every float operation acts on one sample, so
-    no value depends on the block size."""
+    bytes per sample.
+
+    A block's draws are normalized by |row| = sqrt((x x + y y) + z z), the
+    sum np.linalg.norm(axis=1) forms, and each coordinate is divided into
+    a contiguous row of its power table. Values come from coordinate
+    powers by repeated multiplication, then sum c X^a Y^b Z^e term by term
+    in monomial order, in place in the block's buffers. Consecutive draws
+    from one Generator equal one large draw, and every float operation
+    acts on one sample, so no value depends on the block size."""
 
     def __init__(self, model, f_vec, h_vectors, samples, seed, centers=()):
         d = _degree(model)
@@ -340,10 +372,11 @@ class _SphereSamples:
                 or len(f_vec) != model.dim_r2:
             raise InconsistentModel("h and f lengths do not match the "
                                     "model's bases")
+        n = _sample_count(samples)
         rng = _rng(seed)
         f_items = _float_terms(f_vec, model.r2_basis, 2 * d)
         h_items = [_float_terms(h, model.r1_basis, d) for h in h_vectors]
-        n = int(samples)
+        units = _unit_rows(centers)
         self.f = np.empty(n)
         self.h = np.empty(n)
         self.keep = np.empty(n, dtype=bool)
@@ -351,13 +384,20 @@ class _SphereSamples:
         width = min(n, _SAMPLE_BLOCK)
         tables = np.empty((3, 2 * d, width))
         term_buf, hi_buf = np.empty(width), np.empty(width)
+        dots = np.empty(len(units) * min(width, _CENTER_BLOCK))
         for block in _blocks(n):
             m = block.stop - block.start
             term, hi = term_buf[:m], hi_buf[:m]
             rows = rng.normal(size=(m, 3))
-            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-            powers = [_powers_into(rows[:, i], tables[i, :, :m])
-                      for i in range(3)]
+            # hi holds |row| until the division
+            np.multiply(rows[:, 0], rows[:, 0], out=hi)
+            for i in (1, 2):
+                np.multiply(rows[:, i], rows[:, i], out=term)
+                hi += term
+            np.sqrt(hi, out=hi)
+            coords = tables[:, 0, :m]
+            np.divide(rows.T, hi, out=coords)
+            powers = [_powers_into(tables[i, :, :m]) for i in range(3)]
             _eval_into(self.f[block], term, f_items, powers)
             h = self.h[block]
             h.fill(0.0)
@@ -365,7 +405,8 @@ class _SphereSamples:
                 _eval_into(hi, term, items, powers)
                 hi *= hi
                 h += hi
-            self.keep[block] = _outside(rows, centers, _EXCLUSION_RADIUS)
+            self.keep[block] = _outside(coords, units, _EXCLUSION_RADIUS,
+                                        dots)
 
     def margin(self, mult):
         """{"min_value", "scale", "margin"}: the min of mult f + h and the
@@ -384,20 +425,46 @@ class _SphereSamples:
                 "margin": 0.0 if scale == 0.0 else wmin / scale}
 
 
-def _outside(pts, centers, radius):
-    """Mask of the samples farther than radius from every +-center. For
-    unit p, q the nearer of p -+ q lies at distance sqrt(2 - 2 |p.q|), so
-    only rows with |p.q| > 1 - radius^2 (less 1e-9 for rounding) can fall
-    within radius; the distance formula runs on those rows alone."""
-    keep = np.ones(len(pts), dtype=bool)
-    for p in centers:
+def _unit_rows(centers):
+    """The centers as float rows, each divided by its np.linalg.norm."""
+    rows = np.empty((len(centers), 3))
+    for row, p in zip(rows, centers):
         q = np.array([float(c) for c in p])
-        q /= np.linalg.norm(q)
-        near = np.flatnonzero(np.abs(pts @ q) > 1.0 - radius ** 2 - 1e-9)
-        rows = pts[near]
+        row[:] = q / np.linalg.norm(q)
+    return rows
+
+
+def _outside(coords, units, radius, dots):
+    """Mask of the samples farther than radius from every +-center, for
+    unit samples given as the rows x, y, z of coords and unit centers as
+    the rows of units. For unit p, q the nearer of p -+ q lies at distance
+    sqrt(2 - 2 |p.q|), so only pairs with |p.q| > 1 - radius^2 (less 1e-9
+    for rounding) can fall within radius. Each _CENTER_BLOCK columns of
+    samples are multiplied against all centers into the scratch dots and
+    the columns with a candidate pair found along the center axis; the
+    distance test np.linalg.norm(p -+ q) then runs once, on the candidate
+    pairs of every column block alone."""
+    m, e = coords.shape[1], len(units)
+    keep = np.ones(m, dtype=bool)
+    bound = 1.0 - radius ** 2 - 1e-9
+    centers, samples = [], []
+    for s in range(0, m if e else 0, _CENTER_BLOCK):
+        w = min(_CENTER_BLOCK, m - s)
+        prod = dots[:e * w].reshape(e, w)
+        np.matmul(units, coords[:, s:s + w], out=prod)
+        np.abs(prod, out=prod)
+        near = prod > bound
+        cols = np.flatnonzero(near.any(axis=0))
+        if cols.size:
+            ci, k = np.nonzero(near[:, cols])
+            centers.append(ci)
+            samples.append(s + cols[k])
+    if centers:
+        idx = np.concatenate(samples)
+        rows, q = coords[:, idx].T, units[np.concatenate(centers)]
         dist = np.minimum(np.linalg.norm(rows - q, axis=1),
                           np.linalg.norm(rows + q, axis=1))
-        keep[near] &= dist > radius
+        keep[idx[dist <= radius]] = False
     return keep
 
 
@@ -414,7 +481,8 @@ def delta_search(model, f_vec, h_vectors, selected_points, samples=100000,
     delta is the tested delta.
 
     Every reported number is a min or max of the per-sample floats of
-    _SphereSamples, evaluated once.
+    _SphereSamples, evaluated once. samples must be an integer >= 1, else
+    ValueError.
     """
     sphere = _SphereSamples(model, f_vec, h_vectors, samples, seed,
                             centers=selected_points)
@@ -433,7 +501,7 @@ def delta_search(model, f_vec, h_vectors, selected_points, samples=100000,
         evidence = sphere.margin(math.ldexp(1.0, k))
         if evidence["scale"] == 0.0 \
                 or evidence["min_value"] >= -1e-9 * evidence["scale"]:
-            evidence.update(samples=int(samples),
+            evidence.update(samples=len(sphere.f),
                             excluded=len(keep) - int(np.count_nonzero(keep)),
                             delta_estimate=estimate)
             return Fraction(2) ** k, evidence
@@ -444,7 +512,8 @@ def sample_nonnegativity(report: "WitnessReport", samples=100000, seed=0):
     """Independent sampling re-check of the witness: relative margin of
     report.delta f + sum h_i^2 over fresh sphere samples. Returns
     {"min_value", "scale", "margin"}, computed as delta_search computes its
-    margin, over the bases of the model of report.f."""
+    margin, over the bases of the model of report.f. samples must be an
+    integer >= 1, else ValueError."""
     return _SphereSamples(report.f.model, report.f.coefficients,
                           report.h_vectors, samples, seed).margin(
                               float(report.delta))
@@ -573,8 +642,8 @@ def certify_not_sos(report: WitnessReport) -> bool:
                 for c, a, b, e in zip(f, prods[0], prods[3], prods[5])]:
             return False
         f = _integer_row(f)
-        rp = exact_rank(prods)
-        if exact_rank(prods + [f]) != rp + 1:
+        # f lies outside span{h_i h_j} iff its residue modulo them is not 0
+        if not any(residues(prods, [f])[0]):
             return False
         for i in report.selected:
             img2 = _veronese_image(report.points[i], 2 * d, exps2)
@@ -592,13 +661,6 @@ def _point_sum(model, points):
     d = _degree(model)
     images = [_veronese_image(p, 2 * d, model.r2_basis) for p in points]
     return [sum(col) for col in zip(*images)]
-
-
-def _numerators(values):
-    """(L, den): rational values (ints or Fractions) = L / den, L integer,
-    den their least common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _shift_bound(model, hs, l1, L, den, alpha):
@@ -787,9 +849,11 @@ def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
     depend on the random draw retry with derived seeds; the final report
     carries the exact non-SOS certificate, sampling evidence for
     nonnegativity, the separating functional with its exact pairing, and
-    the exact Infeasible verdict with its dual functional (certify_dual)."""
+    the exact Infeasible verdict with its dual functional (certify_dual).
+    samples must be an integer >= 1, else ValueError before any stage."""
     if d < 3:
         raise ValueError("need degree at least 3")
+    _sample_count(samples)
     model = veronese_model(2, d)
     e = model.e
     last_err = None

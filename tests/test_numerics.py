@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindeg.kernels import project_psd, symmetric_eigen
-from mindeg.numerics import (_fraction_free_solve, exact_rank,
-                             is_positive_definite, lattice_index, nullspace,
-                             residues, rref, saturation_chart, solve_exact,
-                             to_float)
+from mindeg.numerics import (_echelon, _fraction_free_solve, _integer_row,
+                             _kernel_vector, exact_rank, is_positive_definite,
+                             lattice_index, nullspace, residues, rref,
+                             saturation_chart, solve_exact, to_float)
 
 F = Fraction
 
@@ -154,6 +154,23 @@ def test_rref_matches_fraction_reference(rows):
             unit[free[-1]] = 1
             assert any(residues(rows, [unit])[0])
     assert rows == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+@example([])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 0]])
+@example([[0, 3, 0, 6], [0, 0, 0, 0], [0, 6, 1, 12]])
+def test_kernel_vector_is_the_integer_nullspace_vector(rows):
+    # each free column's vector, back-substituted alone from the forward
+    # rows, is the integer row of nullspace's vector for that column
+    ncols = len(rows[0]) if rows else 3
+    mat, pivots = _echelon(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    got = [_kernel_vector(mat, pivots, fc, ncols) for fc in free]
+    assert got == [_integer_row(v) for v in nullspace(rows, ncols)]
+    assert all(type(x) is int for v in got for x in v)
 
 
 def test_rref_rejects_float():

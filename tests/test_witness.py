@@ -21,12 +21,14 @@ from mindeg.errors import (
     InconsistentModel,
     NoDeltaFound,
 )
-from mindeg.numerics import exact_rank, nullspace
+from mindeg.numerics import exact_rank, nullspace, residues
 from mindeg.variety import QuadraticForm, epsilon, veronese_model
 from mindeg.witness import (
+    _CENTER_BLOCK,
     _SAMPLE_BLOCK,
     _cross,
     _default_selection,
+    _degree,
     _EXCLUSION_RADIUS,
     _dual_parts,
     _frac_from_json,
@@ -39,6 +41,7 @@ from mindeg.witness import (
     _rng,
     _SphereSamples,
     _square_products,
+    _unit_rows,
     _veronese_image,
     build_f,
     certify_dual,
@@ -325,6 +328,41 @@ def test_build_f_doubly_vanishes_at_the_selected_points(d, seed):
     assert all(sum(c * v for c, v in zip(f, row)) == 0 for row in rows)
 
 
+def _build_f_input(d, seed):
+    """The (model, points, selected, prods) that hilbert_witness hands to
+    build_f; the pipeline stops there."""
+    def stop(model, points, selected, prods):
+        raise _Captured(model, points, selected, prods)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mindeg.witness, "build_f", stop)
+        with pytest.raises(_Captured) as caught:
+            hilbert_witness(d, seed=seed)
+    return caught.value.args
+
+
+def _build_f_reference(model, points, selected, prods):
+    """build_f as it read f off the whole reduced nullspace: nullspace of
+    the double-zero rows, exact_rank of the products, and the first
+    nonzero of the residues of every nullspace vector."""
+    d = _degree(model)
+    rows = [row for i in selected
+            for row in _partials(points[i], 2 * d, model.r2_basis)]
+    ns = nullspace(rows, ncols=model.dim_r2)
+    rp = exact_rank(prods)
+    f = next(w for w in residues(prods, ns) if any(w))
+    return [F(c) for c in _primitive(f)], {
+        "nullspace_dim": len(ns), "products_rank": rp,
+        "quotient_dim": len(ns) - rp}
+
+
+@pytest.mark.parametrize("d,seed", [(3, s) for s in range(6)]
+                         + [(4, s) for s in range(4)] + [(5, 0), (5, 2)])
+def test_build_f_matches_the_whole_nullspace_route(d, seed):
+    args = _build_f_input(d, seed)
+    assert build_f(*args) == _build_f_reference(*args)
+
+
 def test_delta_search_zero_f_accepts_first_candidate():
     model, h1, h2, pts = _line_products(3, 11)
     selected = _default_selection(3, 7)
@@ -388,6 +426,68 @@ def _sphere_values_reference(f_vec, h_vectors, samples, seed):
     return pts, f_vals, h_sq
 
 
+def _outside_reference(pts, centers, radius):
+    """The exclusion mask one center at a time, over samples as the rows
+    of pts: the distance test runs on the rows with |p.q| above the
+    prefilter bound."""
+    keep = np.ones(len(pts), dtype=bool)
+    for p in centers:
+        q = np.array([float(c) for c in p])
+        q /= np.linalg.norm(q)
+        near = np.flatnonzero(np.abs(pts @ q) > 1.0 - radius ** 2 - 1e-9)
+        rows = pts[near]
+        dist = np.minimum(np.linalg.norm(rows - q, axis=1),
+                          np.linalg.norm(rows + q, axis=1))
+        keep[near] &= dist > radius
+    return keep
+
+
+def _at_angle(q, cos_t, rng):
+    """A unit point at angle arccos(cos_t) from the unit vector q."""
+    u = np.cross(q, rng.normal(size=3))
+    u /= np.linalg.norm(u)
+    return cos_t * q + math.sqrt(1.0 - cos_t * cos_t) * u
+
+
+def test_outside_matches_the_per_center_reference_on_the_boundaries():
+    # points at chord distance radius (1 +- 1e-12) from +-q, and points
+    # whose |p.q| lies within 1e-15 of the prefilter bound, scattered
+    # through a sample count that is no multiple of the column block
+    rng = np.random.Generator(np.random.Philox(3))
+    centers = [(1, 0, 0), (2, -3, 5), (0, 1, 1), (-4, 1, 7)]
+    units = _unit_rows(centers)
+    r = _EXCLUSION_RADIUS
+    bound = 1.0 - r ** 2 - 1e-9
+    special = []
+    for q in units:
+        for sign in (1.0, -1.0):
+            for chord in (r * (1 - 1e-12), r * (1 + 1e-12)):
+                # chord c from q is the angle with cos = 1 - c^2 / 2
+                special.append(sign * _at_angle(q, 1 - chord * chord / 2,
+                                                rng))
+            for off in (-1e-15, 0.0, 1e-15):
+                special.append(sign * _at_angle(q, bound + off, rng))
+    m = 2 * _CENTER_BLOCK + 37
+    pts = rng.normal(size=(m, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    at = rng.choice(m - 1, size=len(special), replace=False)
+    # an excluded point in the last, partial column block
+    at[-5] = m - 1
+    pts[at] = special
+    # coordinate rows of a wider table, as _SphereSamples passes them
+    table = np.zeros((3, 2, m))
+    table[:, 0] = pts.T
+    got = _outside(table[:, 0], units, r, np.empty(len(units)
+                                                    * _CENTER_BLOCK))
+    want = _outside_reference(pts, centers, r)
+    assert np.array_equal(got, want)
+    # per sign: inside the radius (excluded), just outside it and three
+    # at the bound (kept)
+    assert [bool(got[i]) for i in at] == [k % 5 != 0
+                                          for k in range(len(special))]
+    assert _outside(table[:, 0], units[:0], r, np.empty(0)).all()
+
+
 @pytest.mark.parametrize("d", [3, 4, 6])
 def test_sphere_values_bit_identical_to_loop_reference(d):
     model = veronese_model(2, d)
@@ -402,7 +502,7 @@ def test_sphere_values_bit_identical_to_loop_reference(d):
     centers = [(1, 0, 0), (2, -3, 5), (0, 1, 1)]
     got = _SphereSamples(model, f_vec, h_vectors, samples, seed=5,
                          centers=centers)
-    keep = _outside(want[0], centers, _EXCLUSION_RADIUS)
+    keep = _outside_reference(want[0], centers, _EXCLUSION_RADIUS)
     assert not keep.all()
     assert np.array_equal(got.keep, keep)
     assert np.array_equal(got.f, want[1])
@@ -552,6 +652,24 @@ def test_sample_nonnegativity_matches_reference(report, samples):
                                    samples=samples, seed=seed)
         assert got == _sample_nonnegativity_reference(
             tie, samples=samples, seed=seed, delta=F(1))
+
+
+@pytest.mark.parametrize("samples", [0, -5, 1.5, 2.0, "7", None,
+                                     float("nan")])
+def test_sample_count_must_be_an_integer_of_at_least_one(report, samples):
+    model, f_vec, hs, selected, seed = _toy_inputs("zero")
+    calls = [lambda: delta_search(model, f_vec, hs, selected,
+                                  samples=samples, seed=seed),
+             lambda: sample_nonnegativity(report, samples=samples),
+             lambda: hilbert_witness(3, seed=SEED, samples=samples)]
+    for call in calls:
+        with pytest.raises(ValueError, match="samples"):
+            call()
+
+
+def test_sample_count_takes_numpy_integers(report):
+    assert sample_nonnegativity(report, samples=np.int64(77), seed=1) \
+        == sample_nonnegativity(report, samples=77, seed=1)
 
 
 @pytest.mark.parametrize("d,seed", [(3, s) for s in range(12)]
