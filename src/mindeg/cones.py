@@ -360,8 +360,7 @@ def _unique_dependency(columns):
     lam = ns[0]
     if any(c == 0 for c in lam):
         raise DegeneratePosition("a point drops out of the unique relation")
-    last = lam[-1]
-    return [c / last for c in lam]
+    return [Fraction(c, lam[-1]) for c in lam]
 
 
 def separating_functional_real(model: VarietyModel, points):
@@ -411,9 +410,7 @@ def separating_functional_real(model: VarietyModel, points):
 def interpolant_through_points(points, targets):
     """Exact linear form g in R_1 with g(p_j) = target_j; the system is
     underdetermined in general and any solution serves."""
-    rows = [[Fraction(c) for c in p] for p in points]
-    rhs = [Fraction(t) for t in targets]
-    g = solve_exact(rows, rhs)
+    g = solve_exact(points, targets)
     if g is None:
         raise DegeneratePosition("interpolation conditions are inconsistent")
     return g
@@ -438,7 +435,7 @@ def extremality_check(functional: DualFunctional, kernel=None):
     which is dim R_2 minus the exact rank of the linear conditions
     M(l) k = 0, k in a basis of Ker(M).
 
-    The basis is an exact nullspace of M unless kernel gives one: a list of
+    The basis is the integer nullspace of M unless kernel gives one: a list of
     vectors, checked exactly to lie in Ker(M) (M k = 0 over the integer
     rows of M), to be independent and to number len(M) - rank(M). A kernel
     that fails a check raises InconsistentModel. Any basis of Ker(M) gives
@@ -446,8 +443,7 @@ def extremality_check(functional: DualFunctional, kernel=None):
     eliminate than the reduced one."""
     M = functional.moment_matrix()
     if kernel is None:
-        # integer rows: the rank is the same and the products stay ints
-        kern = [_integer_row(k) for k in nullspace(M)]
+        kern = nullspace(M)
     else:
         if any(len(k) != len(M) for k in kernel):
             raise InconsistentModel("kernel vector of the wrong length")

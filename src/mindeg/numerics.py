@@ -3,9 +3,11 @@
 All exact computation in the package funnels through this module: ranks,
 nullspaces, positive definiteness and integer lattice normal forms are
 exact, with no floating shortcut. Rational input is cleared of denominators
-and eliminated over Python ints; results come back as
-``fractions.Fraction``. The only float code here converts between rationals
-and floats; the float kernels live in ``kernels``.
+and eliminated over Python ints. Kernels come back as primitive integer
+vectors (``nullspace``); only ``rref`` and ``solve_exact`` return
+``fractions.Fraction`` entries, each made once from integers. The only
+float code here converts between rationals and floats; the float kernels
+live in ``kernels``.
 """
 
 from __future__ import annotations
@@ -79,17 +81,6 @@ def _echelon(rows):
     return mat, pivots
 
 
-def _back_substitute(mat, pivots):
-    """The echelon rows reduced from the last pivot upward, so every pivot
-    column is zero outside its own row; rows stay primitive integers."""
-    for k in reversed(range(len(mat))):
-        c = pivots[k]
-        for i in range(k):
-            if mat[i][c]:
-                mat[i] = _eliminate(mat[i], mat[k], c)
-    return mat
-
-
 def _kernel_vector(mat, pivots, fc, ncols):
     """The kernel vector of the echelon rows (mat, pivots) that is zero at
     every free column but the free column fc: the primitive integer
@@ -132,12 +123,16 @@ def rref(rows):
     reduced rows of Fractions, pivot column indices). Input is not mutated.
 
     The integer echelon form, then back-substitution from the last pivot
-    upward; only the final division by the pivots makes Fractions. The
-    reduced row echelon form is unique, so the result equals the one
-    computed over Fractions.
+    upward, so every pivot column is zero outside its own row; only the
+    final division by the pivots makes Fractions. The reduced row echelon
+    form is unique, so the result equals the one computed over Fractions.
     """
     mat, pivots = _echelon(rows)
-    _back_substitute(mat, pivots)
+    for k in reversed(range(len(mat))):
+        c = pivots[k]
+        for i in range(k):
+            if mat[i][c]:
+                mat[i] = _eliminate(mat[i], mat[k], c)
     return [[Fraction(x, row[c]) for x in row]
             for row, c in zip(mat, pivots)], pivots
 
@@ -149,44 +144,33 @@ def exact_rank(rows) -> int:
 def nullspace(rows, ncols=None):
     """Basis of {v : A v = 0}, exact. Rows may be empty (then ncols required).
 
-    One vector per free column fc of the reduced row echelon form: 1 at fc,
-    -r[fc] / r[pc] at the pivot column pc of each back-substituted integer
-    row r, 0 elsewhere. Only the nonzero pivot-column entries become new
-    Fractions; the basis equals the one read off the Fraction RREF."""
+    One primitive integer vector per free column fc of the echelon form,
+    in column order: _kernel_vector's, positive at fc and zero at every
+    other free column, so it is a positive multiple of the vector read off
+    the reduced row echelon form."""
     rows = list(rows)
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty row list")
-    else:
+    if rows:
         ncols = len(rows[0])
+    elif ncols is None:
+        raise ValueError("ncols required for an empty row list")
     mat, pivots = _echelon(rows)
-    _back_substitute(mat, pivots)
     pivset = set(pivots)
-    zero, one = Fraction(0), Fraction(1)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivset:
-            continue
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in zip(mat, pivots):
-            if r[fc]:
-                v[pc] = Fraction(-r[fc], r[pc])
-        basis.append(v)
-    return basis
+    return [_kernel_vector(mat, pivots, fc, ncols)
+            for fc in range(ncols) if fc not in pivset]
 
 
 def solve_exact(rows, rhs):
-    """One exact solution x of A x = b, or None if inconsistent."""
+    """One exact solution x of A x = b, or None if inconsistent: the
+    solution that is zero at every free column of A. With v the kernel
+    vector of [A | b] at its last column, x = -v[:n] / v[n]; that column
+    is a pivot exactly when the system is inconsistent."""
     rows = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0]) - 1
-    red, pivots = rref(rows)
-    if ncols in pivots:
+    n = len(rows[0]) - 1
+    mat, pivots = _echelon(rows)
+    if n in pivots:
         return None
-    x = [Fraction(0)] * ncols
-    for r, pc in zip(red, pivots):
-        x[pc] = r[-1]
-    return x
+    v = _kernel_vector(mat, pivots, n, n + 1)
+    return [Fraction(-x, v[n]) for x in v[:n]]
 
 
 def _fraction_free_solve(rows, k):
@@ -316,7 +300,7 @@ def saturation_chart(rows, n):
     cleared into column n - r + i; Cohen 1993, §2.4), so W = V^-T and
     W_inv = V^T. An empty kernel needs no operation: W = I.
     """
-    K = [_integer_row(v) for v in nullspace(rows, n)]
+    K = nullspace(rows, n)
     r = len(K)
     W = [[int(i == j) for j in range(n)] for i in range(n)]
     W_inv = [row[:] for row in W]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InconsistentModel
 from .numerics import (_echelon, _frac_from_json, _frac_json,
-                       _fraction_free_solve, _integer_row, lattice_index,
+                       _fraction_free_solve, _primitive, lattice_index,
                        nullspace, saturation_chart, solve_exact)
 
 DENSE = "Dense"
@@ -163,17 +163,20 @@ def _supporting_hyperplanes(proj_points, m):
     # pivot columns: the first points affinely independent of those before
     _, pivots = _echelon([[p[j] - base[j] for p in pts[1:]] for j in range(m)])
     chosen = [0] + [c + 1 for c in pivots]
-    # E^-1, E the rows w_k - w_0 for the simplex's vertices w, from the one
-    # nullspace {(E^-1 y, y)} of [E | -I]: its k-th column is normal to the
-    # facet opposite w_k, minus the sum of its columns to the one opposite w_0
-    cols = [v[:m] for v in nullspace([
+    # E^-1, E the rows w_k - w_0 for the simplex's vertices w: the nullspace
+    # of [E | -I] holds s_t (E^-1 e_t, e_t), s_t > 0, and E^-1 e_t is normal
+    # to the facet opposite w_(t+1); minus their sum, over the common scale
+    # lcm(s_t), is normal to the one opposite w_0
+    ker = nullspace([
         [c - b for c, b in zip(pts[k], base)] + [-int(r == t) for t in range(m)]
-        for r, k in enumerate(chosen[1:])])]
-    normals = [[-sum(c) for c in zip(*cols)]] + cols
+        for r, k in enumerate(chosen[1:])])
+    scale = math.lcm(*(v[m + t] for t, v in enumerate(ker)))
+    normals = [[-sum(scale // v[m + t] * v[j] for t, v in enumerate(ker))
+                for j in range(m)]] + [v[:m] for v in ker]
     facets = []  # (normal, rhs, incidence bitmask)
     for k, normal in zip(chosen, normals):
         on = chosen[1] if k == 0 else 0
-        a = _integer_row(normal)
+        a = _primitive(normal)
         b = _dot(a, pts[on])
         if _dot(a, pts[k]) > b:
             a, b = [-e for e in a], -b
@@ -543,12 +546,11 @@ def contains_point_oracle(Q: LatticePolytope, p, k: int = 1) -> bool:
         return False
     for simplex in triangulate(Q):
         proj = [Q._proj(v) for v in simplex]
-        rows = [[Fraction(k * proj[j][i]) for j in range(len(proj))]
+        rows = [[k * proj[j][i] for j in range(len(proj))]
                 for i in range(Q.dim)]
-        rows.append([Fraction(1)] * len(proj))
-        rhs = [Fraction(c) for c in x] + [Fraction(1)]
+        rows.append([1] * len(proj))
         # simplices are affinely independent, so sol is never None
-        sol = solve_exact(rows, rhs)
+        sol = solve_exact(rows, list(x) + [1])
         if all(c >= 0 for c in sol):
             return True
     return False

@@ -10,8 +10,9 @@ pairwise products h_i h_j, and scale a rational delta > 0 so that
 
 is nonnegative on sampled real points while provably not a sum of squares:
 any SOS decomposition would force each square into span{h0,h1,h2}^2, and f
-sits outside that span by an exact rank computation. The non-SOS half is
-therefore exact twice over: the rank certificate (certify_not_sos) and a
+sits outside that span: its exact residue modulo the h_i h_j is nonzero.
+The non-SOS half is therefore exact twice over: that residue (re-checked
+by certify_not_sos) and a
 dual functional with an exactly positive definite moment matrix and a
 negative value on w (certify_dual), built from the same facts by one step
 of facial reduction. Nonnegativity is sampling evidence backed by the
@@ -51,15 +52,13 @@ from .errors import (
 )
 from .numerics import (_echelon, _frac_from_json, _frac_json,
                        _fraction_free_solve, _integer_row, _kernel_vector,
-                       _numerators, _residue, exact_rank,
+                       _numerators, _primitive, _residue, exact_rank,
                        is_positive_definite, nullspace, residues, solve_exact)
 from .variety import QuadraticForm, epsilon, veronese_model
 
 # sphere samples per block in _SphereSamples: one block's points, power
 # tables and scratch arrays live at a time, beside 17 bytes per sample
 _SAMPLE_BLOCK = 1 << 13
-# samples per product against all centers in _outside
-_CENTER_BLOCK = 1 << 11
 # pipeline attempts, each with seeds derived from the caller's
 _MAX_RETRIES = 8
 # random draws of a line configuration, and of h0 from its vanishing space
@@ -86,9 +85,9 @@ def _seed_seq(seed):
     return np.random.SeedSequence(int(seed))
 
 
-def _primitive(vec):
-    """Integer vector scaled primitively with first nonzero entry > 0."""
-    ints = _integer_row(vec)
+def _normalized(vec):
+    """The primitive integer tuple of vec, its first nonzero entry > 0."""
+    ints = _primitive(vec)
     lead = next((v for v in ints if v != 0), None)
     if lead is None:
         raise DegeneratePosition("zero vector cannot be normalized")
@@ -188,12 +187,12 @@ def choose_hyperplanes(model, seed):
         raw = rng.integers(-_COEFF_BOUND, _COEFF_BOUND + 1, size=(2 * d, 3))
         if not raw.any(axis=1).all():
             continue
-        lines = [_primitive([int(c) for c in row]) for row in raw]
+        lines = [_normalized([int(c) for c in row]) for row in raw]
         if len(set(lines)) != 2 * d:
             continue
         ell, em = lines[:d], lines[d:]
         # distinct primitive lines, first entry > 0: no cross product is 0
-        pts = [_primitive(_cross(a, b)) for a in ell for b in em]
+        pts = [_normalized(_cross(a, b)) for a in ell for b in em]
         if len(set(pts)) != d * d:
             continue
         # one relation gives the chosen images rank e + 1, and so all d^2:
@@ -211,7 +210,9 @@ def choose_hyperplanes(model, seed):
 def fit_h0(model, points, selected, seed):
     """Form over model.r1_basis vanishing exactly at the selected points:
     drawn from the exact nullspace of their Veronese evaluation matrix,
-    verified nonvanishing at every non-selected point.
+    verified nonvanishing at every non-selected point. The draw combines
+    its reduced-echelon basis: the _kernel_vector of each free column fc,
+    brought to one integer scale, the lcm of their entries at fc.
 
     With the line products h1 and h2 it spans that nullspace: they vanish
     at every grid point, are independent (distinct primitive lines), and
@@ -221,10 +222,15 @@ def fit_h0(model, points, selected, seed):
     if len(selected) != e or len(set(selected)) != e:
         raise DegenerateSpan("need %d distinct selected indices" % e)
     rows = [_veronese_image(points[i], d, exps) for i in selected]
-    vanishing = nullspace(rows)
-    if len(vanishing) != 3:
+    mat, pivots = _echelon(rows)
+    free = [c for c in range(len(exps)) if c not in pivots]
+    if len(free) != 3:
         raise DegenerateSpan(
-            "vanishing space has dimension %d, expected 3" % len(vanishing))
+            "vanishing space has dimension %d, expected 3" % len(free))
+    vanishing = [_kernel_vector(mat, pivots, fc, len(exps)) for fc in free]
+    scale = math.lcm(*(v[fc] for v, fc in zip(vanishing, free)))
+    vanishing = [[scale // v[fc] * x for x in v]
+                 for v, fc in zip(vanishing, free)]
     unselected_images = [_veronese_image(points[i], d, exps)
                          for i in range(len(points)) if i not in set(selected)]
     rng = _rng(seed)
@@ -234,9 +240,9 @@ def fit_h0(model, points, selected, seed):
         if not c.any():
             continue
         # c is nonzero and the vanishing basis independent: cand is nonzero
-        cand = list(_primitive([sum(int(c[k]) * vanishing[k][j]
-                                    for k in range(3))
-                                for j in range(len(exps))]))
+        cand = list(_normalized([sum(int(c[k]) * vanishing[k][j]
+                                     for k in range(3))
+                                 for j in range(len(exps))]))
         vals = [sum(a * b for a, b in zip(cand, img))
                 for img in unselected_images]
         if all(v != 0 for v in vals):
@@ -297,7 +303,7 @@ def build_f(model, points, selected, prods):
                 break
     # the products lie in the nullspace, so f, a residue of a nullspace
     # vector modulo them, lies in it too: every row kills it
-    return [Fraction(c) for c in _primitive(f)], {
+    return [Fraction(c) for c in _normalized(f)], {
         "nullspace_dim": ns_dim, "products_rank": rp,
         "quotient_dim": quotient}
 
@@ -384,7 +390,7 @@ class _SphereSamples:
         width = min(n, _SAMPLE_BLOCK)
         tables = np.empty((3, 2 * d, width))
         term_buf, hi_buf = np.empty(width), np.empty(width)
-        dots = np.empty(len(units) * min(width, _CENTER_BLOCK))
+        dots = np.empty(len(units) * width)
         for block in _blocks(n):
             m = block.stop - block.start
             term, hi = term_buf[:m], hi_buf[:m]
@@ -439,29 +445,21 @@ def _outside(coords, units, radius, dots):
     unit samples given as the rows x, y, z of coords and unit centers as
     the rows of units. For unit p, q the nearer of p -+ q lies at distance
     sqrt(2 - 2 |p.q|), so only pairs with |p.q| > 1 - radius^2 (less 1e-9
-    for rounding) can fall within radius. Each _CENTER_BLOCK columns of
-    samples are multiplied against all centers into the scratch dots and
-    the columns with a candidate pair found along the center axis; the
-    distance test np.linalg.norm(p -+ q) then runs once, on the candidate
-    pairs of every column block alone."""
+    for rounding) can fall within radius. The samples are multiplied
+    against all centers at once into the scratch dots and the samples with
+    a candidate pair found along the center axis; the distance test
+    np.linalg.norm(p -+ q) then runs on the candidate pairs alone."""
     m, e = coords.shape[1], len(units)
     keep = np.ones(m, dtype=bool)
-    bound = 1.0 - radius ** 2 - 1e-9
-    centers, samples = [], []
-    for s in range(0, m if e else 0, _CENTER_BLOCK):
-        w = min(_CENTER_BLOCK, m - s)
-        prod = dots[:e * w].reshape(e, w)
-        np.matmul(units, coords[:, s:s + w], out=prod)
-        np.abs(prod, out=prod)
-        near = prod > bound
-        cols = np.flatnonzero(near.any(axis=0))
-        if cols.size:
-            ci, k = np.nonzero(near[:, cols])
-            centers.append(ci)
-            samples.append(s + cols[k])
-    if centers:
-        idx = np.concatenate(samples)
-        rows, q = coords[:, idx].T, units[np.concatenate(centers)]
+    prod = dots[:e * m].reshape(e, m)
+    np.matmul(units, coords, out=prod)
+    np.abs(prod, out=prod)
+    near = prod > 1.0 - radius ** 2 - 1e-9
+    cols = np.flatnonzero(near.any(axis=0))
+    if cols.size:
+        ci, k = np.nonzero(near[:, cols])
+        idx = cols[k]
+        rows, q = coords[:, idx].T, units[ci]
         dist = np.minimum(np.linalg.norm(rows - q, axis=1),
                           np.linalg.norm(rows + q, axis=1))
         keep[idx[dist <= radius]] = False

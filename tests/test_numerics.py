@@ -119,6 +119,20 @@ def _matrices(draw):
     return rows
 
 
+def _reference_nullspace(rows, ncols):
+    """The nullspace basis read off the Fraction RREF: for each free column
+    fc, 1 at fc and -r[fc] at the pivot column of each reduced row r."""
+    reduced, pivots = _rref_fraction_reference(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for r, pc in zip(reduced, pivots):
+            v[pc] = -r[fc]
+        basis.append(v)
+    return basis
+
+
 @settings(max_examples=400, deadline=None)
 @given(_matrices())
 def test_rref_matches_fraction_reference(rows):
@@ -132,19 +146,14 @@ def test_rref_matches_fraction_reference(rows):
     assert reduced == ref_reduced
     assert all(type(e) is Fraction for r in reduced for e in r)
     assert exact_rank(rows) == len(ref_reduced)
-    # the nullspace basis read off the Fraction RREF, vector for vector
+    # the integer rows of the nullspace basis read off the Fraction RREF,
+    # vector for vector
     if rows:
         ncols = len(rows[0])
-        ref_null = []
-        for fc in (c for c in range(ncols) if c not in ref_pivots):
-            v = [F(0)] * ncols
-            v[fc] = F(1)
-            for r, pc in zip(ref_reduced, ref_pivots):
-                v[pc] = -r[fc]
-            ref_null.append(v)
         null = nullspace(rows)
-        assert null == ref_null
-        assert all(type(e) is Fraction for v in null for e in v)
+        assert null == [_integer_row(v)
+                        for v in _reference_nullspace(before, ncols)]
+        assert all(type(e) is int for v in null for e in v)
         assert not any(residues(rows, [rows[-1]])[0])
         # a unit vector at a non-pivot column: every row-span vector that
         # is zero at all pivot columns is zero
@@ -164,12 +173,12 @@ def test_rref_matches_fraction_reference(rows):
 @example([[0, 3, 0, 6], [0, 0, 0, 0], [0, 6, 1, 12]])
 def test_kernel_vector_is_the_integer_nullspace_vector(rows):
     # each free column's vector, back-substituted alone from the forward
-    # rows, is the integer row of nullspace's vector for that column
+    # rows, is the integer row of the Fraction RREF's vector for that column
     ncols = len(rows[0]) if rows else 3
     mat, pivots = _echelon(rows)
     free = [c for c in range(ncols) if c not in pivots]
     got = [_kernel_vector(mat, pivots, fc, ncols) for fc in free]
-    assert got == [_integer_row(v) for v in nullspace(rows, ncols)]
+    assert got == [_integer_row(v) for v in _reference_nullspace(rows, ncols)]
     assert all(type(x) is int for v in got for x in v)
 
 
@@ -263,6 +272,49 @@ def test_solve_exact():
 def test_solve_exact_inconsistent():
     A = _mat([[1, 1], [2, 2]])
     assert solve_exact(A, [F(1), F(3)]) is None
+
+
+@st.composite
+def _systems(draw):
+    """(A, b): A from _matrices with at least one row; b either free
+    entries, mostly inconsistent when A is rank-deficient, or A c for a
+    rational c, always consistent."""
+    A = draw(_matrices().filter(bool))
+    if draw(st.booleans()):
+        b = draw(st.lists(_ENTRIES, min_size=len(A), max_size=len(A)))
+    else:
+        c = draw(st.lists(st.fractions(-5, 5, max_denominator=7),
+                          min_size=len(A[0]), max_size=len(A[0])))
+        b = [sum((x * F(a) for x, a in zip(c, row)), F(0)) for row in A]
+    return A, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+@example(([[1, 1], [2, 2]], [1, 3]))
+@example(([[0, 0], [0, 0]], [0, 0]))
+@example(([[0, 0], [0, 0]], [0, 1]))
+@example(([[0, 2, 4], [1, 1, 1]], [F(1, 3), 5]))
+def test_solve_exact_matches_fraction_reference(system):
+    A, b = system
+    before = copy.deepcopy(system)
+    x = solve_exact(A, b)
+    assert (A, b) == before
+    n = len(A[0])
+    reduced, pivots = _rref_fraction_reference(
+        [list(row) + [c] for row, c in zip(A, b)])
+    if n in pivots:
+        assert x is None
+        return
+    # the reference read-off: every free column 0, each pivot column the
+    # last entry of its reduced row
+    want = [F(0)] * n
+    for r, pc in zip(reduced, pivots):
+        want[pc] = r[-1]
+    assert x == want
+    assert all(type(c) is Fraction for c in x)
+    assert [sum((F(a) * c for a, c in zip(row, x)), F(0)) for row in A] \
+        == [F(c) for c in b]
 
 
 @st.composite

@@ -24,7 +24,6 @@ from mindeg.errors import (
 from mindeg.numerics import exact_rank, nullspace, residues
 from mindeg.variety import QuadraticForm, epsilon, veronese_model
 from mindeg.witness import (
-    _CENTER_BLOCK,
     _SAMPLE_BLOCK,
     _cross,
     _default_selection,
@@ -35,9 +34,9 @@ from mindeg.witness import (
     _frac_json,
     _functional_points,
     _line_product,
+    _normalized,
     _outside,
     _partials,
-    _primitive,
     _rng,
     _SphereSamples,
     _square_products,
@@ -132,7 +131,7 @@ def test_choose_hyperplanes_deterministic():
     assert a == b
 
 
-_LINE = st.tuples(*[st.integers(-9, 9)] * 3).filter(any).map(_primitive)
+_LINE = st.tuples(*[st.integers(-9, 9)] * 3).filter(any).map(_normalized)
 
 
 @given(_LINE, _LINE)
@@ -351,7 +350,7 @@ def _build_f_reference(model, points, selected, prods):
     ns = nullspace(rows, ncols=model.dim_r2)
     rp = exact_rank(prods)
     f = next(w for w in residues(prods, ns) if any(w))
-    return [F(c) for c in _primitive(f)], {
+    return [F(c) for c in _normalized(f)], {
         "nullspace_dim": len(ns), "products_rank": rp,
         "quotient_dim": len(ns) - rp}
 
@@ -452,7 +451,7 @@ def _at_angle(q, cos_t, rng):
 def test_outside_matches_the_per_center_reference_on_the_boundaries():
     # points at chord distance radius (1 +- 1e-12) from +-q, and points
     # whose |p.q| lies within 1e-15 of the prefilter bound, scattered
-    # through a sample count that is no multiple of the column block
+    # through 2 x 2,048 + 37 samples
     rng = np.random.Generator(np.random.Philox(3))
     centers = [(1, 0, 0), (2, -3, 5), (0, 1, 1), (-4, 1, 7)]
     units = _unit_rows(centers)
@@ -467,18 +466,17 @@ def test_outside_matches_the_per_center_reference_on_the_boundaries():
                                                 rng))
             for off in (-1e-15, 0.0, 1e-15):
                 special.append(sign * _at_angle(q, bound + off, rng))
-    m = 2 * _CENTER_BLOCK + 37
+    m = 2 * 2048 + 37
     pts = rng.normal(size=(m, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     at = rng.choice(m - 1, size=len(special), replace=False)
-    # an excluded point in the last, partial column block
+    # an excluded point at the last sample
     at[-5] = m - 1
     pts[at] = special
     # coordinate rows of a wider table, as _SphereSamples passes them
     table = np.zeros((3, 2, m))
     table[:, 0] = pts.T
-    got = _outside(table[:, 0], units, r, np.empty(len(units)
-                                                    * _CENTER_BLOCK))
+    got = _outside(table[:, 0], units, r, np.empty(len(units) * m))
     want = _outside_reference(pts, centers, r)
     assert np.array_equal(got, want)
     # per sign: inside the radius (excluded), just outside it and three
