@@ -1,7 +1,8 @@
-"""Embedded-variety models: toric varieties of lattice polytopes, Veronese
-and Segre-Veronese embeddings, cones over the Veronese surface, and rational
-normal scrolls. Each model carries a basis of the degree-1 part, the quadric
-relations, the dimension of the degree-2 part, and the quadratic deficiency
+"""Embedded-variety models: toric models of exponents (lattice polytopes,
+Veronese and Segre-Veronese embeddings, cones over the Veronese surface,
+rational normal scrolls) and labelled models read with their own quadrics.
+Each model carries a basis of the degree-1 part, the quadric relations, the
+dimension of the degree-2 part, and the quadratic deficiency
 epsilon = C(e+1,2) - dim I_2 whose vanishing characterizes minimal degree.
 """
 
@@ -30,7 +31,8 @@ def _pair_index_map(nvars):
 class VarietyModel:
     """A nondegenerate variety X in P^n presented by degree-1 coordinates and
     independent quadric relations. r1_basis entries are exponent tuples for
-    toric models and label strings for determinantal ones.
+    toric models, as every named family is, and label strings for a model
+    read from JSON with its own i2_basis.
 
     The model owns the degree-2 map Sym^2(R_1) -> R_2: the pairs x_i x_j
     (i <= j, i-major), the sparse R_2 column of each pair, the relations as
@@ -297,56 +299,34 @@ def segre_veronese_model(dims, degrees) -> VarietyModel:
     return model
 
 
-def _minor_relations(M):
-    """The nonzero 2x2 minors x_M[r1][c1] x_M[r2][c2] - x_M[r1][c2]
-    x_M[r2][c1] of a matrix M of variable indices, as {(i, j): coefficient},
-    i <= j: row pairs r1 < r2, then column pairs c1 < c2, in
-    itertools.combinations order."""
-    rels = []
-    for r1, r2 in itertools.combinations(range(len(M)), 2):
-        for c1, c2 in itertools.combinations(range(len(M[0])), 2):
-            rel = {}
-            for (a, b), sign in (((M[r1][c1], M[r2][c2]), 1),
-                                 ((M[r1][c2], M[r2][c1]), -1)):
-                key = (min(a, b), max(a, b))
-                rel[key] = rel.get(key, Fraction(0)) + sign
-            rel = {k: v for k, v in rel.items() if v != 0}
-            if rel:
-                rels.append(rel)
-    return rels
-
-
 def veronese_cone_model(n: int) -> VarietyModel:
-    """Cone over the Veronese surface in P^5, cut out by the 2x2 minors of
-    the generic symmetric 3x3 matrix in x_0..x_5; x_6..x_n are cone
-    variables."""
+    """Cone over the Veronese surface in P^5 with vertex P^(n-6): the toric
+    model of x_0..x_5 = a^2, ab, ac, b^2, bc, c^2 at (0^(n-5), b+c, c),
+    and of the cone variable x_(6+i) at the unit vector e_(n-5-i)."""
     if n < 5:
         raise ValueError("need n >= 5")
-    rels = _minor_relations([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
-    labels = ["x%d" % i for i in range(n + 1)]
-    return VarietyModel("veronese_cone(%d)" % n, n - 3, labels, relations=rels)
+    exps = [(0,) * (n - 5) + (s, t) for s in range(3) for t in range(s + 1)]
+    apexes = [tuple(int(k == n - 6 - i) for k in range(n - 3))
+              for i in range(n - 5)]
+    return toric_model_from_points("veronese_cone(%d)" % n, exps + apexes,
+                                   n - 3)
 
 
 def scroll_model(d) -> VarietyModel:
     """Rational normal scroll of segment degrees d (ascending, last > 0):
-    relations are the 2x2 minors of the two-row block matrix whose block i
-    stacks x_{i,0..d_i-1} over x_{i,1..d_i}."""
+    the toric model of x_(i,j) at (b_i, j), 0 <= j <= d_i, with b_0 = 0 and
+    b_i the unit vector e_(k+1-i) of Z^k, k = len(d) - 1, so that the
+    variables run block by block."""
     d = [int(x) for x in d]
     if not d or any(d[i] > d[i + 1] for i in range(len(d) - 1)):
         raise ValueError("degrees must be sorted ascending")
     if d[-1] < 1 or any(x < 0 for x in d):
         raise ValueError("last degree must be positive, none negative")
-    labels = []
-    var = {}
-    for i, di in enumerate(d):
-        for j in range(di + 1):
-            var[(i, j)] = len(labels)
-            labels.append("x%d_%d" % (i, j))
-    columns = [(i, j) for i, di in enumerate(d) for j in range(di)]
-    rels = _minor_relations([[var[(i, j + t)] for i, j in columns]
-                             for t in (0, 1)])
-    return VarietyModel("scroll(%s)" % ",".join(map(str, d)), len(d), labels,
-                        relations=rels)
+    k = len(d) - 1
+    exps = [tuple(int(i > 0 and t == k - i) for t in range(k)) + (j,)
+            for i, di in enumerate(d) for j in range(di + 1)]
+    return toric_model_from_points("scroll(%s)" % ",".join(map(str, d)),
+                                   exps, len(d))
 
 
 def epsilon(model: VarietyModel) -> int:

@@ -1,5 +1,6 @@
 """Gram slices, the SOS feasibility solver, and separating functionals."""
 
+import itertools
 import math
 from fractions import Fraction
 from fractions import Fraction as F
@@ -38,6 +39,7 @@ from mindeg.variety import (
     veronese_model,
 )
 from mindeg.witness import _veronese_image, hilbert_witness
+from test_variety import _labelled_scroll_model
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +268,29 @@ SOS_MODELS = [
 ]
 
 
+def _assert_parameterizes(model, param_exps):
+    """Integer parameters from {-3, -1, 2, 5}, mapped by the monomials of
+    param_exps (or of the toric exponents when None), give points that
+    satisfy every relation of the model exactly."""
+    if param_exps is None:
+        param_exps = [tuple(e) for e in model.r1_basis]
+    assert len(param_exps) == model.n + 1
+    for params in itertools.product((-3, -1, 2, 5),
+                                    repeat=len(param_exps[0])):
+        x = [math.prod(F(p) ** k for p, k in zip(params, e))
+             for e in param_exps]
+        for terms in model.relations:
+            assert sum(c * x[i] * x[j] for (i, j), c in terms) == 0, \
+                (model.name, params, terms)
+
+
+@pytest.mark.parametrize("label,build,param_exps", SOS_MODELS,
+                         ids=[m[0] for m in SOS_MODELS])
+def test_parameter_exponents_parameterize_the_model(label, build,
+                                                    param_exps):
+    _assert_parameterizes(build(), param_exps)
+
+
 def _cone_points(model, param_exps, count, rng):
     """Unit-norm points of the affine cone, from Cauchy parameters."""
     if param_exps is None:
@@ -303,7 +328,7 @@ def test_center_dual_route_is_exact(build):
     res = sos_check(neg, gs)
     assert res.status == "Infeasible"
     _assert_infeasible_reverifies(gs, neg, res)
-    # the sparse moment matrix, on toric and determinantal models alike
+    # the sparse moment matrix, on the toric models and the labelled conic
     values = res.functional.values
     assert res.functional.moment_matrix() == _moment_from_sigma(gs, values)
     pos = QuadraticForm(model, gs.apply_to_gram(_dyadic_gram(C)))
@@ -507,7 +532,7 @@ def test_newton_steps_on_veronese_2_5():
 _FUZZ_SLICES = [GramSlice(veronese_model(1, 3)), GramSlice(
     VarietyModel("conic", 1, ["x0", "x1", "x2"],
                  relations=[{(0, 2): 1, (1, 1): -2}])),
-    GramSlice(scroll_model([1, 2]))]
+    GramSlice(_labelled_scroll_model([1, 2]))]
 _FUZZ_COEFF = st.one_of(
     st.integers(-3, 3), st.integers(-2 ** 60, 2 ** 60),
     st.builds(lambda k, e: F(k, 2 ** e), st.integers(-99, 99),

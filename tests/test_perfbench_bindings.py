@@ -11,6 +11,7 @@ from pathlib import Path
 import mindeg
 import mindeg.cli  # noqa: F401  (the tracer binds mindeg.cli.main)
 from mindeg import cones
+from test_cones import _assert_parameterizes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -68,3 +69,11 @@ def test_witness_job_passes_its_check_under_the_tracer():
     assert workloads.witness_check({}, job, out) == []
     names = {span[tracer.NAME] for span in spans.spans}
     assert {"witness.delta_search", "witness.certify_not_sos"} <= names
+
+
+def test_model_rows_parameterize_their_models():
+    # the workload samples each model's cone through these exponents, in
+    # the model's own coordinate order: a model whose variables move away
+    # from its row's exponents fails here
+    for _, make, _, param_exps, _, _ in _load("workloads").MODELS:
+        _assert_parameterizes(make(), param_exps)

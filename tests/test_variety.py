@@ -1,6 +1,7 @@
 """Variety models: dimensions, relation counts, quadratic deficiency."""
 
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -184,20 +185,120 @@ def test_pair_vector_toric_is_unit():
     assert m.r2_basis[idx] == s
 
 
+# -- the labelled builds of the scroll and the Veronese cone: the minors
+# these families were once built from, kept as references for the toric
+# models that replaced them and as labelled models with several relations
+
+def _minor_relations(M):
+    """The nonzero 2x2 minors x_M[r1][c1] x_M[r2][c2] - x_M[r1][c2]
+    x_M[r2][c1] of a matrix M of variable indices, as {(i, j): coefficient},
+    i <= j: row pairs r1 < r2, then column pairs c1 < c2, in
+    itertools.combinations order."""
+    rels = []
+    for r1, r2 in itertools.combinations(range(len(M)), 2):
+        for c1, c2 in itertools.combinations(range(len(M[0])), 2):
+            rel = {}
+            for (a, b), sign in (((M[r1][c1], M[r2][c2]), 1),
+                                 ((M[r1][c2], M[r2][c1]), -1)):
+                key = (min(a, b), max(a, b))
+                rel[key] = rel.get(key, Fraction(0)) + sign
+            rel = {k: v for k, v in rel.items() if v != 0}
+            if rel:
+                rels.append(rel)
+    return rels
+
+
+def _labelled_veronese_cone_model(n: int) -> VarietyModel:
+    """Cone over the Veronese surface in P^5, cut out by the 2x2 minors of
+    the generic symmetric 3x3 matrix in x_0..x_5; x_6..x_n are cone
+    variables."""
+    if n < 5:
+        raise ValueError("need n >= 5")
+    rels = _minor_relations([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+    labels = ["x%d" % i for i in range(n + 1)]
+    return VarietyModel("veronese_cone(%d)" % n, n - 3, labels, relations=rels)
+
+
+def _labelled_scroll_model(d) -> VarietyModel:
+    """Rational normal scroll of segment degrees d (ascending, last > 0):
+    relations are the 2x2 minors of the two-row block matrix whose block i
+    stacks x_{i,0..d_i-1} over x_{i,1..d_i}."""
+    d = [int(x) for x in d]
+    if not d or any(d[i] > d[i + 1] for i in range(len(d) - 1)):
+        raise ValueError("degrees must be sorted ascending")
+    if d[-1] < 1 or any(x < 0 for x in d):
+        raise ValueError("last degree must be positive, none negative")
+    labels = []
+    var = {}
+    for i, di in enumerate(d):
+        for j in range(di + 1):
+            var[(i, j)] = len(labels)
+            labels.append("x%d_%d" % (i, j))
+    columns = [(i, j) for i, di in enumerate(d) for j in range(di)]
+    rels = _minor_relations([[var[(i, j + t)] for i, j in columns]
+                             for t in (0, 1)])
+    return VarietyModel("scroll(%s)" % ",".join(map(str, d)), len(d), labels,
+                        relations=rels)
+
+
+def _relation_rows(m):
+    """m.relations as rows over m.pairs."""
+    return [[dict(terms).get(p, 0) for p in m.pairs] for terms in m.relations]
+
+
+@pytest.mark.parametrize("family,arg", [
+    ("scroll", d) for d in [(1, 2), (2, 2), (0, 2), (1, 1, 3), (2, 3, 4),
+                            (0, 0, 5), (3,), (0, 1, 1, 2)]] + [
+    ("cone", n) for n in (5, 6, 7, 9)],
+    ids=lambda v: v if isinstance(v, str) else str(v).replace(" ", ""))
+def test_toric_family_matches_its_labelled_reference(family, arg):
+    # the same variety in the same coordinates: equal invariants, and the
+    # two relation sets span one I_2
+    if family == "scroll":
+        toric, ref = scroll_model(arg), _labelled_scroll_model(arg)
+        k = len(arg) - 1
+        # x_(i,j) at (b_i, j): b_0 = 0, b_i the unit vector e_(k+1-i)
+        blocks = [tuple(int(i > 0 and t == k - i) for t in range(k))
+                  for i in range(len(arg))]
+        order = [b + (j,) for b, di in zip(blocks, arg)
+                 for j in range(di + 1)]
+    else:
+        toric = veronese_cone_model(arg)
+        ref = _labelled_veronese_cone_model(arg)
+        # a^2, ab, ac, b^2, bc, c^2 at (0^(n-5), b+c, c), then the cone
+        # variables x_(6+i) at e_(n-5-i)
+        cone = arg - 5
+        order = [(0,) * cone + (b + c, c)
+                 for _, b, c in [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0),
+                                 (0, 1, 1), (0, 0, 2)]]
+        order += [tuple(int(t == cone - 1 - i) for t in range(cone)) + (0, 0)
+                  for i in range(cone)]
+    assert toric.is_toric and not ref.is_toric and toric.name == ref.name
+    assert (toric.n, toric.m, toric.e, toric.dim_r2, toric.i2_count) == \
+        (ref.n, ref.m, ref.e, ref.dim_r2, ref.i2_count)
+    assert epsilon(toric) == epsilon(ref)
+    assert toric.pairs == ref.pairs
+    rows, ref_rows = _relation_rows(toric), _relation_rows(ref)
+    assert exact_rank(rows) == exact_rank(ref_rows) \
+        == exact_rank(rows + ref_rows) == ref.i2_count
+    assert toric.r1_basis == order
+
+
 def test_pair_vector_determinantal_reduces():
-    m = veronese_cone_model(5)
+    m = _labelled_veronese_cone_model(5)
     # x0 x3 = x1^2 modulo the minors
     v = _pair_product(m, 0, 3)
     assert {m.r2_basis[k]: c for k, c in enumerate(v) if c} == {(1, 1): F(1)}
     assert _pair_product(m, 3, 0) == v
 
 
-@pytest.mark.parametrize("build", [lambda: veronese_cone_model(5),
-                                   lambda: scroll_model([1, 2]),
-                                   lambda: scroll_model([2, 2])])
+@pytest.mark.parametrize("build", [lambda: _labelled_veronese_cone_model(5),
+                                   lambda: _labelled_scroll_model([1, 2]),
+                                   lambda: _labelled_scroll_model([2, 2])])
 def test_product_matches_gram_map_on_labelled_models(build):
-    # g h is sigma of the symmetric Gram matrix (g h^T + h g^T) / 2; these
-    # models have reduced pairs, whose columns carry Fractions
+    # g h is sigma of the symmetric Gram matrix (g h^T + h g^T) / 2; the
+    # labelled reference builds have reduced pairs, whose columns carry
+    # Fractions
     m = build()
     gs = GramSlice(m)
     rng = np.random.Generator(np.random.Philox(m.n))
@@ -245,13 +346,14 @@ def test_model_json_roundtrip_toric():
 
 
 def test_model_json_roundtrip_determinantal():
-    m = scroll_model([1, 2])
+    m = _labelled_scroll_model([1, 2])
     obj = json.loads(json.dumps(m.to_json(), sort_keys=True))
     m2 = VarietyModel.from_json(obj)
     assert not m2.is_toric
     assert (m2.n, m2.m, m2.dim_r2, m2.i2_count) == (m.n, m.m, m.dim_r2,
                                                     m.i2_count)
     assert epsilon(m2) == 0
+
 
 
 def test_toric_model_json_checks_its_relations():
@@ -275,26 +377,40 @@ def test_big_model_json_omits_relations():
 
 
 # SHA-256 of json.dumps(model.to_json(), sort_keys=True): the relations in
-# their order and the serialized model stay byte for byte as they were
+# their order and the serialized model stay byte for byte as they were; the
+# labelled entries pin the reference builds of the scroll and the cone
 MODEL_JSON_SHA256 = {
     "veronese(2,2)":
         "22ee502a1a0b255e408727025ab9a27018b08d6c764af0f56c2b185822562b75",
     "twisted-cubic":
         "8078ae8acda97da6ef38e7f4dab7dd12078f4477ba19264eea6fa59748a0446f",
-    "scroll(1,2)":
+    "labelled scroll(1,2)":
         "bd6183b3d2e306dbde07bb780263c959c7c1f550ac35a8ff90773f34f729d9f4",
-    "scroll(2,2)":
+    "labelled scroll(2,2)":
         "070505be205eb06d490747326bf430d162382c46f18c9577e29e29c07664ad86",
-    "veronese_cone(5)":
+    "labelled veronese_cone(5)":
         "45f9371a4095084a3ff73ce0dc3bf37a39a7a806e1493f2bec6916ad7d82a594",
     "lower-dimensional":
         "89efeb18c2d63241f654d0317e478893ada9d9a056618a6d66ae15e7e9c7667b",
-    "scroll(0,2)":
+    "labelled scroll(0,2)":
         "072be1714b2f0fc7c614e23b13794acee47796d3a60a1dceb0090e73a9ddc75a",
-    "veronese_cone(7)":
+    "labelled veronese_cone(7)":
         "5cbdcdf69385bba2027e3d15a46204eebc35b8147eec066efd3706da1956d91c",
-    "scroll(1,1,3)":
+    "labelled scroll(1,1,3)":
         "5804a5779b8be5f34dc0c3af159594dda214bf606b19d07fab0208b02b7e9b09",
+    # the toric scrolls and cones, built from their exponents
+    "scroll(1,2)":
+        "d63c00f8271374aabadd738fd723df90e02d85a15a4461bb460b00ac95b2b2e5",
+    "scroll(2,2)":
+        "d4c948199f321e9dc375500c6c7855dcb20eb47f6fd29f6cde35f0c0e8eaf178",
+    "veronese_cone(5)":
+        "6e0b6b4449427d294ee44f23cf23a2087ddf152ef837c3eb510faae276f5fda9",
+    "scroll(0,2)":
+        "4dab7a424935afef72b1ecde546d123976e6f657f34e14891564db99c1af0d76",
+    "veronese_cone(7)":
+        "78d9b130d86b8983d5791b43b013603cfcca55d416fdf006c574a758ce7d1a84",
+    "scroll(1,1,3)":
+        "5a78242b6f318e5c3da008e1980f246e4eeed4edce0acab0b18411de982f2b09",
 }
 
 MODEL_FAMILIES = {
@@ -308,6 +424,12 @@ MODEL_FAMILIES = {
     "scroll(0,2)": lambda: scroll_model([0, 2]),
     "veronese_cone(7)": lambda: veronese_cone_model(7),
     "scroll(1,1,3)": lambda: scroll_model([1, 1, 3]),
+    "labelled scroll(1,2)": lambda: _labelled_scroll_model([1, 2]),
+    "labelled scroll(2,2)": lambda: _labelled_scroll_model([2, 2]),
+    "labelled veronese_cone(5)": lambda: _labelled_veronese_cone_model(5),
+    "labelled scroll(0,2)": lambda: _labelled_scroll_model([0, 2]),
+    "labelled veronese_cone(7)": lambda: _labelled_veronese_cone_model(7),
+    "labelled scroll(1,1,3)": lambda: _labelled_scroll_model([1, 1, 3]),
     "segre_veronese(1,1;2,1)": lambda: segre_veronese_model([1, 1], [2, 1]),
     "motzkin-support": lambda: toric_model(
         LatticePolytope(2, [(0, 0), (2, 1), (1, 2), (1, 1)])),
@@ -326,6 +448,15 @@ def test_model_json_is_pinned(name):
     blob = json.dumps(MODEL_FAMILIES[name]().to_json(), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == \
         MODEL_JSON_SHA256[name]
+
+
+@pytest.mark.parametrize("name", [k for k in sorted(MODEL_JSON_SHA256)
+                                  if k.startswith("labelled ")])
+def test_labelled_model_json_roundtrips_byte_identically(name):
+    # a model JSON that gives its own i2_basis reads back to the same JSON
+    blob = json.dumps(MODEL_FAMILIES[name]().to_json(), sort_keys=True)
+    back = VarietyModel.from_json(json.loads(blob))
+    assert json.dumps(back.to_json(), sort_keys=True) == blob
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_FAMILIES))
