@@ -150,9 +150,11 @@ class SosResult:
         return out
 
 
-# Gram rounding grid, 2^-bits times the form's scale; barrier weight step,
-# centering bound on the squared Newton decrement, and weight cap
+# Gram rounding grid, 2^-bits times the form's scale; start weight (times
+# n + 1, so that the first gap bound is 1/64 of the scale), barrier weight
+# step, centering bound on the squared Newton decrement, and weight cap
 _GRID_BITS = 30
+_START_WEIGHT = 64.0
 _WEIGHT_STEP = 8.0
 _CENTERED = 1e-2
 _MAX_WEIGHT = 2.0 ** 40
@@ -175,12 +177,14 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
 
     The Gram slice is G0 + span{Q_i} (G0 least-norm, Q_i from solver_maps).
     Newton steps on -c t - log det S, S = G0 + sum y_i Q_i - t I, maximize
-    t, and c grows after each centering (Vandenberghe & Boyd, SIAM Review
-    1996). Each step backtracks from the full Newton step on sufficient
-    decrease, never below the damped step 1 / (1 + sqrt(dec)) of a
-    self-concordant barrier (Boyd & Vandenberghe, Convex Optimization,
-    9.6 and 11.5). Certificate: G0 unless floats see it far from PSD, then
-    S + t I whenever t > 0 has doubled, made exact by _certificate (Peyrl &
+    t; c starts at 64 (n + 1), a first gap bound of 1/64 of the form's scale
+    (Boyd & Vandenberghe, Convex Optimization, 11.3.1), and grows after each
+    centering (Vandenberghe & Boyd, SIAM Review 1996). Each step backtracks
+    on sufficient decrease from 0.99 of the exact distance to the boundary
+    S > 0 (at most the full Newton step), never below the damped step
+    1 / (1 + sqrt(dec)) of a self-concordant barrier (9.6 and 11.5).
+    Certificate: G0 unless floats see it far from PSD, then S + t I
+    whenever t > 0 has doubled, made exact by _certificate (Peyrl &
     Parrilo, TCS 2008).
     Infeasible: at a center Z = S^-1 / c has trace 1, <Z, Q_i> = 0 and
     <G0, Z> = t + (n+1)/c; when that is negative, _center_dual makes Z's
@@ -214,7 +218,7 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
     z = np.zeros(len(F))
     z[-1] = lam0 - 1.0
     L = np.linalg.cholesky(G0 - z[-1] * np.eye(nvars))
-    c, tried, done = 1.0, 0.0, 0
+    c, tried, done = _START_WEIGHT * nvars, 0.0, 0
     # rounding G0 moves it by some 2^-30 of the scale, so the exact test
     # cannot pass where floats see G0 far from PSD
     res = _certificate(gs, form, G0, scale, 0) \
@@ -233,13 +237,17 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
             step = np.zeros(len(F))
         dec = float(-grad @ step)
         done += 1
-        # backtracking from the full step (Boyd & Vandenberghe 2004, 9.6):
-        # halve while S is not positive definite in floats or the objective
-        # falls by less than _ARMIJO * s * dec, but never below the damped
-        # step 1 / (1 + sqrt(dec)); that one is taken whenever S keeps its
+        # S is I + s D in factor coordinates (D = sum step_a W_a), so the
+        # boundary is at s = 1 / -lambda_min(D) >= 1 / sqrt(dec); from 0.99
+        # of it (at most 1), halve while S is not positive definite in floats
+        # or the objective falls by less than _ARMIJO * s * dec, but never
+        # below the damped step, which is taken whenever S keeps its
         # Cholesky factor, and halved at most 60 times while it does not
         floor = 1.0 / (1.0 + math.sqrt(dec)) if dec >= 0 else 0.0
-        s, tries = (1.0 if dec > 0 else floor), 60
+        lam = float(np.linalg.eigvalsh(np.tensordot(step, W, 1))[0]) \
+            if 0 < dec < math.inf else 0.0
+        s = max(min(1.0, 0.99 / -lam), floor) if lam < 0 else 1.0
+        s, tries = (s if dec > 0 else floor), 60
         obj = _objective(c, z, L)
         while tries:
             Ln = _factor(at(z + s * step))

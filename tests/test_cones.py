@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindeg import kernels
+from mindeg import cones, kernels
 from mindeg.cones import (
     _GRID_BITS,
     DualFunctional,
@@ -518,15 +518,43 @@ def test_integer_certificate_matches_the_fraction_reference(build):
 
 def test_newton_steps_on_veronese_2_5():
     # k = 165: sigma(B^T B + I) certifies and its negative is Infeasible in
-    # a bounded number of steps (57 and 31 under damped steps alone)
+    # a bounded number of steps (57 and 31 under damped steps alone, 14 and
+    # 11 from weight 1 and the full step)
     gs = GramSlice(veronese_model(2, 5))
     nvars = gs.model.n + 1
     B = np.random.Generator(np.random.Philox(0)).normal(size=(nvars, nvars))
     f = gs.apply_to_gram(_dyadic_gram(B.T @ B + np.eye(nvars)))
     res = sos_check(QuadraticForm(gs.model, f), gs)
-    assert res.status == "Certificate" and res.iterations <= 25
+    assert res.status == "Certificate" and res.iterations <= 6
     res = sos_check(QuadraticForm(gs.model, [-c for c in f]), gs)
-    assert res.status == "Infeasible" and res.iterations <= 20
+    assert res.status == "Infeasible" and res.iterations <= 15
+
+
+def test_psd_gram_forms_take_few_steps_and_one_factor_each(monkeypatch):
+    # a start weight on the form's scale and a first trial step from the
+    # distance to the boundary: from weight 1 and the full step these forms
+    # took some 12 steps and 1.8 Cholesky factors per step
+    factor, factors = cones._factor, []
+
+    def counted(S):
+        factors.append(None)
+        return factor(S)
+
+    monkeypatch.setattr(cones, "_factor", counted)
+    rng = np.random.Generator(np.random.Philox(609))
+    steps = []
+    for _, build, _ in SOS_MODELS:
+        gs = GramSlice(build())
+        nvars = gs.model.n + 1
+        for _ in range(10):
+            B = rng.normal(size=(nvars, nvars))
+            f = QuadraticForm(gs.model,
+                              gs.apply_to_gram(_dyadic_gram(B.T @ B)))
+            res = sos_check(f, gs)
+            assert res.status == "Certificate"
+            steps.append(res.iterations)
+    assert sum(steps) / len(steps) <= 4
+    assert len(factors) / sum(steps) <= 1.2
 
 
 _FUZZ_SLICES = [GramSlice(veronese_model(1, 3)), GramSlice(

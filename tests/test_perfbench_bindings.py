@@ -4,6 +4,7 @@ with a KeyError. This test loads the tracer from its file and checks every
 binding it makes, and runs one sos-stream job and one witness job of the
 benchmark's workloads under it."""
 
+import hashlib
 import importlib.util
 import inspect
 from pathlib import Path
@@ -77,3 +78,21 @@ def test_model_rows_parameterize_their_models():
     # from its row's exponents fails here
     for _, make, _, param_exps, _, _ in _load("workloads").MODELS:
         _assert_parameterizes(make(), param_exps)
+
+
+# SHA-256 of the statuses of the sos-stream job lists of seeds 0-2 (396
+# jobs), one per line in job order, computed with the barrier from weight 1
+# and the full Newton step: a solver change that moves a verdict fails here
+SOS_STREAM_STATUS_SHA256 = \
+    "04b5fd6756956eeec771abf86734c0f7295cb497bb2e96097c30209fd9058cd4"
+
+
+def test_sos_stream_verdicts_are_pinned():
+    # the solver's path (gram, iterations) may move; no verdict may
+    workloads = _load("workloads")
+    ctx = workloads.sos_setup()
+    statuses = [workloads.sos_run(ctx, job).status for seed in range(3)
+                for job in workloads.job_list("sos-stream", ctx, seed, 1)]
+    assert len(statuses) == 396
+    assert hashlib.sha256("\n".join(statuses).encode()).hexdigest() \
+        == SOS_STREAM_STATUS_SHA256
