@@ -3,11 +3,12 @@
 All exact computation in the package funnels through this module: ranks,
 nullspaces, positive definiteness and integer lattice normal forms are
 exact, with no floating shortcut. Rational input is cleared of denominators
-and eliminated over Python ints. Kernels come back as primitive integer
-vectors (``nullspace``); only ``rref`` and ``solve_exact`` return
-``fractions.Fraction`` entries, each made once from integers. The only
-float code here converts between rationals and floats; the float kernels
-live in ``kernels``.
+and eliminated over Python ints: every rank, kernel and solve is one
+integer echelon form (``_echelon``) read through its integer kernel
+vectors. Kernels come back as primitive integer vectors (``nullspace``);
+only ``rref`` and ``solve_exact`` return ``fractions.Fraction`` entries,
+each made once from integers. The only float code here converts between
+rationals and floats; the float kernels live in ``kernels``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ def _primitive(row):
 
 def _integer_row(r):
     """The row cleared of denominators and made primitive."""
+    if all(type(e) is int for e in r):
+        return _primitive(list(r))
     vals = [e if type(e) is int else _frac(e) for e in r]
     den = math.lcm(*[v.denominator for v in vals])
     return _primitive([v.numerator * (den // v.denominator) for v in vals])
@@ -171,30 +174,6 @@ def solve_exact(rows, rhs):
         return None
     v = _kernel_vector(mat, pivots, n, n + 1)
     return [Fraction(-x, v[n]) for x in v[:n]]
-
-
-def _fraction_free_solve(rows, k):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of the integer
-    matrix [A | B], A its first k columns: (D, out) with D the last pivot,
-    out[:k] = [D I | D X] and out[k:] = [0 | R], or None if A has rank
-    below k. X solves A X = B on the pivot rows, and R = 0 iff the columns
-    of B lie in the column span of A; a square A gives D X = D A^-1 B,
-    D = ±det A. After the step on column c every entry is a minor of order
-    c + 1 of the input (Sylvester's identity), so each division by the
-    previous pivot is exact. Input is not mutated."""
-    rows, prev = list(rows), 1
-    for c in range(k):
-        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            return None
-        rows[c], rows[piv] = rows[piv], rows[c]
-        prow = rows[c]
-        p = prow[c]
-        rows = [prow if i == c else
-                [(p * x - row[c] * y) // prev for x, y in zip(row, prow)]
-                for i, row in enumerate(rows)]
-        prev = p
-    return prev, rows
 
 
 def is_positive_definite(rows, semidefinite=False) -> bool:

@@ -18,9 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentModel
-from .numerics import (_echelon, _frac_from_json, _frac_json,
-                       _fraction_free_solve, _primitive, lattice_index,
-                       nullspace, saturation_chart, solve_exact)
+from .numerics import (_echelon, _frac_from_json, _frac_json, _kernel_vector,
+                       _primitive, lattice_index, nullspace, saturation_chart)
 
 DENSE = "Dense"
 NOT_DENSE = "NotDense"
@@ -443,7 +442,7 @@ def amgm_witness(Q: LatticePolytope):
 
     The combination is the sparsest one, and among those the first subset
     of Q's sorted vertices in lexicographic order: subsets of sizes 2 to
-    dim + 1 are tested in turn, each by one integer elimination in chart
+    dim + 1 are tested in turn, each by one integer kernel vector in chart
     coordinates (_convex_weights). The chart is an affine isomorphism, so
     it keeps affine independence and barycentric coordinates."""
     ok, u = is_k_normal(Q, 2)
@@ -466,26 +465,17 @@ def amgm_witness(Q: LatticePolytope):
 def _convex_weights(points, x):
     """Coprime integers r >= 0 with sum(r) x = sum r_j points[j], or None
     when the points are affinely dependent, x is off their affine span or
-    a barycentric coordinate of x is negative. One fraction-free
-    elimination of [p_j - p_0 | x - p_0] gives D and D times the
-    coordinates of x on p_1, ..., p_k."""
-    p0, k = points[0], len(points) - 1
-    solved = _fraction_free_solve(
-        [[p[i] - p0[i] for p in points[1:]] + [x[i] - p0[i]]
-         for i in range(len(x))], k)
-    if solved is None:
+    a barycentric coordinate of x is negative. The kernel vector, at its
+    last column, of the columns (p_j, 1) and (-x, -1) is the primitive
+    (r, sum(r)); the columns (p_j, 1) are pivots exactly when the points
+    are affinely independent and x lies on their span."""
+    k = len(points)
+    mat, pivots = _echelon([[*col, -c] for col, c in zip(zip(*points), x)]
+                           + [[1] * k + [-1]])
+    if pivots != list(range(k)):
         return None
-    D, rows = solved
-    if any(row[k] for row in rows[k:]):
-        return None
-    lam = [row[k] for row in rows[:k]]
-    r = [D - sum(lam)] + lam
-    if D < 0:
-        r = [-c for c in r]
-    if any(c < 0 for c in r):
-        return None
-    g = math.gcd(*r)
-    return [c // g for c in r]
+    r = _kernel_vector(mat, pivots, k, k + 1)[:k]
+    return None if min(r) < 0 else r
 
 
 def sublattice_index(Q: LatticePolytope) -> int:
@@ -539,19 +529,14 @@ def _triangulate_rec(Q: LatticePolytope):
 
 
 def contains_point_oracle(Q: LatticePolytope, p, k: int = 1) -> bool:
-    """Membership of p in kQ decided via the triangulation route: p lies in
-    some k-dilated simplex (exact barycentric coordinates)."""
+    """Membership of p in kQ, k >= 1, decided via the triangulation route:
+    p lies in some k-dilated simplex (_convex_weights)."""
     x = Q._proj(p, k)
     if x is None:
         return False
     for simplex in triangulate(Q):
-        proj = [Q._proj(v) for v in simplex]
-        rows = [[k * proj[j][i] for j in range(len(proj))]
-                for i in range(Q.dim)]
-        rows.append([1] * len(proj))
-        # simplices are affinely independent, so sol is never None
-        sol = solve_exact(rows, list(x) + [1])
-        if all(c >= 0 for c in sol):
+        cell = [[k * c for c in Q._proj(v)] for v in simplex]
+        if _convex_weights(cell, x) is not None:
             return True
     return False
 

@@ -149,13 +149,11 @@ class VarietyModel:
         size = self.n + 1
         mats = []
         for terms in self.relations:
-            mat = [[Fraction(0)] * size for _ in range(size)]
+            flat = ["0"] * (size * size)
             for (i, j), c in terms:
-                if i == j:
-                    mat[i][i] = Fraction(c)
-                else:
-                    mat[i][j] = mat[j][i] = Fraction(c) / 2
-            mats.append([str(x) for row in mat for x in row])
+                v = str(Fraction(c) if i == j else Fraction(c) / 2)
+                flat[i * size + j] = flat[j * size + i] = v
+            mats.append(flat)
         out["i2_basis"] = mats
         return out
 

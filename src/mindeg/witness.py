@@ -51,9 +51,9 @@ from .errors import (
     RetryExhausted,
 )
 from .numerics import (_echelon, _frac_from_json, _frac_json,
-                       _fraction_free_solve, _integer_row, _kernel_vector,
-                       _numerators, _primitive, _residue, exact_rank,
-                       is_positive_definite, nullspace, residues, solve_exact)
+                       _integer_row, _kernel_vector, _numerators, _primitive,
+                       _residue, exact_rank, is_positive_definite, nullspace,
+                       residues, solve_exact)
 from .variety import QuadraticForm, epsilon, veronese_model
 
 # sphere samples per block in _SphereSamples: one block's points, power
@@ -672,10 +672,11 @@ def _shift_bound(model, hs, l1, L, den, alpha):
     P^-1/2 B^T B P^-1/2 has norm at most its trace and P^-1/2 C P^-1/2 at
     most |C|_inf tr(P^-1).
 
-    den B and den C are integer, and one fraction-free elimination of
-    [P | den B^T | I] gives D P^-1 den B^T and D P^-1, so only the bound
-    itself is a Fraction. Raises InconsistentModel when the h_i are
-    dependent or P is singular."""
+    den B and den C are integer. One integer elimination of
+    [P | den B^T | I] has, at each extra column c, a kernel vector v with
+    P v[:n] = -v[c] (column c), so P^-1 den B^T and P^-1 are read off
+    integer vectors and only the bound itself is made of Fractions. Raises
+    InconsistentModel when the h_i are dependent or P is singular."""
     nvars = model.n + 1
     M2 = _moment_matrix(model, L)
     M1 = _moment_matrix(model, l1)
@@ -689,17 +690,18 @@ def _shift_bound(model, hs, l1, L, den, alpha):
     aug = [P[r] + [sum(M2[k][i] * h[i] for i in range(nvars)) for h in hs]
            + [int(r == c) for c in range(n)]
            for r, k in enumerate(free)]
-    solved = _fraction_free_solve(aug, n)
-    if solved is None:
+    mat, pivots = _echelon(aug)
+    if pivots != list(range(n)):
         raise InconsistentModel("point moments are singular off the h_i")
-    D, red = solved
-    # den^2 D tr(P^-1 B^T B), D tr(P^-1) and den |C|_inf
-    s1 = sum(a[c] * b[c] for a, b in zip(aug, red) for c in range(n, n + 3))
-    s2 = sum(red[r][n + 3 + r] for r in range(n))
+    kernel = [_kernel_vector(mat, pivots, c, 2 * n + 3)
+              for c in range(n, 2 * n + 3)]
+    # den^2 tr(P^-1 B^T B) = sum_j (den b_j) . P^-1 (den b_j), tr(P^-1)
+    s1 = sum(Fraction(-sum(row[n + j] * x for row, x in zip(aug, v[:n])),
+                      v[n + j]) for j, v in enumerate(kernel[:3]))
+    s2 = sum(Fraction(-v[r], v[n + 3 + r]) for r, v in enumerate(kernel[3:]))
+    # den |C|_inf
     cn = max(sum(abs(M2[k][l]) for l in free) for k in free)
-    return P, Fraction(
-        s1 * alpha.denominator + cn * s2 * den * alpha.numerator,
-        den * den * D * alpha.numerator)
+    return P, s1 / (den * den * alpha) + cn * s2 / den
 
 
 def _dual_parts(report, model, prods):
@@ -752,7 +754,7 @@ def certify_dual(report: WitnessReport) -> bool:
        h_i: every h_i vanishes at every selected point.
     2. l2 = l - K l1 has l2(h_i h_j) = alpha [i = j] with alpha > 0.
     3. P, the moment matrix of l1 off the pivot columns of the h_i, is
-       positive definite (Bareiss on small integers).
+       positive definite (is_positive_definite on small integers).
     4. K exceeds _shift_bound's bound.
     5. l(witness) < 0.
 

@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindeg.kernels import project_psd, symmetric_eigen
-from mindeg.numerics import (_echelon, _fraction_free_solve, _integer_row,
-                             _kernel_vector, exact_rank, is_positive_definite,
-                             lattice_index, nullspace, residues, rref,
-                             saturation_chart, solve_exact, to_float)
+from mindeg.numerics import (_echelon, _integer_row, _kernel_vector,
+                             exact_rank, is_positive_definite, lattice_index,
+                             nullspace, residues, rref, saturation_chart,
+                             solve_exact, to_float)
 
 F = Fraction
 
@@ -315,51 +315,6 @@ def test_solve_exact_matches_fraction_reference(system):
     assert all(type(c) is Fraction for c in x)
     assert [sum((F(a) * c for a, c in zip(row, x)), F(0)) for row in A] \
         == [F(c) for c in b]
-
-
-@st.composite
-def _augmented(draw):
-    """([A | B], k) over small integers, A of shape r x k with k <= r. The
-    entries are mostly zero, so A is often rank-deficient; a column of B
-    drawn as an integer combination of A's columns is consistent."""
-    r = draw(st.integers(1, 6))
-    k = draw(st.integers(1, r))
-    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
-    A = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
-                      min_size=r, max_size=r))
-    B = []
-    for _ in range(draw(st.integers(0, 3))):
-        if draw(st.booleans()):
-            c = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
-            B.append([sum(a * x for a, x in zip(row, c)) for row in A])
-        else:
-            B.append(draw(st.lists(entry, min_size=r, max_size=r)))
-    return [row + [b[i] for b in B] for i, row in enumerate(A)], k
-
-
-@settings(max_examples=300, deadline=None)
-@given(_augmented())
-def test_fraction_free_solve_matches_fraction_solve(case):
-    rows, k = case
-    before = copy.deepcopy(rows)
-    out = _fraction_free_solve(rows, k)
-    assert rows == before
-    A = [r[:k] for r in rows]
-    if exact_rank(A) < k:
-        assert out is None
-        return
-    D, out = out
-    assert D != 0
-    assert [r[:k] for r in out] == [[D * (i == j) for j in range(k)]
-                                    for i in range(len(rows))]
-    for j in range(k, len(rows[0])):
-        x = solve_exact(A, [r[j] for r in rows])
-        rest = [r[j] for r in out[k:]]
-        if x is None:
-            assert any(rest)
-        else:
-            assert not any(rest)
-            assert [r[j] for r in out[:k]] == [D * c for c in x]
 
 
 def test_in_row_span():

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import mindeg.polytope
 from mindeg.errors import DimensionMismatch, InconsistentModel
-from mindeg.numerics import exact_rank, lattice_index, nullspace, rref
+from mindeg.numerics import (exact_rank, lattice_index, nullspace, rref,
+                             solve_exact)
 from mindeg.polytope import (CAYLEY, DENSE, IMAGE_OF_MODEL, NOT_DENSE,
                              NOT_MINIMAL, PYRAMID, HStar, LatticePolytope,
                              SparsePolynomial, amgm_witness,
@@ -23,6 +24,7 @@ from mindeg.polytope import (CAYLEY, DENSE, IMAGE_OF_MODEL, NOT_DENSE,
                              lattice_point_count_oracle, lattice_points,
                              polytope_degree, product_polytope,
                              triangulate, _box_candidates, _chart_rows,
+                             _convex_weights,
                              _lattice_point_count, _lex_unique,
                              _recognize_family, _scan_box, _scan_rows,
                              _supporting_hyperplanes,
@@ -728,6 +730,68 @@ def test_amgm_matches_the_ambient_rref_reference(Q):
     # witness: the same subset and the same weights
     assume(not is_k_normal(Q, 2)[0])
     assert amgm_witness(Q).to_json() == _amgm_reference(Q).to_json()
+
+
+def _convex_weights_reference(points, x):
+    """The barycentric coordinates of x on the points, over Fractions
+    (solve_exact on the homogenised system), cleared to coprime integers;
+    None when the points are affinely dependent (exact_rank), x is off
+    their span or a coordinate is negative."""
+    k = len(points)
+    if exact_rank([list(p) + [1] for p in points]) < k:
+        return None
+    lam = solve_exact([list(col) for col in zip(*points)] + [[1] * k],
+                      list(x) + [1])
+    if lam is None or min(lam) < 0:
+        return None
+    lcm = math.lcm(*(c.denominator for c in lam))
+    r = [int(c * lcm) for c in lam]
+    return [c // math.gcd(*r) for c in r]
+
+
+@st.composite
+def _barycentric_case(draw):
+    """(points, x): k points of Z^m, m <= 4 and k <= m + 2, so that they
+    are often dependent, scaled by s = sum(w) > 0 so that x = sum w_j q_j
+    has the coordinates w / s on them: some negative, some zero. x is
+    sometimes moved by a small vector, often off their span."""
+    m = draw(st.integers(0, 4))
+    k = draw(st.integers(1, m + 2))
+    q = draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                      min_size=k, max_size=k))
+    w = draw(st.lists(st.integers(-1, 3), min_size=k, max_size=k))
+    w[0] += max(0, 1 - sum(w))
+    s = sum(w)
+    x = [sum(a * p[i] for a, p in zip(w, q)) for i in range(m)]
+    if draw(st.booleans()):
+        move = draw(st.lists(st.integers(-1, 1), min_size=m, max_size=m))
+        x = [a + b for a, b in zip(x, move)]
+    return [tuple(s * c for c in p) for p in q], tuple(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_barycentric_case())
+def test_convex_weights_match_the_fraction_reference(case):
+    points, x = case
+    r = _convex_weights(points, x)
+    assert r == _convex_weights_reference(points, x)
+    if r is not None:
+        assert all(type(c) is int and c >= 0 for c in r)
+        assert math.gcd(*r) == 1
+        assert [sum(r) * c for c in x] == [
+            sum(a * p[i] for a, p in zip(r, points)) for i in range(len(x))]
+
+
+@pytest.mark.parametrize("points,x,want", [
+    ([(0, 0), (1, 1), (2, 2)], (1, 1), None),        # dependent points
+    ([(0, 0), (2, 0)], (1, 1), None),                # x off the span
+    ([(0, 0), (2, 0)], (3, 0), None),                # a negative coordinate
+    ([(0, 0), (2, 0), (0, 2)], (1, 0), [1, 1, 0]),   # a zero weight
+    ([(0, 0), (4, 0), (0, 4)], (1, 2), [1, 1, 2]),
+    ([()], (), [1]),                                 # a point of dimension 0
+])
+def test_convex_weights_cases(points, x, want):
+    assert _convex_weights(points, x) == want
 
 
 def _assert_model_map(Q, mp):

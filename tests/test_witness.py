@@ -1,5 +1,6 @@
 """End-to-end witness pipeline on plane Veronese models."""
 
+import functools
 import itertools
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mindeg.witness
-from mindeg.cones import (DualFunctional, _sup_normalize,
+from mindeg.cones import (DualFunctional, _moment_matrix, _sup_normalize,
                           interpolant_through_points, pair_with_square,
                           separating_functional_real)
 from mindeg.errors import (
@@ -21,7 +22,7 @@ from mindeg.errors import (
     InconsistentModel,
     NoDeltaFound,
 )
-from mindeg.numerics import exact_rank, nullspace, residues
+from mindeg.numerics import exact_rank, nullspace, residues, rref, solve_exact
 from mindeg.variety import QuadraticForm, epsilon, veronese_model
 from mindeg.witness import (
     _SAMPLE_BLOCK,
@@ -38,6 +39,7 @@ from mindeg.witness import (
     _outside,
     _partials,
     _rng,
+    _shift_bound,
     _SphereSamples,
     _square_products,
     _unit_rows,
@@ -991,6 +993,57 @@ def test_certify_dual_rejects_tampered_reports(report):
     h1[model.r1_basis.index((3, 0))] += 1
     assert certify_dual(replace(report, h_vectors=[
         report.h_vectors[0], h1, report.h_vectors[2]])) is False
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_bound_args(d, seed):
+    """The arguments of the _shift_bound call that _dual_parts makes for
+    hilbert_witness(d, seed, samples=2000)."""
+    report = hilbert_witness(d, seed=seed, samples=2000)
+    model = veronese_model(2, d)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _shift_bound(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mindeg.witness, "_shift_bound", spy)
+        _dual_parts(report, model, _square_products(model, report.h_vectors))
+    return calls[0]
+
+
+def _shift_bound_reference(model, hs, l1, L, den, alpha):
+    """(P, tr(P^-1 B^T B) / alpha + (cn / den) tr(P^-1)) in Fractions, with
+    B = (l2(h_i u)) and cn / den = |C|_inf, C = (l2(u u')), over the unit
+    vectors u off the pivot columns of the h_i; P^-1 is solved column by
+    column."""
+    free = [k for k in range(model.n + 1) if k not in rref(hs)[1]]
+    M1, M2 = _moment_matrix(model, l1), _moment_matrix(model, L)
+    P = [[M1[k][l] for l in free] for k in free]
+    n = len(free)
+    cols = [solve_exact(P, [int(r == c) for r in range(n)]) for c in range(n)]
+    Pinv = [[cols[c][r] for c in range(n)] for r in range(n)]
+    B = [[F(sum(M2[k][t] * h[t] for t in range(model.n + 1)), den)
+          for k in free] for h in hs]
+    cn = max(sum(abs(M2[k][l]) for l in free) for k in free)
+    trace = sum(b[i] * Pinv[i][j] * b[j]
+                for b in B for i in range(n) for j in range(n))
+    return P, trace / alpha + F(cn, den) * sum(Pinv[r][r] for r in range(n))
+
+
+@pytest.mark.parametrize("d,seed", [(d, s) for d in (3, 4, 5) for s in (1, 2)])
+def test_shift_bound_matches_fraction_reference(d, seed):
+    args = _shift_bound_args(d, seed)
+    P, bound = _shift_bound(*args)
+    assert (P, bound) == _shift_bound_reference(*args)
+    assert type(bound) is F and bound > 0
+
+
+def test_shift_bound_rejects_singular_point_moments():
+    model, hs, l1, L, den, alpha = _shift_bound_args(3, 1)
+    with pytest.raises(InconsistentModel, match="singular"):
+        _shift_bound(model, hs, [0] * len(l1), L, den, alpha)
 
 
 def test_pipeline_rejects_a_dual_that_fails_certify_dual(monkeypatch):
