@@ -8,7 +8,7 @@ from .cones import (DualFunctional, GramSlice, SosResult, extremality_check,
                     pair_with_square, separating_functional_real, sos_check)
 from .errors import (DegeneratePosition, DegenerateSpan, DimensionMismatch,
                      EmptyComplement, InconsistentModel, MindegError,
-                     NoDeltaFound, NonConvergence, RetryExhausted)
+                     NoDeltaFound, RetryExhausted)
 from .polytope import (ClassificationReport, HStar, LatticePolytope,
                        SparsePolynomial, amgm_witness,
                        cayley_polytope_of_segments, classify, h_star,
@@ -30,7 +30,7 @@ __all__ = [
     "ClassificationReport", "DegeneratePosition", "DegenerateSpan",
     "DimensionMismatch", "DualFunctional", "EmptyComplement", "GramSlice",
     "HStar", "InconsistentModel", "LatticePolytope", "MindegError",
-    "NoDeltaFound", "NonConvergence", "QuadraticForm", "RetryExhausted",
+    "NoDeltaFound", "QuadraticForm", "RetryExhausted",
     "SosResult", "SparsePolynomial",
     "VarietyModel", "WitnessReport", "amgm_witness", "build_f",
     "cayley_polytope_of_segments", "certify_dual", "certify_not_sos",

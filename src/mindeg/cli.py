@@ -52,8 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "embedded varieties (JSON in, JSON out).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_input=True):
+    def add(name, help_text, run, needs_input=True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if needs_input:
             p.add_argument("--input", required=True,
                            help="path to a JSON file, or inline JSON")
@@ -61,21 +62,26 @@ def _build_parser() -> argparse.ArgumentParser:
                                         "stdout")
         return p
 
-    p = add("hstar", "Ehrhart series numerator of a lattice polytope")
+    p = add("hstar", "Ehrhart series numerator of a lattice polytope",
+            _cmd_hstar)
     p.add_argument("--oracle", action="store_true",
                    help="re-derive the counts by brute force and diff")
-    p = add("normal", "k-normality of a lattice polytope")
+    p = add("normal", "k-normality of a lattice polytope", _cmd_normal)
     p.add_argument("--k", type=int, default=2, help="dilation factor "
                                                     "(default 2)")
     p.add_argument("--oracle", action="store_true",
                    help="re-derive by brute force and diff")
-    add("classify", "degree-one recognition and positivity verdict")
-    add("density", "sublattice index and real-point density")
-    add("amgm", "nonnegative witness outside the SOS cone, when one exists")
-    add("epsilon", "quadratic deficiency of a model or polytope")
-    add("sos-check", "Gram feasibility of a quadratic form on a model")
+    add("classify", "degree-one recognition and positivity verdict",
+        _cmd_classify)
+    add("density", "sublattice index and real-point density", _cmd_density)
+    add("amgm", "nonnegative witness outside the SOS cone, when one exists",
+        _cmd_amgm)
+    add("epsilon", "quadratic deficiency of a model or polytope",
+        _cmd_epsilon)
+    add("sos-check", "Gram feasibility of a quadratic form on a model",
+        _cmd_sos_check)
     p = add("witness", "nonnegative-not-SOS pipeline on a plane Veronese",
-            needs_input=False)
+            _cmd_witness, needs_input=False)
     p.add_argument("--d", type=int, default=3, help="Veronese degree "
                                                     "(default 3)")
     p.add_argument("--seed", type=int, default=0)
@@ -214,18 +220,6 @@ def _cmd_witness(args):
     return rep.to_json()
 
 
-_COMMANDS = {
-    "hstar": _cmd_hstar,
-    "normal": _cmd_normal,
-    "classify": _cmd_classify,
-    "density": _cmd_density,
-    "amgm": _cmd_amgm,
-    "epsilon": _cmd_epsilon,
-    "sos-check": _cmd_sos_check,
-    "witness": _cmd_witness,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -233,7 +227,7 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return int(ex.code) if ex.code else 0
     try:
-        report = _COMMANDS[args.command](args)
+        report = args.run(args)
     except (UsageError, json.JSONDecodeError, OSError, KeyError, TypeError,
             ValueError, DimensionMismatch) as ex:
         print("error: %s" % ex, file=sys.stderr)

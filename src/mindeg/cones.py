@@ -3,7 +3,8 @@
 The degree-2 part of the coordinate ring is R_2 = Sym^2(R_1) / I_2. A form
 f in R_2 is a sum of squares iff some positive semidefinite Gram matrix G
 satisfies sigma(G) = f, where sigma maps a symmetric matrix over R_1 to its
-quadratic form in R_2. The model owns sigma (VarietyModel.columns). This
+quadratic form in R_2. The model owns sigma and its transpose sigma*, the
+moment matrix of a functional (VarietyModel.sigma and .moment). This
 module carries the solver's view of it (GramSlice), the SOS decision over
 it (a float log-det barrier in the quadric coordinates whose verdicts are
 proved exactly: a rational PSD Gram matrix, or a rational dual functional
@@ -28,21 +29,19 @@ from .variety import QuadraticForm, VarietyModel
 
 
 class GramSlice:
-    """The solver's view of the model's map sigma: its pairs and sparse
-    columns (built once per model, VarietyModel.columns), with
-    the float matrices and the exact denominator that every sos_check on
-    the model shares."""
+    """The solver's view of the model's map sigma: its pairs, with the
+    float matrices and the exact denominator that every sos_check on the
+    model shares."""
 
     def __init__(self, model: VarietyModel):
         self.model = model
         self.pairs = model.pairs
-        self._columns = model.columns
         self._a_float = None
 
     @functools.cached_property
     def sigma_den(self) -> int:
         """The lcm of the denominators of sigma's coefficients."""
-        return math.lcm(*(c.denominator for col in self._columns
+        return math.lcm(*(c.denominator for col in self.model.columns
                           for c in col.values()))
 
     def a_float(self) -> np.ndarray:
@@ -51,9 +50,9 @@ class GramSlice:
         sqrt(2) weight twice."""
         if self._a_float is None:
             A = np.zeros((self.model.dim_r2, len(self.pairs)))
-            for c, ((i, j), col) in enumerate(zip(self.pairs, self._columns)):
+            for c, (i, j) in enumerate(self.pairs):
                 w = 1.0 if i == j else math.sqrt(2.0)
-                for s, coeff in col.items():
+                for s, coeff in self.model.columns[c].items():
                     A[s, c] = float(coeff) * w
             self._a_float = A
         return self._a_float
@@ -72,33 +71,10 @@ class GramSlice:
         return A, AAt_inv, F
 
     def apply_to_gram(self, G):
-        """Exact coefficient vector of sigma(G) for a symmetric rational G;
-        ints stay ints."""
-        out = [0] * self.model.dim_r2
-        for (i, j), col in zip(self.pairs, self._columns):
-            g = G[i][j] if i == j else 2 * G[i][j]
-            if g == 0:
-                continue
-            for s, coeff in col.items():
-                out[s] += g if coeff == 1 else coeff * g
-        return out
-
-
-def _moment_matrix(model, values):
-    """Exact sigma-transpose image of a functional given by its values on
-    the R_2 basis: M[i][j] = l(x_i x_j). A pair whose column is {s: 1}
-    reads values[s] itself, so int values stay ints; only reduced pairs
-    sum Fractions."""
-    nvars = model.n + 1
-    M = [[None] * nvars for _ in range(nvars)]
-    for (i, j), col in zip(model.pairs, model.columns):
-        terms = list(col.items())
-        if len(terms) == 1 and terms[0][1] == 1:
-            m = values[terms[0][0]]
-        else:
-            m = sum((values[s] * coeff for s, coeff in terms), Fraction(0))
-        M[i][j] = M[j][i] = m
-    return M
+        """Exact coefficient vector of sigma(G) for a symmetric rational G:
+        pair weights G_ii and 2 G_ij; ints stay ints."""
+        return self.model.sigma(G[i][j] if i == j else 2 * G[i][j]
+                                for i, j in self.pairs)
 
 
 @dataclass
@@ -119,7 +95,7 @@ class DualFunctional:
                    Fraction(0))
 
     def moment_matrix(self):
-        return _moment_matrix(self.model, self.values)
+        return self.model.moment(self.values)
 
     def to_json(self):
         return {"model": self.model.name, "exact": True,
@@ -344,9 +320,9 @@ def _center_dual(gs, form, L, c, steps):
 
 def moment_psd(functional: DualFunctional) -> float:
     """Smallest eigenvalue of the exact moment matrix, in floats."""
-    M = to_float(functional.moment_matrix())
-    w, _ = kernels.symmetric_eigen(M)
-    return float(w[0])
+    # eigh, not eigvalsh: eigvalsh's bottom eigenvalue differs in the last
+    # bits, and the witness reports this one as moment_min_eig
+    return float(np.linalg.eigh(to_float(functional.moment_matrix()))[0][0])
 
 
 def _sup_normalize(point):

@@ -10,10 +10,6 @@ class MindegError(Exception):
     """Base class for all package errors."""
 
 
-class NonConvergence(MindegError):
-    """Eigensolver iteration budget exhausted; input is pathological."""
-
-
 class DimensionMismatch(MindegError):
     """Vectors/points of inconsistent length were mixed."""
 

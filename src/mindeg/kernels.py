@@ -1,10 +1,10 @@
-"""Floating-point kernels: svec/smat coding, the symmetric eigensolver, and
-the PSD projection and Dykstra loop, which no solver calls since sos_check
-became a barrier solve but perfbench/tracer.py binds by name.
+"""Floating-point kernels: svec/smat coding, and the PSD projection and
+Dykstra loop, which no solver calls since sos_check became a barrier solve
+but perfbench/tracer.py binds by name.
 
 One numpy backend. Matrices are svec-coded through cached index arrays
 (upper triangle, row-major) and weight vectors, so no kernel loops in
-Python over matrix entries; the eigensolver is LAPACK's ``eigh``.
+Python over matrix entries; eigenvalues come from numpy's ``eigh``.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import functools
 import math
 
 import numpy as np
-
-from .errors import NonConvergence
 
 BACKEND = "numpy"  # perfbench/run.py records it with each run
 
@@ -38,28 +36,9 @@ def _clip(w, V):
     return (V * np.where(w > 0.0, w, 0.0)) @ V.T
 
 
-def symmetric_eigen(a: np.ndarray):
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
-
-    Returns (eigenvalues, eigenvector columns). Raises NonConvergence if
-    LAPACK fails.
-    """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if a.shape[0] == 0:
-        raise ValueError("expected a nonempty matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
-
-
 def project_psd(a: np.ndarray):
     """Frobenius-nearest PSD matrix, plus the smallest eigenvalue seen."""
-    w, V = symmetric_eigen(a)
+    w, V = np.linalg.eigh(a)
     P = _clip(w, V)
     return 0.5 * (P + P.T), float(w[0])
 

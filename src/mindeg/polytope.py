@@ -400,15 +400,6 @@ def _lex_unique(rows):
     return rows[keep], inverse
 
 
-def _int64_translate(pts, least):
-    """The int64 array of pts - least. ValueError unless 2 * |coordinate|
-    < 2^63 for every difference, so that sums of two rows stay in int64."""
-    diffs = [[c - o for c, o in zip(p, least)] for p in pts]
-    if 2 * max((abs(c) for d in diffs for c in d), default=0) >= 2 ** 63:
-        raise ValueError("sums of 2 lattice points exceed the int64 range")
-    return np.array(diffs, dtype=np.int64)
-
-
 @dataclass
 class SparsePolynomial:
     """Laurent polynomial as exponent -> coefficient, no zero coefficients."""
@@ -788,8 +779,3 @@ def higashitani_simplex(m: int, k: int) -> LatticePolytope:
     w = [1] * half + [k] * half + [k + 1]
     verts.append(tuple(w))
     return LatticePolytope(m, verts)
-
-
-def product_polytope(P: LatticePolytope, R: LatticePolytope) -> LatticePolytope:
-    return LatticePolytope(P.ambient_rank + R.ambient_rank,
-                           [p + r for p in P.vertices for r in R.vertices])

@@ -2,7 +2,8 @@
 Veronese and Segre-Veronese embeddings, cones over the Veronese surface,
 rational normal scrolls) and labelled models read with their own quadrics.
 Each model carries a basis of the degree-1 part, the quadric relations, the
-dimension of the degree-2 part, and the quadratic deficiency
+degree-2 map sigma: Sym^2(R_1) -> R_2 with its transpose sigma* (the moment
+matrix of a functional), and the quadratic deficiency
 epsilon = C(e+1,2) - dim I_2 whose vanishing characterizes minimal degree.
 """
 
@@ -18,8 +19,7 @@ import numpy as np
 
 from .errors import InconsistentModel
 from .numerics import _echelon, exact_rank, rref
-from .polytope import (LatticePolytope, _chart_rows, _int64_translate,
-                       _lex_unique, product_polytope, simplex)
+from .polytope import LatticePolytope, _chart_rows, _lex_unique
 
 
 def _pair_index_map(nvars):
@@ -34,7 +34,7 @@ class VarietyModel:
     toric models, as every named family is, and label strings for a model
     read from JSON with its own i2_basis.
 
-    The model owns the degree-2 map Sym^2(R_1) -> R_2: the pairs x_i x_j
+    The model owns sigma (sigma) and sigma* (moment): the pairs x_i x_j
     (i <= j, i-major), the sparse R_2 column of each pair, the relations as
     sparse terms and one representative pair per basis element. A toric
     model keeps only the basis index of each pair's exponent sum
@@ -118,18 +118,38 @@ class VarietyModel:
         pair's column is its unit vector and every relation maps to zero."""
         return [{s: 1} for s in self._pair_sums.tolist()]
 
-    def product(self, g, h):
-        """The R_2 coefficient vector of g h, for g and h given over
-        r1_basis: each pair x_i x_j adds g_i h_j + g_j h_i (g_i h_i on the
-        diagonal) times its column. Ints stay ints."""
+    def sigma(self, weights):
+        """sigma of the pair weights w_p (in pairs order): the R_2 vector sum
+        of w_p times column p over the nonzero w_p. Ints stay ints."""
         out = [0] * self.dim_r2
-        for (i, j), col in zip(self.pairs, self.columns):
-            c = g[i] * h[i] if i == j else g[i] * h[j] + g[j] * h[i]
+        for c, col in zip(weights, self.columns):
             if c == 0:
                 continue
             for s, coeff in col.items():
                 out[s] += c if coeff == 1 else coeff * c
         return out
+
+    def moment(self, values):
+        """Exact sigma-transpose image of a functional given by its values on
+        the R_2 basis: M[i][j] = l(x_i x_j). A pair whose column is {s: 1}
+        reads values[s] itself, so int values stay ints; only reduced pairs
+        sum Fractions."""
+        nvars = self.n + 1
+        M = [[None] * nvars for _ in range(nvars)]
+        for (i, j), col in zip(self.pairs, self.columns):
+            terms = list(col.items())
+            if len(terms) == 1 and terms[0][1] == 1:
+                m = values[terms[0][0]]
+            else:
+                m = sum((values[s] * coeff for s, coeff in terms), Fraction(0))
+            M[i][j] = M[j][i] = m
+        return M
+
+    def product(self, g, h):
+        """The R_2 vector of g h, for g and h over r1_basis: sigma of the
+        weights g_i h_j + g_j h_i (g_i h_i on the diagonal)."""
+        return self.sigma(g[i] * h[i] if i == j else g[i] * h[j] + g[j] * h[i]
+                          for i, j in self.pairs)
 
     def __repr__(self):
         return "VarietyModel(%s: n=%d, m=%d, e=%d, dim R2=%d, |I2|=%d)" % (
@@ -200,6 +220,8 @@ class VarietyModel:
             raise ValueError("r1_basis labels must be distinct strings")
         if not 0 <= m < nvars:
             raise ValueError("m must lie in 0..n for a labelled model")
+        if flats is None:
+            raise ValueError("a labelled model needs i2_basis ([] for none)")
         model = cls(obj.get("name", "model"), m, r1,
                     relations=_relations(flats, nvars))
         try:
@@ -245,6 +267,15 @@ class QuadraticForm:
                 "coefficients": [str(c) for c in self.coefficients]}
 
 
+def _int64_translate(pts, least):
+    """The int64 array of pts - least. ValueError unless 2 * |coordinate|
+    < 2^63 for every difference, so that sums of two rows stay in int64."""
+    diffs = [[c - o for c, o in zip(p, least)] for p in pts]
+    if 2 * max((abs(c) for d in diffs for c in d), default=0) >= 2 ** 63:
+        raise ValueError("sums of 2 lattice points exceed the int64 range")
+    return np.array(diffs, dtype=np.int64)
+
+
 def toric_model_from_points(name, exponents, m):
     """The toric model of the exponents: the pairwise sums run in int64 on
     the exponents less the least one, which keeps their lexicographic
@@ -271,30 +302,35 @@ def toric_model(Q: LatticePolytope) -> VarietyModel:
     return toric_model_from_points("toric", exps, Q.dim)
 
 
+def _simplex_points(n, d):
+    """{e in N^n : |e| <= d}, the lattice points of d times the n-simplex."""
+    return [e for e in itertools.product(range(d + 1), repeat=n)
+            if sum(e) <= d]
+
+
 def veronese_model(n: int, d: int) -> VarietyModel:
     """The toric model of d times the standard n-simplex, built from its
-    lattice points {e in N^n : |e| <= d} without a polytope."""
+    lattice points without a polytope."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    exps = [e for e in itertools.product(range(d + 1), repeat=n)
-            if sum(e) <= d]
-    return toric_model_from_points("veronese(%d,%d)" % (n, d), exps, n)
+    return toric_model_from_points("veronese(%d,%d)" % (n, d),
+                                   _simplex_points(n, d), n)
 
 
 def segre_veronese_model(dims, degrees) -> VarietyModel:
+    """The toric model of the product of the d_i-fold n_i-simplices, whose
+    lattice points are the products of its factors' lattice points."""
     dims = [int(x) for x in dims]
     degrees = [int(x) for x in degrees]
     if len(dims) != len(degrees) or len(dims) < 2:
         raise ValueError("need matching factor lists of length >= 2")
     if any(x < 1 for x in dims) or any(x < 1 for x in degrees):
         raise ValueError("factor dimensions and degrees must be >= 1")
-    Q = simplex(dims[0], degrees[0])
-    for ni, di in zip(dims[1:], degrees[1:]):
-        Q = product_polytope(Q, simplex(ni, di))
-    model = toric_model(Q)
-    model.name = "segre_veronese(%s;%s)" % (
-        ",".join(map(str, dims)), ",".join(map(str, degrees)))
-    return model
+    factors = [_simplex_points(ni, di) for ni, di in zip(dims, degrees)]
+    return toric_model_from_points(
+        "segre_veronese(%s;%s)" % (",".join(map(str, dims)),
+                                   ",".join(map(str, degrees))),
+        [sum(p, ()) for p in itertools.product(*factors)], sum(dims))
 
 
 def veronese_cone_model(n: int) -> VarietyModel:

@@ -35,7 +35,6 @@ import numpy as np
 
 from .cones import (
     DualFunctional,
-    _moment_matrix,
     extremality_check,
     interpolant_through_points,
     moment_psd,
@@ -76,13 +75,7 @@ def _degree(model):
 
 
 def _rng(seed):
-    return np.random.Generator(np.random.Philox(_seed_seq(seed)))
-
-
-def _seed_seq(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(int(seed))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def _normalized(vec):
@@ -678,8 +671,8 @@ def _shift_bound(model, hs, l1, L, den, alpha):
     integer vectors and only the bound itself is made of Fractions. Raises
     InconsistentModel when the h_i are dependent or P is singular."""
     nvars = model.n + 1
-    M2 = _moment_matrix(model, L)
-    M1 = _moment_matrix(model, l1)
+    M2 = model.moment(L)
+    M1 = model.moment(l1)
     pivots = set(_echelon(hs)[1])
     if len(pivots) != 3:
         raise InconsistentModel("the h_i are linearly dependent")

@@ -434,6 +434,7 @@ _SCROLL = {"m": 1, "r1_basis": ["a", "b", "c"],
     {"m": 1, "r1_basis": ["a", "b"], "i2_basis": [[1, 0, 0, 0]]},
     {"m": 0, "r1_basis": ["a", "b"],
      "i2_basis": [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]},
+    {"m": 0, "r1_basis": ["a"]},
 ], ids=["float-row", "bool-row", "float-m", "bool-m", "duplicate-rows",
         "ragged-rows", "huge-exponent", "string-basis", "list-label",
         "short-i2-row", "float-i2-entry", "zero-denominator", "string-i2",
@@ -442,7 +443,7 @@ _SCROLL = {"m": 1, "r1_basis": ["a", "b", "c"],
         "labelled-m-above-n", "toric-list-name", "labelled-int-name",
         "duplicate-labels", "toric-wrong-n", "toric-foreign-i2",
         "labelled-string-n", "labelled-negative-epsilon",
-        "labelled-zero-r2"])
+        "labelled-zero-r2", "labelled-no-i2"])
 @pytest.mark.parametrize("command", ["epsilon", "sos-check"])
 def test_model_json_rejects_malformed_input(capsys, command, blob):
     # a float must not be truncated ([[0], [1.7]] is not [[0], [1]]), a
@@ -459,6 +460,14 @@ def test_model_json_rejects_malformed_input(capsys, command, blob):
     code, out, err = run(capsys, [command, "--input", json.dumps(blob)])
     assert code == 2 and out == ""
     assert "invalid model JSON" in err and "Traceback" not in err
+
+
+def test_labelled_model_without_i2_basis_says_so(capsys):
+    # a missing i2_basis was once reported as malformed i2_basis rows
+    code, out, err = run(capsys, ["epsilon", "--input",
+                                  '{"r1_basis": ["a"], "m": 0}'])
+    assert code == 2 and out == ""
+    assert "a labelled model needs i2_basis ([] for none)" in err
 
 
 def test_model_json_accepts_the_scroll(capsys):

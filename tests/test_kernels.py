@@ -1,12 +1,11 @@
-"""Float kernels: eigensolver, PSD projection, svec coding, Dykstra steps."""
+"""Float kernels: PSD projection, svec coding, Dykstra steps."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mindeg.kernels import (BACKEND, dykstra_chunk, project_psd, smat, svec,
-                            symmetric_eigen)
+from mindeg.kernels import BACKEND, dykstra_chunk, project_psd, smat, svec
 
 
 def test_backend_resolved():
@@ -30,16 +29,6 @@ def test_svec_preserves_inner_product():
     B = (B + B.T) / 2
     assert np.isclose(float(svec(A) @ svec(B)), float(np.tensordot(A, B)),
                       atol=1e-12)
-
-
-def test_symmetric_eigen_matches_lapack():
-    rng = np.random.Generator(np.random.Philox(5))
-    A = rng.normal(size=(7, 7))
-    A = (A + A.T) / 2
-    w, V = symmetric_eigen(A)
-    assert np.allclose(w, np.linalg.eigvalsh(A), atol=1e-9)
-    assert np.allclose(V @ V.T, np.eye(7), atol=1e-9)
-    assert np.allclose((V * w) @ V.T, A, atol=1e-9)
 
 
 def test_project_psd_reports_min_eigenvalue():

@@ -1,4 +1,4 @@
-"""Exact linear algebra and the symmetric eigensolver."""
+"""Exact linear algebra and the PSD projection."""
 
 import copy
 import itertools
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mindeg.kernels import project_psd, symmetric_eigen
+from mindeg.kernels import project_psd
 from mindeg.numerics import (_echelon, _integer_row, _kernel_vector,
                              exact_rank, is_positive_definite, lattice_index,
                              nullspace, residues, rref, saturation_chart,
@@ -372,33 +372,6 @@ def test_saturation_chart(rows, n):
                                for j in range(n)]
     if rows == [[2, 4]]:
         assert basis in ([[1, 2]], [[-1, -2]])
-
-
-def test_sym_eigen_diagonal():
-    vals, _ = symmetric_eigen(np.diag([1.0, 2.0, 3.0]))
-    assert np.allclose(sorted(vals), [1.0, 2.0, 3.0], atol=1e-12)
-
-
-def test_sym_eigen_swap():
-    vals, _ = symmetric_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(sorted(vals), [-1.0, 1.0], atol=1e-12)
-
-
-def test_sym_eigen_gram_psd():
-    rng = np.random.Generator(np.random.Philox(7))
-    B = rng.integers(-3, 4, size=(8, 8))
-    G = (B.T @ B).astype(float)
-    vals, _ = symmetric_eigen(G)
-    assert min(vals) >= -1e-9
-
-
-def test_sym_eigen_rotation_invariance():
-    # conjugating by the 3-4-5 rotation must not move the spectrum
-    c, s = 0.6, 0.8
-    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    D = np.diag([1.0, 2.0, 3.0])
-    vals, _ = symmetric_eigen(R @ D @ R.T)
-    assert np.allclose(sorted(vals), [1.0, 2.0, 3.0], atol=1e-9)
 
 
 def test_psd_project_fixed_point():

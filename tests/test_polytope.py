@@ -22,7 +22,7 @@ from mindeg.polytope import (CAYLEY, DENSE, IMAGE_OF_MODEL, NOT_DENSE,
                              contains_point_oracle, h_star,
                              higashitani_simplex, is_k_normal, k_normal_oracle,
                              lattice_point_count_oracle, lattice_points,
-                             polytope_degree, product_polytope,
+                             polytope_degree,
                              triangulate, _box_candidates, _chart_rows,
                              _convex_weights,
                              _lattice_point_count, _lex_unique,
@@ -32,6 +32,12 @@ from mindeg.polytope import (CAYLEY, DENSE, IMAGE_OF_MODEL, NOT_DENSE,
                              reeve_simplex, simplex, sublattice_index)
 
 F = Fraction
+
+
+def product_polytope(P, R):
+    """The product polytope P x R, by the products of their vertices."""
+    return LatticePolytope(P.ambient_rank + R.ambient_rank,
+                           [p + r for p in P.vertices for r in R.vertices])
 
 
 def normalized_volume(Q):

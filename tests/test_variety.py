@@ -18,6 +18,7 @@ from mindeg.variety import (QuadraticForm, VarietyModel, epsilon,
                             segre_veronese_model, toric_model,
                             toric_model_from_points, veronese_cone_model,
                             veronese_model)
+from test_polytope import product_polytope
 
 F = Fraction
 
@@ -309,6 +310,58 @@ def test_product_matches_gram_map_on_labelled_models(build):
              for i in range(m.n + 1)]
         assert m.product(g, h) == gs.apply_to_gram(G)
         assert m.product(g, h) == m.product(h, g)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: veronese_model(2, 2),
+    lambda: segre_veronese_model([1, 2], [1, 1]),
+    lambda: _labelled_scroll_model([1, 2]),
+    lambda: _labelled_scroll_model([1, 1, 3]),
+    lambda: _labelled_veronese_cone_model(5),
+    lambda: MODEL_FAMILIES["conic"]()],
+    ids=["veronese(2,2)", "segre_veronese(1,2;1,1)", "labelled scroll(1,2)",
+         "labelled scroll(1,1,3)", "labelled veronese_cone(5)", "conic"])
+def test_moment_is_the_transpose_of_sigma(build):
+    # l(sigma(G)) = <G, M(l)> for every functional l and symmetric G; the
+    # labelled builds have reduced pairs, and the conic's x0 x2 column is
+    # {x1^2: 2/3}
+    m = build()
+    nvars = m.n + 1
+    rng = np.random.Generator(np.random.Philox(nvars))
+    for _ in range(5):
+        values = [int(v) for v in rng.integers(-9, 10, m.dim_r2)]
+        B = rng.integers(-9, 10, (nvars, nvars))
+        G = (B + B.T).tolist()
+        f = m.sigma(G[i][j] if i == j else 2 * G[i][j] for i, j in m.pairs)
+        M = m.moment(values)
+        assert sum(v * c for v, c in zip(values, f)) == sum(
+            G[i][j] * M[i][j] for i in range(nvars) for j in range(nvars))
+        if m.is_toric:
+            # unit columns: ints stay ints
+            assert all(type(c) is int for c in f)
+            assert all(type(x) is int for row in M for x in row)
+
+
+@pytest.mark.parametrize("dims,degrees", [
+    ([1, 1], [1, 1]), ([1, 2], [1, 1]), ([2, 2], [1, 1]), ([1, 1], [2, 1]),
+    ([1, 1], [2, 2]), ([1, 1, 1], [1, 1, 1]), ([2, 1], [1, 3])],
+    ids=lambda v: ",".join(map(str, v)))
+def test_segre_veronese_matches_the_product_polytope(dims, degrees):
+    # the lattice points of a product of lattice polytopes are the products
+    # of their lattice points, so the exponent route gives the toric model
+    # of the product polytope field for field
+    Q = simplex(dims[0], degrees[0])
+    for ni, di in zip(dims[1:], degrees[1:]):
+        Q = product_polytope(Q, simplex(ni, di))
+    got, ref = segre_veronese_model(dims, degrees), toric_model(Q)
+    assert got.name == "segre_veronese(%s;%s)" % (
+        ",".join(map(str, dims)), ",".join(map(str, degrees)))
+    ref.name = got.name
+    for attr in ("n", "m", "e", "r1_basis", "r2_basis", "columns",
+                 "relations"):
+        assert getattr(got, attr) == getattr(ref, attr), attr
+    assert json.dumps(got.to_json(), sort_keys=True) == \
+        json.dumps(ref.to_json(), sort_keys=True)
 
 
 def test_lower_dimensional_toric_input():

@@ -13,16 +13,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mindeg.witness
-from mindeg.cones import (DualFunctional, _moment_matrix, _sup_normalize,
-                          interpolant_through_points, pair_with_square,
-                          separating_functional_real)
+from mindeg.cones import (DualFunctional, _sup_normalize,
+                          interpolant_through_points, moment_psd,
+                          pair_with_square, separating_functional_real)
 from mindeg.errors import (
     DegeneratePosition,
     DegenerateSpan,
     InconsistentModel,
     NoDeltaFound,
 )
-from mindeg.numerics import exact_rank, nullspace, residues, rref, solve_exact
+from mindeg.numerics import (exact_rank, nullspace, residues, rref,
+                             solve_exact, to_float)
 from mindeg.variety import QuadraticForm, epsilon, veronese_model
 from mindeg.witness import (
     _SAMPLE_BLOCK,
@@ -703,6 +704,32 @@ def test_pipeline_nonnegativity_evidence(report):
     assert fresh["margin"] >= -1e-9
 
 
+@pytest.mark.parametrize("d,seed", [(3, 1), (3, 2), (4, 1), (4, 2)])
+def test_moment_psd_is_the_bottom_eigenvalue_of_eigh(d, seed):
+    # eigvalsh's bottom eigenvalue differs from eigh's in the last bits, and
+    # the CLI's witness pin leaves moment_min_eig out
+    rep = hilbert_witness(d, seed=seed, samples=2000)
+    fn = rep.functional
+    want = float(np.linalg.eigh(to_float(fn.moment_matrix()))[0][0])
+    assert moment_psd(fn).hex() == want.hex()
+    assert rep.functional_checks["moment_min_eig"].hex() == want.hex()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 70])
+def test_rng_is_philox_of_the_seed_sequence(seed):
+    # an int, a numpy int and a SeedSequence give one stream; a float is
+    # not truncated to an int
+    want = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed))).integers(0, 2 ** 62, 16)
+    seeds = [seed, np.random.SeedSequence(seed)]
+    if seed < 2 ** 63:
+        seeds.append(np.int64(seed))
+    for s in seeds:
+        assert (_rng(s).integers(0, 2 ** 62, 16) == want).all()
+    with pytest.raises(TypeError):
+        _rng(float(seed))
+
+
 def test_pipeline_functional_checks(report):
     checks = report.functional_checks
     assert checks["pairing_is_zero"] is True
@@ -1019,7 +1046,7 @@ def _shift_bound_reference(model, hs, l1, L, den, alpha):
     vectors u off the pivot columns of the h_i; P^-1 is solved column by
     column."""
     free = [k for k in range(model.n + 1) if k not in rref(hs)[1]]
-    M1, M2 = _moment_matrix(model, l1), _moment_matrix(model, L)
+    M1, M2 = model.moment(l1), model.moment(L)
     P = [[M1[k][l] for l in free] for k in free]
     n = len(free)
     cols = [solve_exact(P, [int(r == c) for r in range(n)]) for c in range(n)]
