@@ -91,6 +91,8 @@ class DualFunctional:
         self.values = [Fraction(v) for v in self.values]
 
     def apply(self, form: QuadraticForm) -> Fraction:
+        if form.model is not self.model:
+            raise InconsistentModel("form and functional use different models")
         return sum((v * c for v, c in zip(self.values, form.coefficients)),
                    Fraction(0))
 
@@ -144,12 +146,12 @@ _FAR_FROM_PSD = 2.0 ** -10
 def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
               budget: int = 1000) -> SosResult:
     """Decide whether the form is a sum of squares on the model, with an
-    exact proof either way; `budget` caps the Newton steps. `gram_slice` is
-    a GramSlice of the form's model (or of one with the same R_2 basis),
-    to share its float matrices across calls; by default one is built from
-    form.model. The columns of sigma come from the model
-    (VarietyModel.columns), and _certificate puts residuals on its
-    representative pairs (VarietyModel.rep_pairs).
+    exact proof either way; `budget` caps the Newton steps. `gram_slice`, a
+    GramSlice of form.model itself and of no other model (InconsistentModel),
+    shares its float matrices across calls; by default one is built. The
+    columns of sigma come from the model (VarietyModel.columns), and
+    _certificate puts residuals on its representative pairs
+    (VarietyModel.rep_pairs).
 
     The Gram slice is G0 + span{Q_i} (G0 least-norm, Q_i from solver_maps).
     Newton steps on -c t - log det S, S = G0 + sum y_i Q_i - t I, maximize
@@ -175,7 +177,7 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
     Undetermined.
     """
     gs = gram_slice if gram_slice is not None else GramSlice(form.model)
-    if gs.model is not form.model and gs.model.r2_basis != form.model.r2_basis:
+    if gs.model is not form.model:
         raise InconsistentModel("form and Gram slice use different models")
     nvars = gs.model.n + 1
     A, AAt_inv, F = gs.solver_maps
@@ -412,34 +414,30 @@ def kernel_dimension(functional: DualFunctional) -> int:
     return len(M) - exact_rank(M)
 
 
-def extremality_check(functional: DualFunctional, kernel=None):
+def extremality_check(functional: DualFunctional, kernel):
     """Whether the functional spans an extremal ray of the dual cone of
     sums of squares: the space of functionals whose moment matrix kills
     Ker(M) must be one-dimensional. Returns (extremal, that dimension),
     which is dim R_2 minus the exact rank of the linear conditions
     M(l) k = 0, k in a basis of Ker(M).
 
-    The basis is the integer nullspace of M unless kernel gives one: a list of
-    vectors, checked exactly to lie in Ker(M) (M k = 0 over the integer
-    rows of M), to be independent and to number len(M) - rank(M). A kernel
-    that fails a check raises InconsistentModel. Any basis of Ker(M) gives
-    the same conditions, and a basis with small entries is cheaper to
-    eliminate than the reduced one."""
+    kernel is that basis: a list of vectors, checked exactly to lie in
+    Ker(M) (M k = 0 over the integer rows of M), to be independent and to
+    number len(M) - rank(M). A kernel that fails a check raises
+    InconsistentModel. Any basis of Ker(M) gives the same conditions, and
+    a basis with small entries is cheaper to eliminate than the reduced
+    one."""
     M = functional.moment_matrix()
-    if kernel is None:
-        kern = nullspace(M)
-    else:
-        if any(len(k) != len(M) for k in kernel):
-            raise InconsistentModel("kernel vector of the wrong length")
-        kern = [_integer_row(k) for k in kernel]
-        int_rows = [_integer_row(r) for r in M]
-        if any(sum(a * b for a, b in zip(r, k)) for k in kern
-               for r in int_rows):
-            raise InconsistentModel("kernel vector outside Ker M")
-        if exact_rank(kern) != len(kern):
-            raise InconsistentModel("kernel vectors are dependent")
-        if len(kern) != len(M) - exact_rank(M):
-            raise InconsistentModel("kernel vectors do not span Ker M")
+    if any(len(k) != len(M) for k in kernel):
+        raise InconsistentModel("kernel vector of the wrong length")
+    kern = [_integer_row(k) for k in kernel]
+    int_rows = [_integer_row(r) for r in M]
+    if any(sum(a * b for a, b in zip(r, k)) for k in kern for r in int_rows):
+        raise InconsistentModel("kernel vector outside Ker M")
+    if exact_rank(kern) != len(kern):
+        raise InconsistentModel("kernel vectors are dependent")
+    if len(kern) != len(M) - exact_rank(M):
+        raise InconsistentModel("kernel vectors do not span Ker M")
     if not kern:
         return False, 0
     model = functional.model

@@ -2,7 +2,8 @@
 
 Every error below signals a *diagnosed* condition: either bad input data
 (validation errors) or a computation that refuses to guess (tolerance and
-budget errors). Nothing here is used for flow control on the happy path.
+budget errors). Nothing here is used for flow control on the happy path,
+and the witness pipeline retries exactly one of them, DegeneratePosition.
 """
 
 
@@ -19,19 +20,12 @@ class InconsistentModel(MindegError):
 
 
 class DegeneratePosition(MindegError):
-    """Points are not in linearly general position for the construction."""
+    """Points are not in linearly general position for the construction:
+    the one error the witness pipeline retries with a fresh draw."""
 
 
 class RetryExhausted(MindegError):
-    """A randomized draw failed validation too many times."""
-
-
-class DegenerateSpan(MindegError):
-    """A vanishing space has unexpected dimension; upstream data degenerate."""
-
-
-class EmptyComplement(MindegError):
-    """A sought complement subspace is empty; upstream data degenerate."""
+    """Every attempt of the witness pipeline met a degenerate draw."""
 
 
 class NoDeltaFound(MindegError):

@@ -151,10 +151,6 @@ class VarietyModel:
         return self.sigma(g[i] * h[i] if i == j else g[i] * h[j] + g[j] * h[i]
                           for i, j in self.pairs)
 
-    def __repr__(self):
-        return "VarietyModel(%s: n=%d, m=%d, e=%d, dim R2=%d, |I2|=%d)" % (
-            self.name, self.n, self.m, self.e, self.dim_r2, self.i2_count)
-
     def to_json(self):
         """Serialized model. Toric models are reconstructed from r1_basis
         alone, so their (possibly huge) relation list is included only when

@@ -42,8 +42,6 @@ from .cones import (
 )
 from .errors import (
     DegeneratePosition,
-    DegenerateSpan,
-    EmptyComplement,
     InconsistentModel,
     MindegError,
     NoDeltaFound,
@@ -79,11 +77,9 @@ def _rng(seed):
 
 
 def _normalized(vec):
-    """The primitive integer tuple of vec, its first nonzero entry > 0."""
+    """The primitive integer tuple of vec != 0, first nonzero entry > 0."""
     ints = _primitive(vec)
-    lead = next((v for v in ints if v != 0), None)
-    if lead is None:
-        raise DegeneratePosition("zero vector cannot be normalized")
+    lead = next(v for v in ints if v != 0)
     return tuple(-v for v in ints) if lead < 0 else tuple(ints)
 
 
@@ -170,7 +166,7 @@ def choose_hyperplanes(model, seed):
     _functional_points(d) have images tied by exactly one linear relation
     with every coefficient nonzero, so the configuration feeds the
     separating-functional construction directly. Draws that fail are
-    rejected."""
+    rejected; DegeneratePosition when all _MAX_DRAWS of them fail."""
     d = _degree(model)
     if d < 3:
         raise ValueError("need degree at least 3")
@@ -196,16 +192,17 @@ def choose_hyperplanes(model, seed):
         if len(rel) != 1 or any(c == 0 for c in rel[0]):
             continue
         return ell, em, pts
-    raise RetryExhausted(
+    raise DegeneratePosition(
         "no valid line configuration in %d draws" % _MAX_DRAWS)
 
 
 def fit_h0(model, points, selected, seed):
     """Form over model.r1_basis vanishing exactly at the selected points:
     drawn from the exact nullspace of their Veronese evaluation matrix,
-    verified nonvanishing at every non-selected point. The draw combines
-    its reduced-echelon basis: the _kernel_vector of each free column fc,
-    brought to one integer scale, the lcm of their entries at fc.
+    verified nonvanishing at every non-selected point (DegeneratePosition
+    after _MAX_DRAWS failed draws). The draw combines its reduced-echelon
+    basis: the _kernel_vector of each free column fc, brought to one
+    integer scale, the lcm of their entries at fc.
 
     With the line products h1 and h2 it spans that nullspace: they vanish
     at every grid point, are independent (distinct primitive lines), and
@@ -213,12 +210,12 @@ def fit_h0(model, points, selected, seed):
     they vanish. certify_not_sos checks both facts again."""
     d, exps, e = _degree(model), model.r1_basis, model.e
     if len(selected) != e or len(set(selected)) != e:
-        raise DegenerateSpan("need %d distinct selected indices" % e)
+        raise DegeneratePosition("need %d distinct selected indices" % e)
     rows = [_veronese_image(points[i], d, exps) for i in selected]
     mat, pivots = _echelon(rows)
     free = [c for c in range(len(exps)) if c not in pivots]
     if len(free) != 3:
-        raise DegenerateSpan(
+        raise DegeneratePosition(
             "vanishing space has dimension %d, expected 3" % len(free))
     vanishing = [_kernel_vector(mat, pivots, fc, len(exps)) for fc in free]
     scale = math.lcm(*(v[fc] for v, fc in zip(vanishing, free)))
@@ -227,7 +224,6 @@ def fit_h0(model, points, selected, seed):
     unselected_images = [_veronese_image(points[i], d, exps)
                          for i in range(len(points)) if i not in set(selected)]
     rng = _rng(seed)
-    h0 = None
     for _ in range(_MAX_DRAWS):
         c = rng.integers(-4, 5, size=3)
         if not c.any():
@@ -239,13 +235,10 @@ def fit_h0(model, points, selected, seed):
         vals = [sum(a * b for a, b in zip(cand, img))
                 for img in unselected_images]
         if all(v != 0 for v in vals):
-            h0 = cand
-            break
-    if h0 is None:
-        raise RetryExhausted(
-            "no combination avoided the unselected points in %d draws"
-            % _MAX_DRAWS)
-    return h0
+            return cand
+    raise DegeneratePosition(
+        "no combination avoided the unselected points in %d draws"
+        % _MAX_DRAWS)
 
 
 def build_f(model, points, selected, prods):
@@ -279,11 +272,11 @@ def build_f(model, points, selected, prods):
     ns_dim, rp = ncols - len(pivots), len(ppivots)
     quotient = ns_dim - rp
     if quotient == 0:
-        raise EmptyComplement(
+        raise DegeneratePosition(
             "every doubly-vanishing form is a combination of the h_i h_j")
     eps = epsilon(model)
     if quotient < eps or (d == 3 and quotient != 1):
-        raise DegenerateSpan(
+        raise DegeneratePosition(
             "quotient dimension %d is degenerate (deficiency %d)"
             % (quotient, eps))
     # quotient > 0: some nullspace vector lies outside span(prods)
@@ -598,29 +591,42 @@ def witness_report_from_json(blob):
     )
 
 
+def _report_ints(report):
+    """(model, hs, points) read off a report: a fresh veronese_model(2, d),
+    the three h_i as int lists over its r1_basis and the selected points as
+    int triples. ValueError unless the h_i are integer and every h_i
+    vanishes at every selected point."""
+    model = veronese_model(2, report.d)
+    exps = model.r1_basis
+    hs = [_numerators(h) for h in report.h_vectors]
+    if len(hs) != 3 or any(den != 1 or len(h) != len(exps) for h, den in hs):
+        raise ValueError("need three integer forms over r1_basis")
+    hs = [h for h, _ in hs]
+    points = [tuple(operator.index(c) for c in report.points[i])
+              for i in report.selected]
+    for p in points:
+        image = _veronese_image(p, report.d, exps)
+        if any(sum(a * b for a, b in zip(h, image)) for h in hs):
+            raise ValueError("an h_i does not vanish at a selected point")
+    return model, hs, points
+
+
 def certify_not_sos(report: WitnessReport) -> bool:
     """Exact re-verification that the witness is not a sum of squares:
     (a) the degree-d forms vanishing at the selected points are exactly
     span{h0, h1, h2}; (b) f vanishes at the selected points but lies
     outside span{h_i h_j}; (c) the witness is delta f + h0^2 + h1^2 + h2^2
     with delta > 0. Any square decomposition of the witness would force its
-    squares into the span from (a), contradicting (b). The forms are read
-    over the bases of a fresh veronese_model(2, d), which also forms the
+    squares into the span from (a), contradicting (b). _report_ints reads
+    the report (the h_i must be integer); its fresh model forms the
     products. Returns False instead of raising on an invalid report."""
     try:
-        d = report.d
-        model = veronese_model(2, d)
-        exps, exps2 = model.r1_basis, model.r2_basis
-        rows = [_veronese_image(report.points[i], d, exps)
-                for i in report.selected]
-        vanishing = nullspace(rows, ncols=len(exps))
-        if len(vanishing) != 3:
-            return False
-        hs = report.h_vectors
-        if len(hs) != 3 or any(len(h) != len(exps) for h in hs):
-            return False
-        if any(any(r) for r in residues(vanishing, hs)) \
-                or exact_rank(hs) != 3:
+        model, hs, points = _report_ints(report)
+        d, exps, exps2 = report.d, model.r1_basis, model.r2_basis
+        # (a): the h_i lie in that space (_report_ints), and span it when
+        # independent and it has dimension dim R_1 - rank of the images = 3
+        images = [_veronese_image(p, d, exps) for p in points]
+        if exact_rank(hs) != 3 or exact_rank(images) != len(exps) - 3:
             return False
         prods = _square_products(model, hs)
         f = [Fraction(c) for c in report.f.coefficients]
@@ -636,8 +642,8 @@ def certify_not_sos(report: WitnessReport) -> bool:
         # f lies outside span{h_i h_j} iff its residue modulo them is not 0
         if not any(residues(prods, [f])[0]):
             return False
-        for i in report.selected:
-            img2 = _veronese_image(report.points[i], 2 * d, exps2)
+        for p in points:
+            img2 = _veronese_image(p, 2 * d, exps2)
             if sum(c * v for c, v in zip(f, img2)) != 0:
                 return False
         return True
@@ -752,11 +758,11 @@ def certify_dual(report: WitnessReport) -> bool:
     5. l(witness) < 0.
 
     By 1 to 4 the moment matrix of l is positive definite (_shift_bound),
-    so by 5 the witness is not a sum of squares. The h_i and the points
-    must be integer. Returns False instead of raising on a malformed or
-    tampered report."""
+    so by 5 the witness is not a sum of squares. The report is read by
+    _report_ints, which checks fact 1. Returns False instead of raising on
+    a malformed or tampered report."""
     try:
-        model = veronese_model(2, report.d)
+        model, hs, points = _report_ints(report)
         blob = report.sos["functional"]
         if blob["model"] != model.name:
             return False
@@ -766,18 +772,6 @@ def certify_dual(report: WitnessReport) -> bool:
         witness = QuadraticForm(model, list(report.witness.coefficients))
         if fn.apply(witness) >= 0:
             return False
-        exps = model.r1_basis
-        hs = [_numerators(h) for h in report.h_vectors]
-        if len(hs) != 3 or any(den != 1 or len(h) != len(exps)
-                               for h, den in hs):
-            return False
-        hs = [h for h, _ in hs]
-        points = [[operator.index(c) for c in report.points[i]]
-                  for i in report.selected]
-        for p in points:
-            image = _veronese_image(p, report.d, exps)
-            if any(sum(a * b for a, b in zip(h, image)) for h in hs):
-                return False
         l1 = _point_sum(model, points)
         # l2 = l - K l1 = L / den
         (*L, kden), den = _numerators(fn.values + [K])
@@ -839,10 +833,11 @@ def _default_selection(d, e):
 
 def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
     """Full pipeline on the degree-d Veronese surface model. Steps that
-    depend on the random draw retry with derived seeds; the final report
-    carries the exact non-SOS certificate, sampling evidence for
-    nonnegativity, the separating functional with its exact pairing, and
-    the exact Infeasible verdict with its dual functional (certify_dual).
+    depend on the random draw retry with derived seeds on
+    DegeneratePosition; the final report carries the exact non-SOS
+    certificate, sampling evidence for nonnegativity, the separating
+    functional with its exact pairing, and the exact Infeasible verdict
+    with its dual functional (certify_dual).
     samples must be an integer >= 1, else ValueError before any stage."""
     if d < 3:
         raise ValueError("need degree at least 3")
@@ -862,8 +857,7 @@ def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
             prods = _square_products(model, hs)
             f_raw, stats = build_f(model, points, selected, prods)
             break
-        except (DegeneratePosition, DegenerateSpan, EmptyComplement,
-                RetryExhausted) as ex:
+        except DegeneratePosition as ex:
             last_err = ex
     else:
         raise RetryExhausted(

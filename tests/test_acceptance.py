@@ -16,8 +16,8 @@ from mindeg.cones import (GramSlice, extremality_check,
                           interpolant_through_points, kernel_dimension,
                           moment_psd, pair_with_square,
                           separating_functional_real, sos_check)
-from mindeg.errors import (DegeneratePosition, DegenerateSpan,
-                           EmptyComplement, NoDeltaFound, RetryExhausted)
+from mindeg.errors import DegeneratePosition, NoDeltaFound, RetryExhausted
+from mindeg.numerics import nullspace
 from mindeg.polytope import (CAYLEY, PYRAMID, LatticePolytope, amgm_witness,
                              classify, h_star, higashitani_simplex,
                              is_k_normal, lattice_points, polytope_degree,
@@ -135,8 +135,7 @@ def test_normality_classify_and_amgm_never_list(corpus, monkeypatch):
 
 def test_criterion_6_witness_pipeline():
     with criterion(6, "degree-3 witness pipeline, 10 seeds", 1200):
-        soft = (RetryExhausted, DegeneratePosition, DegenerateSpan,
-                EmptyComplement, NoDeltaFound)
+        soft = (RetryExhausted, DegeneratePosition, NoDeltaFound)
         successes = 0
         for seed in range(10):
             try:
@@ -182,7 +181,7 @@ def test_criterion_7_separating_functional():
         for h in rep.h_vectors[1:]:
             pairing += pair_with_square(fn2, h)
         assert pairing == 0
-        extremal, _ = extremality_check(fn)
+        extremal, _ = extremality_check(fn, nullspace(fn.moment_matrix()))
         assert extremal
         assert kernel_dimension(fn) == model.m + 1 == 3
 

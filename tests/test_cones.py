@@ -168,6 +168,21 @@ def test_sos_check_model_mismatch(veronese_surface):
         sos_check(f, gram_slice=GramSlice(veronese_model(1, 3)))
 
 
+def test_verdicts_hold_only_on_the_forms_own_model():
+    # two conics with one R_2 basis whose sigma differs at x0 x2
+    A, B = _conic(1, 1), _conic(1, 2)
+    assert A.r2_basis == B.r2_basis and A.columns != B.columns
+    f = QuadraticForm(B, [F(1), F(-1), F(-1), F(-1), F(1)])
+    assert sos_check(f).status == "Certificate"
+    # on A's sigma the same coefficients are not SOS: a slice of A
+    # would decide another form
+    with pytest.raises(InconsistentModel):
+        sos_check(f, gram_slice=GramSlice(A))
+    with pytest.raises(InconsistentModel):
+        DualFunctional(A, [F(1), F(0), F(0), F(0), F(1)]).apply(f)
+    assert DualFunctional(B, [F(1), F(0), F(0), F(0), F(1)]).apply(f) == 2
+
+
 def test_sos_result_json(quartic_gap):
     model, gs = quartic_gap
     res = sos_check(QuadraticForm(model, [F(0)] * model.dim_r2), gram_slice=gs)
@@ -637,7 +652,7 @@ def test_real_functional_kernel_and_extremality(quartic_gap):
     model, _ = quartic_gap
     fn, _ = separating_functional_real(model, QUARTIC_POINTS)
     assert kernel_dimension(fn) == 2
-    assert extremality_check(fn) == (True, 1)
+    assert extremality_check(fn, nullspace(fn.moment_matrix())) == (True, 1)
 
 
 def test_real_functional_degenerate_inputs(quartic_gap):
@@ -665,9 +680,11 @@ def test_interpolant_inconsistent_conditions():
 def test_extremality_baselines():
     model = veronese_model(1, 1)
     ident = DualFunctional(model, [F(1), F(0), F(1)])
-    assert extremality_check(ident) == (False, 0)
+    assert extremality_check(
+        ident, nullspace(ident.moment_matrix())) == (False, 0)
     point_eval = DualFunctional(model, [F(1), F(0), F(0)])
-    assert extremality_check(point_eval) == (True, 1)
+    assert extremality_check(
+        point_eval, nullspace(point_eval.moment_matrix())) == (True, 1)
 
 
 def _extremality_dense_reference(functional):
@@ -713,14 +730,14 @@ def test_extremality_check_matches_dense_reference(d, quartic_gap):
                       for x, y, z in pts[:count])
                   for (a, b) in model.r2_basis]
         fn = DualFunctional(model, values)
-        assert extremality_check(fn) == \
+        assert extremality_check(fn, nullspace(fn.moment_matrix())) == \
             _extremality_dense_reference(fn)
         assert kernel_dimension(fn) == _kernel_dimension_reference(fn)
     # the witness pipeline's functional at seed 11
     rep = hilbert_witness(d, seed=11)
     fn = rep.functional
     expected = _extremality_dense_reference(fn)
-    assert extremality_check(fn) == expected \
+    assert extremality_check(fn, nullspace(fn.moment_matrix())) == expected \
         == {3: (True, 1), 4: (False, 3)}[d]
     assert kernel_dimension(fn) == _kernel_dimension_reference(fn) == 3
     # the kernel basis the construction gives: the interpolant g, h1, h2
@@ -743,7 +760,8 @@ def test_extremality_check_matches_dense_reference(d, quartic_gap):
             extremality_check(fn, kernel=bad)
     model, _ = quartic_gap
     fn = separating_functional_real(model, QUARTIC_POINTS)[0]
-    assert extremality_check(fn) == _extremality_dense_reference(fn)
+    assert extremality_check(fn, nullspace(fn.moment_matrix())) == \
+        _extremality_dense_reference(fn)
 
 
 def test_dual_functional_json(quartic_gap):

@@ -1,18 +1,21 @@
 """The package source keeps no dead private helpers and no unused imports:
 every module-level name that starts with an underscore is used somewhere in
 src/mindeg besides its own definition, every name a module imports is used
-in that module, and the package exports exactly what __init__.py imports.
+in that module, the package exports exactly what __init__.py imports, and
+every export is used by the package or the benchmark, not by tests alone.
 Read with ast alone, without importing the package."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mindeg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mindeg"
+PERFBENCH = ROOT / "perfbench"
 
 
-def _private_definitions(tree):
-    """(name, defining node) of each private module-level binding: a
-    function, class or assignment target named _x (dunders excluded)."""
+def _definitions(tree):
+    """(name, defining node) of each module-level binding: a function,
+    class or assignment target."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -25,8 +28,14 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield name, node
+
+
+def _private_definitions(tree):
+    """The _definitions named _x (dunders excluded)."""
+    for name, node in _definitions(tree):
+        if name.startswith("_") and not name.startswith("__"):
+            yield name, node
 
 
 def _references(tree, name, skip):
@@ -87,12 +96,41 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def _exports(tree):
+    """The literal __all__ of the module tree."""
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["__all__"]]
+    return exported
+
+
 def test_all_is_what_init_imports():
     # a name deleted from a module cannot linger in __all__, nor an import
     # stay unexported
     tree = ast.parse((SRC / "__init__.py").read_text())
     imported = {name for name, _ in _imported_names(tree)}
-    (exported,) = [ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and [t.id for t in node.targets] == ["__all__"]]
+    exported = _exports(tree)
     assert set(exported) == imported and len(exported) == len(imported)
+
+
+def _used(tree, name):
+    """Whether tree uses name outside its own module-level definition: a
+    reference, or a string constant equal to it (the benchmark's tracer
+    names its targets by string)."""
+    own = {id(n) for defined, node in _definitions(tree) if defined == name
+           for n in ast.walk(node)}
+    return any(_references(tree, name, own)) or any(
+        isinstance(n, ast.Constant) and n.value == name
+        and id(n) not in own for n in ast.walk(tree))
+
+
+def test_every_export_is_used_outside_tests():
+    # no public API exists only for tests: each name in __all__ is used in
+    # src/mindeg besides __init__.py, or in perfbench
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(PERFBENCH.glob("*.py"))
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+    assert len(trees) > 2, "no sources under %s or %s" % (SRC, PERFBENCH)
+    exported = _exports(ast.parse((SRC / "__init__.py").read_text()))
+    assert [name for name in exported
+            if not any(_used(tree, name) for tree in trees)] == []

@@ -18,9 +18,9 @@ from mindeg.cones import (DualFunctional, _sup_normalize,
                           pair_with_square, separating_functional_real)
 from mindeg.errors import (
     DegeneratePosition,
-    DegenerateSpan,
     InconsistentModel,
     NoDeltaFound,
+    RetryExhausted,
 )
 from mindeg.numerics import (exact_rank, nullspace, residues, rref,
                              solve_exact, to_float)
@@ -31,6 +31,7 @@ from mindeg.witness import (
     _default_selection,
     _degree,
     _EXCLUSION_RADIUS,
+    _MAX_RETRIES,
     _dual_parts,
     _frac_from_json,
     _frac_json,
@@ -164,7 +165,7 @@ def test_fit_h0_vanishing_pattern():
 
 def test_fit_h0_selection_errors():
     model, _, _, pts = _line_products(3, 11)
-    with pytest.raises(DegenerateSpan):
+    with pytest.raises(DegeneratePosition):
         fit_h0(model, pts, [0, 1, 2], seed=1)
 
 
@@ -172,8 +173,33 @@ def test_fit_h0_clustered_selection_degenerates():
     # the first twelve grid cells sit on three lines of the first product,
     # whose multiples inflate the vanishing space
     model, _, _, pts = _line_products(4, 1)
-    with pytest.raises(DegenerateSpan):
+    with pytest.raises(DegeneratePosition):
         fit_h0(model, pts, list(range(12)), seed=1)
+
+
+def test_draw_exhaustion_is_a_degenerate_position(monkeypatch):
+    # the stages raise the one error the pipeline retries
+    model, _, _, pts = _line_products(3, 11)
+    monkeypatch.setattr(mindeg.witness, "_MAX_DRAWS", 0)
+    with pytest.raises(DegeneratePosition, match="in 0 draws"):
+        choose_hyperplanes(model, seed=11)
+    with pytest.raises(DegeneratePosition, match="in 0 draws"):
+        fit_h0(model, pts, _default_selection(3, 7), seed=1)
+
+
+def test_pipeline_gives_up_when_every_attempt_degenerates(monkeypatch):
+    calls = []
+
+    def degenerate(model, seed):
+        calls.append(seed)
+        raise DegeneratePosition("draw %d is degenerate" % len(calls))
+
+    monkeypatch.setattr(mindeg.witness, "choose_hyperplanes", degenerate)
+    with pytest.raises(RetryExhausted) as caught:
+        hilbert_witness(3, seed=0)
+    assert len(calls) == _MAX_RETRIES
+    assert str(caught.value).endswith(
+        "last: draw %d is degenerate" % _MAX_RETRIES)
 
 
 @pytest.mark.parametrize("d,seed", [(d, s) for d in (3, 4, 5) for s in (0, 1)])
@@ -211,7 +237,7 @@ def test_build_f_quotient_must_be_one_at_degree_three():
     f, stats = build_f(model, pts, selected, prods)
     assert stats == {"nullspace_dim": 7, "products_rank": 6,
                      "quotient_dim": 1}
-    with pytest.raises(DegenerateSpan):
+    with pytest.raises(DegeneratePosition):
         build_f(model, pts, selected[:6], prods)
 
 
@@ -794,6 +820,30 @@ def test_certify_rejects_tampered_reports(report):
         report, delta=F(0), witness=QuadraticForm(model, sum_sq))) is False
     assert certify_not_sos(replace(report, witness=None)) is False
     assert certify_not_sos(report) is True
+
+
+def test_certify_not_sos_rejects_rebuilt_witnesses(report):
+    # other h vectors that vanish at the selected points, with the witness
+    # rebuilt on them to match
+    model = veronese_model(2, 3)
+
+    def rebuilt(hs):
+        squares = [model.product(h, h) for h in hs]
+        return replace(report, h_vectors=hs, witness=QuadraticForm(model, [
+            report.delta * c + a + b + e
+            for c, a, b, e in zip(report.f.coefficients, *squares)]))
+
+    assert certify_not_sos(rebuilt(list(report.h_vectors))) is True
+    # h0 / 2 spans the same space, but the report reader takes integer
+    # forms only, and does not read the numerators of h0 / 2 in its place
+    assert any(c % 2 for c in report.h_vectors[0])
+    hs = [[F(c, 2) for c in report.h_vectors[0]], *report.h_vectors[1:]]
+    assert certify_not_sos(rebuilt(hs)) is False
+    assert certify_not_sos(replace(report, h_vectors=hs)) is False
+    assert certify_dual(replace(report, h_vectors=hs)) is False
+    # h1, h1, h2 span less than the vanishing space
+    assert certify_not_sos(rebuilt(
+        [report.h_vectors[1], *report.h_vectors[1:]])) is False
 
 
 def test_delta_halving_stays_accepted(report):
