@@ -414,6 +414,20 @@ def kernel_dimension(functional: DualFunctional) -> int:
     return len(M) - exact_rank(M)
 
 
+def _condition_rows(model, kern):
+    """The R_2 vectors x_i k, k-major, as model.product(e_i, k) gives them."""
+    rows = []
+    for k in kern:
+        block = [[0] * model.dim_r2 for _ in range(model.n + 1)]
+        for (i, j), col in zip(model.pairs, model.columns):
+            for s, coeff in col.items():
+                block[i][s] += coeff * k[j]
+                if i != j:
+                    block[j][s] += coeff * k[i]
+        rows += block
+    return rows
+
+
 def extremality_check(functional: DualFunctional, kernel):
     """Whether the functional spans an extremal ray of the dual cone of
     sums of squares: the space of functionals whose moment matrix kills
@@ -426,7 +440,9 @@ def extremality_check(functional: DualFunctional, kernel):
     number len(M) - rank(M). A kernel that fails a check raises
     InconsistentModel. Any basis of Ker(M) gives the same conditions, and
     a basis with small entries is cheaper to eliminate than the reduced
-    one."""
+    one. Each rank is checked mod p against a proved bound: s for s kernel
+    vectors, len(M) - s for M, and s (n + 1) - C(s, 2) for the conditions
+    by their independent Koszul relations sum_i k'_i x_i k - k_i x_i k' = 0."""
     M = functional.moment_matrix()
     if any(len(k) != len(M) for k in kernel):
         raise InconsistentModel("kernel vector of the wrong length")
@@ -434,16 +450,14 @@ def extremality_check(functional: DualFunctional, kernel):
     int_rows = [_integer_row(r) for r in M]
     if any(sum(a * b for a, b in zip(r, k)) for k in kern for r in int_rows):
         raise InconsistentModel("kernel vector outside Ker M")
-    if exact_rank(kern) != len(kern):
+    s = len(kern)
+    if exact_rank(kern, s) != s:
         raise InconsistentModel("kernel vectors are dependent")
-    if len(kern) != len(M) - exact_rank(M):
+    if exact_rank(int_rows, len(M) - s) != len(M) - s:
         raise InconsistentModel("kernel vectors do not span Ker M")
     if not kern:
         return False, 0
-    model = functional.model
-    nvars = model.n + 1
     # (M(l) k)_i = l(x_i k), linear in l's values: its row is x_i k in R_2
-    rows = [model.product([int(j == i) for j in range(nvars)], k)
-            for k in kern for i in range(nvars)]
-    dim = model.dim_r2 - exact_rank(rows)
+    rows = _condition_rows(functional.model, kern)
+    dim = len(rows[0]) - exact_rank(rows, s * len(M) - math.comb(s, 2))
     return dim == 1, dim

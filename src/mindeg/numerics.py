@@ -3,11 +3,12 @@
 All exact computation in the package funnels through this module: ranks,
 nullspaces, positive definiteness and integer lattice normal forms are
 exact, with no floating shortcut. Rational input is cleared of denominators
-and eliminated over Python ints: every rank, kernel and solve is one
-integer echelon form (``_echelon``) read through its integer kernel
-vectors. Kernels come back as primitive integer vectors (``nullspace``);
-only ``rref`` and ``solve_exact`` return ``fractions.Fraction`` entries,
-each made once from integers. The only float code here converts between
+and eliminated over Python ints: every kernel and solve is one integer
+echelon form (``_echelon``) read through its integer kernel vectors, and so
+is every rank that its rank modulo a prime (``rank_mod_p``) does not settle
+against a proved upper bound. Kernels are primitive integer vectors
+(``nullspace``); only ``rref`` and ``solve_exact`` return Fractions, each
+made once from integers. The only float code here converts between
 rationals and floats; the float kernels live in ``kernels``.
 """
 
@@ -17,6 +18,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+_PRIME = 2147483629  # below 2^31: a product of two residues fits in int64
 
 
 def _frac(x) -> Fraction:
@@ -51,11 +54,13 @@ def _numerators(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _eliminate(row, prow, c):
-    """row with column c cleared by the pivot row prow, kept primitive."""
+def _eliminate(row, prow, c, start=0):
+    """row with column c cleared by the pivot row prow, kept primitive;
+    columns before start come out 0 (start = c + 1: both vanish before c)."""
     g = math.gcd(prow[c], row[c])
     p, a = prow[c] // g, row[c] // g
-    return _primitive([p * x - a * y for x, y in zip(row, prow)])
+    return [0] * start + _primitive([p * x - a * y for x, y in
+                                     zip(row[start:], prow[start:])])
 
 
 def _echelon(rows):
@@ -64,7 +69,8 @@ def _echelon(rows):
     Returns (pivot rows, pivot columns): primitive integer rows, row k
     zero before its pivot column, so the number of pivots is the rank. The
     pivot is the entry of smallest absolute value in its column; rows that
-    reduce to zero are never pivots. Input is not mutated.
+    reduce to zero are never pivots; a step computes only the columns after
+    its pivot, the rest being zero. Input is not mutated.
     """
     rest = [row for row in map(_integer_row, rows) if any(row)]
     mat, pivots = [], []
@@ -77,7 +83,7 @@ def _echelon(rows):
             continue
         mat.append(prow)
         pivots.append(c)
-        rest = [_eliminate(row, prow, c) if row[c] else row
+        rest = [_eliminate(row, prow, c, c + 1) if row[c] else row
                 for row in rest if row is not prow]
         if not rest:
             break
@@ -140,7 +146,28 @@ def rref(rows):
             for row, c in zip(mat, pivots)], pivots
 
 
-def exact_rank(rows) -> int:
+def rank_mod_p(rows) -> int:
+    """The rank modulo _PRIME of the rows cleared of denominators, by
+    Gaussian elimination on int64 residues: at most their rank over the
+    rationals, since an r x r minor nonzero mod p is a nonzero integer."""
+    a = np.array([[x % _PRIME for x in _integer_row(r)] for r in rows],
+                 dtype=np.int64, ndmin=2)
+    rank = 0
+    for c in range(a.shape[1]):
+        nz = np.flatnonzero(a[:, c])
+        if nz.size:
+            # clear column c with the row nz[0], which clears itself too
+            f = a[nz, c] * pow(int(a[nz[0], c]), -1, _PRIME) % _PRIME
+            a[nz, c:] = (a[nz, c:] - np.outer(f, a[nz[0], c:])) % _PRIME
+            rank += 1
+    return rank
+
+
+def exact_rank(rows, bound=None) -> int:
+    """The rank over the rationals; bound, if given, a proved upper bound on
+    it, which a rank mod p then settles when it meets it."""
+    if bound is not None and rank_mod_p(rows) == bound:
+        return bound
     return len(_echelon(rows)[1])
 
 

@@ -200,9 +200,9 @@ def fit_h0(model, points, selected, seed):
     """Form over model.r1_basis vanishing exactly at the selected points:
     drawn from the exact nullspace of their Veronese evaluation matrix,
     verified nonvanishing at every non-selected point (DegeneratePosition
-    after _MAX_DRAWS failed draws). The draw combines its reduced-echelon
-    basis: the _kernel_vector of each free column fc, brought to one
-    integer scale, the lcm of their entries at fc.
+    after _MAX_DRAWS failed draws, or at once if the basis vanishes at one).
+    The draw combines its reduced-echelon basis: the _kernel_vector of each
+    free column fc, brought to one integer scale, their entries' lcm at fc.
 
     With the line products h1 and h2 it spans that nullspace: they vanish
     at every grid point, are independent (distinct primitive lines), and
@@ -221,21 +221,18 @@ def fit_h0(model, points, selected, seed):
     scale = math.lcm(*(v[fc] for v, fc in zip(vanishing, free)))
     vanishing = [[scale // v[fc] * x for x in v]
                  for v, fc in zip(vanishing, free)]
-    unselected_images = [_veronese_image(points[i], d, exps)
-                         for i in range(len(points)) if i not in set(selected)]
-    rng = _rng(seed)
-    for _ in range(_MAX_DRAWS):
-        c = rng.integers(-4, 5, size=3)
-        if not c.any():
-            continue
-        # c is nonzero and the vanishing basis independent: cand is nonzero
-        cand = list(_normalized([sum(int(c[k]) * vanishing[k][j]
-                                     for k in range(3))
-                                 for j in range(len(exps))]))
-        vals = [sum(a * b for a, b in zip(cand, img))
-                for img in unselected_images]
-        if all(v != 0 for v in vals):
-            return cand
+    # a draw's value at an unselected point combines the basis values there
+    vals = [[sum(a * b for a, b in zip(v, img)) for v in vanishing]
+            for img in (_veronese_image(points[i], d, exps)
+                        for i in range(len(points)) if i not in selected)]
+    if all(any(v) for v in vals):
+        rng = _rng(seed)
+        for _ in range(_MAX_DRAWS):
+            c = rng.integers(-4, 5, size=3).tolist()
+            if any(c) and all(sum(a * b for a, b in zip(c, v)) for v in vals):
+                # c is nonzero and the vanishing basis independent: so is h0
+                return list(_normalized([sum(a * b for a, b in zip(c, col))
+                                         for col in zip(*vanishing)]))
     raise DegeneratePosition(
         "no combination avoided the unselected points in %d draws"
         % _MAX_DRAWS)
@@ -623,10 +620,11 @@ def certify_not_sos(report: WitnessReport) -> bool:
     try:
         model, hs, points = _report_ints(report)
         d, exps, exps2 = report.d, model.r1_basis, model.r2_basis
-        # (a): the h_i lie in that space (_report_ints), and span it when
-        # independent and it has dimension dim R_1 - rank of the images = 3
+        # (a): the h_i lie in that space, the images' kernel (_report_ints),
+        # so span it when independent and the images reach rank dim R_1 - 3
         images = [_veronese_image(p, d, exps) for p in points]
-        if exact_rank(hs) != 3 or exact_rank(images) != len(exps) - 3:
+        if exact_rank(hs, 3) != 3 \
+                or exact_rank(images, len(exps) - 3) != len(exps) - 3:
             return False
         prods = _square_products(model, hs)
         f = [Fraction(c) for c in report.f.coefficients]

@@ -252,6 +252,7 @@ WITNESS_EXACT_SHA256 = {
     (3, 7): "221a197b0bf32472b8408b891fec4a8f348b2355ae8a6e747f78bdd0692d0eb1",
     (4, 1): "5ca6ae2eafdc832d6e2837b95b414ff74196462631a74783417b71c131da401e",
     (5, 2): "96ae241c98acce933fa745931c307297804e1dc4e51b1940866c9536bcae601e",
+    (6, 1): "7c5b9bf792d42165f4043bf3c9b8d8870d1cbda8f6933d9dbc477c5905a78ec5",
     # attempt 1: fit_h0 exhausts its draws on attempt 0
     (4, 219): "cf1162a0289936dbdcebc0ed4d9891864835f1d3c3eadccc464ae55f0ec32738",
 }

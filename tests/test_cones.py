@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindeg import cones, kernels
+from mindeg import cones, kernels, numerics
 from mindeg.cones import (
     _GRID_BITS,
     DualFunctional,
     GramSlice,
     SosResult,
     _certificate,
+    _condition_rows,
     _sup_normalize,
     extremality_check,
     interpolant_through_points,
@@ -762,6 +763,57 @@ def test_extremality_check_matches_dense_reference(d, quartic_gap):
     fn = separating_functional_real(model, QUARTIC_POINTS)[0]
     assert extremality_check(fn, nullspace(fn.moment_matrix())) == \
         _extremality_dense_reference(fn)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: veronese_model(2, 3), lambda: scroll_model([1, 2]),
+    lambda: _conic(2, 3)], ids=["veronese-2-3", "scroll-1-2", "conic-3/2"])
+def test_condition_rows_are_the_products_and_obey_koszul(build):
+    model = build()
+    nvars = model.n + 1
+    rng = np.random.Generator(np.random.Philox(5))
+    kern = [[int(x) for x in rng.integers(-9, 10, size=nvars)]
+            for _ in range(3)]
+    rows = _condition_rows(model, kern)
+    assert rows == [model.product([int(j == i) for j in range(nvars)], k)
+                    for k in kern for i in range(nvars)]
+    # sum_i k'_i row(i, k) - k_i row(i, k') = k' k - k k' = 0
+    for a, b in itertools.combinations(range(len(kern)), 2):
+        combo = [0] * model.dim_r2
+        for i in range(nvars):
+            for s in range(model.dim_r2):
+                combo[s] += (kern[b][i] * rows[a * nvars + i][s]
+                             - kern[a][i] * rows[b * nvars + i][s])
+        assert combo == [0] * model.dim_r2
+
+
+def test_extremality_check_falls_back_to_exact_ranks(monkeypatch):
+    # a point evaluation on a conic, with a kernel basis that is dependent
+    # mod 3; and the d = 3 witness functional with a kernel basis whose
+    # third vector is the second mod 3
+    conic = _conic(1, 1)
+    v = (1, 3, 9)
+    point = DualFunctional(conic, [v[i] * v[j] for i, j in conic.r2_basis])
+    conic_kernel = [[3, -1, 0], [3, 8, -3]]
+    fn = hilbert_witness(3, seed=11, samples=2000).functional
+    g, h1, h2 = nullspace(fn.moment_matrix())
+    mixed = [g, h1, [a + 3 * b for a, b in zip(h1, h2)]]
+    calls = []
+    echelon = numerics._echelon
+    monkeypatch.setattr(numerics, "_echelon",
+                        lambda rows: calls.append(1) or echelon(rows))
+    assert extremality_check(fn, mixed) == (True, 1) and not calls
+    expected = _extremality_dense_reference(point)
+    assert expected == (True, 1)
+    assert extremality_check(point, conic_kernel) == expected
+    monkeypatch.setattr(numerics, "_PRIME", 3)
+    for functional, kernel in ((point, conic_kernel), (fn, mixed)):
+        calls.clear()
+        assert extremality_check(functional, kernel) == expected
+        # the kernel and its conditions both miss their bounds mod 3
+        assert len(calls) >= 2
+        with pytest.raises(InconsistentModel):
+            extremality_check(functional, kernel[:-1])
 
 
 def test_dual_functional_json(quartic_gap):

@@ -2,6 +2,8 @@
 
 import copy
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mindeg import numerics
 from mindeg.kernels import project_psd
-from mindeg.numerics import (_echelon, _integer_row, _kernel_vector,
+from mindeg.numerics import (_PRIME, _echelon, _integer_row, _kernel_vector,
                              exact_rank, is_positive_definite, lattice_index,
-                             nullspace, residues, rref, saturation_chart,
-                             solve_exact, to_float)
+                             nullspace, rank_mod_p, residues, rref,
+                             saturation_chart, solve_exact, to_float)
 
 F = Fraction
 
@@ -328,6 +331,69 @@ def test_rank_transpose_invariance():
     A = _mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     At = [list(col) for col in zip(*A)]
     assert exact_rank([r[:] for r in A]) == exact_rank(At) == 2
+
+
+def test_the_prime_is_prime_and_its_products_fit_in_int64():
+    assert all(_PRIME % q for q in range(2, math.isqrt(_PRIME) + 1))
+    assert (_PRIME - 1) ** 2 < 2 ** 63
+
+
+_BIG = st.integers(-2 ** 200, 2 ** 200)
+
+
+@st.composite
+def _big_matrices(draw):
+    """0-7 rows by 1-7 columns of entries up to 2^200; some rows are
+    integer combinations of earlier rows."""
+    ncols = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(_BIG, min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows))
+                         for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(_BIG, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_big_matrices())
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[_PRIME, 0], [0, 1]])
+@example([[1, 1], [1, 1 + _PRIME]])
+@example([[F(1, 3), F(2, _PRIME)], [1, 2]])
+def test_rank_mod_p_is_a_lower_bound(rows):
+    before = copy.deepcopy(rows)
+    assert rank_mod_p(rows) <= exact_rank(rows)
+    assert rows == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 32))
+def test_rank_mod_p_is_the_rank_of_random_full_rank_matrices(m, n, seed):
+    rng = random.Random(seed)
+    rows = [[rng.randrange(-2 ** 200, 2 ** 200) for _ in range(n)]
+            for _ in range(m)]
+    assert exact_rank(rows) == min(m, n) == rank_mod_p(rows)
+    assert exact_rank(rows, min(m, n)) == min(m, n)
+
+
+def test_exact_rank_falls_back_when_the_prime_divides_a_minor(monkeypatch):
+    # det [[1, 1], [1, 4]] = 3: with the prime patched to 3 the rank mod p
+    # misses the bound and the echelon form decides
+    rows = [[1, 1], [1, 4]]
+    calls = []
+    echelon = numerics._echelon
+    monkeypatch.setattr(numerics, "_echelon",
+                        lambda r: calls.append(1) or echelon(r))
+    assert exact_rank(rows, 2) == 2 and not calls
+    monkeypatch.setattr(numerics, "_PRIME", 3)
+    assert rank_mod_p(rows) == 1
+    assert exact_rank(rows, 2) == 2 and calls == [1]
+    assert exact_rank([[1, 1], [2, 2]], 2) == 1
 
 
 def test_lattice_index():

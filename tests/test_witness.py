@@ -822,16 +822,20 @@ def test_certify_rejects_tampered_reports(report):
     assert certify_not_sos(report) is True
 
 
+def _rebuilt(report, hs, **fields):
+    """The report with other h vectors and the witness rebuilt on them."""
+    model = veronese_model(2, report.d)
+    squares = [model.product(h, h) for h in hs]
+    return replace(report, h_vectors=hs, witness=QuadraticForm(model, [
+        report.delta * c + a + b + e
+        for c, a, b, e in zip(report.f.coefficients, *squares)]), **fields)
+
+
 def test_certify_not_sos_rejects_rebuilt_witnesses(report):
     # other h vectors that vanish at the selected points, with the witness
     # rebuilt on them to match
-    model = veronese_model(2, 3)
-
     def rebuilt(hs):
-        squares = [model.product(h, h) for h in hs]
-        return replace(report, h_vectors=hs, witness=QuadraticForm(model, [
-            report.delta * c + a + b + e
-            for c, a, b, e in zip(report.f.coefficients, *squares)]))
+        return _rebuilt(report, hs)
 
     assert certify_not_sos(rebuilt(list(report.h_vectors))) is True
     # h0 / 2 spans the same space, but the report reader takes integer
@@ -844,6 +848,42 @@ def test_certify_not_sos_rejects_rebuilt_witnesses(report):
     # h1, h1, h2 span less than the vanishing space
     assert certify_not_sos(rebuilt(
         [report.h_vectors[1], *report.h_vectors[1:]])) is False
+
+
+def test_certify_not_sos_falls_back_to_exact_ranks(report, monkeypatch):
+    # h0, h1, h1 + 3 h2 and the points tripled give a valid report whose
+    # h_i have rank 2 mod 3 and whose point images are 0 mod 3
+    h0, h1, h2 = report.h_vectors
+    tripled = _rebuilt(
+        report, [h0, h1, [a + 3 * b for a, b in zip(h1, h2)]],
+        points=[tuple(3 * c for c in p) for p in report.points])
+    calls = []
+    echelon = mindeg.numerics._echelon
+    monkeypatch.setattr(mindeg.numerics, "_echelon",
+                        lambda rows: calls.append(1) or echelon(rows))
+    # only the residue of f modulo the products runs the echelon form
+    assert certify_not_sos(tripled) is True and len(calls) == 1
+    monkeypatch.setattr(mindeg.numerics, "_PRIME", 3)
+    calls.clear()
+    assert certify_not_sos(tripled) is True and len(calls) == 3
+    short = replace(tripled, selected=tripled.selected[:-1])
+    assert certify_not_sos(short) is False
+
+
+def test_fit_h0_stops_at_once_when_a_point_kills_the_basis(monkeypatch):
+    # d = 4, seed 219, attempt 0 (as hilbert_witness derives its seeds):
+    # the whole vanishing basis vanishes at an unselected point
+    model = veronese_model(2, 4)
+    s_lines, s_h0, _ = np.random.SeedSequence(219, spawn_key=(0,)).spawn(3)
+    _, _, points = choose_hyperplanes(model, s_lines)
+    draws = []
+    monkeypatch.setattr(mindeg.witness, "_rng",
+                        lambda seed: draws.append(seed) or _rng(seed))
+    with pytest.raises(DegeneratePosition,
+                       match="no combination avoided the unselected points "
+                             "in 64 draws"):
+        fit_h0(model, points, _default_selection(4, model.e), s_h0)
+    assert draws == []
 
 
 def test_delta_halving_stays_accepted(report):
