@@ -11,12 +11,10 @@ pairwise products h_i h_j, and scale a rational delta > 0 so that
 is nonnegative on sampled real points while provably not a sum of squares:
 any SOS decomposition would force each square into span{h0,h1,h2}^2, and f
 sits outside that span: its exact residue modulo the h_i h_j is nonzero.
-The non-SOS half is therefore exact twice over: that residue (re-checked
-by certify_not_sos) and a
-dual functional with an exactly positive definite moment matrix and a
-negative value on w (certify_dual), built from the same facts by one step
-of facial reduction. Nonnegativity is sampling evidence backed by the
-order-two vanishing at the selected points.
+That rank argument is Hilbert's own and the report's one not-SOS proof,
+re-checked exactly from the report by certify_not_sos. Nonnegativity is
+sampling evidence backed by the order-two vanishing at the selected
+points.
 
 Every form is an exact coefficient vector over the model's bases: the h_i
 over r1_basis (the degree-d monomials), f, w and the products over
@@ -49,8 +47,7 @@ from .errors import (
 )
 from .numerics import (_echelon, _frac_from_json, _frac_json,
                        _integer_row, _kernel_vector, _numerators, _primitive,
-                       _residue, exact_rank, is_positive_definite, nullspace,
-                       residues, solve_exact)
+                       _residue, exact_rank, nullspace, residues)
 from .variety import QuadraticForm, epsilon, veronese_model
 
 # sphere samples per block in _SphereSamples: one block's points, power
@@ -588,42 +585,35 @@ def witness_report_from_json(blob):
     )
 
 
-def _report_ints(report):
-    """(model, hs, points) read off a report: a fresh veronese_model(2, d),
-    the three h_i as int lists over its r1_basis and the selected points as
-    int triples. ValueError unless the h_i are integer and every h_i
-    vanishes at every selected point."""
-    model = veronese_model(2, report.d)
-    exps = model.r1_basis
-    hs = [_numerators(h) for h in report.h_vectors]
-    if len(hs) != 3 or any(den != 1 or len(h) != len(exps) for h, den in hs):
-        raise ValueError("need three integer forms over r1_basis")
-    hs = [h for h, _ in hs]
-    points = [tuple(operator.index(c) for c in report.points[i])
-              for i in report.selected]
-    for p in points:
-        image = _veronese_image(p, report.d, exps)
-        if any(sum(a * b for a, b in zip(h, image)) for h in hs):
-            raise ValueError("an h_i does not vanish at a selected point")
-    return model, hs, points
-
-
 def certify_not_sos(report: WitnessReport) -> bool:
-    """Exact re-verification that the witness is not a sum of squares:
+    """Exact re-verification, from the report's fields alone, that the
+    witness is not a sum of squares:
     (a) the degree-d forms vanishing at the selected points are exactly
     span{h0, h1, h2}; (b) f vanishes at the selected points but lies
     outside span{h_i h_j}; (c) the witness is delta f + h0^2 + h1^2 + h2^2
     with delta > 0. Any square decomposition of the witness would force its
-    squares into the span from (a), contradicting (b). _report_ints reads
-    the report (the h_i must be integer); its fresh model forms the
-    products. Returns False instead of raising on an invalid report."""
+    squares into the span from (a), contradicting (b). The h_i must be
+    three integer forms over r1_basis; a fresh veronese_model(2, d) forms
+    their products. Returns False instead of raising on an invalid
+    report."""
     try:
-        model, hs, points = _report_ints(report)
-        d, exps, exps2 = report.d, model.r1_basis, model.r2_basis
-        # (a): the h_i lie in that space, the images' kernel (_report_ints),
-        # so span it when independent and the images reach rank dim R_1 - 3
+        d = report.d
+        model = veronese_model(2, d)
+        exps, exps2 = model.r1_basis, model.r2_basis
+        hs = [_numerators(h) for h in report.h_vectors]
+        if len(hs) != 3 or any(den != 1 or len(h) != len(exps)
+                               for h, den in hs):
+            return False
+        hs = [h for h, _ in hs]
+        points = [tuple(operator.index(c) for c in report.points[i])
+                  for i in report.selected]
+        # (a): the h_i lie in that space, the images' kernel, when each
+        # vanishes at each selected point; they span it when independent
+        # and the images reach rank dim R_1 - 3
         images = [_veronese_image(p, d, exps) for p in points]
-        if exact_rank(hs, 3) != 3 \
+        if any(sum(a * b for a, b in zip(h, image))
+               for image in images for h in hs) \
+                or exact_rank(hs, 3) != 3 \
                 or exact_rank(images, len(exps) - 3) != len(exps) - 3:
             return False
         prods = _square_products(model, hs)
@@ -650,143 +640,6 @@ def certify_not_sos(report: WitnessReport) -> bool:
         return False
 
 
-def _point_sum(model, points):
-    """Values on model.r2_basis of the sum of the evaluations at the
-    integer points: integers."""
-    d = _degree(model)
-    images = [_veronese_image(p, 2 * d, model.r2_basis) for p in points]
-    return [sum(col) for col in zip(*images)]
-
-
-def _shift_bound(model, hs, l1, L, den, alpha):
-    """(P, bound) for l = l2 + K l1, where l2 = L / den with L integer,
-    the h_i are integer and l1 kills them, and l2(h_i h_j) = alpha [i = j].
-    In the basis (h0, h1, h2, unit vectors u off the pivot columns of the
-    h_i) the moment matrix of l is [[alpha I, B], [B^T, C + K P]], P the
-    moment matrix of l1 on the u. It is positive definite once P > 0 and
-    K > bound = tr(P^-1 B^T B) / alpha + |C|_inf tr(P^-1): the Schur
-    complement C + K P - B^T B / alpha is then positive definite, since
-    P^-1/2 B^T B P^-1/2 has norm at most its trace and P^-1/2 C P^-1/2 at
-    most |C|_inf tr(P^-1).
-
-    den B and den C are integer. One integer elimination of
-    [P | den B^T | I] has, at each extra column c, a kernel vector v with
-    P v[:n] = -v[c] (column c), so P^-1 den B^T and P^-1 are read off
-    integer vectors and only the bound itself is made of Fractions. Raises
-    InconsistentModel when the h_i are dependent or P is singular."""
-    nvars = model.n + 1
-    M2 = model.moment(L)
-    M1 = model.moment(l1)
-    pivots = set(_echelon(hs)[1])
-    if len(pivots) != 3:
-        raise InconsistentModel("the h_i are linearly dependent")
-    free = [k for k in range(nvars) if k not in pivots]
-    n = len(free)
-    P = [[M1[k][l] for l in free] for k in free]
-    # row r: [P | den B^T | I] at free[r]
-    aug = [P[r] + [sum(M2[k][i] * h[i] for i in range(nvars)) for h in hs]
-           + [int(r == c) for c in range(n)]
-           for r, k in enumerate(free)]
-    mat, pivots = _echelon(aug)
-    if pivots != list(range(n)):
-        raise InconsistentModel("point moments are singular off the h_i")
-    kernel = [_kernel_vector(mat, pivots, c, 2 * n + 3)
-              for c in range(n, 2 * n + 3)]
-    # den^2 tr(P^-1 B^T B) = sum_j (den b_j) . P^-1 (den b_j), tr(P^-1)
-    s1 = sum(Fraction(-sum(row[n + j] * x for row, x in zip(aug, v[:n])),
-                      v[n + j]) for j, v in enumerate(kernel[:3]))
-    s2 = sum(Fraction(-v[r], v[n + 3 + r]) for r, v in enumerate(kernel[3:]))
-    # den |C|_inf
-    cn = max(sum(abs(M2[k][l]) for l in free) for k in free)
-    return P, s1 / (den * den * alpha) + cn * s2 / den
-
-
-def _dual_parts(report, model, prods):
-    """(l2, l1, K): values on the degree-2d monomials of two functionals
-    and a power of two K such that l = l2 + K l1 certifies that the witness
-    is not a sum of squares (one step of facial reduction).
-
-    prods are the h_i h_j as _square_products gives them. l1 sums the
-    evaluations at the selected points: integer valued, zero on f and on
-    every h_i h_j, with a PSD moment matrix whose kernel is
-    span{h0, h1, h2}. l2 solves l2(h_i h_j) = alpha [i = j], l2(f) = -1
-    with alpha = delta / 4, so l(witness) = -delta / 4 for every K.
-    K = 2^(b + 1), b the least integer with 2^b >= _shift_bound's bound, so
-    the moment matrix of l is positive definite and K / 4 lies below the
-    bound."""
-    alpha = report.delta / 4
-    targets = [alpha if i == j else 0 for i in range(3) for j in range(i, 3)]
-    l2 = solve_exact(prods + [report.f.coefficients], targets + [-1])
-    if l2 is None:
-        raise InconsistentModel("f lies in the span of the h_i h_j")
-    l1 = _point_sum(model, [report.points[i] for i in report.selected])
-    _, bound = _shift_bound(model, report.h_vectors, l1, *_numerators(l2),
-                            alpha)
-    # the least b with 2^b >= bound is top or top + 1
-    top = bound.numerator.bit_length() - bound.denominator.bit_length()
-    if Fraction(2) ** top < bound:
-        top += 1
-    return l2, l1, Fraction(2) ** (top + 1)
-
-
-def _attach_dual(model, report, prods):
-    """report.sos: the exact Infeasible verdict with its functional and K.
-    No fallback: a report that fails certify_dual is a model error."""
-    l2, l1, K = _dual_parts(report, model, prods)
-    fn = DualFunctional(model, [a + K * b for a, b in zip(l2, l1)])
-    report.sos = {"status": "Infeasible",
-                  "separation": _frac_json(fn.apply(report.witness)),
-                  "functional": fn.to_json(),
-                  "K": _frac_json(K)}
-    if not certify_dual(report):
-        raise InconsistentModel("dual certificate failed the exact check")
-
-
-def certify_dual(report: WitnessReport) -> bool:
-    """Exact re-verification of report.sos from the report's fields alone.
-    The functional l, rebuilt on veronese_model(2, d), and K = sos["K"]
-    must satisfy five facts:
-
-    1. l1, the sum of the evaluations at the selected points, kills each
-       h_i: every h_i vanishes at every selected point.
-    2. l2 = l - K l1 has l2(h_i h_j) = alpha [i = j] with alpha > 0.
-    3. P, the moment matrix of l1 off the pivot columns of the h_i, is
-       positive definite (is_positive_definite on small integers).
-    4. K exceeds _shift_bound's bound.
-    5. l(witness) < 0.
-
-    By 1 to 4 the moment matrix of l is positive definite (_shift_bound),
-    so by 5 the witness is not a sum of squares. The report is read by
-    _report_ints, which checks fact 1. Returns False instead of raising on
-    a malformed or tampered report."""
-    try:
-        model, hs, points = _report_ints(report)
-        blob = report.sos["functional"]
-        if blob["model"] != model.name:
-            return False
-        fn = DualFunctional(model, [_frac_from_json(v)
-                                    for v in blob["values"]])
-        K = _frac_from_json(report.sos["K"])
-        witness = QuadraticForm(model, list(report.witness.coefficients))
-        if fn.apply(witness) >= 0:
-            return False
-        l1 = _point_sum(model, points)
-        # l2 = l - K l1 = L / den
-        (*L, kden), den = _numerators(fn.values + [K])
-        L = [a - kden * b for a, b in zip(L, l1)]
-        # den l2(h_i h_j), i <= j: the diagonal sits at 0, 3 and 5
-        gram = [sum(a * b for a, b in zip(L, p))
-                for p in _square_products(model, hs)]
-        g = gram[0]
-        if g <= 0 or gram != [g, 0, 0, g, 0, g]:
-            return False
-        P, bound = _shift_bound(model, hs, l1, L, den, Fraction(g, den))
-        return is_positive_definite(P) and K > bound
-    except (MindegError, AttributeError, ValueError, IndexError, KeyError,
-            TypeError, ZeroDivisionError):
-        return False
-
-
 def _attach_functional(model, report):
     """Separating functional from the e+2 intersection points
     _functional_points(d), plus its exact kernel check, which implies the
@@ -810,8 +663,6 @@ def _attach_functional(model, report):
                               "point_indices": idx}
     report.functional_checks = {
         "moment_min_eig": moment_psd(fn),
-        "pairing_is_zero": True,
-        "kernel_dim": len(kernel),
         "extremal": extremal,
         "perturbation_dim": pdim,
     }
@@ -832,10 +683,10 @@ def _default_selection(d, e):
 def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
     """Full pipeline on the degree-d Veronese surface model. Steps that
     depend on the random draw retry with derived seeds on
-    DegeneratePosition; the final report carries the exact non-SOS
-    certificate, sampling evidence for nonnegativity, the separating
-    functional with its exact pairing, and the exact Infeasible verdict
-    with its dual functional (certify_dual).
+    DegeneratePosition; the final report carries the exact not-SOS rank
+    certificate, sampling evidence for nonnegativity, and the separating
+    functional with its exact kernel check. Its verdict sos is
+    {"status": "Infeasible"}, set only once certify_not_sos has passed.
     samples must be an integer >= 1, else ValueError before any stage."""
     if d < 3:
         raise ValueError("need degree at least 3")
@@ -890,6 +741,6 @@ def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
     }
     if not cert_valid:
         raise InconsistentModel("exact certificate failed to re-verify")
+    report.sos = {"status": "Infeasible"}
     _attach_functional(model, report)
-    _attach_dual(model, report, prods)
     return report

@@ -249,12 +249,12 @@ def test_witness_command(capsys):
 # Every other field is an exact certificate that a fixed seed fixes byte
 # for byte.
 WITNESS_EXACT_SHA256 = {
-    (3, 7): "221a197b0bf32472b8408b891fec4a8f348b2355ae8a6e747f78bdd0692d0eb1",
-    (4, 1): "5ca6ae2eafdc832d6e2837b95b414ff74196462631a74783417b71c131da401e",
-    (5, 2): "96ae241c98acce933fa745931c307297804e1dc4e51b1940866c9536bcae601e",
-    (6, 1): "7c5b9bf792d42165f4043bf3c9b8d8870d1cbda8f6933d9dbc477c5905a78ec5",
+    (3, 7): "73c6874502ba50f79a5b2efd3f1cd8d73b86816e70843de034e72c59b6638e99",
+    (4, 1): "ce17cccb7f95791ba88133a6f0220f16046814380814f915a96fd3ca8ab34749",
+    (5, 2): "adfce0b23a43d0e9353bd31e1f976bac600c7528327b7b60621797a9014216aa",
+    (6, 1): "cabcdff55fa137d6edbce79d78d4de877cbf8da3cc40a511fb401fc785781367",
     # attempt 1: fit_h0 exhausts its draws on attempt 0
-    (4, 219): "cf1162a0289936dbdcebc0ed4d9891864835f1d3c3eadccc464ae55f0ec32738",
+    (4, 219): "cfdba79488c17bc4a87df8a1ae309dbb03969a8505e4d40d30dcbe83f10da559",
 }
 
 

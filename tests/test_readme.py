@@ -11,7 +11,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # the printed lines, in order, as the example's comments give them
 EXPECTED = ["(1, 3, 0)", "0", "[0, 1, 0]", "Certificate",
-            "Infeasible True True"]
+            "Infeasible True"]
 
 
 def _library_block():

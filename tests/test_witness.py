@@ -1,6 +1,5 @@
 """End-to-end witness pipeline on plane Veronese models."""
 
-import functools
 import itertools
 import json
 import math
@@ -22,8 +21,7 @@ from mindeg.errors import (
     NoDeltaFound,
     RetryExhausted,
 )
-from mindeg.numerics import (exact_rank, nullspace, residues, rref,
-                             solve_exact, to_float)
+from mindeg.numerics import exact_rank, nullspace, residues, to_float
 from mindeg.variety import QuadraticForm, epsilon, veronese_model
 from mindeg.witness import (
     _SAMPLE_BLOCK,
@@ -32,7 +30,6 @@ from mindeg.witness import (
     _degree,
     _EXCLUSION_RADIUS,
     _MAX_RETRIES,
-    _dual_parts,
     _frac_from_json,
     _frac_json,
     _functional_points,
@@ -41,13 +38,11 @@ from mindeg.witness import (
     _outside,
     _partials,
     _rng,
-    _shift_bound,
     _SphereSamples,
     _square_products,
     _unit_rows,
     _veronese_image,
     build_f,
-    certify_dual,
     certify_not_sos,
     choose_hyperplanes,
     delta_search,
@@ -758,9 +753,7 @@ def test_rng_is_philox_of_the_seed_sequence(seed):
 
 def test_pipeline_functional_checks(report):
     checks = report.functional_checks
-    assert checks["pairing_is_zero"] is True
     assert checks["moment_min_eig"] >= -1e-8
-    assert checks["kernel_dim"] == 3
     assert checks["extremal"] is True
     # the products R_1 span{g, h1, h2} satisfy only the 3 Koszul relations
     assert checks["perturbation_dim"] == epsilon(veronese_model(2, 3)) == 1
@@ -819,6 +812,17 @@ def test_certify_rejects_tampered_reports(report):
     assert certify_not_sos(replace(
         report, delta=F(0), witness=QuadraticForm(model, sum_sq))) is False
     assert certify_not_sos(replace(report, witness=None)) is False
+    # h0 is nonzero at every unselected point
+    moved = list(report.selected)
+    moved[0] = next(i for i in range(len(report.points))
+                    if i not in report.selected)
+    assert certify_not_sos(replace(report, selected=moved)) is False
+    # h1 + x^3 no longer vanishes at a selected point
+    assert any(report.points[i][0] for i in report.selected)
+    h1 = list(report.h_vectors[1])
+    h1[model.r1_basis.index((3, 0))] += 1
+    assert certify_not_sos(replace(report, h_vectors=[
+        report.h_vectors[0], h1, report.h_vectors[2]])) is False
     assert certify_not_sos(report) is True
 
 
@@ -844,7 +848,6 @@ def test_certify_not_sos_rejects_rebuilt_witnesses(report):
     hs = [[F(c, 2) for c in report.h_vectors[0]], *report.h_vectors[1:]]
     assert certify_not_sos(rebuilt(hs)) is False
     assert certify_not_sos(replace(report, h_vectors=hs)) is False
-    assert certify_dual(replace(report, h_vectors=hs)) is False
     # h1, h1, h2 span less than the vanishing space
     assert certify_not_sos(rebuilt(
         [report.h_vectors[1], *report.h_vectors[1:]])) is False
@@ -924,10 +927,8 @@ def test_pipeline_degree_five_carries_the_functional():
                   for h in [g] + list(rep.h_vectors[1:]))
     assert pairing == 0
     checks = rep.functional_checks
-    assert checks["pairing_is_zero"] is True
-    assert checks["kernel_dim"] == 3
     assert checks["perturbation_dim"] == epsilon(veronese_model(2, 5)) == 6
-    assert certify_dual(rep) is True
+    assert certify_not_sos(rep) is True
 
 
 def _functional_scan_reference(model, points, max_subsets=60):
@@ -1006,172 +1007,22 @@ def test_product_matches_polynomial_expansion(d):
         assert model.product(gq, h) == [F(c, 3) for c in got]
 
 
-# -- the exact dual certificate, re-checked from the JSON with Fractions ----
-
-def _dense_sigma(model):
-    """The dense exact sigma rows (R_2 basis x monomial pairs, i-major),
-    built column by column as model.product of two unit vectors."""
-    nvars = model.n + 1
-    unit = [[F(int(k == t)) for k in range(nvars)] for t in range(nvars)]
-    cols = [model.product(unit[i], unit[j])
-            for i in range(nvars) for j in range(i, nvars)]
-    return [list(row) for row in zip(*cols)]
-
-
-def _moment_from_sigma(model, values):
-    """M[i][j] = l(x_i x_j) from the dense exact sigma rows."""
-    nvars = model.n + 1
-    index = {(i, j): c for c, (i, j) in enumerate(
-        (i, j) for i in range(nvars) for j in range(i, nvars))}
-    sigma = _dense_sigma(model)
-    return [[sum((v * sigma[s][index[min(i, j), max(i, j)]]
-                  for s, v in enumerate(values)), F(0))
-             for j in range(nvars)] for i in range(nvars)]
-
-
-def _ldl_positive_definite(M):
-    """Fraction LDL^T: every pivot strictly positive."""
-    A = [[F(x) for x in row] for row in M]
-    for k in range(len(A)):
-        if A[k][k] <= 0:
-            return False
-        for i in range(k + 1, len(A)):
-            t = A[i][k] / A[k][k]
-            for j in range(k + 1, len(A)):
-                A[i][j] -= t * A[k][j]
-    return True
-
+# -- the not-SOS certificate, re-checked from the JSON ---------------------
 
 @pytest.mark.parametrize("d,seed", [(3, s) for s in range(12)]
                          + [(4, 1), (4, 5)])
-def test_dual_certificate_exact(d, seed):
+def test_certificate_reverifies_from_json(d, seed):
     blob = json.loads(json.dumps(
         hilbert_witness(d, seed=seed, samples=SAMPLES).to_json()))
-    sos = blob["sos"]
-    assert set(sos) == {"status", "separation", "functional", "K"}
-    assert sos["status"] == "Infeasible"
-    assert sos["functional"]["model"] == "veronese(%d,%d)" % (2, d)
-    model = veronese_model(2, d)
-    values = [F(int(v["num"]), int(v["den"]))
-              for v in sos["functional"]["values"]]
-    w = [F(c) for c in blob["witness"]["coefficients"]]
-    assert len(values) == len(w) == model.dim_r2
-    value = sum((v * c for v, c in zip(values, w)), F(0))
-    assert value < 0
-    assert value == F(int(sos["separation"]["num"]),
-                      int(sos["separation"]["den"]))
-    # l(w) = -delta / 4 by construction
-    assert value == -F(int(blob["delta"]["num"]),
-                       int(blob["delta"]["den"])) / 4
-    assert _ldl_positive_definite(_moment_from_sigma(model, values))
-    assert certify_dual(witness_report_from_json(blob)) is True
+    assert blob["sos"] == {"status": "Infeasible"}
+    assert certify_not_sos(witness_report_from_json(blob)) is True
 
 
-def test_certify_dual_rejects_tampered_reports(report):
-    model = veronese_model(2, 3)
-    assert certify_dual(report) is True
-    good = report.sos["functional"]
-
-    def with_values(values):
-        fn = dict(good, values=values)
-        return replace(report, sos=dict(report.sos, functional=fn))
-
-    # l(z^6) is a diagonal moment entry: negated, the matrix is not PD
-    vals = list(good["values"])
-    assert F(int(vals[0]["num"]), int(vals[0]["den"])) > 0
-    vals[0] = dict(vals[0], num=str(-int(vals[0]["num"])))
-    assert certify_dual(with_values(vals)) is False
-    prods = _square_products(model, report.h_vectors)
-    l2, l1, K = _dual_parts(report, model, prods)
-    assert K > 0
-    assert certify_dual(with_values(
-        DualFunctional(model, l2).to_json()["values"])) is False
-    h0 = report.h_vectors[0]
-    h0_sq = QuadraticForm(model, model.product(h0, h0))
-    assert certify_dual(replace(report, witness=h0_sq)) is False
-    assert certify_dual(with_values(good["values"][:-1])) is False
-    assert certify_dual(replace(report, sos=None)) is False
-    assert certify_dual(replace(report, witness=None)) is False
-    # K / 4 lies below the bound, though l2 + (K / 4) l1 is built as before
-    quarter = [a + K / 4 * b for a, b in zip(l2, l1)]
-    assert certify_dual(replace(report, sos=dict(
-        report.sos, K=_frac_json(K / 4),
-        functional=DualFunctional(model, quarter).to_json()))) is False
-    assert certify_dual(replace(report, sos={
-        k: v for k, v in report.sos.items() if k != "K"})) is False
-    # h0 is nonzero at every unselected point
-    moved = list(report.selected)
-    moved[0] = next(i for i in range(len(report.points))
-                    if i not in report.selected)
-    assert certify_dual(replace(report, selected=moved)) is False
-    # h1 + x^3 no longer vanishes at a selected point
-    assert any(report.points[i][0] for i in report.selected)
-    h1 = list(report.h_vectors[1])
-    h1[model.r1_basis.index((3, 0))] += 1
-    assert certify_dual(replace(report, h_vectors=[
-        report.h_vectors[0], h1, report.h_vectors[2]])) is False
-
-
-@functools.lru_cache(maxsize=None)
-def _shift_bound_args(d, seed):
-    """The arguments of the _shift_bound call that _dual_parts makes for
-    hilbert_witness(d, seed, samples=2000)."""
-    report = hilbert_witness(d, seed=seed, samples=2000)
-    model = veronese_model(2, d)
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return _shift_bound(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mindeg.witness, "_shift_bound", spy)
-        _dual_parts(report, model, _square_products(model, report.h_vectors))
-    return calls[0]
-
-
-def _shift_bound_reference(model, hs, l1, L, den, alpha):
-    """(P, tr(P^-1 B^T B) / alpha + (cn / den) tr(P^-1)) in Fractions, with
-    B = (l2(h_i u)) and cn / den = |C|_inf, C = (l2(u u')), over the unit
-    vectors u off the pivot columns of the h_i; P^-1 is solved column by
-    column."""
-    free = [k for k in range(model.n + 1) if k not in rref(hs)[1]]
-    M1, M2 = model.moment(l1), model.moment(L)
-    P = [[M1[k][l] for l in free] for k in free]
-    n = len(free)
-    cols = [solve_exact(P, [int(r == c) for r in range(n)]) for c in range(n)]
-    Pinv = [[cols[c][r] for c in range(n)] for r in range(n)]
-    B = [[F(sum(M2[k][t] * h[t] for t in range(model.n + 1)), den)
-          for k in free] for h in hs]
-    cn = max(sum(abs(M2[k][l]) for l in free) for k in free)
-    trace = sum(b[i] * Pinv[i][j] * b[j]
-                for b in B for i in range(n) for j in range(n))
-    return P, trace / alpha + F(cn, den) * sum(Pinv[r][r] for r in range(n))
-
-
-@pytest.mark.parametrize("d,seed", [(d, s) for d in (3, 4, 5) for s in (1, 2)])
-def test_shift_bound_matches_fraction_reference(d, seed):
-    args = _shift_bound_args(d, seed)
-    P, bound = _shift_bound(*args)
-    assert (P, bound) == _shift_bound_reference(*args)
-    assert type(bound) is F and bound > 0
-
-
-def test_shift_bound_rejects_singular_point_moments():
-    model, hs, l1, L, den, alpha = _shift_bound_args(3, 1)
-    with pytest.raises(InconsistentModel, match="singular"):
-        _shift_bound(model, hs, [0] * len(l1), L, den, alpha)
-
-
-def test_pipeline_rejects_a_dual_that_fails_certify_dual(monkeypatch):
-    # with K = 0 the functional is l2 alone, whose moment matrix is not
-    # positive definite (see above): the pipeline raises, never reports it
-    def no_shift(report, model, prods):
-        l2, l1, _ = _dual_parts(report, model, prods)
-        return l2, l1, 0
-
-    monkeypatch.setattr(mindeg.witness, "_dual_parts", no_shift)
-    with pytest.raises(InconsistentModel, match="dual certificate"):
+def test_pipeline_rejects_a_report_that_fails_certify_not_sos(monkeypatch):
+    # the Infeasible verdict rests on the rank certificate alone: when its
+    # exact re-check fails, the pipeline raises and reports no verdict
+    monkeypatch.setattr(mindeg.witness, "certify_not_sos", lambda rep: False)
+    with pytest.raises(InconsistentModel, match="exact certificate"):
         hilbert_witness(3, seed=SEED, samples=SAMPLES)
 
 
