@@ -812,6 +812,11 @@ def test_certify_rejects_tampered_reports(report):
     assert certify_not_sos(replace(
         report, delta=F(0), witness=QuadraticForm(model, sum_sq))) is False
     assert certify_not_sos(replace(report, witness=None)) is False
+    assert certify_not_sos(report) is True
+
+
+def test_certify_rejects_tampered_points(report):
+    model = veronese_model(2, 3)
     # h0 is nonzero at every unselected point
     moved = list(report.selected)
     moved[0] = next(i for i in range(len(report.points))
