@@ -216,6 +216,8 @@ def _cmd_witness(args):
         raise UsageError("--d must be at least 3")
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise UsageError("--samples must be between 1 and %d" % MAX_SAMPLES)
+    if args.seed < 0:
+        raise UsageError("--seed must be at least 0")
     rep = hilbert_witness(args.d, seed=args.seed, samples=args.samples)
     return rep.to_json()
 

@@ -13,8 +13,11 @@ any SOS decomposition would force each square into span{h0,h1,h2}^2, and f
 sits outside that span: its exact residue modulo the h_i h_j is nonzero.
 That rank argument is Hilbert's own and the report's one not-SOS proof,
 re-checked exactly from the report by certify_not_sos. Nonnegativity is
-sampling evidence backed by the order-two vanishing at the selected
-points.
+only sampled: the margin is a minimum over sphere samples, and w can be
+negative between them near a selected point; no exact check of it is
+made. At d = 3 the report also carries the separating functional of the
+nine grid points, which is extremal there; at d >= 4 it is not, and the
+report leaves it out.
 
 Every form is an exact coefficient vector over the model's bases: the h_i
 over r1_basis (the degree-d monomials), f, w and the products over
@@ -47,7 +50,7 @@ from .errors import (
 )
 from .numerics import (_echelon, _frac_from_json, _frac_json,
                        _integer_row, _kernel_vector, _numerators, _primitive,
-                       _residue, exact_rank, nullspace, residues)
+                       _residue, exact_rank, residues)
 from .variety import QuadraticForm, epsilon, veronese_model
 
 # sphere samples per block in _SphereSamples: one block's points, power
@@ -136,39 +139,16 @@ def _square_products(model, hs):
             for i in range(len(hs)) for j in range(i, len(hs))]
 
 
-def _functional_points(d):
-    """Indices i*d + j (line i of h1 meeting line j of h2) of the e + 2
-    grid points that carry the separating functional: all but the
-    staircase Gamma = {(i, j) : d + 1 <= i + j <= 2d - 3}, C(d - 1, 2) - 1
-    cells, empty at d = 3.
-
-    The d^2 points Z are a reduced complete intersection of type (d, d). By
-    Cayley-Bacharach (Eisenbud, Green & Harris, "Cayley-Bacharach theorems
-    and conjectures", Bull. AMS 1996, CB7) the images of S = Z - Gamma
-    satisfy 1 + |Gamma| - h_Gamma(d - 3) linear relations, and the one at
-    p in S has coefficient zero iff p lies on every degree-(d - 3) curve
-    through Gamma. For the grid x = (d - 1 - i) z, y = (d - 1 - j) z, Gamma
-    is {1 <= x + y <= d - 3}, independent in degree d - 3, and its one
-    curve prod_k (x + y - k z) misses S. Both conditions are open, so lines
-    in general position give one relation, every coefficient nonzero;
-    choose_hyperplanes checks it exactly."""
-    return [i * d + j for i in range(d) for j in range(d)
-            if not d + 1 <= i + j <= 2 * d - 3]
-
-
 def choose_hyperplanes(model, seed):
     """Two lists of d random integer lines of model = veronese_model(2, d)
     and their d^2 distinct exact intersection points, line i of the first
-    meeting line j of the second at index i*d + j. The points
-    _functional_points(d) have images tied by exactly one linear relation
-    with every coefficient nonzero, so the configuration feeds the
-    separating-functional construction directly. Draws that fail are
-    rejected; DegeneratePosition when all _MAX_DRAWS of them fail."""
+    meeting line j of the second at index i*d + j. Draws with a zero or
+    repeated line, or a repeated point, are rejected; DegeneratePosition
+    when all _MAX_DRAWS of them fail."""
     d = _degree(model)
     if d < 3:
         raise ValueError("need degree at least 3")
     rng = _rng(seed)
-    chosen = _functional_points(d)
     for _ in range(_MAX_DRAWS):
         raw = rng.integers(-_COEFF_BOUND, _COEFF_BOUND + 1, size=(2 * d, 3))
         if not raw.any(axis=1).all():
@@ -179,16 +159,8 @@ def choose_hyperplanes(model, seed):
         ell, em = lines[:d], lines[d:]
         # distinct primitive lines, first entry > 0: no cross product is 0
         pts = [_normalized(_cross(a, b)) for a in ell for b in em]
-        if len(set(pts)) != d * d:
-            continue
-        # one relation gives the chosen images rank e + 1, and so all d^2:
-        # h1 and h2 are independent and vanish on every image
-        images = [_veronese_image(pts[i], d, model.r1_basis)
-                  for i in chosen]
-        rel = nullspace(zip(*images))
-        if len(rel) != 1 or any(c == 0 for c in rel[0]):
-            continue
-        return ell, em, pts
+        if len(set(pts)) == d * d:
+            return ell, em, pts
     raise DegeneratePosition(
         "no valid line configuration in %d draws" % _MAX_DRAWS)
 
@@ -452,11 +424,12 @@ def delta_search(model, f_vec, h_vectors, selected_points, samples=100000,
     nonnegative on the unit sphere (relative margin -1e-9).
 
     The starting estimate is inf(sum h_i^2) / sup|f| over samples outside
-    small neighborhoods of the selected points, where the ratio bound is
-    meaningful; halving from there terminates because the double zeros
-    make the negative part of delta f locally dominated. Power-of-two
-    values convert exactly between float and Fraction, so the accepted
-    delta is the tested delta.
+    _EXCLUSION_RADIUS of the selected points, where the ratio bound is
+    meaningful; halving stops at the first delta whose margin over all
+    samples passes, or raises NoDeltaFound past 2^-60. The accepted delta
+    is checked on the samples only: w can still be negative between them
+    near a selected point. Power-of-two values convert exactly
+    between float and Fraction, so the accepted delta is the tested delta.
 
     Every reported number is a min or max of the per-sample floats of
     _SphereSamples, evaluated once. samples must be an integer >= 1, else
@@ -499,8 +472,10 @@ def sample_nonnegativity(report: "WitnessReport", samples=100000, seed=0):
 
 @dataclass
 class WitnessReport:
-    """Complete record of one pipeline run; every certificate ingredient
-    is exact and re-checkable from the stored fields alone."""
+    """Complete record of one pipeline run; every ingredient of the
+    not-SOS rank argument is exact and re-checkable from the stored fields
+    alone. The three functional fields are None, null in JSON, at d >= 4,
+    where the functional is not extremal."""
 
     d: int
     seed: int
@@ -514,7 +489,6 @@ class WitnessReport:
     delta: Fraction
     witness: QuadraticForm
     stats: dict
-    certificate: dict
     nonneg_evidence: dict
     functional: object = None
     functional_info: dict | None = None
@@ -522,6 +496,8 @@ class WitnessReport:
     sos: dict | None = None
 
     def to_json(self):
+        fn, info, checks = (self.functional, self.functional_info,
+                            self.functional_checks)
         return {
             "d": self.d,
             "seed": self.seed,
@@ -535,27 +511,25 @@ class WitnessReport:
             "delta": _frac_json(self.delta),
             "witness": self.witness.to_json(),
             "stats": dict(self.stats),
-            "certificate": dict(self.certificate),
             "nonneg_evidence": dict(self.nonneg_evidence),
-            "functional": self.functional.to_json(),
-            "functional_info": {
-                "lambdas": [_frac_json(v)
-                            for v in self.functional_info["lambdas"]],
-                "kappas": [_frac_json(v)
-                           for v in self.functional_info["kappas"]],
-                "point_indices": list(self.functional_info["point_indices"]),
+            "functional": None if fn is None else fn.to_json(),
+            "functional_info": None if info is None else {
+                "lambdas": [_frac_json(v) for v in info["lambdas"]],
+                "kappas": [_frac_json(v) for v in info["kappas"]],
+                "point_indices": list(info["point_indices"]),
             },
-            "functional_checks": dict(self.functional_checks),
+            "functional_checks": None if checks is None else dict(checks),
             "sos": dict(self.sos),
         }
 
 
 def witness_report_from_json(blob):
     """Rebuild a WitnessReport (and its model-backed forms) from to_json
-    output."""
+    output; a null functional field reads back as None."""
     d = int(blob["d"])
     model = veronese_model(2, d)
-    info = blob["functional_info"]
+    fn, info, checks = (blob["functional"], blob["functional_info"],
+                        blob["functional_checks"])
     return WitnessReport(
         d=d,
         seed=int(blob["seed"]),
@@ -571,16 +545,15 @@ def witness_report_from_json(blob):
         witness=QuadraticForm(
             model, [Fraction(c) for c in blob["witness"]["coefficients"]]),
         stats=dict(blob["stats"]),
-        certificate=dict(blob["certificate"]),
         nonneg_evidence=dict(blob["nonneg_evidence"]),
-        functional=DualFunctional(model, [
-            _frac_from_json(v) for v in blob["functional"]["values"]]),
-        functional_info={
+        functional=None if fn is None else DualFunctional(model, [
+            _frac_from_json(v) for v in fn["values"]]),
+        functional_info=None if info is None else {
             "lambdas": [_frac_from_json(v) for v in info["lambdas"]],
             "kappas": [_frac_from_json(v) for v in info["kappas"]],
             "point_indices": list(info["point_indices"]),
         },
-        functional_checks=dict(blob["functional_checks"]),
+        functional_checks=None if checks is None else dict(checks),
         sos=dict(blob["sos"]),
     )
 
@@ -640,28 +613,21 @@ def certify_not_sos(report: WitnessReport) -> bool:
         return False
 
 
-def _attach_functional(model, report):
-    """Separating functional from the e+2 intersection points
-    _functional_points(d), plus its exact kernel check, which implies the
-    pairing l(g^2 + h1^2 + h2^2) = 0. The draw guarantees their unique
-    all-nonzero relation (choose_hyperplanes), and the functional's exact
-    nullspace confirms it."""
-    d = report.d
-    e = model.e
-    idx = _functional_points(d)
+def _separating_functional(model, points, hs):
+    """At d = 3, where the e + 2 = 9 grid points carry it: the separating
+    functional of their images, its info and its checks. Its exact kernel
+    check implies the pairing l(g^2 + h1^2 + h2^2) = 0, and it is extremal
+    there. DegeneratePosition when the images admit no unique relation
+    with every coefficient nonzero."""
     fn, info = separating_functional_real(
-        model, [_veronese_image(report.points[i], d, model.r1_basis)
-                for i in idx])
+        model, [_veronese_image(p, 3, model.r1_basis) for p in points])
     # unit weights: g(p_j) = lambda_j / kappa_j = lambda_j
-    g = interpolant_through_points(info["points"][:e + 1], info["lambdas"])
+    g = interpolant_through_points(info["points"][:model.e + 1],
+                                   info["lambdas"])
     # extremality_check proves g, h1, h2 a basis of Ker M: l(k^2) = 0
-    kernel = [g] + list(report.h_vectors[1:])
-    extremal, pdim = extremality_check(fn, kernel=kernel)
-    report.functional = fn
-    report.functional_info = {"lambdas": info["lambdas"],
-                              "kappas": info["kappas"],
-                              "point_indices": idx}
-    report.functional_checks = {
+    extremal, pdim = extremality_check(fn, kernel=[g, *hs[1:]])
+    return fn, {"lambdas": info["lambdas"], "kappas": info["kappas"],
+                "point_indices": list(range(len(points)))}, {
         "moment_min_eig": moment_psd(fn),
         "extremal": extremal,
         "perturbation_dim": pdim,
@@ -682,9 +648,10 @@ def _default_selection(d, e):
 
 def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
     """Full pipeline on the degree-d Veronese surface model. Steps that
-    depend on the random draw retry with derived seeds on
-    DegeneratePosition; the final report carries the exact not-SOS rank
-    certificate, sampling evidence for nonnegativity, and the separating
+    depend on the random draw, the separating functional's among them at
+    d = 3, retry with derived seeds on DegeneratePosition. The final
+    report carries the exact ingredients of the not-SOS rank argument,
+    sampled margins for nonnegativity, and at d = 3 the separating
     functional with its exact kernel check. Its verdict sos is
     {"status": "Infeasible"}, set only once certify_not_sos has passed.
     samples must be an integer >= 1, else ValueError before any stage."""
@@ -705,6 +672,9 @@ def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
                   _line_product(em, model.r1_basis)]
             prods = _square_products(model, hs)
             f_raw, stats = build_f(model, points, selected, prods)
+            fn, fn_info, fn_checks = (
+                _separating_functional(model, points, hs) if d == 3
+                else (None, None, None))
             break
         except DegeneratePosition as ex:
             last_err = ex
@@ -730,17 +700,9 @@ def hilbert_witness(d=3, seed=0, samples=100000) -> WitnessReport:
         h_vectors=hs, points=list(points), selected=selected,
         f=QuadraticForm(model, f_vec), delta=delta,
         witness=QuadraticForm(model, witness_coeffs),
-        stats=stats, certificate={}, nonneg_evidence=evidence)
-    cert_valid = certify_not_sos(report)
-    report.certificate = {
-        "vanishing_dim": 3,
-        "products_rank": stats["products_rank"],
-        "with_f_rank": stats["products_rank"] + 1,
-        "quotient_dim": stats["quotient_dim"],
-        "valid": cert_valid,
-    }
-    if not cert_valid:
+        stats=stats, nonneg_evidence=evidence, functional=fn,
+        functional_info=fn_info, functional_checks=fn_checks)
+    if not certify_not_sos(report):
         raise InconsistentModel("exact certificate failed to re-verify")
     report.sos = {"status": "Infeasible"}
-    _attach_functional(model, report)
     return report

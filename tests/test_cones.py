@@ -18,7 +18,6 @@ from mindeg.cones import (
     SosResult,
     _certificate,
     _condition_rows,
-    _sup_normalize,
     extremality_check,
     interpolant_through_points,
     kernel_dimension,
@@ -734,19 +733,21 @@ def test_extremality_check_matches_dense_reference(d, quartic_gap):
         assert extremality_check(fn, nullspace(fn.moment_matrix())) == \
             _extremality_dense_reference(fn)
         assert kernel_dimension(fn) == _kernel_dimension_reference(fn)
-    # the witness pipeline's functional at seed 11
+    # the separating functional of the witness pipeline's points at seed
+    # 11: at d = 3 the report's own, of all nine; at d = 4, where the report
+    # leaves it out, the one of the e + 2 points off cells 11 and 14
     rep = hilbert_witness(d, seed=11)
-    fn = rep.functional
+    fn, info = separating_functional_real(model, [
+        _veronese_image(p, d, model.r1_basis)
+        for i, p in enumerate(rep.points) if i not in (11, 14)])
+    assert d == 4 or fn.values == rep.functional.values
     expected = _extremality_dense_reference(fn)
     assert extremality_check(fn, nullspace(fn.moment_matrix())) == expected \
         == {3: (True, 1), 4: (False, 3)}[d]
     assert kernel_dimension(fn) == _kernel_dimension_reference(fn) == 3
     # the kernel basis the construction gives: the interpolant g, h1, h2
-    info = rep.functional_info
-    pts = [_sup_normalize(_veronese_image(rep.points[i], d, model.r1_basis))
-           for i in info["point_indices"]]
     g = interpolant_through_points(
-        pts[:-1],
+        info["points"][:-1],
         [lam / kap for lam, kap in zip(info["lambdas"], info["kappas"])])
     h1, h2 = rep.h_vectors[1:]
     assert extremality_check(fn, kernel=[g, h1, h2]) == expected

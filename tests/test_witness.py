@@ -1,6 +1,5 @@
 """End-to-end witness pipeline on plane Veronese models."""
 
-import itertools
 import json
 import math
 from dataclasses import replace
@@ -12,9 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mindeg.witness
-from mindeg.cones import (DualFunctional, _sup_normalize,
-                          interpolant_through_points, moment_psd,
-                          pair_with_square, separating_functional_real)
+from mindeg.cones import (DualFunctional, moment_psd,
+                          separating_functional_real)
 from mindeg.errors import (
     DegeneratePosition,
     InconsistentModel,
@@ -32,7 +30,6 @@ from mindeg.witness import (
     _MAX_RETRIES,
     _frac_from_json,
     _frac_json,
-    _functional_points,
     _line_product,
     _normalized,
     _outside,
@@ -714,8 +711,6 @@ def test_pipeline_frozen_seed(report):
     assert report.h1_factors == [(6, -3, -4), (1, -1, -2), (5, 9, -4)]
     assert report.stats == {"nullspace_dim": 7, "products_rank": 6,
                             "quotient_dim": 1}
-    assert report.certificate["valid"] is True
-    assert report.certificate["with_f_rank"] == 7
 
 
 def test_pipeline_nonnegativity_evidence(report):
@@ -725,10 +720,11 @@ def test_pipeline_nonnegativity_evidence(report):
     assert fresh["margin"] >= -1e-9
 
 
-@pytest.mark.parametrize("d,seed", [(3, 1), (3, 2), (4, 1), (4, 2)])
+@pytest.mark.parametrize("d,seed", [(3, s) for s in (1, 2, 3, 4)])
 def test_moment_psd_is_the_bottom_eigenvalue_of_eigh(d, seed):
     # eigvalsh's bottom eigenvalue differs from eigh's in the last bits, and
-    # the CLI's witness pin leaves moment_min_eig out
+    # the CLI's witness pin leaves moment_min_eig out; only d = 3 reports
+    # carry a functional
     rep = hilbert_witness(d, seed=seed, samples=2000)
     fn = rep.functional
     want = float(np.linalg.eigh(to_float(fn.moment_matrix()))[0][0])
@@ -907,71 +903,50 @@ def test_delta_halving_stays_accepted(report):
 
 
 def test_pipeline_degree_four():
+    # above d = 3 the functional is not extremal and proves nothing, so the
+    # report leaves it out: null in JSON, None when read back
     rep = hilbert_witness(4, seed=1, samples=10000)
     assert len(rep.selected) == 12
     assert rep.stats["quotient_dim"] == 3
-    assert rep.certificate["valid"] is True
     assert rep.sos["status"] == "Infeasible"
+    blob = json.loads(json.dumps(rep.to_json()))
+    assert "certificate" not in blob
+    fields = ("functional", "functional_info", "functional_checks")
+    assert [blob[k] for k in fields] == [None] * 3
+    back = witness_report_from_json(blob)
+    assert [getattr(back, k) for k in fields] == [None] * 3
+    assert certify_not_sos(back) is True
+    assert sample_nonnegativity(back, samples=10000, seed=5)["margin"] \
+        >= -1e-9
+
+
+def test_functional_degeneracy_starts_the_next_attempt(monkeypatch):
+    # at d = 3 the functional is built in the retry loop: a draw whose nine
+    # images admit no unique all-nonzero relation is retried
+    calls = []
+
+    def degenerate_first(model, points):
+        calls.append(points)
+        if len(calls) == 1:
+            raise DegeneratePosition("a point drops out of the relation")
+        return separating_functional_real(model, points)
+
+    monkeypatch.setattr(mindeg.witness, "separating_functional_real",
+                        degenerate_first)
+    rep = hilbert_witness(3, seed=SEED, samples=2000)
+    assert rep.attempt == 1 and len(calls) == 2
+    assert rep.functional_checks["extremal"] is True
     assert certify_not_sos(rep) is True
-    assert rep.functional_checks["perturbation_dim"] == \
-        epsilon(veronese_model(2, 4)) == 3
 
 
-def test_pipeline_degree_five_carries_the_functional():
-    rep = hilbert_witness(5, seed=1, samples=SAMPLES)
-    model = veronese_model(2, 5)
-    info = rep.functional_info
-    assert info["point_indices"] == _functional_points(5)
-    # the pairing l(g^2 + h1^2 + h2^2), redone from the recorded points
-    pts = [_sup_normalize(_veronese_image(rep.points[i], 5, model.r1_basis))
-           for i in info["point_indices"]]
-    g = interpolant_through_points(
-        pts[:-1],
-        [lam / kap for lam, kap in zip(info["lambdas"], info["kappas"])])
-    pairing = sum(pair_with_square(rep.functional, h)
-                  for h in [g] + list(rep.h_vectors[1:]))
-    assert pairing == 0
-    checks = rep.functional_checks
-    assert checks["perturbation_dim"] == epsilon(veronese_model(2, 5)) == 6
-    assert certify_not_sos(rep) is True
+def test_functional_degenerate_on_every_attempt_exhausts(monkeypatch):
+    def degenerate(model, points):
+        raise DegeneratePosition("a point drops out of the relation")
 
-
-def _functional_scan_reference(model, points, max_subsets=60):
-    """The first e+2 point indices, in itertools.combinations order, whose
-    images admit a unique relation with every coefficient nonzero; None
-    when max_subsets subsets fail."""
-    d = math.isqrt(len(points))
-    images = [_veronese_image(p, d, model.r1_basis) for p in points]
-    for idx in itertools.islice(
-            itertools.combinations(range(len(points)), model.e + 2),
-            max_subsets):
-        try:
-            separating_functional_real(model, [images[i] for i in idx])
-        except DegeneratePosition:
-            continue
-        return list(idx)
-    return None
-
-
-@pytest.mark.parametrize("d", range(3, 9))
-def test_functional_points_leave_out_the_staircase(d):
-    e = (d + 2) * (d + 1) // 2 - 3
-    chosen = _functional_points(d)
-    assert len(chosen) == e + 2 == d * d - (math.comb(d - 1, 2) - 1)
-    assert chosen == sorted(set(chosen)) and chosen[-1] < d * d
-    if d == 4:
-        assert sorted(set(range(16)) - set(chosen)) == [11, 14]
-
-
-def test_functional_points_are_the_scan_choice_at_degree_four():
-    # the subset scan that picked the points before the construction: on
-    # these draws it rejects the seven subsets that precede
-    # _functional_points(4) in combinations order
-    model = veronese_model(2, 4)
-    for seed in range(40):
-        _, _, pts = choose_hyperplanes(model, seed)
-        assert _functional_scan_reference(model, pts) == \
-            _functional_points(4), seed
+    monkeypatch.setattr(mindeg.witness, "separating_functional_real",
+                        degenerate)
+    with pytest.raises(RetryExhausted, match="drops out of the relation"):
+        hilbert_witness(3, seed=SEED, samples=2000)
 
 
 def test_line_product_expansion():
