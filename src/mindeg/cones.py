@@ -91,10 +91,13 @@ class DualFunctional:
         self.values = [Fraction(v) for v in self.values]
 
     def apply(self, form: QuadraticForm) -> Fraction:
+        """The exact value: values and coefficients each over their least
+        common denominator, one integer dot product, one Fraction."""
         if form.model is not self.model:
             raise InconsistentModel("form and functional use different models")
-        return sum((v * c for v, c in zip(self.values, form.coefficients)),
-                   Fraction(0))
+        (vals, vden), (coeffs, cden) = map(_numerators, (self.values,
+                                                         form.coefficients))
+        return Fraction(sum(v * c for v, c in zip(vals, coeffs)), vden * cden)
 
     def moment_matrix(self):
         return self.model.moment(self.values)
@@ -196,7 +199,7 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
     z = np.zeros(len(F))
     z[-1] = lam0 - 1.0
     L = np.linalg.cholesky(G0 - z[-1] * np.eye(nvars))
-    c, tried, done = _START_WEIGHT * nvars, 0.0, 0
+    c, tried, done, obj = _START_WEIGHT * nvars, 0.0, 0, None
     # rounding G0 moves it by some 2^-30 of the scale, so the exact test
     # cannot pass where floats see G0 far from PSD
     res = _certificate(gs, form, G0, scale, 0) \
@@ -222,29 +225,34 @@ def sos_check(form: QuadraticForm, gram_slice: GramSlice | None = None,
         # below the damped step, which is taken whenever S keeps its
         # Cholesky factor, and halved at most 60 times while it does not
         floor = 1.0 / (1.0 + math.sqrt(dec)) if dec >= 0 else 0.0
-        lam = float(np.linalg.eigvalsh(np.tensordot(step, W, 1))[0]) \
-            if 0 < dec < math.inf else 0.0
+        # np.tensordot(step, W, 1), by the one dot call it makes
+        lam = float(np.linalg.eigvalsh(np.dot(step[None], Wf).reshape(
+            nvars, nvars))[0]) if 0 < dec < math.inf else 0.0
         s = max(min(1.0, 0.99 / -lam), floor) if lam < 0 else 1.0
         s, tries = (s if dec > 0 else floor), 60
-        obj = _objective(c, z, L)
+        if obj is None:
+            obj = _objective(c, z, L)
         while tries:
-            Ln = _factor(at(z + s * step))
-            if Ln is not None and (s <= floor or _objective(
-                    c, z + s * step, Ln) <= obj - _ARMIJO * s * dec):
-                break
+            zs = z + s * step
+            Ln = _factor(at(zs))
+            if Ln is not None:
+                # the damped step is taken untested; the next step scores it
+                obj_s = None if s <= floor else _objective(c, zs, Ln)
+                if obj_s is None or obj_s <= obj - _ARMIJO * s * dec:
+                    break
             if s > floor:
                 s = max(0.5 * s, floor)
             else:
                 s, tries = 0.5 * s, tries - 1
         if Ln is not None:
-            z, L = z + s * step, Ln
+            z, L, obj = zs, Ln, obj_s
         if z[-1] > 0 and z[-1] >= 2.0 * tried:
             tried = z[-1]
             res = _certificate(gs, form, at(z[:-1]), scale, done)
         if res is None and dec <= _CENTERED:
             if z[-1] + nvars / c < 0:
                 res = _center_dual(gs, form, L, c, done)
-            c = min(c * _WEIGHT_STEP, _MAX_WEIGHT)
+            c, obj = min(c * _WEIGHT_STEP, _MAX_WEIGHT), None
     if res is None:
         G = at(z[:-1]) * scale
         res = SosResult("Undetermined", done, float(np.linalg.eigvalsh(G)[0]),
@@ -273,11 +281,12 @@ def _certificate(gs, form, G, scale, steps):
     G * scale on the grid scale * 2^-_GRID_BITS, with each R_2 basis
     element's residual f_s - sigma(G)_s put on its representative pair
     (column {s: 1}; half on each side off the diagonal). It needs sigma(G)
-    = f and an exact LDL^T proof that G is PSD, both over Python ints: the
+    = f over Python ints and a proof that G is PSD (is_positive_definite:
+    a float Cholesky with a proved shift, else the integer LDL^T): the
     Gram matrix is N / D with D = 2 lcm(grid and f denominators) (times the
     lcm of sigma's denominators, 1 on a toric model), so every entry of N
     and every residual is an even int. Fractions are made only for a Gram
-    matrix that passes."""
+    matrix that passes, one per symmetric pair."""
     unit = Fraction(scale) / (1 << _GRID_BITS)
     f = form.coefficients
     D = 2 * gs.sigma_den * math.lcm(unit.denominator,
@@ -286,7 +295,7 @@ def _certificate(gs, form, G, scale, steps):
     target = [c.numerator * (D // c.denominator) for c in f]
     # G is exactly symmetric, and so is N
     N = [[int(x) * u for x in row]
-         for row in np.rint(G * math.ldexp(1.0, _GRID_BITS))]
+         for row in np.rint(G * math.ldexp(1.0, _GRID_BITS)).tolist()]
     have = [int(x) for x in gs.apply_to_gram(N)]
     for s, (i, j) in enumerate(gs.model.rep_pairs):
         r = target[s] - have[s]
@@ -296,10 +305,15 @@ def _certificate(gs, form, G, scale, steps):
     if gs.apply_to_gram(N) != target \
             or not is_positive_definite(N, semidefinite=True):
         return None
-    # int / int is correctly rounded, as float(Fraction(x, D)) is
-    min_eig = float(np.linalg.eigvalsh([[x / D for x in row] for row in N])[0])
-    return SosResult("Certificate", steps, min_eig, 0.0,
-                     gram=[[Fraction(x, D) for x in row] for row in N])
+    # each symmetric pair once: its Fraction, and its float for min_eig
+    # (int / int is correctly rounded, as float(Fraction(x, D)) is)
+    gram, fl = [[None] * len(N) for _ in N], [[0.0] * len(N) for _ in N]
+    for i, row in enumerate(N):
+        for j in range(i, len(N)):
+            gram[i][j] = gram[j][i] = Fraction(row[j], D)
+            fl[i][j] = fl[j][i] = row[j] / D
+    return SosResult("Certificate", steps, float(np.linalg.eigvalsh(fl)[0]),
+                     0.0, gram=gram)
 
 
 def _center_dual(gs, form, L, c, steps):

@@ -2,14 +2,16 @@
 
 All exact computation in the package funnels through this module: ranks,
 nullspaces, positive definiteness and integer lattice normal forms are
-exact, with no floating shortcut. Rational input is cleared of denominators
-and eliminated over Python ints: every kernel and solve is one integer
-echelon form (``_echelon``) read through its integer kernel vectors, and so
-is every rank that its rank modulo a prime (``rank_mod_p``) does not settle
-against a proved upper bound. Kernels are primitive integer vectors
-(``nullspace``); only ``rref`` and ``solve_exact`` return Fractions, each
-made once from integers. The only float code here converts between
-rationals and floats; the float kernels live in ``kernels``.
+exact. Rational input is cleared of denominators and eliminated over Python
+ints: every kernel and solve is one integer echelon form (``_echelon``)
+read through its integer kernel vectors, and so is every rank that its
+rank modulo a prime (``rank_mod_p``) does not settle against a proved
+upper bound; positive definiteness that a shifted float Cholesky does not
+prove (``_cholesky_proves_definite``) is an integer LDL^T. Kernels are
+primitive integer vectors (``nullspace``); only ``rref`` and
+``solve_exact`` return Fractions, each made once from integers. Besides
+that Cholesky, the only float code here converts between rationals and
+floats; the float kernels live in ``kernels``.
 """
 
 from __future__ import annotations
@@ -215,12 +217,15 @@ def is_positive_definite(rows, semidefinite=False) -> bool:
     a zero row wherever its diagonal is zero).
 
     Int entries are taken as they are, as _integer_row does; only the
-    other entries become Fractions."""
-    vals = [[e if type(e) is int else _frac(e) for e in r[i:]]
-            for i, r in enumerate(rows)]
-    den = math.lcm(*[v.denominator for r in vals for v in r])
+    other entries become Fractions. _cholesky_proves_definite runs first."""
     # a[i][j - i] is entry (i, j), j >= i
-    a = [[v.numerator * (den // v.denominator) for v in r] for r in vals]
+    a = [r[i:] for i, r in enumerate(rows)]
+    if any(type(e) is not int for r in a for e in r):
+        vals = [[e if type(e) is int else _frac(e) for e in r] for r in a]
+        den = math.lcm(*[v.denominator for r in vals for v in r])
+        a = [[v.numerator * (den // v.denominator) for v in r] for r in vals]
+    if _cholesky_proves_definite(a):
+        return True
     prev = 1
     for k, ak in enumerate(a):
         p = ak[0]
@@ -233,6 +238,39 @@ def is_positive_definite(rows, semidefinite=False) -> bool:
             a[i] = [(p * x - aki * y) // prev for x, y in zip(a[i], ak[i - k:])]
         prev = p
     return True
+
+
+def _cholesky_proves_definite(a) -> bool:
+    """True only if the symmetric integer matrix A, by the rows a[i][j - i]
+    = A_ij (j >= i) of its upper triangle, is positive definite: numpy's
+    Cholesky factors B = fl(Â - cI), Â = fl(A), M = max |Â_ij|, u = 2^-53,
+    c = 4n(n + 2) u M (Rump, BIT 46, 2006). A finite factor L has LL^T =
+    B + ΔB, |ΔB| <= γ|L||L^T|, γ = (n + 1) u / (1 - (n + 1) u), in any order
+    of the inner products (Higham, Accuracy and Stability, Thm 10.3), so
+    ||ΔB||_2 <= γ||L||_F^2 <= γ tr B / (1 - γ) <= γn(M + c)(1 + u) / (1 - γ);
+    gradual underflow adds at most 2^-1074 (n + 1)(1 + max L_jj) to each
+    |ΔB_ij|, below 2^-1000 n^2 (1 + sqrt M). With |B - (Â - cI)| <= u(M + c)
+    and |A - Â| <= u|Â| entrywise, lambda_min(A) >= c - ||ΔB||_2 - u(M + c)
+    - u(1 + u)nM, about c - (n + 1)^2 u M > 0 for integers (M >= 1) and
+    n^2 u << 1. Overflow leaves an inf or nan in L or fails the factor; a
+    failed factor, an entry beyond the floats, M = 0 and a singular A prove
+    nothing."""
+    n = len(a)
+    lower = np.zeros((n, n))
+    try:
+        for i, r in enumerate(a):
+            lower[i:, i] = r
+    except OverflowError:
+        return False
+    m = float(np.abs(lower).max(initial=0.0))
+    if not m:
+        return False
+    lower.flat[::n + 1] -= math.ldexp(4 * n * (n + 2), -53) * m
+    try:
+        L = np.linalg.cholesky(lower)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(L).all())
 
 
 def residues(rows, vectors):

@@ -285,8 +285,10 @@ def _chart_rows(Q: LatticePolytope, k: int):
 
 
 def _lattice_point_count(Q: LatticePolytope, k: int) -> int:
-    """|(kQ) ∩ M|, k >= 1 and dim Q >= 1: the sum of the row widths, in
-    Python ints, without listing a point."""
+    """|(kQ) ∩ M|, k >= 1 and dim Q >= 1: the rows listed for k, if any,
+    else the sum of the row widths, in Python ints, listing no point."""
+    if k in Q._rows:
+        return len(Q._rows[k])
     return sum(sum(width[width > 0].tolist()) for _, _, width in
                _scan_rows(Q, k))
 
@@ -625,9 +627,11 @@ def classify(Q: LatticePolytope) -> ClassificationReport:
     triangle, and model_map is an exactly verified map from that family
     member onto Q. A polytope with symmetries has several such maps; the
     one returned is deterministic but not unique."""
+    # is_k_normal lists the dilates 1 and 2, and h_star counts them from
+    # those rows; the first dilate past the scan limit raises either way
+    two_normal = is_k_normal(Q, 2)[0]
     hs = h_star(Q)
     h2_zero = hs.h2 == 0
-    two_normal = is_k_normal(Q, 2)[0]
     pdeg = hs.degree
     density = real_density(Q)
     family = NOT_MINIMAL

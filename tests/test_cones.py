@@ -1,6 +1,8 @@
 """Gram slices, the SOS feasibility solver, and separating functionals."""
 
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 from fractions import Fraction as F
@@ -450,6 +452,58 @@ def test_stream_verdicts_reverify_exactly(label, build, param_exps):
             _assert_infeasible_reverifies(gs, f, res)
 
 
+# SHA-256 of json.dumps(res.to_json(), sort_keys=True), one line per form,
+# over _pinned_stream_digest's forms: a drift in any verdict, Gram matrix,
+# functional, min_eig or iteration count fails here
+SOS_OUTPUT_SHA256 = \
+    "87d2427edaf28019e490766d64f464264c5cfcf2a91d64d88b064de61c310388"
+
+
+def _pinned_stream_digest():
+    """The SHA-256 of the sos_check outputs on three PSD-Gram forms, two
+    near-boundary forms and two negative forms per model of SOS_MODELS."""
+    lines = []
+    for _, build, param_exps in SOS_MODELS:
+        model = build()
+        gs = GramSlice(model)
+        nvars = model.n + 1
+        rng = np.random.Generator(np.random.Philox(610))
+        X = _cone_points(model, param_exps, 2000, rng)
+        R = np.stack([X[:, i] * X[:, j] for i, j in model.rep_pairs], axis=1)
+        sum_sq = gs.apply_to_gram([[F(int(i == j)) for j in range(nvars)]
+                                   for i in range(nvars)])
+        forms = [gs.apply_to_gram(_dyadic_gram(B.T @ B)) for B in
+                 rng.normal(size=(3, nvars, nvars))]
+        for _ in range(2):
+            forms.append(gs.apply_to_gram(
+                _dyadic_gram(_near_boundary_gram(X, rng, 0.02))))
+            g = rng.normal(size=model.dim_r2)
+            vals = R @ g
+            shift = F(float(vals.min()) + 0.1 * float(np.abs(vals).max()))
+            forms.append([F(float(gc)) - shift * ec
+                          for gc, ec in zip(g, sum_sq)])
+        for coeffs in forms:
+            res = sos_check(QuadraticForm(model, coeffs), gs, budget=40000)
+            lines.append(json.dumps(res.to_json(), sort_keys=True))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_sos_check_output_bytes_are_pinned():
+    assert _pinned_stream_digest() == SOS_OUTPUT_SHA256
+
+
+def test_exact_fallback_gives_the_pinned_bytes(monkeypatch):
+    # the float Cholesky proof decides some of these tests; with it
+    # patched out, the exact LDL^T alone gives the same outputs
+    proof, proved = numerics._cholesky_proves_definite, []
+    monkeypatch.setattr(numerics, "_cholesky_proves_definite",
+                        lambda a: proof(a) and not proved.append(None))
+    assert _pinned_stream_digest() == SOS_OUTPUT_SHA256 and proved
+    monkeypatch.setattr(numerics, "_cholesky_proves_definite",
+                        lambda a: False)
+    assert _pinned_stream_digest() == SOS_OUTPUT_SHA256
+
+
 def test_near_boundary_twisted_cubic_certifies():
     # a near-boundary form (cushion 0.1% of the largest sampled value) that
     # the earlier Dykstra solver left Undetermined after 40,000 iterations
@@ -823,6 +877,19 @@ def test_dual_functional_json(quartic_gap):
     blob = fn.to_json()
     assert blob["exact"] is True
     assert blob["values"][0] == {"num": "1537", "den": "768"}
+
+
+_APPLY_MODEL = veronese_model(1, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_FUZZ_COEFF, min_size=7, max_size=7),
+       st.lists(_FUZZ_COEFF, min_size=7, max_size=7))
+def test_apply_is_the_fraction_sum(values, coeffs):
+    fn = DualFunctional(_APPLY_MODEL, values)
+    got = fn.apply(QuadraticForm(_APPLY_MODEL, coeffs))
+    assert isinstance(got, F)
+    assert got == sum((F(v) * F(c) for v, c in zip(values, coeffs)), F(0))
 
 
 def test_dual_functional_validation(quartic_gap):

@@ -260,6 +260,60 @@ def test_is_positive_semidefinite_matches_principal_minors(M):
         assert expected
 
 
+@st.composite
+def _scaled_symmetric(draw):
+    """1-9 square symmetric integer matrices on entry scales 2^0 .. 2^200:
+    2^e B^T B for k <= n + 1 integer rows B (rank-deficient when k < n),
+    plus s I for s = 0, +-1 .. 3 units or a huge +-2^(e + j)."""
+    n = draw(st.integers(1, 9))
+    e = draw(st.integers(0, 200))
+    entries = draw(st.sampled_from([st.integers(-3, 3),
+                                    st.integers(-2 ** 20, 2 ** 20)]))
+    B = [[draw(entries) for _ in range(n)]
+         for _ in range(draw(st.integers(0, n + 1)))]
+    s = draw(st.one_of(
+        st.integers(-3, 3),
+        st.builds(lambda sign, j: sign * 2 ** max(0, e + j),
+                  st.sampled_from([-1, 1]), st.integers(-8, 48))))
+    return [[(sum(r[i] * r[j] for r in B) << e) + (s if i == j else 0)
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scaled_symmetric())
+@example([[2 ** 60 + 127, 2 ** 60 + 128], [2 ** 60 + 128, 2 ** 60 + 129]])
+@example([[2 ** 200 + 1, 2 ** 200], [2 ** 200, 2 ** 200 - 1]])
+@example([[10 ** 400, 0], [0, 1]])
+def test_cholesky_proof_agrees_with_the_exact_ldlt(A):
+    # the float proof certifies only matrices the LDL^T finds positive
+    # definite, and so never moves a verdict
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_cholesky_proves_definite", lambda a: False)
+        exact = [is_positive_definite(A, psd) for psd in (False, True)]
+    if numerics._cholesky_proves_definite([r[i:] for i, r in enumerate(A)]):
+        assert exact == [True, True]
+    assert [is_positive_definite(A, psd) for psd in (False, True)] == exact
+
+
+def test_cholesky_proof_needs_its_shift():
+    # det A = -1, but fl(A) = [[m, m], [m, m + 256]] is positive definite,
+    # so an unshifted float Cholesky passes
+    m = 2 ** 60
+    A = [[m + 127, m + 128], [m + 128, m + 129]]
+    assert np.all(np.isfinite(np.linalg.cholesky(to_float(A))))
+    assert not numerics._cholesky_proves_definite([A[0], A[1][1:]])
+    assert not is_positive_definite(A, semidefinite=True)
+    # it proves well-conditioned matrices on any scale below the floats',
+    # and leaves larger ones, zero and singular ones to the LDL^T
+    for e in (0, 200, 1000):
+        assert numerics._cholesky_proves_definite([[2 << e, 1 << e],
+                                                   [2 << e]])
+    for a in ([[2 << 1100, 1 << 1100], [2 << 1100]], [[0]], [[1, 1], [1]]):
+        assert not numerics._cholesky_proves_definite(a)
+    assert is_positive_definite([[2 << 1100, 1 << 1100],
+                                 [1 << 1100, 2 << 1100]])
+
+
 def test_is_positive_definite_rejects_float():
     with pytest.raises(TypeError):
         is_positive_definite([[1.0]])

@@ -1,5 +1,6 @@
 """Polytope invariants against hand-checked values and brute-force oracles."""
 
+import collections
 import itertools
 import json
 import math
@@ -546,6 +547,30 @@ def test_h_star_never_lists_or_lifts(monkeypatch):
     assert h_star(big).coefficients == (1, 4504498, 4495501)
     seg = LatticePolytope(1, [(0,), (3 * 10 ** 6,)])
     assert h_star(seg).coefficients == (1, 2999999)
+
+
+def test_classify_scans_each_dilate_once(monkeypatch):
+    # is_k_normal lists the dilates 1 and 2, and h_star counts them from
+    # those rows
+    scan, scans = mindeg.polytope._scan_rows, collections.Counter()
+    monkeypatch.setattr(mindeg.polytope, "_scan_rows",
+                        lambda Q, k: scans.update([(id(Q), k)]) or scan(Q, k))
+    for Q in _corpus() + [higashitani_simplex(5, 3)]:
+        scans.clear()
+        Q = LatticePolytope(Q.ambient_rank, Q.vertices)
+        classify(Q)
+        assert scans and set(scans.values()) == {1}, Q.vertices
+        assert {k for _, k in scans} == set(range(1, max(Q.dim, 2) + 1))
+
+
+def test_classify_meets_the_first_failing_dilate_as_h_star_does():
+    # (N + 1)(N + 2) <= 2^62 < 2 (N + 1)(N + 2): the dilate 1 of this
+    # three-point triangle scans, the dilate 2 does not
+    N = 2 ** 31 - 3
+    for f in (classify, h_star):
+        Q = LatticePolytope(2, [(0, 0), (1, N), (1, N + 1)])
+        with pytest.raises(ValueError, match="^dilate 2 of the polytope"):
+            f(Q)
 
 
 @pytest.mark.parametrize("box", [[(0,), (7,)],
